@@ -1,10 +1,11 @@
-//! Named microbenches for the simulation's hot kernels (ISSUE 4).
+//! Named microbenches for the simulation's hot kernels.
 //!
 //! Three kernels dominate the engine profile: the memory-system access
 //! path (L1 hit / LLC hit / remote ping-pong / invalidation mixes — the
 //! mixes the spinning and HyperPlane sq500 configs actually produce), the
 //! calendar-wheel event queue (schedule/pop per simulated event), and the
-//! alias-sampler draw (per arrival). `BENCH_speed.json` records the
+//! alias-sampler draw (per arrival). The simulator benchmark
+//! (`bench/README.md`, declared in `BENCHMARK.json`) measures the
 //! end-to-end events/s these feed into; these benches isolate each kernel
 //! so a regression is attributable.
 

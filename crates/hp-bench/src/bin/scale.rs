@@ -21,8 +21,10 @@
 //!   seeded, platform-independent, the CI gate. The acceptance bar is
 //!   that the largest point stays within 1.5x of the 1024-queue
 //!   baseline's per-event cost.
-//! * **Wall clock**: host events/s, the queues-vs-events/s curve recorded
-//!   in `BENCH_speed.json` (machine-dependent, informational).
+//! * **Wall clock**: host events/s, the queues-vs-events/s curve
+//!   (machine-dependent, informational; the `flash-1m` workload of the
+//!   simulator benchmark in `bench/README.md` and `BENCHMARK.json` is the
+//!   measured record).
 //!
 //! The conservation auditor rides along at every point, and the device
 //! counters (insert conflicts, relocation walks, snoop filter hits,

@@ -78,8 +78,8 @@ fn bench_summary(opts: &HarnessOpts) -> String {
 /// four-group experiment run at 1, 2, and 4 workers, digests compared
 /// bit-for-bit, wall-clock speedups reported against the 1-worker run.
 ///
-/// Under the default keyed RNG streams every lane generates only its own
-/// groups' stimulus, so total kernel events are worker-count-invariant
+/// Every lane generates only its own groups' stimulus (keyed RNG
+/// streams, DESIGN.md §18), so total kernel events are worker-count-invariant
 /// (the 4-lane/serial ratio is gated at ≤ 1.1 here and in CI) and the
 /// `events_per_sec` figures compare directly across worker counts. The
 /// report also contrasts rendezvous counts under auto-lookahead windows
@@ -118,7 +118,6 @@ fn par_bench(opts: &HarnessOpts, path: &str) {
         eps: f64,
         kernel_events: u64,
         sync_rounds: u64,
-        replicated: u64,
     }
     let mut rows: Vec<Row> = Vec::new();
     let mut digests: Vec<Vec<u64>> = Vec::new();
@@ -131,7 +130,6 @@ fn par_bench(opts: &HarnessOpts, path: &str) {
             eps: r.events_per_sec_wall(),
             kernel_events: r.kernel_profile().expect("profiling is on").total_events(),
             sync_rounds: r.sync_rounds(),
-            replicated: r.replicated_chain_events(),
         });
     }
     let identical = digests.iter().all(|d| d == &digests[0]);
@@ -153,7 +151,6 @@ fn par_bench(opts: &HarnessOpts, path: &str) {
             "events/s",
             "kernel_ev",
             "rounds",
-            "replicated",
         ],
     );
     for r in &rows {
@@ -164,7 +161,6 @@ fn par_bench(opts: &HarnessOpts, path: &str) {
             format!("{:.0}", r.eps),
             r.kernel_events.to_string(),
             r.sync_rounds.to_string(),
-            r.replicated.to_string(),
         ]);
     }
     t.print(opts);
@@ -198,7 +194,6 @@ fn par_bench(opts: &HarnessOpts, path: &str) {
         w.field_f64("events_per_sec", r.eps);
         w.field_u64("kernel_events", r.kernel_events);
         w.field_u64("sync_rounds", r.sync_rounds);
-        w.field_u64("replicated_chain_events", r.replicated);
         w.end_object();
     }
     w.end_array();
@@ -213,7 +208,7 @@ fn par_bench(opts: &HarnessOpts, path: &str) {
     );
     assert!(
         event_ratio <= 1.1,
-        "replicated-chain tax regressed: 4-lane kernel events {event_ratio:.3}x serial"
+        "lane stimulus generation regressed: 4-lane kernel events {event_ratio:.3}x serial"
     );
     assert!(
         rounds_auto < rounds_fixed,
@@ -331,9 +326,8 @@ fn main() {
             r.events_per_sec_wall()
         );
         println!(
-            "sync rounds: {}   replicated chain events: {}   generated arrivals/lane: {:?}",
+            "sync rounds: {}   generated arrivals/lane: {:?}",
             r.sync_rounds(),
-            r.replicated_chain_events(),
             r.lane_generated_arrivals()
         );
     }

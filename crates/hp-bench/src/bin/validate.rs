@@ -9,7 +9,7 @@
 
 use hp_bench::{experiment, f2, HarnessOpts, Table};
 use hp_sdp::analytic;
-use hp_sdp::config::{Load, Notifier, RngStreamMode};
+use hp_sdp::config::{Load, Notifier};
 use hp_sdp::runner;
 use hp_sim::rng::Distribution;
 use hp_traffic::shape::TrafficShape;
@@ -104,51 +104,30 @@ fn main() {
         analytic::scale_up_advantage(4.0 * 0.8 / es_us, 1.0 / es_us, 4)
     );
 
-    // Keyed-vs-sequential statistical equivalence (DESIGN.md §18): the
-    // counter-based keyed streams and the legacy sequential chains are
-    // two sample paths of the *same* experiment distribution — different
-    // draws, identical statistics. Gate both modes' M/M/1 mean sojourn at
-    // 60% load into one band around the closed form, and their mutual
-    // difference into the same band (binary exits non-zero on breach).
-    // Sojourn times are strongly autocorrelated at 60% load, so the
-    // sample count stays at 40k even under `--quick` — smaller runs make
-    // the two means too noisy to compare meaningfully.
+    // A long-run M/M/1 gate at 60% load (binary exits non-zero on
+    // breach). Sojourn times are strongly autocorrelated at this load, so
+    // the sample count stays at 40k even under `--quick` — smaller runs
+    // make the mean too noisy to gate meaningfully.
     let tol = 0.15;
-    let mm1 = |mode: RngStreamMode| {
-        let mut cfg = experiment(&opts, workload, TrafficShape::SingleQueue, 1)
-            .with_notifier(Notifier::hyperplane())
-            .with_rng_stream_mode(mode);
-        cfg.service_dist = Distribution::Exponential;
-        cfg.target_completions = 40_000;
-        cfg.queue_cap = 100_000;
-        let lambda_per_us = 0.6 / es_us;
-        runner::run(cfg.with_load(Load::RatePerSec(lambda_per_us * 1e6))).mean_latency_us()
-    };
-    let keyed = mm1(RngStreamMode::Keyed);
-    let sequential = mm1(RngStreamMode::Sequential);
-    let theory = analytic::mg1_sojourn(0.6 / es_us, es_us, 1.0);
+    let mut cfg = experiment(&opts, workload, TrafficShape::SingleQueue, 1)
+        .with_notifier(Notifier::hyperplane());
+    cfg.service_dist = Distribution::Exponential;
+    cfg.target_completions = 40_000;
+    cfg.queue_cap = 100_000;
+    let lambda_per_us = 0.6 / es_us;
+    let sim = runner::run(cfg.with_load(Load::RatePerSec(lambda_per_us * 1e6))).mean_latency_us();
+    let theory = analytic::mg1_sojourn(lambda_per_us, es_us, 1.0);
+    let delta = (sim - theory).abs() / theory;
     println!(
-        "\nRNG stream modes vs M/M/1 at 60% load: theory {theory:.2} us, \
-         keyed {keyed:.2} us, sequential {sequential:.2} us (tolerance {:.0}%)",
+        "\nM/M/1 at 60% load, 40k samples: theory {theory:.2} us, simulated {sim:.2} us \
+         (tolerance {:.0}%)",
         tol * 100.0
     );
-    for (name, sim) in [("keyed", keyed), ("sequential", sequential)] {
-        let delta = (sim - theory).abs() / theory;
-        assert!(
-            delta < tol,
-            "{name} RNG mode diverged from M/M/1 theory: {sim:.2} us vs {theory:.2} us \
-             ({:.1}% > {:.0}%)",
-            delta * 100.0,
-            tol * 100.0
-        );
-    }
-    let cross = (keyed - sequential).abs() / theory;
     assert!(
-        cross < tol,
-        "keyed and sequential RNG modes disagree beyond tolerance: \
-         {keyed:.2} us vs {sequential:.2} us ({:.1}% of theory > {:.0}%)",
-        cross * 100.0,
+        delta < tol,
+        "simulator diverged from M/M/1 theory: {sim:.2} us vs {theory:.2} us \
+         ({:.1}% > {:.0}%)",
+        delta * 100.0,
         tol * 100.0
     );
-    println!("rng-mode equivalence: OK");
 }

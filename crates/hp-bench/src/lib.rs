@@ -15,9 +15,6 @@
 //!   byte-identical tables and JSONL.
 //! * `--par-workers N` — intra-run parallel-fabric lanes (default 1);
 //!   digest-identical to the serial engine for any `N`.
-//! * `--rng-mode keyed|sequential` — RNG stream organization (default
-//!   keyed: counter-based per-group streams; sequential retains the
-//!   pre-keyed shared-chain draws for A/B comparison).
 //!
 //! The shared helpers here keep the binaries small: aligned table
 //! printing, CSV/JSONL emission, and the harness-wide experiment defaults.
@@ -30,7 +27,7 @@ pub mod plot;
 pub mod sweep;
 
 use hp_bytes::json::JsonWriter;
-use hp_sdp::config::{ExperimentConfig, RngStreamMode};
+use hp_sdp::config::ExperimentConfig;
 use hp_traffic::shape::TrafficShape;
 use hp_workloads::service::WorkloadKind;
 use std::path::PathBuf;
@@ -50,9 +47,6 @@ pub struct HarnessOpts {
     /// parallel-fabric lane-to-thread mapping inside each single run.
     /// Orthogonal to `threads`. Defaults to 1 (serial engine path).
     pub par_workers: usize,
-    /// RNG stream organization (`--rng-mode keyed|sequential`). Defaults
-    /// to the keyed counter-based streams.
-    pub rng_mode: RngStreamMode,
     /// Binary name (file stem of `argv[0]`), used for the JSONL path.
     pub bin: String,
 }
@@ -88,24 +82,12 @@ impl HarnessOpts {
                 }),
             None => 1,
         };
-        let rng_mode = match args.iter().position(|a| a == "--rng-mode") {
-            Some(i) => match args.get(i + 1).map(String::as_str) {
-                Some("keyed") => RngStreamMode::Keyed,
-                Some("sequential") => RngStreamMode::Sequential,
-                _ => {
-                    eprintln!("error: --rng-mode requires `keyed` or `sequential`");
-                    std::process::exit(2);
-                }
-            },
-            None => RngStreamMode::Keyed,
-        };
         HarnessOpts {
             quick: args.iter().any(|a| a == "--quick"),
             csv: args.iter().any(|a| a == "--csv"),
             json: args.iter().any(|a| a == "--json"),
             threads,
             par_workers,
-            rng_mode,
             bin,
         }
     }
@@ -150,9 +132,7 @@ pub fn experiment(
     shape: TrafficShape,
     queues: u32,
 ) -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::new(workload, shape, queues)
-        .with_par_workers(opts.par_workers)
-        .with_rng_stream_mode(opts.rng_mode);
+    let mut cfg = ExperimentConfig::new(workload, shape, queues).with_par_workers(opts.par_workers);
     cfg.target_completions = opts.completions(12_000);
     cfg
 }
@@ -299,7 +279,6 @@ mod tests {
             json: false,
             threads: 1,
             par_workers: 1,
-            rng_mode: RngStreamMode::Keyed,
             bin: "test".to_string(),
         }
     }

@@ -5,7 +5,7 @@
 //! `Table::to_jsonl` — not just the in-memory result vectors.
 
 use hp_bench::{experiment, f2, f3, HarnessOpts, Table};
-use hp_sdp::config::{Notifier, RngStreamMode};
+use hp_sdp::config::Notifier;
 use hp_sdp::runner;
 use hp_traffic::shape::TrafficShape;
 use hp_workloads::service::WorkloadKind;
@@ -17,7 +17,6 @@ fn opts(threads: usize) -> HarnessOpts {
         json: true,
         threads,
         par_workers: 1,
-        rng_mode: RngStreamMode::Keyed,
         bin: "sweep_jsonl_test".into(),
     }
 }

@@ -188,8 +188,7 @@ pub fn splitmix64_mix(mut z: u64) -> u64 {
 }
 
 /// SplitMix64 as a u64 → u64 hash: one Weyl step plus the finalizer.
-/// Identical to `hp_sim::rng::splitmix64` (duplicated because `hp-rand`
-/// sits below `hp-sim` in the dependency graph).
+/// Re-exported as `hp_sim::rng::splitmix64`.
 #[inline]
 pub fn splitmix64_hash(x: u64) -> u64 {
     splitmix64_mix(x.wrapping_add(SPLITMIX_GOLDEN))

@@ -259,23 +259,6 @@ pub enum Load {
     Saturation,
 }
 
-/// How the experiment's random draws are organized (DESIGN.md §18).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RngStreamMode {
-    /// One shared sequential arrival/service stream. Every parallel lane
-    /// must replay the full chains to stay draw-aligned, burning foreign
-    /// draws (~`groups`× the kernel events of a serial run). Retained for
-    /// A/B comparison against pre-keyed baselines.
-    Sequential,
-    /// Counter-based keyed streams (the default): every draw is a pure
-    /// function of `(seed, stream, item index)`, arrivals and churn
-    /// partition per sharing group, and a lane generates only what it
-    /// owns. Statistically equivalent to `Sequential` (same distributions,
-    /// decorrelated streams), but a different — equally valid — sampled
-    /// instance of the experiment.
-    Keyed,
-}
-
 /// Parallel-engine window policy: how far lanes run between rendezvous.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncWindow {
@@ -365,14 +348,6 @@ pub struct ExperimentConfig {
     /// shadow-check feature and the observability digests); the knob
     /// exists for A/B measurement and as a belt-and-braces escape hatch.
     pub mem_fast_path: bool,
-    /// Same-cycle batch pop (DESIGN.md §13): the engine drains each wheel
-    /// bucket's same-instant event run in one occupancy-bitmap scan
-    /// (`EventQueue::pop_batch`) instead of re-scanning per event. Pure
-    /// constant-factor change — the per-event processing order is exactly
-    /// the single-pop `(time, seq)` order (pinned by the observability
-    /// digests and `tests/properties_kernels.rs`); the knob exists for A/B
-    /// measurement.
-    pub batch_pop: bool,
     /// Fault-injection plan (default: inject nothing). Fault decisions
     /// draw from a dedicated RNG stream, so the same seed produces
     /// byte-identical traffic with or without faults.
@@ -445,10 +420,6 @@ pub struct ExperimentConfig {
     /// window schedule is part of the experiment definition, not a tuning
     /// knob that may change results across worker counts.
     pub sync_window: SyncWindow,
-    /// How random draws are organized: keyed counter-based streams (the
-    /// default; arrivals/churn partition across lanes) or one shared
-    /// sequential stream (lanes replay the full chains).
-    pub rng_stream_mode: RngStreamMode,
 }
 
 impl ExperimentConfig {
@@ -487,7 +458,6 @@ impl ExperimentConfig {
             traffic: TrafficSource::Shape,
             prefetch_degree: 0,
             mem_fast_path: true,
-            batch_pop: true,
             faults: FaultPlan::none(),
             chaos: ChaosSchedule::none(),
             silent_evictions: false,
@@ -502,7 +472,6 @@ impl ExperimentConfig {
             metrics_window_cycles: None,
             par_workers: 1,
             sync_window: SyncWindow::Lookahead,
-            rng_stream_mode: RngStreamMode::Keyed,
         }
     }
 
@@ -604,12 +573,6 @@ impl ExperimentConfig {
     /// Builder-style: set the synchronization-window policy.
     pub fn with_sync_window_mode(mut self, mode: SyncWindow) -> Self {
         self.sync_window = mode;
-        self
-    }
-
-    /// Builder-style: set the RNG stream organization.
-    pub fn with_rng_stream_mode(mut self, mode: RngStreamMode) -> Self {
-        self.rng_stream_mode = mode;
         self
     }
 

@@ -25,33 +25,28 @@
 //! the skipped polls at the measured average poll cost. This is exact in
 //! distribution: the pointer phase advances by the number of skipped
 //! polls, and only an arrival can add work to a spinning partition. The
-//! target is tracked locally (`next_arrival` in sequential RNG mode,
-//! `group_next_arrival` per sharing group in keyed mode) rather than
-//! peeked from the event queue so a partitioned lane — which does not see
-//! other lanes' events — fast-forwards identically to the serial engine.
+//! target is tracked locally per sharing group (`group_next_arrival`)
+//! rather than peeked from the event queue so a partitioned lane — which
+//! does not see other lanes' events — fast-forwards identically to the
+//! serial engine.
 //!
 //! ## Lanes
 //!
 //! The engine doubles as one *lane* of the parallel fabric
 //! ([`crate::par_engine`]): built with `Engine::try_new_lane` it owns a
-//! single sharing group and materializes only that group's work. How the
-//! stimulus chains partition depends on `rng_stream_mode` (DESIGN.md §18):
-//!
-//! - **Keyed** (the default): every draw is a pure function of
-//!   `(seed, stream, item index)` through counter-based sub-streams
-//!   ([`hp_rand::rngs::CounterRng`]), so each lane generates *only its own
-//!   groups' arrivals and churn ticks* — no foreign chain is replayed and
-//!   a lane's event count scales with owned load, not total load.
-//! - **Sequential**: every lane replays the full arrival/churn chains for
-//!   identical RNG draws and gates foreign items off; the replayed-and-
-//!   gated events are counted in `replicated_chain_events` (the
-//!   replication tax keyed mode eliminates).
+//! single sharing group and materializes only that group's work. Every
+//! stimulus draw is a pure function of `(seed, stream, item index)`
+//! through counter-based sub-streams ([`hp_rand::rngs::CounterRng`])
+//! (DESIGN.md §18), so each lane generates *only its own groups' arrivals
+//! and churn ticks* and its event count scales with owned load, not total
+//! load. Flow-structured traffic is the one sequential source; validation
+//! restricts it to a single sharing group, so no lane ever shares it.
 //!
 //! Run control (warmup, stop, watchdog, `max_cycles`) is evaluated at
 //! synchronization-window boundaries in *every* engine — serial included —
 //! so a serial run is exactly a one-lane fabric.
 
-use crate::config::{ConfigError, ExperimentConfig, Load, Notifier, RngStreamMode};
+use crate::config::{ConfigError, ExperimentConfig, Load, Notifier, TrafficSource};
 use crate::metrics::{WindowObservation, WindowSample, WindowedMetrics};
 use crate::result::{DeviceStats, ExperimentResult, FaultReport};
 use crate::telemetry::{CoreTelemetry, HaltState, HaltTracker};
@@ -71,7 +66,7 @@ use hp_sim::stats::{Histogram, OnlineStats};
 use hp_sim::time::{Cycles, SimTime};
 use hp_sim::trace::{SpanId, TraceKind, TraceRecord, Tracer};
 use hp_traffic::flows::FlowTrafficGenerator;
-use hp_traffic::generator::{KeyedArrivals, TrafficGenerator};
+use hp_traffic::generator::KeyedArrivals;
 use hp_traffic::partition_queues;
 use hp_workloads::service::ServiceModel;
 
@@ -122,7 +117,7 @@ const EV_LABELS: &[&str] = &[
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// Next traffic arrival.
+    /// Next flow-traffic arrival (the sequential single-group source).
     Arrival,
     /// A data-plane core's next action completes/begins.
     CoreStep(usize),
@@ -154,18 +149,13 @@ enum Ev {
         /// Halt-episode epoch the timeout was armed for.
         epoch: u64,
     },
-    /// Chaos-plane doorbell churn tick: the control plane re-homes one
-    /// queue's doorbell through Algorithm 1 while traffic is live.
-    Churn,
-    /// Keyed-mode arrival: the next item of one sharing group's partition
-    /// stream. Replaces [`Ev::Arrival`] under `rng_stream_mode = keyed` —
-    /// a lane schedules these only for groups it owns, so no foreign
-    /// chain is ever replayed.
+    /// Shape-traffic arrival: the next item of one sharing group's
+    /// partition stream. A lane schedules these only for groups it owns.
     GroupArrival(u32),
-    /// Keyed-mode churn: tick `tick` of the global churn schedule, known
-    /// at schedule time to victimize a queue of `group` (the victim is a
-    /// pure function of the tick index). Replaces [`Ev::Churn`] under
-    /// `rng_stream_mode = keyed`.
+    /// Chaos-plane doorbell churn: tick `tick` of the global churn
+    /// schedule, which re-homes one queue's doorbell through Algorithm 1
+    /// while traffic is live. The victim is a pure function of the tick
+    /// index, so the tick is known at schedule time to belong to `group`.
     GroupChurn {
         /// Sharing group owning the victim queue.
         group: u32,
@@ -187,16 +177,9 @@ impl Ev {
             // Index 6 ("watchdog") is retired: the no-progress watchdog is
             // evaluated at window boundaries, not as an event. The label
             // stays so profile indices remain stable across artifacts.
-            Ev::Churn | Ev::GroupChurn { .. } => 7,
+            Ev::GroupChurn { .. } => 7,
         }
     }
-}
-
-/// Arrival stream: shape-weighted or flow-structured.
-#[derive(Debug)]
-enum ArrivalSource {
-    Shape(TrafficGenerator),
-    Flows(FlowTrafficGenerator),
 }
 
 /// Arrivals drawn per buffer refill. Blocks amortize the per-arrival
@@ -205,32 +188,49 @@ enum ArrivalSource {
 /// timestamp — is bit-identical to unbuffered generation.
 const ARRIVAL_BLOCK: usize = 64;
 
-/// An [`ArrivalSource`] behind a block-refilled prebuffer.
+/// Flow traffic's sequential stimulus: the flow generator and the
+/// service stream, each behind a block-refilled prebuffer, and the item
+/// counter.
 #[derive(Debug)]
-struct ArrivalStream {
-    src: ArrivalSource,
-    buf: std::collections::VecDeque<(Cycles, QueueId)>,
+struct FlowStimulus {
+    gen: FlowTrafficGenerator,
+    arrivals: std::collections::VecDeque<(Cycles, QueueId)>,
+    service_rng: SmallRng,
+    services: std::collections::VecDeque<Cycles>,
+    next_id: u64,
 }
 
-impl ArrivalStream {
-    fn new(src: ArrivalSource) -> Self {
-        ArrivalStream {
-            src,
-            buf: std::collections::VecDeque::with_capacity(ARRIVAL_BLOCK),
+impl FlowStimulus {
+    fn new(gen: FlowTrafficGenerator, service_rng: SmallRng) -> Self {
+        FlowStimulus {
+            gen,
+            arrivals: std::collections::VecDeque::with_capacity(ARRIVAL_BLOCK),
+            service_rng,
+            services: std::collections::VecDeque::with_capacity(ARRIVAL_BLOCK),
+            next_id: 0,
         }
     }
 
-    fn next_arrival(&mut self) -> (Cycles, QueueId) {
-        if let Some(a) = self.buf.pop_front() {
-            return a;
+    /// The next arrival: `(gap to the following one, queue, item id,
+    /// service demand)`.
+    fn next(&mut self, service: &ServiceModel) -> (Cycles, QueueId, u64, Cycles) {
+        if self.arrivals.is_empty() {
+            self.gen.fill_arrivals(&mut self.arrivals, ARRIVAL_BLOCK);
         }
-        match &mut self.src {
-            ArrivalSource::Shape(g) => g.fill_arrivals(&mut self.buf, ARRIVAL_BLOCK),
-            ArrivalSource::Flows(g) => g.fill_arrivals(&mut self.buf, ARRIVAL_BLOCK),
-        }
-        self.buf
+        let (gap, q) = self
+            .arrivals
             .pop_front()
-            .expect("block refill produced arrivals")
+            .expect("block refill produced arrivals");
+        if self.services.is_empty() {
+            service.fill_samples(&mut self.service_rng, &mut self.services, ARRIVAL_BLOCK);
+        }
+        let demand = self
+            .services
+            .pop_front()
+            .expect("block refill produced samples");
+        let id = self.next_id;
+        self.next_id += 1;
+        (gap, q, id, demand)
     }
 }
 
@@ -312,9 +312,8 @@ pub struct Engine {
     queues_of_group: Vec<Vec<QueueId>>,
     /// Sharing groups this engine materializes work for: all of them in a
     /// serial run, exactly one in a parallel lane
-    /// ([`Engine::try_new_lane`]). Non-owned groups still replay the
-    /// arrival/churn draw chains (identical RNG consumption) but touch no
-    /// queue, device, or core state.
+    /// ([`Engine::try_new_lane`]). Non-owned groups draw no stimulus and
+    /// touch no queue, device, or core state.
     owned_groups: Vec<bool>,
     /// Producer core per queue, precomputed so producers partition cleanly
     /// by sharing group: group `g`'s queues stripe over a contiguous,
@@ -332,43 +331,32 @@ pub struct Engine {
     irq_pending: Vec<std::collections::VecDeque<u32>>,
     trackers: Vec<HaltTracker>,
     telem: Vec<CoreTelemetry>,
-    gen: ArrivalStream,
+    /// Flow-traffic stimulus (`None` for shape traffic, which draws from
+    /// `keyed_arrivals` and `service_keyed`).
+    flows: Option<FlowStimulus>,
     service: ServiceModel,
-    service_rng: SmallRng,
-    /// Prebuffered service demands (same block-refill scheme as
-    /// [`ArrivalStream`]; draws are bit-identical to per-item sampling).
-    service_buf: std::collections::VecDeque<Cycles>,
-    /// Whether this run uses keyed (counter-based) stimulus streams: the
-    /// config knob resolved against the traffic source (flow-structured
-    /// traffic is single-group by validation and stays sequential).
-    keyed: bool,
-    /// Keyed mode: per-group partition arrival streams. `None` for
-    /// non-owned groups (never drawn from) and for partitions with zero
-    /// offered mass (no arrival can ever target them).
+    /// Shape traffic's per-group partition arrival streams. `None` for
+    /// non-owned groups (never drawn from), for partitions with zero
+    /// offered mass (no arrival can ever target them), and under flow
+    /// traffic.
     keyed_arrivals: Vec<Option<KeyedArrivals>>,
-    /// Keyed mode: arrivals drawn so far per group — the next arrival
-    /// index `k`, and the per-group half of the item id `g + k * groups`.
+    /// Arrivals drawn so far per group — the next arrival index `k`, and
+    /// the per-group half of the item id `g + k * groups`.
     group_arrival_count: Vec<u64>,
-    /// Keyed mode: timestamp of each group's next scheduled arrival
-    /// (`u64::MAX` for a group with no stream) — the per-group spinning
-    /// fast-forward target.
+    /// Timestamp of each group's next scheduled arrival (`u64::MAX` for a
+    /// group with no stream) — the per-group spinning fast-forward target.
     group_next_arrival: Vec<u64>,
-    /// Keyed mode: counter-based service stream; item `id`'s demand is
-    /// drawn from `service_keyed.split(id)` — a pure function of the id,
-    /// so lanes never share or replay service-stream state.
+    /// Counter-based service stream for shape traffic; item `id`'s demand
+    /// is drawn from `service_keyed.split(id)` — a pure function of the
+    /// id, so lanes never share or replay service-stream state.
     service_keyed: CounterRng,
-    /// Foreign chain events this engine replayed and gated off: the
-    /// sequential-mode replication tax (always zero in keyed mode, where
-    /// foreign chains are skipped instead of replayed).
-    replicated_chain_events: u64,
-    /// Arrivals this engine generated for its *own* groups (foreign
-    /// replayed draws excluded), so lane sums equal the serial count in
-    /// both RNG stream modes.
+    /// Arrivals this engine generated for its own groups, so lane sums
+    /// equal the serial count.
     generated_arrivals: u64,
     ev: EventQueue<Ev>,
     /// Tail of the same-instant event run `pop_batch` drained: the main
     /// loop consumes from here first, so per-event processing order is
-    /// exactly single-pop order. Empty when `batch_pop` is off.
+    /// exactly single-pop order.
     pending: std::collections::VecDeque<Ev>,
     /// An event popped by [`Engine::pump_window`] that lies at or past the
     /// window boundary: held here (not re-inserted, which would perturb
@@ -377,9 +365,6 @@ pub struct Engine {
     /// Timestamp of the last event actually processed (the lane-local run
     /// end; `ev.now()` may already sit at a carried future event).
     last_processed: u64,
-    /// Timestamp of the next scheduled traffic arrival (the spinning
-    /// fast-forward target; see the module docs).
-    next_arrival: u64,
     latency: Histogram,
     notify_latency: Histogram,
     /// Per-core average poll cost (feeds the fast-forward skip count;
@@ -394,7 +379,6 @@ pub struct Engine {
     /// an O(N) row sweep — at 1M queues that sweep would dominate every
     /// sync window (DESIGN.md §17).
     backlog: u64,
-    item_seq: u64,
     /// Reusable dequeue buffer: filled by `dequeue_batch`, borrowed by
     /// `process_items`, retained across steps so the hot loop never
     /// allocates.
@@ -656,50 +640,53 @@ impl Engine {
                 cfg.capacity_estimate_per_core() * cfg.dp_cores as f64 * 3.0
             }
         };
-        let gen = match cfg.traffic {
-            crate::config::TrafficSource::Shape => ArrivalSource::Shape(
-                TrafficGenerator::new(cfg.shape, cfg.queues, rate, clock, rngs.stream(1))
-                    .expect("validated configuration"),
-            ),
-            crate::config::TrafficSource::Flows { flows, zipf_s } => ArrivalSource::Flows(
-                FlowTrafficGenerator::new(flows, zipf_s, cfg.queues, rate, clock, rngs.stream(1)),
-            ),
-        };
-
-        // Keyed (counter-based) stimulus streams: stream ids mirror the
-        // sequential assignment (1 = traffic, 2 = service, 3 = faults),
-        // with per-group arrival sub-streams split off stream 1 and the
-        // per-item service demand split off stream 2 by item id. Only
-        // *owned* groups get an arrival stream — that is the whole point:
-        // a lane draws nothing for foreign groups.
-        let keyed = cfg.rng_stream_mode == RngStreamMode::Keyed
-            && matches!(cfg.traffic, crate::config::TrafficSource::Shape);
+        // Stimulus streams: 1 = traffic, 2 = service, 3 = faults. Shape
+        // traffic splits per-group arrival sub-streams off stream 1 and
+        // the per-item service demand off stream 2 by item id; only
+        // *owned* groups get an arrival stream, so a lane draws nothing
+        // for foreign groups. Flow traffic (one group by validation) draws
+        // both sequentially, and its one group's first arrival is at t=0.
         let mut keyed_arrivals: Vec<Option<KeyedArrivals>> = Vec::with_capacity(groups);
         let mut group_next_arrival: Vec<u64> = Vec::with_capacity(groups);
-        if keyed {
-            let base = CounterRng::from_key(rngs.stream_seed(1));
-            for (g, &owned) in owned_groups.iter().enumerate() {
-                let stream = if owned {
-                    KeyedArrivals::for_partition(
-                        cfg.shape,
+        let flows = match cfg.traffic {
+            TrafficSource::Flows { flows, zipf_s } => {
+                keyed_arrivals.push(None);
+                group_next_arrival.push(0);
+                Some(FlowStimulus::new(
+                    FlowTrafficGenerator::new(
+                        flows,
+                        zipf_s,
                         cfg.queues,
                         rate,
                         clock,
-                        &group_of_queue,
-                        g,
-                        base.split(g as u64),
-                    )
-                    .expect("validated configuration")
-                } else {
-                    None
-                };
-                group_next_arrival.push(if stream.is_some() { 0 } else { u64::MAX });
-                keyed_arrivals.push(stream);
+                        rngs.stream(1),
+                    ),
+                    rngs.stream(2),
+                ))
             }
-        } else {
-            keyed_arrivals.resize_with(groups, || None);
-            group_next_arrival.resize(groups, u64::MAX);
-        }
+            TrafficSource::Shape => {
+                let base = CounterRng::from_key(rngs.stream_seed(1));
+                for (g, &owned) in owned_groups.iter().enumerate() {
+                    let stream = if owned {
+                        KeyedArrivals::for_partition(
+                            cfg.shape,
+                            cfg.queues,
+                            rate,
+                            clock,
+                            &group_of_queue,
+                            g,
+                            base.split(g as u64),
+                        )
+                        .expect("validated configuration")
+                    } else {
+                        None
+                    };
+                    group_next_arrival.push(if stream.is_some() { 0 } else { u64::MAX });
+                    keyed_arrivals.push(stream);
+                }
+                None
+            }
+        };
         let service_keyed = CounterRng::from_key(rngs.stream_seed(2));
 
         let service = ServiceModel::new(cfg.workload, cfg.service_dist, clock);
@@ -739,22 +726,17 @@ impl Engine {
             irq_pending: vec![std::collections::VecDeque::new(); groups],
             trackers: vec![HaltTracker::new(); cfg.dp_cores],
             telem: vec![CoreTelemetry::default(); cfg.dp_cores],
-            gen: ArrivalStream::new(gen),
+            flows,
             service,
-            service_rng: rngs.stream(2),
-            service_buf: std::collections::VecDeque::with_capacity(ARRIVAL_BLOCK),
-            keyed,
             keyed_arrivals,
             group_arrival_count: vec![0; groups],
             group_next_arrival,
             service_keyed,
-            replicated_chain_events: 0,
             generated_arrivals: 0,
             ev: EventQueue::new(),
             pending: std::collections::VecDeque::new(),
             carry: None,
             last_processed: 0,
-            next_arrival: 0,
             latency: Histogram::new(),
             notify_latency: Histogram::new(),
             poll_cost_ewma: vec![20.0; cfg.dp_cores],
@@ -762,7 +744,6 @@ impl Engine {
             completions_measured: 0,
             drops: 0,
             backlog: 0,
-            item_seq: 0,
             deq_scratch: Vec::with_capacity(cfg.batch.max(IRQ_NAPI_BUDGET)),
             poll_memos: vec![SeqMemo::default(); n_queues],
             memo_ready: vec![0; n_queues.div_ceil(64)],
@@ -934,22 +915,19 @@ impl Engine {
         crate::par_engine::run(self)
     }
 
-    /// Seeds the event queue for a run: the first arrival(s), core steps
-    /// for *owned* cores only, and the chaos churn chain. In keyed mode
-    /// each owned group's partition stream and churn chain is seeded
-    /// independently; in sequential mode one shared arrival/churn chain is
-    /// replayed by every lane. The no-progress watchdog is not an event —
-    /// it is evaluated at window boundaries by the fabric controller.
+    /// Seeds the event queue for a run: each owned group's first arrival,
+    /// core steps for *owned* cores only, and each owned group's churn
+    /// chain. The no-progress watchdog is not an event — it is evaluated
+    /// at window boundaries by the fabric controller.
     pub(crate) fn seed_events(&mut self) {
-        if self.keyed {
-            for g in 0..self.keyed_arrivals.len() {
-                if self.keyed_arrivals[g].is_some() {
-                    self.ev
-                        .schedule_at(SimTime::ZERO, Ev::GroupArrival(g as u32));
-                }
-            }
-        } else {
+        if self.flows.is_some() {
             self.ev.schedule_at(SimTime::ZERO, Ev::Arrival);
+        }
+        for g in 0..self.keyed_arrivals.len() {
+            if self.keyed_arrivals[g].is_some() {
+                self.ev
+                    .schedule_at(SimTime::ZERO, Ev::GroupArrival(g as u32));
+            }
         }
         for c in 0..self.cfg.dp_cores {
             if self.owned_groups[self.core_group[c]] {
@@ -958,14 +936,10 @@ impl Engine {
         }
         if let Some(churn) = self.cfg.chaos.churn {
             if !self.devices.is_empty() {
-                if self.keyed {
-                    for g in 0..self.queues_of_group.len() {
-                        if self.owned_groups[g] {
-                            self.schedule_next_group_churn(g, 0, churn.period);
-                        }
+                for g in 0..self.queues_of_group.len() {
+                    if self.owned_groups[g] {
+                        self.schedule_next_group_churn(g, 0, churn.period);
                     }
-                } else {
-                    self.ev.schedule_at(SimTime(churn.period), Ev::Churn);
                 }
             }
         }
@@ -986,14 +960,8 @@ impl Engine {
                 Some(pair) => pair,
                 None => match self.pending.pop_front() {
                     Some(ev) => (self.ev.now(), ev),
-                    None if self.cfg.batch_pop => {
-                        let Some(pair) = self.ev.pop_batch(&mut self.pending) else {
-                            break; // cannot happen: arrivals self-perpetuate
-                        };
-                        pair
-                    }
                     None => {
-                        let Some(pair) = self.ev.pop() else {
+                        let Some(pair) = self.ev.pop_batch(&mut self.pending) else {
                             break; // cannot happen: arrivals self-perpetuate
                         };
                         pair
@@ -1047,7 +1015,6 @@ impl Engine {
                     }
                 }
                 Ev::QwaitTimeout { core, epoch } => self.on_qwait_timeout(now, core, epoch),
-                Ev::Churn => self.on_churn(now),
                 Ev::GroupArrival(g) => self.on_group_arrival(now, g as usize),
                 Ev::GroupChurn { group, tick } => self.on_group_churn(now, group as usize, tick),
             }
@@ -1259,7 +1226,6 @@ impl Engine {
         .with_mem_stats(mem_stats)
         .with_fastpath(self.mem.fastpath_stats())
         .with_profile(self.profile, wall_secs)
-        .with_replicated_chain_events(self.replicated_chain_events)
         .with_lane_generated(vec![self.generated_arrivals]);
         if let Some(d) = device {
             result = result.with_device(d);
@@ -1290,52 +1256,28 @@ impl Engine {
     // Arrivals (emulated I/O producers)
     // ---------------------------------------------------------------- //
 
+    /// Flow-traffic arrival: the next item of the one sequential stream.
     fn on_arrival(&mut self, now: SimTime) {
-        let (gap, q) = self.gen.next_arrival();
-        // `next_arrival` gives the gap to the *next* one; enqueue now.
+        // The item's identity and service demand are drawn *before* the
+        // cap check: a dropped arrival still burns both, so what the n-th
+        // arrival consumes is a pure function of n — never of the backlog
+        // at delivery time — and every fault decision can be keyed by
+        // item id.
+        let (gap, q, id, service) = self
+            .flows
+            .as_mut()
+            .expect("scheduled only under flow traffic")
+            .next(&self.service);
+        // `gap` is to the *next* arrival; this one is delivered now.
         self.ev.schedule_after(gap, Ev::Arrival);
         // Mirror the next arrival's timestamp for the spinning
-        // fast-forward: it must not peek the event queue (a lane's queue
-        // lacks other lanes' events; the wheel's `peek` would also see
-        // unrelated event types).
-        self.next_arrival = (now + gap).since_start().count();
-
-        let qi = q.0 as usize;
-        // Draw the item's identity and service demand *before* the cap
-        // check: a dropped arrival still burns both. This makes what the
-        // n-th arrival consumes a pure function of n — never of the
-        // backlog at delivery time — so every fault decision can be keyed
-        // by item id and a replicated arrival chain (the parallel engine)
-        // stays draw-identical without knowing whether the owner dropped.
-        let id = self.item_seq;
-        self.item_seq += 1;
-        let service = match self.service_buf.pop_front() {
-            Some(s) => s,
-            None => {
-                self.service.fill_samples(
-                    &mut self.service_rng,
-                    &mut self.service_buf,
-                    ARRIVAL_BLOCK,
-                );
-                self.service_buf
-                    .pop_front()
-                    .expect("block refill produced samples")
-            }
-        };
-        // Replicated-chain ownership gate: every lane ran the identical
-        // draw sequence above (gap, queue, id, service — pure functions of
-        // the arrival index), but only the lane owning this queue's
-        // sharing group materializes the item. Dropping out *before* the
-        // cap check keeps drop accounting with the owner.
-        let g = self.qrows[qi].group as usize;
-        if !self.owned_groups[g] {
-            self.replicated_chain_events += 1;
-            return;
-        }
+        // fast-forward (see `on_group_arrival`; flow traffic has one
+        // group).
+        self.group_next_arrival[0] = (now + gap).since_start().count();
         self.deliver_arrival(now, q, id, service);
     }
 
-    /// Keyed-mode arrival: the `k`-th item of group `g`'s partition
+    /// Shape-traffic arrival: the `k`-th item of group `g`'s partition
     /// stream. The gap/queue pair is a pure function of `(seed, g, k)`
     /// and the service demand a pure function of the item id
     /// `g + k * groups` (a dense, collision-free renumbering of the
@@ -1349,6 +1291,10 @@ impl Engine {
             .expect("scheduled only for groups with a live partition stream")
             .arrival(k);
         self.ev.schedule_after(a.gap, Ev::GroupArrival(g as u32));
+        // Mirror the next arrival's timestamp for the spinning
+        // fast-forward: it must not peek the event queue (a lane's queue
+        // lacks other lanes' events; the wheel's `peek` would also see
+        // unrelated event types).
         self.group_next_arrival[g] = (now + a.gap).since_start().count();
         let groups = self.queues_of_group.len() as u64;
         let id = g as u64 + k * groups;
@@ -1363,8 +1309,8 @@ impl Engine {
     /// downstream of the stimulus draws — cap check and drop accounting,
     /// enqueue, producer stores and doorbell ring, interrupt arming,
     /// fault injection, and the monitoring-set snoop. Shared verbatim by
-    /// both RNG modes, which differ only in how `(q, id, service)` and
-    /// the next arrival's schedule are derived.
+    /// both traffic sources, which differ only in how `(q, id, service)`
+    /// and the next arrival's schedule are derived.
     fn deliver_arrival(&mut self, now: SimTime, q: QueueId, id: u64, service: Cycles) {
         let qi = q.0 as usize;
         let g = self.qrows[qi].group as usize;
@@ -1683,16 +1629,10 @@ impl Engine {
             // Arrival event was inserted earlier and therefore pops first,
             // resetting the streak before this core's step runs.
             if self.empty_streak[c] >= qlist_len {
-                // Keyed mode tracks the fast-forward target per group
-                // (only this group's stream can feed this partition);
-                // sequential mode tracks the one shared chain.
-                let target = if self.keyed {
-                    self.group_next_arrival[group]
-                } else {
-                    self.next_arrival
-                };
+                // Only this group's stream can feed this partition.
+                let target = self.group_next_arrival[group];
                 if target == u64::MAX {
-                    // Keyed zero-mass partition: no arrival can ever add
+                    // Zero-mass partition: no arrival can ever add
                     // work here, so the core quiesces instead of spinning
                     // to the end of time. Identical in serial and lane
                     // runs (the stream map is build-deterministic).
@@ -2052,33 +1992,10 @@ impl Engine {
     /// careful driver therefore finishes the migration by syncing the
     /// queue's backlog into the device (the re-check in Algorithm 1),
     /// so churn alone never strands work.
-    fn on_churn(&mut self, now: SimTime) {
-        let Some(churn) = self.cfg.chaos.churn else {
-            return;
-        };
-        self.ev.schedule_at(now + Cycles(churn.period), Ev::Churn);
-        if self.devices.is_empty() {
-            return;
-        }
-        let qi = self.faults.pick(self.churn_reallocations, self.qrows.len());
-        let g = self.qrows[qi].group as usize;
-        // Replicated-chain ownership gate: every lane picked the identical
-        // victim (the pick is keyed by the churn counter, which here
-        // equals the global tick index), but only the owner re-homes it.
-        // Non-owners advance the counter — the key of the *next* pick —
-        // and touch nothing else.
-        if !self.owned_groups[g] {
-            self.churn_reallocations += 1;
-            self.replicated_chain_events += 1;
-            return;
-        }
-        self.churn_rehome(now, qi);
-        self.churn_reallocations += 1;
-    }
-
-    /// Keyed-mode churn: processes tick `tick` (this group's turn in the
-    /// global schedule — the victim pick is re-derived and asserted) and
-    /// schedules the group's next owned tick.
+    ///
+    /// Processes tick `tick` (group `g`'s turn in the global schedule —
+    /// the victim pick is re-derived and asserted) and schedules the
+    /// group's next owned tick.
     fn on_group_churn(&mut self, now: SimTime, g: usize, tick: u64) {
         let Some(churn) = self.cfg.chaos.churn else {
             return;
@@ -2086,11 +2003,11 @@ impl Engine {
         let qi = self.faults.pick(tick, self.qrows.len());
         debug_assert_eq!(
             self.qrows[qi].group as usize, g,
-            "keyed churn tick scheduled for the wrong group"
+            "churn tick scheduled for the wrong group"
         );
         self.churn_rehome(now, qi);
         // Per-lane the counter counts *owned* re-homings only; the fabric
-        // merge sums lanes, matching the sequential global count.
+        // merge sums lanes into the global count.
         self.churn_reallocations += 1;
         self.schedule_next_group_churn(g, tick + 1, churn.period);
     }
@@ -2125,8 +2042,8 @@ impl Engine {
     }
 
     /// Re-homes queue `qi`'s doorbell through Algorithm 1 (the body of a
-    /// churn tick, shared by both RNG modes — spare selection is strided
-    /// per group, so it depends only on the group's own churn history).
+    /// churn tick — spare selection is strided per group, so it depends
+    /// only on the group's own churn history).
     fn churn_rehome(&mut self, now: SimTime, qi: usize) {
         let q = QueueId(qi as u32);
         let g = self.qrows[qi].group as usize;
@@ -2416,7 +2333,6 @@ impl Engine {
             eviction_recovery_latency: self.eviction_recovery_latency,
             doorbell_recovery_latency: self.doorbell_recovery_latency,
             churn_reallocations: self.churn_reallocations,
-            replicated_chain_events: self.replicated_chain_events,
             generated_arrivals: self.generated_arrivals,
             queue_drops: self.queues.iter().map(|q| q.dropped()).sum(),
             trace_enabled: self.tracer.is_enabled(),
@@ -2459,7 +2375,6 @@ pub(crate) struct LaneOutput {
     pub(crate) eviction_recovery_latency: Histogram,
     pub(crate) doorbell_recovery_latency: Histogram,
     pub(crate) churn_reallocations: u64,
-    pub(crate) replicated_chain_events: u64,
     pub(crate) generated_arrivals: u64,
     pub(crate) queue_drops: u64,
     pub(crate) trace_enabled: bool,

@@ -15,16 +15,13 @@
 //! group's state, and the producer-side striping
 //! (`Engine::try_new_lane`) keeps each I/O core's arrivals within one
 //! group whenever `producers >= groups`. The only cross-group coupling is
-//! the global arrival *schedule* (one shared traffic process). Under
-//! keyed RNG streams (the default) that schedule partitions exactly: a
-//! Poisson superposition splits into independent per-group streams whose
-//! every draw is a pure function of `(seed, group, item index)`, so each
-//! lane generates *only its own* stimulus (DESIGN.md §18). Under
-//! `rng_stream_mode = sequential` every lane instead replays the full
-//! arrival and churn chains with identical RNG draws, and per-item
-//! ownership gates make only the owning lane materialize state. Either
-//! way, cross-partition messages do not exist; the window barrier only
-//! carries run-control metadata, never simulated events.
+//! the global arrival *schedule* (one shared traffic process), and it
+//! partitions exactly: a Poisson superposition splits into independent
+//! per-group keyed streams whose every draw is a pure function of
+//! `(seed, group, item index)`, so each lane generates *only its own*
+//! stimulus (DESIGN.md §18). Cross-partition messages do not exist; the
+//! window barrier only carries run-control metadata, never simulated
+//! events.
 //!
 //! ## Determinism contract
 //!
@@ -38,14 +35,11 @@
 //! `FabricCtrl`, so serial-vs-parallel equivalence is structural, not
 //! coincidental.
 //!
-//! In keyed mode every simulated event is group-local, so the merged
-//! kernel profile's per-event counts and the window `event_queue_depth`
-//! series are worker-count-invariant too (asserted in
-//! `tests/par_digest.rs`). In sequential mode those two diagnostics count
-//! replicated arrival/churn chain events once per lane (documented,
-//! outside the digest; the tax is surfaced as
-//! `replicated_chain_events`). Trace span ids are per-lane in both modes
-//! (merged records are re-sequenced by `(time, lane, emission order)`).
+//! Every simulated event is group-local, so the merged kernel profile's
+//! per-event counts and the window `event_queue_depth` series are
+//! worker-count-invariant too (asserted in `tests/par_digest.rs`). Trace
+//! span ids are per-lane (merged records are re-sequenced by
+//! `(time, lane, emission order)`).
 //!
 //! ## Lookahead windows
 //!
@@ -65,7 +59,7 @@
 //! 64 Ki windows while preserving the one-watchdog-period-per-window
 //! stall semantics.
 
-use crate::config::{ExperimentConfig, RngStreamMode, SyncWindow, TrafficSource};
+use crate::config::{ExperimentConfig, SyncWindow};
 use crate::engine::{Engine, LaneOutput};
 use crate::metrics::WindowSample;
 use crate::result::{ExperimentResult, FaultReport};
@@ -504,6 +498,8 @@ fn merge(
     let mut eviction_recoveries = 0u64;
     let mut doorbell_recoveries = 0u64;
     let mut queue_drops = 0u64;
+    // Each lane counts its owned churn ticks; the sum is the global count.
+    let mut churn_reallocations = 0u64;
     for o in &outs {
         mem_stats.l1_hits += o.mem_stats.l1_hits;
         mem_stats.llc_hits += o.mem_stats.llc_hits;
@@ -529,6 +525,7 @@ fn merge(
         eviction_recoveries += o.eviction_recoveries;
         doorbell_recoveries += o.doorbell_recoveries;
         queue_drops += o.queue_drops;
+        churn_reallocations += o.churn_reallocations;
     }
     // Device counters: each group's device is mutated only by its owning
     // lane, so summing the per-lane owned aggregates reassembles the
@@ -539,20 +536,6 @@ fn merge(
             device.get_or_insert_with(Default::default).merge(d);
         }
     }
-    // Keyed mode partitions the churn chain (each lane counts its owned
-    // ticks; sum reassembles the global count). Sequential mode replicates
-    // it — every lane counted every tick, so take one copy.
-    let keyed =
-        cfg.rng_stream_mode == RngStreamMode::Keyed && matches!(cfg.traffic, TrafficSource::Shape);
-    let churn_reallocations = if keyed {
-        outs.iter().map(|o| o.churn_reallocations).sum()
-    } else {
-        let c = outs[0].churn_reallocations;
-        debug_assert!(outs.iter().all(|o| o.churn_reallocations == c));
-        c
-    };
-    // The replication tax (zero in keyed mode) sums over lanes.
-    let replicated_chain_events: u64 = outs.iter().map(|o| o.replicated_chain_events).sum();
 
     let mut result = ExperimentResult::new(
         cfg,
@@ -578,7 +561,6 @@ fn merge(
         },
         wall_secs,
     )
-    .with_replicated_chain_events(replicated_chain_events)
     .with_lane_generated(outs.iter().map(|o| o.generated_arrivals).collect());
     if let Some(d) = device {
         result = result.with_device(d);

@@ -153,7 +153,6 @@ pub struct ExperimentResult {
     device: Option<DeviceStats>,
     wall_secs: f64,
     sync_rounds: u64,
-    replicated_chain_events: u64,
     lane_generated_arrivals: Vec<u64>,
     workload_label: &'static str,
     notifier_label: &'static str,
@@ -198,7 +197,6 @@ impl ExperimentResult {
             device: None,
             wall_secs: 0.0,
             sync_rounds: 0,
-            replicated_chain_events: 0,
             lane_generated_arrivals: Vec::new(),
             workload_label: cfg.workload.name(),
             notifier_label: cfg.notifier.label(),
@@ -304,18 +302,10 @@ impl ExperimentResult {
         self.sync_rounds
     }
 
-    /// Attaches the replicated-chain event count (engine internal).
-    pub(crate) fn with_replicated_chain_events(mut self, events: u64) -> Self {
-        self.replicated_chain_events = events;
-        self
-    }
-
-    /// Foreign stimulus-chain events this run replayed and gated off,
-    /// summed over lanes: the sequential-RNG-mode replication tax. Zero
-    /// for serial runs and for `rng_stream_mode = keyed`, where lanes
-    /// generate only their own groups' stimulus.
+    /// Always `0`: lanes generate only their own stimulus and never replay
+    /// a foreign chain; kept for callers that still report the count.
     pub fn replicated_chain_events(&self) -> u64 {
-        self.replicated_chain_events
+        0
     }
 
     /// Attaches the per-lane generation counters (engine internal).
@@ -325,10 +315,8 @@ impl ExperimentResult {
     }
 
     /// Arrivals each lane *generated* (delivered into its own groups'
-    /// queues), in lane order; a serial run reports one entry. Unlike the
-    /// kernel profile's arrival-event count, this never includes foreign
-    /// chain events replayed under `rng_stream_mode = sequential`, so the
-    /// per-lane sum equals the serial count in both modes.
+    /// queues), in lane order; a serial run reports one entry. The
+    /// per-lane sum equals the serial count.
     pub fn lane_generated_arrivals(&self) -> &[u64] {
         &self.lane_generated_arrivals
     }
@@ -454,7 +442,7 @@ impl ExperimentResult {
         };
         out.push_str(&format!(
             "],\"total_events\":{},\"wall_secs\":{:.6},\"events_per_sec\":{:.0},\
-             \"sync_rounds\":{},\"replicated_chain_events\":{},\
+             \"sync_rounds\":{},\
              \"lane_generated_arrivals\":[{}],\
              \"fast_path\":{{\"mru_hits\":{},\"stable_hits\":{},\
              \"seq_replays\":{},\"seq_replayed_accesses\":{},\
@@ -465,7 +453,6 @@ impl ExperimentResult {
             self.wall_secs,
             self.events_per_sec_wall(),
             self.sync_rounds,
-            self.replicated_chain_events,
             self.lane_generated_arrivals
                 .iter()
                 .map(u64::to_string)

@@ -58,13 +58,7 @@ impl RngFactory {
 }
 
 /// SplitMix64 finalizer: a cheap, well-mixed u64 -> u64 hash.
-#[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+pub use hp_rand::splitmix64_hash as splitmix64;
 
 /// Samples an exponential random variable with the given `mean`.
 ///

@@ -174,7 +174,8 @@ impl FlowTrafficGenerator {
 
     /// Draws `n` consecutive arrivals, appending `(gap, queue)` pairs to
     /// `out` — the exact sequence `n` [`Self::next_arrival`] calls would
-    /// produce. Mirrors [`crate::generator::TrafficGenerator::fill_arrivals`];
+    /// produce (same RNG draws, same order). Lets the simulation engine
+    /// prebuffer arrivals in blocks without perturbing a single timestamp;
     /// the flow id is deliberately dropped (the engine routes on queue).
     pub fn fill_arrivals(
         &mut self,

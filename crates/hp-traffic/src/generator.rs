@@ -97,22 +97,6 @@ impl TrafficGenerator {
         }
     }
 
-    /// Draws `n` consecutive arrivals, appending `(gap, queue)` pairs to
-    /// `out` — the exact sequence `n` [`Self::next_arrival`] calls would
-    /// produce (same RNG draws, same order). Lets the simulation engine
-    /// prebuffer arrivals in blocks, amortizing per-arrival dispatch
-    /// without perturbing a single timestamp.
-    pub fn fill_arrivals(
-        &mut self,
-        out: &mut std::collections::VecDeque<(Cycles, QueueId)>,
-        n: usize,
-    ) {
-        for _ in 0..n {
-            let a = self.next_arrival();
-            out.push_back((a.gap, a.queue));
-        }
-    }
-
     /// Draws only a destination queue (for closed-loop saturation drives
     /// where the arrival process is "always backlogged").
     pub fn next_queue(&mut self) -> QueueId {

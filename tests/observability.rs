@@ -231,54 +231,81 @@ fn mem_fast_path_is_bit_identical_across_configs() {
     }
 }
 
-/// Same-cycle batch popping (DESIGN.md §13: one `pop_batch` drains a whole
-/// same-instant event run instead of a pop per event) is bit-invisible:
-/// same seed, `batch_pop` on vs off, across the notifier styles and the
-/// Fig. 10-style imbalanced multicore variant, every digest bit agrees —
-/// including with `mem_fast_path` toggled off at the same time, so the two
-/// knobs cannot mask each other's effects.
-#[test]
-fn batch_pop_is_bit_identical_across_configs() {
-    let mut fig10 = ExperimentConfig::new(
-        WorkloadKind::PacketEncap,
-        TrafficShape::ProportionallyConcentrated,
-        400,
+/// Flow-structured traffic is the one sequential stimulus source: a
+/// single sharing group drawing Zipf flows through RSS. `base` at 64
+/// queues with 200 flows.
+fn flows(notifier: Notifier) -> ExperimentConfig {
+    let mut cfg = base(notifier);
+    cfg.traffic = hyperplane::sdp::config::TrafficSource::Flows {
+        flows: 200,
+        zipf_s: 1.1,
+    };
+    cfg
+}
+
+/// The pinned slice of a flow-traffic run: completions, end cycle,
+/// throughput bits, per-core `(empty_polls, spin_instructions)`, and the
+/// churn re-homing count.
+fn flow_pin(r: &ExperimentResult) -> (u64, u64, u64, Vec<(u64, u64)>, u64) {
+    (
+        r.completions,
+        r.end.since_start().count(),
+        r.throughput_tps.to_bits(),
+        r.per_core
+            .iter()
+            .map(|c| (c.empty_polls, c.spin_instructions))
+            .collect(),
+        r.fault_report().map_or(0, |f| f.churn_reallocations),
     )
-    .with_cores(4, 1)
-    .with_notifier(Notifier::hyperplane())
-    .with_seed(0x0B5E_41E5);
-    fig10.imbalance = 0.10;
-    fig10.target_completions = 2_000;
+}
 
-    for cfg in [
-        base(Notifier::Spinning),
-        base(Notifier::hyperplane()),
-        fig10,
-    ] {
-        let batched = runner::run(cfg.clone());
-        let mut single_cfg = cfg.clone();
-        single_cfg.batch_pop = false;
-        let single = runner::run(single_cfg);
-        assert_eq!(
-            digest(&batched),
-            digest(&single),
-            "batch pop perturbed the {} / {} simulation",
-            cfg.notifier.label(),
-            cfg.shape.label()
-        );
+/// Pins two flow-traffic runs to values recorded before the sequential
+/// shape-traffic mode was retired, covering the two engine paths only
+/// flow traffic reaches: the spinning fast-forward target (a spinning
+/// core at ~30 % load whose empty sweeps jump straight to the next flow
+/// arrival) and chaos churn driven by the per-group churn schedule.
+#[test]
+fn flow_traffic_runs_are_pinned() {
+    let mut spin = flows(Notifier::Spinning);
+    let rate = spin.capacity_estimate_per_core() * spin.dp_cores as f64 * 0.3;
+    spin = spin.with_load(Load::RatePerSec(rate));
+    let r = runner::run(spin);
+    // The fast-forward fired: more empty polls were accounted than
+    // core steps were ever simulated.
+    let profile = r.kernel_profile().expect("profiled");
+    let core_step = profile.labels().iter().position(|&l| l == "core-step");
+    let steps = profile.count(core_step.expect("core-step events are profiled"));
+    assert!(
+        r.per_core[0].empty_polls > steps,
+        "fast-forward never fired"
+    );
+    assert_eq!(
+        flow_pin(&r),
+        (
+            2_403,
+            23_278_030,
+            4_686_375_045_476_639_426,
+            vec![(849_542, 33_981_680)],
+            0
+        ),
+        "spinning flow run drifted"
+    );
 
-        let mut bare_cfg = cfg.clone();
-        bare_cfg.batch_pop = false;
-        bare_cfg.mem_fast_path = false;
-        let bare = runner::run(bare_cfg);
-        assert_eq!(
-            digest(&batched),
-            digest(&bare),
-            "batch pop + mem fast path jointly perturbed the {} / {} simulation",
-            cfg.notifier.label(),
-            cfg.shape.label()
-        );
-    }
+    let churn = flows(Notifier::hyperplane())
+        .with_cores(2, 2)
+        .with_chaos(hyperplane::sim::chaos::ChaosSchedule::none().with_churn(200_000));
+    let r = runner::run(churn);
+    assert_eq!(
+        flow_pin(&r),
+        (
+            2_402,
+            4_130_925,
+            4_697_789_833_938_979_556,
+            vec![(0, 0), (1, 0)],
+            20
+        ),
+        "churned flow run drifted"
+    );
 }
 
 /// The attribution pin: the streaming attributor consumes no RNG draws

@@ -5,13 +5,11 @@
 //! merge primitive checked against a single-queue oracle.
 
 use hyperplane::prelude::*;
-use hyperplane::sdp::config::{RngStreamMode, SyncWindow};
+use hyperplane::sdp::config::SyncWindow;
 use hyperplane::sdp::runner;
 use hyperplane::sim::chaos::ChaosSchedule;
 use hyperplane::sim::event::EventQueue;
 use hyperplane::sim::faults::FaultPlan;
-
-const MODES: [RngStreamMode; 2] = [RngStreamMode::Keyed, RngStreamMode::Sequential];
 
 /// A digest of everything the simulation itself computes (mirrors
 /// `tests/observability.rs`): headline metrics plus the full per-core
@@ -96,22 +94,12 @@ fn assert_worker_invariant(label: &str, mk: impl Fn() -> ExperimentConfig) {
 }
 
 /// Clean runs (no faults) with tracing, attribution, audit, and windowed
-/// metrics attached: spinning, HyperPlane, and the Fig. 10 imbalance —
-/// in both RNG stream modes (the keyed default and the sequential
-/// replicated-chain baseline).
+/// metrics attached: spinning, HyperPlane, and the Fig. 10 imbalance.
 #[test]
 fn parallel_digest_matches_serial_across_configs() {
-    for mode in MODES {
-        assert_worker_invariant(&format!("spinning/{mode:?}"), || {
-            observed(base(Notifier::Spinning)).with_rng_stream_mode(mode)
-        });
-        assert_worker_invariant(&format!("hyperplane/{mode:?}"), || {
-            observed(base(Notifier::hyperplane())).with_rng_stream_mode(mode)
-        });
-        assert_worker_invariant(&format!("fig10-imbalance/{mode:?}"), || {
-            observed(fig10()).with_rng_stream_mode(mode)
-        });
-    }
+    assert_worker_invariant("spinning", || observed(base(Notifier::Spinning)));
+    assert_worker_invariant("hyperplane", || observed(base(Notifier::hyperplane())));
+    assert_worker_invariant("fig10-imbalance", || observed(fig10()));
 }
 
 /// Full chaos — correlated bursts, a storm phase, live doorbell churn,
@@ -120,31 +108,27 @@ fn parallel_digest_matches_serial_across_configs() {
 #[test]
 fn parallel_digest_matches_serial_under_chaos() {
     let storm = FaultPlan::parse("drop=0.5,delay=0.2,evict=0.01,spurious=0.05").unwrap();
-    for mode in MODES {
-        let mk = || {
-            observed(base(Notifier::hyperplane()))
-                .with_faults(storm.scaled(0.5))
-                .with_chaos(
-                    ChaosSchedule::none()
-                        .with_burst(2_000_000, 500_000, 2.0)
-                        .with_phase(3_000_000, 6_000_000, storm.clone())
-                        .with_churn(2_500_000),
-                )
-                .with_silent_evictions()
-                .with_qwait_timeout(20_000)
-                .with_watchdog(4_000_000)
-                .with_seed(0xC4A0_5C4A)
-                .with_rng_stream_mode(mode)
-        };
-        assert_worker_invariant(&format!("chaos/{mode:?}"), mk);
+    let mk = || {
+        observed(base(Notifier::hyperplane()))
+            .with_faults(storm.scaled(0.5))
+            .with_chaos(
+                ChaosSchedule::none()
+                    .with_burst(2_000_000, 500_000, 2.0)
+                    .with_phase(3_000_000, 6_000_000, storm.clone())
+                    .with_churn(2_500_000),
+            )
+            .with_silent_evictions()
+            .with_qwait_timeout(20_000)
+            .with_watchdog(4_000_000)
+            .with_seed(0xC4A0_5C4A)
+    };
+    assert_worker_invariant("chaos", mk);
 
-        // Attribution conservation and the audit must also survive the
-        // merge.
-        let par = runner::run(mk().with_par_workers(4));
-        let a = par.attrib_report().expect("attribution enabled");
-        assert!(a.conserved(), "merged attribution violated conservation");
-        assert!(par.audit_report().expect("audit enabled").ok());
-    }
+    // Attribution conservation and the audit must also survive the merge.
+    let par = runner::run(mk().with_par_workers(4));
+    let a = par.attrib_report().expect("attribution enabled");
+    assert!(a.conserved(), "merged attribution violated conservation");
+    assert!(par.audit_report().expect("audit enabled").ok());
 }
 
 /// The worker count maps lanes onto threads and nothing else: worker
@@ -166,7 +150,7 @@ fn worker_count_beyond_lane_count_is_inert() {
 /// but run control is evaluated at window boundaries, so the *same*
 /// window must be used when comparing worker counts (pinned here), and
 /// every window setting — fixed strides and the auto-lookahead schedule
-/// — must still agree between serial and parallel, in both RNG modes.
+/// — must still agree between serial and parallel.
 #[test]
 fn sync_window_choice_is_worker_invariant() {
     let windows = [
@@ -175,36 +159,28 @@ fn sync_window_choice_is_worker_invariant() {
         SyncWindow::Fixed(1_000_000),
         SyncWindow::Lookahead,
     ];
-    for mode in MODES {
-        for window in windows {
-            let mk = || {
-                base(Notifier::hyperplane())
-                    .with_sync_window_mode(window)
-                    .with_rng_stream_mode(mode)
-            };
-            let serial = digest(&runner::run(mk().with_par_workers(1)));
-            for workers in [2, 4] {
-                let par = digest(&runner::run(mk().with_par_workers(workers)));
-                assert_eq!(
-                    serial, par,
-                    "{window:?}/{mode:?}: serial vs {workers}-worker diverged"
-                );
-            }
+    for window in windows {
+        let mk = || base(Notifier::hyperplane()).with_sync_window_mode(window);
+        let serial = digest(&runner::run(mk().with_par_workers(1)));
+        for workers in [2, 4] {
+            let par = digest(&runner::run(mk().with_par_workers(workers)));
+            assert_eq!(
+                serial, par,
+                "{window:?}: serial vs {workers}-worker diverged"
+            );
         }
     }
 }
 
-/// The tentpole's deterministic win, pinned end to end: under keyed
-/// streams every simulated event is group-local, so the merged kernel
-/// profile (per-event counts *and* attributed cycles), the window
-/// `event_queue_depth` series, and the total event count are all
-/// worker-count-invariant — the two PR 8 diagnostic deltas are gone —
-/// while the sequential baseline still pays the replicated-chain tax.
+/// Keyed streams make every simulated event group-local, so no lane
+/// replays another lane's stimulus chain: the merged kernel profile's
+/// per-event counts, the window `event_queue_depth` series, and the total
+/// event count are all worker-count-invariant.
 #[test]
 fn keyed_mode_kills_the_replicated_chain_tax() {
-    let mk = |mode| observed(base(Notifier::hyperplane())).with_rng_stream_mode(mode);
-    let serial = runner::run(mk(RngStreamMode::Keyed).with_par_workers(1));
-    let par = runner::run(mk(RngStreamMode::Keyed).with_par_workers(4));
+    let mk = || observed(base(Notifier::hyperplane()));
+    let serial = runner::run(mk().with_par_workers(1));
+    let par = runner::run(mk().with_par_workers(4));
 
     // Kernel profile per-event counts are bit-identical. (Attributed
     // cycles are per-lane clock advance — concurrent lanes each span the
@@ -221,7 +197,7 @@ fn keyed_mode_kills_the_replicated_chain_tax() {
     assert_eq!(
         profile(&serial),
         profile(&par),
-        "keyed-mode kernel profile diverged across worker counts"
+        "kernel profile diverged across worker counts"
     );
 
     // The event_queue_depth window series merges to the serial series.
@@ -231,32 +207,18 @@ fn keyed_mode_kills_the_replicated_chain_tax() {
     assert_eq!(
         depths(&serial),
         depths(&par),
-        "keyed-mode event_queue_depth series diverged across worker counts"
+        "event_queue_depth series diverged across worker counts"
     );
 
-    // No replicated chains in keyed mode; lane generation sums conserve.
-    assert_eq!(serial.replicated_chain_events(), 0);
-    assert_eq!(par.replicated_chain_events(), 0);
+    // Lane generation sums conserve.
     assert_eq!(
         serial.lane_generated_arrivals().iter().sum::<u64>(),
         par.lane_generated_arrivals().iter().sum::<u64>(),
         "per-lane generation counters must sum to the serial count"
     );
     assert_eq!(par.lane_generated_arrivals().len(), 4);
-
-    // The sequential baseline at 4 lanes replays foreign chains: the tax
-    // is visible both in the gated-event counter and in total kernel
-    // events (well past the 1.1x bound keyed mode is held to).
-    let seq_par = runner::run(mk(RngStreamMode::Sequential).with_par_workers(4));
-    assert!(seq_par.replicated_chain_events() > 0);
     let total = |r: &ExperimentResult| r.kernel_profile().unwrap().total_events();
     assert_eq!(total(&par), total(&serial));
-    let seq_serial = runner::run(mk(RngStreamMode::Sequential).with_par_workers(1));
-    let tax = total(&seq_par) as f64 / total(&seq_serial) as f64;
-    assert!(
-        tax > 1.5,
-        "expected a visible replicated-chain tax in sequential mode, got {tax:.3}x"
-    );
 }
 
 /// Property test for the fabric's merge primitive: merging N per-lane
