@@ -16,7 +16,8 @@
 //! standard harness flags (`--csv`, `--json`) for machine-readable
 //! output.
 
-use hp_bench::{HarnessOpts, Table};
+use hp_bench::cli::{self, CliError};
+use hp_bench::Table;
 use hp_bytes::json::{parse, JsonValue};
 
 /// The per-phase numbers pulled out of one artifact.
@@ -30,45 +31,31 @@ struct PhaseRow {
 /// The comparable surface of one `hp-attrib-v1` artifact.
 struct Artifact {
     completed: u64,
-    conserved: bool,
     e2e_mean: f64,
     e2e_p99: u64,
     phases: Vec<PhaseRow>,
 }
 
-/// Loads and validates one artifact; exits with a diagnostic on any
-/// shape mismatch (a diff against a malformed artifact is meaningless).
-fn load(path: &str) -> Artifact {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = parse(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(2);
-    });
+/// Loads and validates one artifact: a diff against a malformed or
+/// unconserved artifact is meaningless, so either is a bad input.
+fn load(path: &str) -> Result<Artifact, CliError> {
+    let fail = |msg: String| CliError(format!("{path}: {msg}"));
+    let text = std::fs::read_to_string(path).map_err(|e| fail(format!("cannot read: {e}")))?;
+    let doc = parse(&text).map_err(|e| fail(e.to_string()))?;
     let field = |key: &str| {
-        doc.get(key).unwrap_or_else(|| {
-            eprintln!("error: {path}: missing key \"{key}\"");
-            std::process::exit(2);
-        })
+        doc.get(key)
+            .ok_or_else(|| fail(format!("missing key \"{key}\"")))
     };
-    match field("schema").as_str() {
+    match field("schema")?.as_str() {
         Some("hp-attrib-v1") => {}
-        other => {
-            eprintln!("error: {path}: unsupported schema {other:?}");
-            std::process::exit(2);
-        }
+        other => return Err(fail(format!("unsupported schema {other:?}"))),
     }
-    let e2e = field("end_to_end");
+    let e2e = field("end_to_end")?;
     let num = |obj: &JsonValue, key: &str| obj.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
     let int = |obj: &JsonValue, key: &str| obj.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-    let phases = field("phases")
+    let phases = field("phases")?
         .as_array()
-        .unwrap_or_else(|| {
-            eprintln!("error: {path}: \"phases\" is not an array");
-            std::process::exit(2);
-        })
+        .ok_or_else(|| fail("\"phases\" is not an array".into()))?
         .iter()
         .map(|p| PhaseRow {
             name: p
@@ -81,13 +68,17 @@ fn load(path: &str) -> Artifact {
             p99_cycles: int(p, "p99_cycles"),
         })
         .collect();
-    Artifact {
-        completed: field("completed").as_u64().unwrap_or(0),
-        conserved: field("conserved").as_bool().unwrap_or(false),
+    if field("conserved")?.as_bool() != Some(true) {
+        return Err(fail(
+            "attribution not conserved — artifact untrustworthy".into(),
+        ));
+    }
+    Ok(Artifact {
+        completed: field("completed")?.as_u64().unwrap_or(0),
         e2e_mean: num(e2e, "mean_cycles"),
         e2e_p99: int(e2e, "p99_cycles"),
         phases,
-    }
+    })
 }
 
 /// Signed percentage change from `base` to `cand` (0 when base is 0).
@@ -100,43 +91,12 @@ fn pct(base: f64, cand: f64) -> f64 {
 }
 
 fn main() {
-    let opts = HarnessOpts::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let mut paths: Vec<String> = Vec::new();
-    let mut skip_next = false;
-    for a in args.iter().skip(1) {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        match a.as_str() {
-            "--gate" | "--threads" => skip_next = true,
-            s if s.starts_with("--") => {}
-            s => paths.push(s.to_string()),
-        }
-    }
-    if paths.len() != 2 {
-        eprintln!("usage: attrib-diff BASELINE.json CANDIDATE.json [--gate PCT] [--csv] [--json]");
-        std::process::exit(2);
-    }
-    let gate: Option<f64> = args.iter().position(|a| a == "--gate").map(|i| {
-        match args.get(i + 1).and_then(|v| v.parse().ok()) {
-            Some(p) => p,
-            None => {
-                eprintln!("error: --gate requires a percentage");
-                std::process::exit(2);
-            }
-        }
+    // The artifacts are inputs too: a bad one is refused like a bad flag.
+    let (opts, (paths, gate, base, cand)) = cli::from_env(cli::ATTRIB_DIFF, |a| {
+        let gate: Option<f64> = a.parsed("--gate", "a percentage")?;
+        let (base, cand) = (load(&a.positionals[0])?, load(&a.positionals[1])?);
+        Ok((a.positionals, gate, base, cand))
     });
-
-    let base = load(&paths[0]);
-    let cand = load(&paths[1]);
-    for (path, a) in [(&paths[0], &base), (&paths[1], &cand)] {
-        if !a.conserved {
-            eprintln!("error: {path}: attribution not conserved — artifact untrustworthy");
-            std::process::exit(2);
-        }
-    }
 
     println!(
         "attrib-diff: {} ({} chains) vs {} ({} chains)",

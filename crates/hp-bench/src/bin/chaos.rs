@@ -29,7 +29,6 @@
 
 use hp_bench::{experiment, f2, HarnessOpts, Table};
 use hp_sdp::config::{ExperimentConfig, Load, Notifier};
-use hp_sdp::result::ExperimentResult;
 use hp_sdp::runner;
 use hp_sim::chaos::ChaosSchedule;
 use hp_sim::faults::FaultPlan;
@@ -85,29 +84,6 @@ fn cell_config(opts: &HarnessOpts, kind: WorkloadKind, intensity: f64) -> Experi
     cfg = cfg.with_load(Load::RatePerSec(rate));
     cfg.target_completions = opts.completions(6_000);
     cfg
-}
-
-/// Everything the simulation computes that the auditor must not perturb.
-fn digest(r: &ExperimentResult) -> Vec<u64> {
-    let mut d = vec![
-        r.throughput_tps.to_bits(),
-        r.completions,
-        r.drops,
-        r.end.since_start().count(),
-        r.mean_latency_us().to_bits(),
-        r.latency_percentile_us(50.0).to_bits(),
-        r.latency_percentile_us(99.0).to_bits(),
-    ];
-    for c in &r.per_core {
-        d.extend([
-            c.useful_instructions,
-            c.active_cycles,
-            c.completions,
-            c.qwait_timeouts,
-            c.recoveries,
-        ]);
-    }
-    d
 }
 
 fn main() {
@@ -194,7 +170,7 @@ fn main() {
         (on, off)
     });
     for (kind, (on, off)) in WorkloadKind::ALL.iter().zip(&pairs) {
-        let same = digest(on) == digest(off);
+        let same = on.digest() == off.digest();
         if !same {
             failures += 1;
         }

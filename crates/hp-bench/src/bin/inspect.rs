@@ -8,8 +8,9 @@
 //!     --workload crypto --shape sq --queues 500 --notifier hyperplane --load 60
 //! ```
 
+use hp_bench::cli::{self, CliError};
 use hp_bench::plot::{AsciiChart, Series};
-use hp_bench::{HarnessOpts, Table};
+use hp_bench::Table;
 use hp_sdp::config::{ExperimentConfig, Notifier};
 use hp_sdp::power::PowerModel;
 use hp_sdp::runner;
@@ -17,81 +18,70 @@ use hp_sdp::telemetry::SmtCoRunner;
 use hp_traffic::shape::TrafficShape;
 use hp_workloads::service::WorkloadKind;
 
-fn arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const WORKLOADS: &[(&str, WorkloadKind)] = &[
+    ("encap", WorkloadKind::PacketEncap),
+    ("packet", WorkloadKind::PacketEncap),
+    ("crypto", WorkloadKind::CryptoForward),
+    ("steering", WorkloadKind::PacketSteering),
+    ("erasure", WorkloadKind::ErasureCoding),
+    ("raid", WorkloadKind::RaidProtection),
+    ("dispatch", WorkloadKind::RequestDispatch),
+];
 
-fn parse_workload(s: &str) -> WorkloadKind {
-    match s {
-        "encap" | "packet" => WorkloadKind::PacketEncap,
-        "crypto" => WorkloadKind::CryptoForward,
-        "steering" => WorkloadKind::PacketSteering,
-        "erasure" => WorkloadKind::ErasureCoding,
-        "raid" => WorkloadKind::RaidProtection,
-        "dispatch" => WorkloadKind::RequestDispatch,
-        other => panic!("unknown workload {other} (encap|crypto|steering|erasure|raid|dispatch)"),
-    }
-}
+const SHAPES: &[(&str, TrafficShape)] = &[
+    ("fb", TrafficShape::FullyBalanced),
+    ("pc", TrafficShape::ProportionallyConcentrated),
+    ("nc", TrafficShape::NonproportionallyConcentrated),
+    ("sq", TrafficShape::SingleQueue),
+];
 
-fn parse_shape(s: &str) -> TrafficShape {
-    match s {
-        "fb" => TrafficShape::FullyBalanced,
-        "pc" => TrafficShape::ProportionallyConcentrated,
-        "nc" => TrafficShape::NonproportionallyConcentrated,
-        "sq" => TrafficShape::SingleQueue,
-        other => panic!("unknown shape {other} (fb|pc|nc|sq)"),
-    }
-}
+const NOTIFIERS: &[(&str, Notifier)] = &[
+    ("spinning", Notifier::Spinning),
+    ("spin", Notifier::Spinning),
+    ("interrupt", Notifier::Interrupt),
+    ("irq", Notifier::Interrupt),
+    ("hyperplane", Notifier::hyperplane()),
+    ("hp", Notifier::hyperplane()),
+    ("hyperplane-c1", Notifier::hyperplane_power_opt()),
+    ("c1", Notifier::hyperplane_power_opt()),
+];
 
-fn parse_notifier(s: &str) -> Notifier {
-    match s {
-        "spinning" | "spin" => Notifier::Spinning,
-        "interrupt" | "irq" => Notifier::Interrupt,
-        "hyperplane" | "hp" => Notifier::hyperplane(),
-        "hyperplane-c1" | "c1" => Notifier::hyperplane_power_opt(),
-        other => panic!("unknown notifier {other} (spin|irq|hp|c1)"),
+/// The configuration and load percentage the flags describe.
+fn config(a: cli::Args) -> Result<(ExperimentConfig, f64), CliError> {
+    let workload = a.choice("--workload", WORKLOADS)?;
+    let shape = a.choice("--shape", SHAPES)?;
+    let queues = a.parsed("--queues", "an integer")?;
+    let notifier = a.choice("--notifier", NOTIFIERS)?;
+    let load_pct: f64 = a.parsed("--load", "a percentage")?.unwrap_or(60.0);
+    if !(load_pct > 0.0 && load_pct <= 100.0) {
+        let given = a.get("--load").unwrap_or_default();
+        return Err(cli::bad("--load", given, "a percentage in (0, 100]"));
     }
+    let cores = a.parsed("--cores", "an integer")?.unwrap_or(1);
+    let cluster = a.parsed("--cluster", "an integer")?.unwrap_or(cores);
+    let cfg = ExperimentConfig::new(
+        workload.unwrap_or(WorkloadKind::PacketEncap),
+        shape.unwrap_or(TrafficShape::SingleQueue),
+        queues.unwrap_or(500),
+    )
+    .with_notifier(notifier.unwrap_or(Notifier::hyperplane()))
+    .with_cores(cores, cluster);
+    cfg.validate().map_err(|e| CliError(e.to_string()))?;
+    Ok((cfg, load_pct))
 }
 
 fn main() {
-    let opts = HarnessOpts::from_args();
-    let workload = parse_workload(&arg("--workload").unwrap_or_else(|| "encap".into()));
-    let shape = parse_shape(&arg("--shape").unwrap_or_else(|| "sq".into()));
-    let queues: u32 = arg("--queues")
-        .unwrap_or_else(|| "500".into())
-        .parse()
-        .expect("queue count");
-    let notifier = parse_notifier(&arg("--notifier").unwrap_or_else(|| "hyperplane".into()));
-    let load_pct: f64 = arg("--load")
-        .unwrap_or_else(|| "60".into())
-        .parse()
-        .expect("load %");
-    let cores: usize = arg("--cores")
-        .unwrap_or_else(|| "1".into())
-        .parse()
-        .expect("core count");
-    let cluster: usize = arg("--cluster")
-        .unwrap_or_else(|| cores.to_string())
-        .parse()
-        .expect("cluster size");
-
-    let mut cfg = ExperimentConfig::new(workload, shape, queues)
-        .with_notifier(notifier)
-        .with_cores(cores, cluster);
+    let (opts, (mut cfg, load_pct)) = cli::from_env(cli::INSPECT, config);
     cfg.target_completions = opts.completions(20_000);
 
     println!(
         "inspect: {} / {} / {} queues / {} / {} core(s), cluster {} / {:.0}% load",
-        workload,
-        shape.label(),
-        queues,
-        notifier.label(),
-        cores,
-        cluster,
+        cfg.workload,
+        cfg.shape.label(),
+        cfg.queues,
+        cfg.notifier.label(),
+        cfg.dp_cores,
+        cfg.cluster,
         load_pct
     );
 
@@ -101,11 +91,7 @@ fn main() {
         peak.throughput_mtps()
     );
 
-    let r = runner::run_at_load(
-        &cfg,
-        peak.throughput_tps,
-        (load_pct / 100.0).clamp(0.01, 1.0),
-    );
+    let r = runner::run_at_load(&cfg, peak.throughput_tps, (load_pct / 100.0).max(0.01));
 
     let mut t = Table::new("Latency (us)", &["metric", "value"]);
     t.row(vec!["mean".into(), format!("{:.2}", r.mean_latency_us())]);

@@ -37,21 +37,13 @@
 //! deterministic run digest for byte-identity comparison across worker
 //! counts).
 
-use hp_bench::{experiment, f2, f3, HarnessOpts, Table};
+use hp_bench::{cli, experiment, f2, f3, HarnessOpts, Table};
 use hp_sdp::config::{ExperimentConfig, Load, Notifier};
 use hp_sdp::result::ExperimentResult;
 use hp_sdp::runner;
 use hp_sim::chaos::ChaosSchedule;
 use hp_traffic::shape::TrafficShape;
 use hp_workloads::service::WorkloadKind;
-
-fn arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// Re-home one live doorbell every 100 µs (2 GHz cycles) — steady churn
 /// pressure on the sharded monitoring set without dominating the run.
@@ -91,45 +83,13 @@ fn cell_config(opts: &HarnessOpts, queues: u32) -> ExperimentConfig {
     cfg
 }
 
-/// Everything deterministic the run computes: seeded simulation state,
-/// no wall-clock terms. Byte-identical across `--par-workers` counts.
+/// The run digest plus the per-kernel profile cycles: every scale run is
+/// one lane, so its cycles are as deterministic as its counts.
+/// Byte-identical across `--par-workers` counts.
 fn digest(r: &ExperimentResult) -> Vec<u64> {
-    let mut d = vec![
-        r.throughput_tps.to_bits(),
-        r.completions,
-        r.drops,
-        r.end.since_start().count(),
-        r.mean_latency_us().to_bits(),
-        r.latency_percentile_us(50.0).to_bits(),
-        r.latency_percentile_us(99.0).to_bits(),
-    ];
-    for c in &r.per_core {
-        d.extend([
-            c.useful_instructions,
-            c.active_cycles,
-            c.completions,
-            c.qwait_timeouts,
-            c.recoveries,
-        ]);
-    }
+    let mut d = r.digest();
     if let Some(p) = r.kernel_profile() {
-        d.push(p.total_events());
-        for (_, count, cycles) in p.rows() {
-            d.extend([count, cycles]);
-        }
-    }
-    if let Some(dev) = r.device_stats() {
-        d.extend([
-            dev.monitoring_banks,
-            dev.monitoring.inserts,
-            dev.monitoring.conflicts,
-            dev.monitoring.relocations,
-            dev.monitoring.snoop_hits,
-            dev.monitoring.snoop_misses,
-            dev.monitoring.snoop_filtered,
-            dev.monitoring.spill_resizes,
-            dev.spurious_wakeups,
-        ]);
+        d.extend(p.rows().into_iter().map(|(_, _, cycles)| cycles));
     }
     d
 }
@@ -147,21 +107,22 @@ fn cycles_per_event(r: &ExperimentResult) -> f64 {
 }
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let (opts, (queues, digest_path)) = cli::from_env(cli::SCALE, |a| {
+        let queues = a
+            .get("--queues")
+            .map(|list| {
+                list.split(',')
+                    .map(|q| q.trim().parse::<u32>())
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|_| cli::bad("--queues", list, "a comma-separated list of integers"))
+            })
+            .transpose()?;
+        Ok((queues, a.get("--digest").map(str::to_string)))
+    });
     let mut failures = 0u32;
 
-    let sweep: Vec<u32> = match arg("--queues") {
-        Some(q) => q
-            .split(',')
-            .map(|s| {
-                s.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("error: --queues takes a comma-separated list of integers");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-        None => opts.thin(&[1_024u32, 4_096, 16_384, 65_536, 262_144, 1_048_576]),
-    };
+    let sweep =
+        queues.unwrap_or_else(|| opts.thin(&[1_024u32, 4_096, 16_384, 65_536, 262_144, 1_048_576]));
 
     let mut table = Table::new(
         "Flash-crowd scale-out: queues vs simulated cost and host events/s",
@@ -250,7 +211,7 @@ fn main() {
 
     // Deterministic run digest for cross-worker-count byte-identity
     // (the CI smoke runs --par-workers 1 and 2 and diffs the files).
-    if let Some(path) = arg("--digest") {
+    if let Some(path) = digest_path {
         let mut out = String::new();
         for (&q, r) in sweep.iter().zip(&results) {
             out.push_str(&format!("{q}"));

@@ -20,20 +20,12 @@
 //!     --quick --trace out.json --metrics out.jsonl --attrib attrib.json
 //! ```
 
-use hp_bench::{HarnessOpts, Table};
+use hp_bench::{cli, HarnessOpts, Table};
 use hp_bytes::json::JsonWriter;
 use hp_sdp::config::{ExperimentConfig, Load, Notifier};
 use hp_sdp::runner;
 use hp_traffic::shape::TrafficShape;
 use hp_workloads::service::WorkloadKind;
-
-fn arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// Benchmark summary from the quickstart configuration (README Part 2):
 /// spinning vs HyperPlane peak throughput plus HyperPlane p99 latency.
@@ -93,21 +85,6 @@ fn par_bench(opts: &HarnessOpts, path: &str) {
         cfg.target_completions = opts.completions(30_000);
         cfg
     };
-    let digest = |r: &hp_sdp::ExperimentResult| -> Vec<u64> {
-        let mut d = vec![
-            r.throughput_tps.to_bits(),
-            r.completions,
-            r.drops,
-            r.end.since_start().count(),
-            r.mean_latency_us().to_bits(),
-            r.latency_percentile_us(99.0).to_bits(),
-        ];
-        for c in &r.per_core {
-            d.extend([c.useful_instructions, c.completions, c.halt_c1_cycles]);
-        }
-        d
-    };
-
     println!(
         "par-bench: packet-encap / fb / 64 queues / hyperplane, 4 lanes, host_cpus={}",
         hp_par::available_parallelism()
@@ -123,7 +100,7 @@ fn par_bench(opts: &HarnessOpts, path: &str) {
     let mut digests: Vec<Vec<u64>> = Vec::new();
     for workers in [1usize, 2, 4] {
         let r = runner::run(mk().with_par_workers(workers));
-        digests.push(digest(&r));
+        digests.push(r.digest());
         rows.push(Row {
             workers,
             wall: r.wall_secs(),
@@ -218,16 +195,16 @@ fn par_bench(opts: &HarnessOpts, path: &str) {
 }
 
 fn main() {
-    let opts = HarnessOpts::from_args();
-    if let Some(path) = arg("--par-bench") {
-        par_bench(&opts, &path);
+    let (opts, args) = cli::from_env(cli::TRACE, Ok);
+    if let Some(path) = args.get("--par-bench") {
+        par_bench(&opts, path);
         return;
     }
-    let trace_path = arg("--trace").unwrap_or_else(|| "trace.json".into());
-    let metrics_path = arg("--metrics").unwrap_or_else(|| "metrics.jsonl".into());
-    let bench_path = arg("--bench");
-    let profile_path = arg("--profile");
-    let attrib_path = arg("--attrib");
+    let trace_path = args.get("--trace").unwrap_or("trace.json");
+    let metrics_path = args.get("--metrics").unwrap_or("metrics.jsonl");
+    let bench_path = args.get("--bench");
+    let profile_path = args.get("--profile");
+    let attrib_path = args.get("--attrib");
 
     // A moderate-load run gives a readable trace: lifecycle spans with
     // visible queueing, periodic halts, and non-degenerate windows.
@@ -260,9 +237,9 @@ fn main() {
         .expect("one sweep result");
 
     let chrome = r.chrome_trace_json().expect("tracing was enabled");
-    std::fs::write(&trace_path, &chrome).expect("write trace JSON");
+    std::fs::write(trace_path, &chrome).expect("write trace JSON");
     let jsonl = r.metrics_jsonl();
-    std::fs::write(&metrics_path, &jsonl).expect("write metrics JSONL");
+    std::fs::write(metrics_path, &jsonl).expect("write metrics JSONL");
 
     println!(
         "\nthroughput: {:.3} Mtasks/s   p99 latency: {:.2} us   drops: {}",
@@ -286,7 +263,7 @@ fn main() {
     }
     println!("metrics: {} windows -> {}", r.windows().len(), metrics_path);
 
-    if let Some(path) = &attrib_path {
+    if let Some(path) = attrib_path {
         let json = r.attrib_json().expect("attribution was enabled");
         std::fs::write(path, &json).expect("write attribution JSON");
         let a = r.attrib_report().expect("attribution was enabled");
@@ -334,13 +311,13 @@ fn main() {
 
     if let Some(path) = profile_path {
         let json = r.profile_json().expect("profiling is always collected");
-        std::fs::write(&path, &json).expect("write profile JSON");
+        std::fs::write(path, &json).expect("write profile JSON");
         println!("kernel profile -> {path}");
     }
 
     if let Some(path) = bench_path {
         let summary = bench_summary(&opts);
-        std::fs::write(&path, &summary).expect("write bench summary");
+        std::fs::write(path, &summary).expect("write bench summary");
         println!("bench summary -> {path}");
     }
 }

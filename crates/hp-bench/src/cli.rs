@@ -1,0 +1,381 @@
+//! The one strict argument parser of the harness binaries. [`parse`] is a
+//! pure function of argv and the binary's [`Spec`]: it rejects unknown and
+//! repeated flags, a value flag with no value (nothing or another `--flag`
+//! after it), a non-positive `--threads`/`--par-workers`, and a wrong
+//! positional count. [`from_env`] prints any [`CliError`], from the parse
+//! or from the binary's typed reading of its values, as `error: …` plus a
+//! one-line usage on stderr and exits 2 before any simulation starts.
+
+use crate::HarnessOpts;
+use std::path::Path;
+use std::str::FromStr;
+
+/// A binary's arguments beyond the common flags, written as the tail of its
+/// usage line: `[--flag VALUE]` per value flag, then one bare word per
+/// required positional. The usage line thus always matches the parser.
+#[derive(Debug, Clone, Copy)]
+pub struct Spec(pub &'static str);
+
+/// The common flags only: the figure binaries.
+pub const PLAIN: Spec = Spec("");
+/// `trace`: where each artifact is written.
+pub const TRACE: Spec = Spec(
+    "[--trace PATH] [--metrics PATH] [--bench PATH] [--profile PATH] [--attrib PATH] \
+     [--par-bench PATH]",
+);
+/// `scale`: an explicit queue-count list and the digest path.
+pub const SCALE: Spec = Spec("[--queues N,N,...] [--digest PATH]");
+/// `inspect`: the one configuration to report on.
+pub const INSPECT: Spec = Spec(
+    "[--workload NAME] [--shape NAME] [--queues N] [--notifier NAME] [--load PCT] [--cores N] \
+     [--cluster N]",
+);
+/// `attrib-diff`: two artifacts and an optional regression gate.
+pub const ATTRIB_DIFF: Spec = Spec("[--gate PCT] BASELINE.json CANDIDATE.json");
+
+/// A rejected command line; the message says what is wrong with it.
+#[derive(Debug, PartialEq)]
+pub struct CliError(pub String);
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+/// The error for a `flag` whose `value` is not `want`.
+pub fn bad(flag: &str, value: &str, want: &str) -> CliError {
+    CliError(format!("{flag} takes {want}, got {value:?}"))
+}
+
+/// A binary's extra flag values and positionals, as given.
+#[derive(Debug, Default)]
+pub struct Args {
+    values: Vec<(String, String)>,
+    /// The positionals, in order.
+    pub positionals: Vec<String>,
+}
+
+impl Args {
+    /// The value of `flag`, if given.
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        let given = self.values.iter().find(|(f, _)| f == flag);
+        given.map(|(_, v)| v.as_str())
+    }
+
+    /// The value of `flag` parsed as `T`, which `want` names in the error.
+    pub fn parsed<T: FromStr>(&self, flag: &str, want: &str) -> Result<Option<T>, CliError> {
+        let parse = |v: &str| v.parse().map_err(|_| bad(flag, v, want));
+        self.get(flag).map(parse).transpose()
+    }
+
+    /// The value of `flag` looked up by name in `table`.
+    pub fn choice<T: Copy>(&self, flag: &str, table: &[(&str, T)]) -> Result<Option<T>, CliError> {
+        let names: Vec<&str> = table.iter().map(|&(name, _)| name).collect();
+        let find = |v: &str| table.iter().find(|e| e.0 == v).map(|e| e.1);
+        let pick = |v: &str| find(v).ok_or_else(|| bad(flag, v, &names.join("|")));
+        self.get(flag).map(pick).transpose()
+    }
+}
+
+/// Parses `argv` (program name first) against `spec`.
+///
+/// # Errors
+///
+/// The first bad token in argv order; the positional count is checked last.
+pub fn parse(argv: &[String], spec: Spec) -> Result<(HarnessOpts, Args), CliError> {
+    let words = || spec.0.split_whitespace();
+    let mut opts = HarnessOpts {
+        quick: false,
+        csv: false,
+        json: false,
+        threads: hp_par::available_parallelism(),
+        par_workers: 1,
+        bin: bin_name(argv),
+    };
+    let mut args = Args::default();
+    let mut seen: Vec<&String> = Vec::new();
+    let mut tokens = argv.iter().skip(1).peekable();
+    while let Some(tok) = tokens.next() {
+        if !tok.starts_with("--") {
+            args.positionals.push(tok.clone());
+            continue;
+        }
+        if seen.contains(&tok) {
+            return Err(CliError(format!("{tok} given more than once")));
+        }
+        seen.push(tok);
+        let flag = tok.as_str();
+        match flag {
+            "--quick" => opts.quick = true,
+            "--csv" => opts.csv = true,
+            "--json" => opts.json = true,
+            _ if flag == "--threads"
+                || flag == "--par-workers"
+                || words().any(|w| w.strip_prefix('[') == Some(flag)) =>
+            {
+                let Some(value) = tokens.next_if(|v| !v.starts_with("--")) else {
+                    return Err(CliError(format!("{flag} needs a value")));
+                };
+                let positive = || {
+                    let n = value.parse().ok().filter(|&n: &usize| n >= 1);
+                    n.ok_or_else(|| bad(flag, value, "a positive integer"))
+                };
+                match flag {
+                    "--threads" => opts.threads = positive()?,
+                    "--par-workers" => opts.par_workers = positive()?,
+                    _ => args.values.push((tok.clone(), value.clone())),
+                }
+            }
+            _ => return Err(CliError(format!("unknown flag {flag}"))),
+        }
+    }
+    let want = words().filter(|w| !w.starts_with('[') && !w.ends_with(']'));
+    let (want, got) = (want.count(), args.positionals.len());
+    if want != got {
+        return Err(CliError(format!(
+            "expected {want} positional argument(s), got {got}"
+        )));
+    }
+    Ok((opts, args))
+}
+
+/// File stem of `argv[0]`: the binary name used for usage and JSONL paths.
+fn bin_name(argv: &[String]) -> String {
+    let stem = argv.first().and_then(|p| Path::new(p).file_stem());
+    stem.map_or_else(|| "bench".into(), |s| s.to_string_lossy().into_owned())
+}
+
+/// The one-line usage for `bin` under `spec`.
+fn usage(bin: &str, spec: Spec) -> String {
+    let common = "[--quick] [--csv] [--json] [--threads N] [--par-workers N]";
+    format!("usage: {bin} {common} {}", spec.0)
+        .trim_end()
+        .to_string()
+}
+
+/// Parses the process arguments against `spec` and hands the extras to
+/// `build`, which reads them into what the binary needs. An error from
+/// either step prints `error: …` and the usage line, then exits 2.
+pub fn from_env<T>(
+    spec: Spec,
+    build: impl FnOnce(Args) -> Result<T, CliError>,
+) -> (HarnessOpts, T) {
+    let argv: Vec<String> = std::env::args().collect();
+    match parse(&argv, spec).and_then(|(opts, args)| Ok((opts, build(args)?))) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}\n{}", usage(&bin_name(&argv), spec));
+            std::process::exit(2);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn ok(line: &str, spec: Spec) -> (HarnessOpts, Args) {
+        parse(&argv(line), spec).unwrap_or_else(|e| panic!("`{line}` rejected: {e}"))
+    }
+
+    fn err(line: &str, spec: Spec) -> String {
+        match parse(&argv(line), spec) {
+            Ok(_) => panic!("`{line}` accepted"),
+            Err(e) => e.0,
+        }
+    }
+
+    /// Every invocation in CI, the scripts, the README and the binaries'
+    /// own docs parses.
+    #[test]
+    fn accepts_every_invocation_the_repo_uses() {
+        const FIGURES: [&str; 17] = [
+            "table1",
+            "hwcost",
+            "validate",
+            "notifiers",
+            "fig3",
+            "fig8",
+            "fig9",
+            "fig10",
+            "fig11",
+            "fig12",
+            "fig13",
+            "qos",
+            "numa",
+            "ablate",
+            "summary",
+            "faults",
+            "chaos",
+        ];
+        for bin in FIGURES {
+            for flags in [
+                "",
+                "--quick",
+                "--csv",
+                "--json",
+                "--quick --csv --threads 1",
+                "--quick --csv --threads 2",
+                "--quick --json --threads 3 --csv",
+                "--json --threads 2 --csv",
+                "--quick --threads 2",
+                "--quick --threads 1 --par-workers 2 --csv",
+            ] {
+                ok(&format!("./target/release/{bin} {flags}"), PLAIN);
+            }
+        }
+        for line in [
+            "trace --quick --trace trace.json --metrics metrics.jsonl --bench bench.json",
+            "trace --quick --threads 2 --trace perf-trace.json --metrics perf-metrics.jsonl \
+             --bench perf-bench.json --profile perf-profile.json",
+            "trace --quick --threads 1 --trace attrib-trace.json \
+             --metrics attrib-metrics.jsonl --attrib attrib-t1.json",
+            "trace --quick --par-bench par-bench.json",
+            "trace --quick --par-bench results/par_bench.json",
+            "trace --quick --threads 2 --trace results/trace.json --metrics \
+             results/metrics.jsonl --attrib results/attrib.json --bench results/bench_trace.json",
+            "trace --trace trace.json --metrics metrics.jsonl",
+            "trace --attrib attrib.json",
+            "trace --quick --trace out.json --metrics out.jsonl --attrib attrib.json",
+        ] {
+            ok(line, TRACE);
+        }
+        for line in [
+            "scale --json",
+            "scale --quick --queues 1024,65536 --par-workers 1 --digest scale-w1.txt",
+            "scale --quick --queues 1024,65536 --par-workers 2 --digest scale-w2.txt",
+            "scale --queues 1024,65536 --digest out.txt",
+        ] {
+            ok(line, SCALE);
+        }
+        ok(
+            "inspect --workload crypto --shape sq --queues 500 --notifier hyperplane --load 60",
+            INSPECT,
+        );
+        for line in [
+            "attrib-diff attrib-t1.json attrib-t2.json --gate 5",
+            "attrib-diff baseline.json candidate.json --gate 10",
+            "attrib-diff --par-workers 2 a.json b.json",
+        ] {
+            let (_, args) = ok(line, ATTRIB_DIFF);
+            assert_eq!(args.positionals.len(), 2);
+        }
+    }
+
+    #[test]
+    fn reads_common_flags_and_extra_values() {
+        let (opts, args) = ok(
+            "/x/trace --quick --threads 3 --par-workers 2 --attrib a.json --json",
+            TRACE,
+        );
+        assert!(opts.quick && opts.json && !opts.csv);
+        assert_eq!((opts.threads, opts.par_workers), (3, 2));
+        assert_eq!(opts.bin, "trace");
+        assert_eq!(args.get("--attrib"), Some("a.json"));
+        assert_eq!(args.get("--trace"), None);
+
+        let (opts, args) = ok("attrib-diff a.json --gate -5 b.json", ATTRIB_DIFF);
+        assert_eq!(opts.par_workers, 1);
+        assert_eq!(args.positionals, ["a.json", "b.json"]);
+        assert_eq!(args.parsed::<f64>("--gate", "a percentage"), Ok(Some(-5.0)));
+    }
+
+    #[test]
+    fn rejects_bad_command_lines() {
+        for (line, spec, msg) in [
+            ("table1 --quik", PLAIN, "unknown flag --quik"),
+            ("table1 --help", PLAIN, "unknown flag --help"),
+            ("table1 --threads=2", PLAIN, "unknown flag --threads=2"),
+            ("fig8 --trace t.json", PLAIN, "unknown flag --trace"),
+            ("trace --PATH x", TRACE, "unknown flag --PATH"),
+            (
+                "fig8 --quick --csv --quick",
+                PLAIN,
+                "--quick given more than once",
+            ),
+            (
+                "trace --attrib a --attrib b",
+                TRACE,
+                "--attrib given more than once",
+            ),
+            ("trace --quick --attrib", TRACE, "--attrib needs a value"),
+            ("trace --attrib --quick", TRACE, "--attrib needs a value"),
+            ("fig8 --threads", PLAIN, "--threads needs a value"),
+            (
+                "fig8 stray",
+                PLAIN,
+                "expected 0 positional argument(s), got 1",
+            ),
+            (
+                "attrib-diff a.json",
+                ATTRIB_DIFF,
+                "expected 2 positional argument(s), got 1",
+            ),
+            (
+                "attrib-diff a b c",
+                ATTRIB_DIFF,
+                "expected 2 positional argument(s), got 3",
+            ),
+            // Flag errors come before the positional count.
+            ("attrib-diff --nope", ATTRIB_DIFF, "unknown flag --nope"),
+        ] {
+            assert_eq!(err(line, spec), msg, "{line}");
+        }
+        for bad in ["0", "-1", "two", "1.5"] {
+            for flag in ["--threads", "--par-workers"] {
+                assert_eq!(
+                    err(&format!("fig8 {flag} {bad}"), PLAIN),
+                    format!("{flag} takes a positive integer, got {bad:?}")
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn typed_values_fail_through_the_error_path() {
+        let (_, args) = ok("inspect --queues abc --shape xx --load 60", INSPECT);
+        assert_eq!(
+            args.parsed::<u32>("--queues", "an integer"),
+            Err(bad("--queues", "abc", "an integer"))
+        );
+        assert_eq!(args.parsed::<f64>("--load", "a percentage"), Ok(Some(60.0)));
+        assert_eq!(args.parsed::<u32>("--cores", "an integer"), Ok(None));
+        let shapes = [("fb", 1), ("sq", 2)];
+        assert_eq!(
+            args.choice("--shape", &shapes),
+            Err(bad("--shape", "xx", "fb|sq"))
+        );
+        assert_eq!(args.choice("--workload", &shapes), Ok(None));
+    }
+
+    #[test]
+    fn usage_is_the_spec() {
+        assert_eq!(
+            usage("attrib-diff", ATTRIB_DIFF),
+            "usage: attrib-diff [--quick] [--csv] [--json] [--threads N] [--par-workers N] \
+             [--gate PCT] BASELINE.json CANDIDATE.json"
+        );
+        assert_eq!(
+            usage("fig8", PLAIN),
+            "usage: fig8 [--quick] [--csv] [--json] [--threads N] [--par-workers N]"
+        );
+        // Every bracketed group of a spec is exactly one `[--flag VALUE]`.
+        for spec in [TRACE, SCALE, INSPECT, ATTRIB_DIFF] {
+            let words: Vec<&str> = spec.0.split_whitespace().collect();
+            for (i, w) in words.iter().enumerate().filter(|(_, w)| w.starts_with('[')) {
+                let value = words[i + 1];
+                assert!(w.starts_with("[--") && !w.ends_with(']'), "{}", spec.0);
+                assert!(
+                    value.ends_with(']') && !value.starts_with('['),
+                    "{}",
+                    spec.0
+                );
+            }
+        }
+    }
+}

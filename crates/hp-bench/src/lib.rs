@@ -4,7 +4,7 @@
 //! for the experiment index), plus micro-benchmarks of every
 //! hardware structure and workload kernel.
 //!
-//! All binaries accept:
+//! All binaries accept these flags, parsed by [`cli`]:
 //! * `--quick` — cut sample counts and sweep points for a fast smoke run;
 //! * `--csv` — emit machine-readable CSV after the human-readable table;
 //! * `--json` — additionally append every table row as a JSON object to
@@ -16,12 +16,16 @@
 //! * `--par-workers N` — intra-run parallel-fabric lanes (default 1);
 //!   digest-identical to the serial engine for any `N`.
 //!
+//! Parsing is strict: any bad command line exits with status 2 before a
+//! simulation starts (see [`cli`]).
+//!
 //! The shared helpers here keep the binaries small: aligned table
 //! printing, CSV/JSONL emission, and the harness-wide experiment defaults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod microbench;
 pub mod plot;
 pub mod sweep;
@@ -52,44 +56,10 @@ pub struct HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses the process arguments.
+    /// Parses the process arguments of a binary that takes only the
+    /// common flags; a bad command line exits 2 (see [`cli`]).
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let bin = args
-            .first()
-            .map(PathBuf::from)
-            .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
-            .unwrap_or_else(|| "bench".to_string());
-        let threads = match args.iter().position(|a| a == "--threads") {
-            Some(i) => args
-                .get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    eprintln!("error: --threads requires a positive integer");
-                    std::process::exit(2);
-                }),
-            None => hp_par::available_parallelism(),
-        };
-        let par_workers = match args.iter().position(|a| a == "--par-workers") {
-            Some(i) => args
-                .get(i + 1)
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    eprintln!("error: --par-workers requires a positive integer");
-                    std::process::exit(2);
-                }),
-            None => 1,
-        };
-        HarnessOpts {
-            quick: args.iter().any(|a| a == "--quick"),
-            csv: args.iter().any(|a| a == "--csv"),
-            json: args.iter().any(|a| a == "--json"),
-            threads,
-            par_workers,
-            bin,
-        }
+        cli::from_env(cli::PLAIN, |_| Ok(())).0
     }
 
     /// The sweep executor for this option set.

@@ -1,0 +1,108 @@
+//! Every harness binary rejects a bad command line the same way: exit
+//! status 2, `error: …` plus a usage line on stderr, and nothing on
+//! stdout (no simulation started).
+
+use std::process::Command;
+
+/// Each binary with one of its value flags (for the missing-value case).
+const BINS: [(&str, &str, &str); 21] = [
+    ("ablate", env!("CARGO_BIN_EXE_ablate"), "--threads"),
+    ("attrib-diff", env!("CARGO_BIN_EXE_attrib-diff"), "--gate"),
+    ("chaos", env!("CARGO_BIN_EXE_chaos"), "--threads"),
+    ("faults", env!("CARGO_BIN_EXE_faults"), "--threads"),
+    ("fig10", env!("CARGO_BIN_EXE_fig10"), "--par-workers"),
+    ("fig11", env!("CARGO_BIN_EXE_fig11"), "--threads"),
+    ("fig12", env!("CARGO_BIN_EXE_fig12"), "--threads"),
+    ("fig13", env!("CARGO_BIN_EXE_fig13"), "--threads"),
+    ("fig3", env!("CARGO_BIN_EXE_fig3"), "--threads"),
+    ("fig8", env!("CARGO_BIN_EXE_fig8"), "--threads"),
+    ("fig9", env!("CARGO_BIN_EXE_fig9"), "--threads"),
+    ("hwcost", env!("CARGO_BIN_EXE_hwcost"), "--threads"),
+    ("inspect", env!("CARGO_BIN_EXE_inspect"), "--workload"),
+    ("notifiers", env!("CARGO_BIN_EXE_notifiers"), "--threads"),
+    ("numa", env!("CARGO_BIN_EXE_numa"), "--threads"),
+    ("qos", env!("CARGO_BIN_EXE_qos"), "--threads"),
+    ("scale", env!("CARGO_BIN_EXE_scale"), "--digest"),
+    ("summary", env!("CARGO_BIN_EXE_summary"), "--threads"),
+    ("table1", env!("CARGO_BIN_EXE_table1"), "--threads"),
+    ("trace", env!("CARGO_BIN_EXE_trace"), "--attrib"),
+    ("validate", env!("CARGO_BIN_EXE_validate"), "--threads"),
+];
+
+/// Runs `exe args` and checks the rejection contract.
+fn assert_rejected(name: &str, exe: &str, args: &[&str]) {
+    let out = Command::new(exe)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{name} {args:?} should exit 2; stderr: {stderr}"
+    );
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains("usage"),
+        "{name} {args:?}: no error and usage on stderr: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{name} {args:?} started work before rejecting: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
+fn every_binary_rejects_bad_command_lines() {
+    for (name, exe, value_flag) in BINS {
+        for args in [
+            &["--no-such-flag"][..],
+            &["--quick", "--quick"],
+            &["--threads", "0"],
+            &["--quick", value_flag],
+            &[value_flag, "--quick"],
+        ] {
+            assert_rejected(name, exe, args);
+        }
+    }
+}
+
+#[test]
+fn binary_specific_values_are_checked_before_running() {
+    let exe = |name: &str| BINS.iter().find(|b| b.0 == name).expect("known binary").1;
+    for (name, args) in [
+        ("table1", &["--quik"][..]),
+        ("fig8", &["--help"]),
+        ("fig8", &["stray"]),
+        ("inspect", &["--workload", "foo"]),
+        ("inspect", &["--queues", "abc"]),
+        ("inspect", &["--load", "0"]),
+        ("inspect", &["--load", "101"]),
+        ("inspect", &["--cores", "3", "--cluster", "2"]),
+        ("scale", &["--queues", "1024,x"]),
+        ("attrib-diff", &["a.json"]),
+        ("attrib-diff", &["a.json", "b.json", "c.json"]),
+        ("attrib-diff", &["a.json", "b.json", "--gate", "lots"]),
+    ] {
+        assert_rejected(name, exe(name), args);
+    }
+}
+
+/// `--par-workers N` is a common flag, not a positional: `attrib-diff`
+/// gets as far as reading its two artifacts, and an unreadable one is
+/// refused like a bad flag.
+#[test]
+fn attrib_diff_takes_common_flags_among_positionals() {
+    let exe = env!("CARGO_BIN_EXE_attrib-diff");
+    assert_rejected(
+        "attrib-diff",
+        exe,
+        &["--par-workers", "2", "no-such.json", "b.json"],
+    );
+    let out = Command::new(exe)
+        .args(["--par-workers", "2", "no-such.json", "b.json"])
+        .output()
+        .expect("spawn attrib-diff");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no-such.json: cannot read"), "{stderr}");
+}

@@ -306,8 +306,9 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
-/// Nesting bound: a document deeper than this is rejected rather than
-/// risking parser-stack exhaustion on adversarial input.
+/// Nesting bound: a document with more than this many nested containers
+/// is rejected rather than risking parser-stack exhaustion on adversarial
+/// input.
 const MAX_DEPTH: usize = 128;
 
 /// Parses a complete JSON document into a [`JsonValue`] tree.
@@ -369,11 +370,10 @@ impl Parser<'_> {
         }
     }
 
+    /// A value whose enclosing containers number `depth`.
     fn value(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
         match self.peek() {
+            Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(self.err("nesting too deep")),
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),

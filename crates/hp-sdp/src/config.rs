@@ -199,7 +199,7 @@ pub enum Notifier {
 
 impl Notifier {
     /// The default hardware HyperPlane configuration.
-    pub fn hyperplane() -> Self {
+    pub const fn hyperplane() -> Self {
         Notifier::HyperPlane {
             power_optimized: false,
             software_ready_set: false,
@@ -207,7 +207,7 @@ impl Notifier {
     }
 
     /// HyperPlane with C1 power optimization.
-    pub fn hyperplane_power_opt() -> Self {
+    pub const fn hyperplane_power_opt() -> Self {
         Notifier::HyperPlane {
             power_optimized: true,
             software_ready_set: false,

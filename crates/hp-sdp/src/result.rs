@@ -118,6 +118,22 @@ impl DeviceStats {
         self.absorb(other.monitoring, other.spurious_wakeups);
         self.monitoring_banks = self.monitoring_banks.max(other.monitoring_banks);
     }
+
+    /// Every counter under its `trace --profile` key, in report order.
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 9] {
+        let m = &self.monitoring;
+        [
+            ("monitoring_banks", self.monitoring_banks),
+            ("inserts", m.inserts),
+            ("conflicts", m.conflicts),
+            ("relocations", m.relocations),
+            ("snoop_hits", m.snoop_hits),
+            ("snoop_misses", m.snoop_misses),
+            ("snoop_filtered", m.snoop_filtered),
+            ("spill_resizes", m.spill_resizes),
+            ("spurious_wakeups", self.spurious_wakeups),
+        ]
+    }
 }
 
 /// The outcome of one engine run.
@@ -419,6 +435,49 @@ impl ExperimentResult {
         self.device
     }
 
+    /// Everything the simulation itself computes, bit-exact: the headline
+    /// metrics, every per-core counter, the kernel profile's event counts,
+    /// and the device counters when present. Two same-seed runs agree on
+    /// every word whatever observers are attached and however many fabric
+    /// workers ran them. Profile cycles are left out: they are per-lane
+    /// clock advance, so they grow with the lane count.
+    pub fn digest(&self) -> Vec<u64> {
+        let mut d = vec![
+            self.throughput_tps.to_bits(),
+            self.offered_tps.to_bits(),
+            self.completions,
+            self.drops,
+            self.end.since_start().count(),
+            self.mean_latency_us().to_bits(),
+            self.latency_percentile_us(50.0).to_bits(),
+            self.latency_percentile_us(99.0).to_bits(),
+            self.mean_notification_us().to_bits(),
+        ];
+        for c in &self.per_core {
+            d.extend([
+                c.useful_instructions,
+                c.spin_instructions,
+                c.background_instructions,
+                c.active_cycles,
+                c.halt_c0_cycles,
+                c.halt_c1_cycles,
+                c.completions,
+                c.empty_polls,
+                c.spurious,
+                c.qwait_timeouts,
+                c.recoveries,
+            ]);
+        }
+        if let Some(p) = &self.profile {
+            d.push(p.total_events());
+            d.extend(p.rows().into_iter().map(|(_, count, _)| count));
+        }
+        if let Some(dev) = &self.device {
+            d.extend(dev.counters().map(|(_, v)| v));
+        }
+        d
+    }
+
     /// The sim-kernel profile plus the fast-path counters as a JSON
     /// object (the `trace --profile` payload): per-event-type counts and
     /// attributed simulated cycles, total events, wall seconds, and
@@ -470,22 +529,12 @@ impl ExperimentResult {
             memo_hit_rate,
         ));
         if let Some(d) = &self.device {
-            let m = &d.monitoring;
-            out.push_str(&format!(
-                ",\"device\":{{\"monitoring_banks\":{},\"inserts\":{},\
-                 \"conflicts\":{},\"relocations\":{},\"snoop_hits\":{},\
-                 \"snoop_misses\":{},\"snoop_filtered\":{},\
-                 \"spill_resizes\":{},\"spurious_wakeups\":{}}}",
-                d.monitoring_banks,
-                m.inserts,
-                m.conflicts,
-                m.relocations,
-                m.snoop_hits,
-                m.snoop_misses,
-                m.snoop_filtered,
-                m.spill_resizes,
-                d.spurious_wakeups,
-            ));
+            let fields: Vec<String> = d
+                .counters()
+                .iter()
+                .map(|(k, v)| format!("\"{k}\":{v}"))
+                .collect();
+            out.push_str(&format!(",\"device\":{{{}}}", fields.join(",")));
         }
         out.push('}');
         Some(out)

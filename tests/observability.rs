@@ -20,39 +20,6 @@ fn base(notifier: Notifier) -> ExperimentConfig {
     cfg
 }
 
-/// A digest of everything the simulation itself computes. Two runs with
-/// the same seed must agree on every bit of this, whether or not the
-/// observability plane is attached.
-fn digest(r: &ExperimentResult) -> Vec<u64> {
-    let mut d = vec![
-        r.throughput_tps.to_bits(),
-        r.offered_tps.to_bits(),
-        r.completions,
-        r.drops,
-        r.end.since_start().count(),
-        r.mean_latency_us().to_bits(),
-        r.latency_percentile_us(50.0).to_bits(),
-        r.latency_percentile_us(99.0).to_bits(),
-        r.mean_notification_us().to_bits(),
-    ];
-    for c in &r.per_core {
-        d.extend([
-            c.useful_instructions,
-            c.spin_instructions,
-            c.background_instructions,
-            c.active_cycles,
-            c.halt_c0_cycles,
-            c.halt_c1_cycles,
-            c.completions,
-            c.empty_polls,
-            c.spurious,
-            c.qwait_timeouts,
-            c.recoveries,
-        ]);
-    }
-    d
-}
-
 /// The determinism pin: tracing and windowed metrics consume no RNG draws
 /// and schedule no events, so a traced run is bit-identical to a bare one.
 #[test]
@@ -65,8 +32,8 @@ fn tracing_does_not_perturb_results() {
                 .with_metrics_window(100_000),
         );
         assert_eq!(
-            digest(&bare),
-            digest(&traced),
+            bare.digest(),
+            traced.digest(),
             "observability perturbed the {} simulation",
             notifier.label()
         );
@@ -208,8 +175,8 @@ fn mem_fast_path_is_bit_identical_across_configs() {
         slow_cfg.mem_fast_path = false;
         let slow = runner::run(slow_cfg);
         assert_eq!(
-            digest(&fast),
-            digest(&slow),
+            fast.digest(),
+            slow.digest(),
             "fast path perturbed the {} / {} simulation",
             cfg.notifier.label(),
             cfg.shape.label()
@@ -319,8 +286,8 @@ fn attribution_is_a_pure_observer_and_conserves() {
         let bare = runner::run(base(notifier));
         let attributed = runner::run(base(notifier).with_attrib());
         assert_eq!(
-            digest(&bare),
-            digest(&attributed),
+            bare.digest(),
+            attributed.digest(),
             "attribution perturbed the {} simulation",
             notifier.label()
         );

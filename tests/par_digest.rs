@@ -11,39 +11,6 @@ use hyperplane::sim::chaos::ChaosSchedule;
 use hyperplane::sim::event::EventQueue;
 use hyperplane::sim::faults::FaultPlan;
 
-/// A digest of everything the simulation itself computes (mirrors
-/// `tests/observability.rs`): headline metrics plus the full per-core
-/// telemetry, bit-exact.
-fn digest(r: &ExperimentResult) -> Vec<u64> {
-    let mut d = vec![
-        r.throughput_tps.to_bits(),
-        r.offered_tps.to_bits(),
-        r.completions,
-        r.drops,
-        r.end.since_start().count(),
-        r.mean_latency_us().to_bits(),
-        r.latency_percentile_us(50.0).to_bits(),
-        r.latency_percentile_us(99.0).to_bits(),
-        r.mean_notification_us().to_bits(),
-    ];
-    for c in &r.per_core {
-        d.extend([
-            c.useful_instructions,
-            c.spin_instructions,
-            c.background_instructions,
-            c.active_cycles,
-            c.halt_c0_cycles,
-            c.halt_c1_cycles,
-            c.completions,
-            c.empty_polls,
-            c.spurious,
-            c.qwait_timeouts,
-            c.recoveries,
-        ]);
-    }
-    d
-}
-
 /// Four DP cores in single-core clusters: four sharing groups, so the
 /// multi-lane fabric actually engages (one group would fall back to the
 /// single-lane path and the test would be vacuous).
@@ -82,12 +49,12 @@ fn observed(cfg: ExperimentConfig) -> ExperimentConfig {
 
 fn assert_worker_invariant(label: &str, mk: impl Fn() -> ExperimentConfig) {
     let serial = runner::run(mk().with_par_workers(1));
-    let d0 = digest(&serial);
+    let d0 = serial.digest();
     for workers in [2, 4] {
         let par = runner::run(mk().with_par_workers(workers));
         assert_eq!(
             d0,
-            digest(&par),
+            par.digest(),
             "{label}: digest diverged at {workers} workers"
         );
     }
@@ -135,13 +102,9 @@ fn parallel_digest_matches_serial_under_chaos() {
 /// counts that exceed the lane count, or don't divide it, change nothing.
 #[test]
 fn worker_count_beyond_lane_count_is_inert() {
-    let d0 = digest(&runner::run(
-        base(Notifier::hyperplane()).with_par_workers(1),
-    ));
+    let d0 = runner::run(base(Notifier::hyperplane()).with_par_workers(1)).digest();
     for workers in [3, 5, 64] {
-        let d = digest(&runner::run(
-            base(Notifier::hyperplane()).with_par_workers(workers),
-        ));
+        let d = runner::run(base(Notifier::hyperplane()).with_par_workers(workers)).digest();
         assert_eq!(d0, d, "digest diverged at {workers} workers");
     }
 }
@@ -161,9 +124,9 @@ fn sync_window_choice_is_worker_invariant() {
     ];
     for window in windows {
         let mk = || base(Notifier::hyperplane()).with_sync_window_mode(window);
-        let serial = digest(&runner::run(mk().with_par_workers(1)));
+        let serial = runner::run(mk().with_par_workers(1)).digest();
         for workers in [2, 4] {
-            let par = digest(&runner::run(mk().with_par_workers(workers)));
+            let par = runner::run(mk().with_par_workers(workers)).digest();
             assert_eq!(
                 serial, par,
                 "{window:?}: serial vs {workers}-worker diverged"
@@ -182,23 +145,10 @@ fn keyed_mode_kills_the_replicated_chain_tax() {
     let serial = runner::run(mk().with_par_workers(1));
     let par = runner::run(mk().with_par_workers(4));
 
-    // Kernel profile per-event counts are bit-identical. (Attributed
-    // cycles are per-lane clock advance — concurrent lanes each span the
-    // full run, so the cycle column sums lane-time and scales with lane
-    // count by construction; only counts are worker-invariant.)
-    let profile = |r: &ExperimentResult| -> Vec<(String, u64)> {
-        r.kernel_profile()
-            .expect("profiling always collected")
-            .rows()
-            .into_iter()
-            .map(|(l, c, _cycles)| (l.to_string(), c))
-            .collect()
-    };
-    assert_eq!(
-        profile(&serial),
-        profile(&par),
-        "kernel profile diverged across worker counts"
-    );
+    // The digest carries the kernel profile's per-event counts and total.
+    // (Attributed cycles are per-lane clock advance — concurrent lanes each
+    // span the full run, so they scale with lane count by construction.)
+    assert_eq!(serial.digest(), par.digest());
 
     // The event_queue_depth window series merges to the serial series.
     let depths = |r: &ExperimentResult| -> Vec<u64> {
@@ -217,8 +167,6 @@ fn keyed_mode_kills_the_replicated_chain_tax() {
         "per-lane generation counters must sum to the serial count"
     );
     assert_eq!(par.lane_generated_arrivals().len(), 4);
-    let total = |r: &ExperimentResult| r.kernel_profile().unwrap().total_events();
-    assert_eq!(total(&par), total(&serial));
 }
 
 /// Property test for the fabric's merge primitive: merging N per-lane

@@ -489,3 +489,210 @@ fn store_invalidates_remote_copy() {
     let r = mem.access(CoreId(1), addr, AccessKind::Load);
     assert_ne!(r.level, HitLevel::L1, "B must not hit a stale copy");
 }
+
+/// Characters that steer a JSON parser into every branch, plus a few
+/// multi-byte ones so offsets land inside UTF-8 sequences.
+const JSON_ALPHABET: &[char] = &[
+    '{', '}', '[', ']', '"', ':', ',', '\\', '/', ' ', '\n', '\t', '0', '1', '9', '-', '+', '.',
+    'e', 'E', 't', 'r', 'u', 'f', 'a', 'l', 's', 'n', 'b', 'x', '\u{0}', '\u{1f}', 'é', '€', '𝄞',
+];
+
+fn random_text(rng: &mut SmallRng, max_len: usize) -> String {
+    let len = rng.random_range(0..max_len + 1);
+    (0..len)
+        .map(|_| JSON_ALPHABET[rng.random_range(0..JSON_ALPHABET.len())])
+        .collect()
+}
+
+/// A random JSON tree whose containers nest at most `depth` deep.
+fn random_json(rng: &mut SmallRng, depth: u32) -> hp_bytes::json::JsonValue {
+    use hp_bytes::json::JsonValue;
+    let kinds: u8 = if depth == 0 { 4 } else { 6 };
+    match rng.random_range(0..kinds) {
+        0 => JsonValue::Null,
+        1 => JsonValue::Bool(rng.random()),
+        2 => JsonValue::Num(match rng.random_range(0..3u8) {
+            0 => rng.random_range(0..1u64 << 53) as f64,
+            1 => rng.random::<f64>() * 1e6 - 5e5,
+            _ => Some(f64::from_bits(rng.random()))
+                .filter(|x| x.is_finite())
+                .unwrap_or(0.5),
+        }),
+        3 => JsonValue::Str(random_text(rng, 12)),
+        4 => JsonValue::Arr(
+            (0..rng.random_range(0..5usize))
+                .map(|_| random_json(rng, depth - 1))
+                .collect(),
+        ),
+        _ => JsonValue::Obj(
+            (0..rng.random_range(0..5usize))
+                .map(|_| (random_text(rng, 6), random_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+fn write_json(w: &mut hp_bytes::json::JsonWriter, v: &hp_bytes::json::JsonValue) {
+    use hp_bytes::json::JsonValue;
+    match v {
+        JsonValue::Null => w.null(),
+        JsonValue::Bool(b) => w.bool(*b),
+        JsonValue::Num(x) => w.f64(*x),
+        JsonValue::Str(s) => w.string(s),
+        JsonValue::Arr(items) => {
+            w.begin_array();
+            for item in items {
+                write_json(w, item);
+            }
+            w.end_array();
+        }
+        JsonValue::Obj(members) => {
+            w.begin_object();
+            for (k, item) in members {
+                w.key(k);
+                write_json(w, item);
+            }
+            w.end_object();
+        }
+    }
+}
+
+fn to_json(v: &hp_bytes::json::JsonValue) -> String {
+    let mut w = hp_bytes::json::JsonWriter::new();
+    write_json(&mut w, v);
+    w.finish()
+}
+
+/// The JSON parser reads artifacts from disk (`attrib-diff`), so any
+/// text — random or a corrupted real document — must come back as `Ok`
+/// or `Err`, never a panic.
+#[test]
+fn json_parse_never_panics() {
+    let mut rng = SmallRng::seed_from_u64(0x0015_0A5E);
+    for _ in 0..20_000 {
+        let _ = hp_bytes::json::parse(&random_text(&mut rng, 48));
+    }
+    for _ in 0..5_000 {
+        let mut doc: Vec<char> = to_json(&random_json(&mut rng, 4)).chars().collect();
+        for _ in 0..rng.random_range(1..4u8) {
+            let at = rng.random_range(0..doc.len() + 1);
+            match rng.random_range(0..3u8) {
+                0 if at < doc.len() => {
+                    doc.remove(at);
+                }
+                1 => doc.insert(at, JSON_ALPHABET[rng.random_range(0..JSON_ALPHABET.len())]),
+                _ => doc.truncate(at),
+            }
+        }
+        let _ = hp_bytes::json::parse(&doc.into_iter().collect::<String>());
+    }
+}
+
+/// Exactly 128 nested containers parse; 129 are refused, for arrays,
+/// objects, and a mix.
+#[test]
+fn json_depth_limit_is_exact() {
+    let arrays = |n: usize| "[".repeat(n) + "1" + &"]".repeat(n);
+    let objects = |n: usize| "{\"k\":".repeat(n) + "1" + &"}".repeat(n);
+    let mixed = |n: usize| {
+        let open: String = (0..n)
+            .map(|i| if i % 2 == 0 { "[" } else { "{\"k\":" })
+            .collect();
+        let close: String = (0..n)
+            .rev()
+            .map(|i| if i % 2 == 0 { "]" } else { "}" })
+            .collect();
+        open + "null" + &close
+    };
+    for nest in [arrays, objects, mixed] {
+        assert!(hp_bytes::json::parse(&nest(128)).is_ok());
+        let err = hp_bytes::json::parse(&nest(129)).unwrap_err();
+        assert_eq!(err.msg, "nesting too deep");
+    }
+}
+
+/// Any tree the writer can emit parses back to the same tree.
+#[test]
+fn json_writer_trees_round_trip() {
+    let mut rng = SmallRng::seed_from_u64(0x2A0B_D7E1);
+    for _ in 0..3_000 {
+        let tree = random_json(&mut rng, 5);
+        let text = to_json(&tree);
+        assert_eq!(hp_bytes::json::parse(&text), Ok(tree), "{text}");
+    }
+}
+
+/// `FaultPlan::parse` takes spec strings from the command line: it never
+/// panics, every plan it accepts validates, and accepted plans survive a
+/// `Display` round trip.
+#[test]
+fn fault_plan_parse_is_total_and_sound() {
+    use hyperplane::sim::faults::FaultPlan;
+    const KEYS: &[&str] = &[
+        "drop",
+        "delay",
+        "delay_cycles",
+        "evict",
+        "spurious",
+        "straggler",
+        "stall_cycles",
+        "cap",
+        "bogus",
+        "",
+    ];
+    const VALUES: &[&str] = &[
+        "0",
+        "1",
+        "0.5",
+        "1e-3",
+        "-0",
+        "-0.1",
+        "1.5",
+        "NaN",
+        "inf",
+        "abc",
+        "",
+        "4000",
+        "18446744073709551616",
+        "=",
+    ];
+    let mut rng = SmallRng::seed_from_u64(0xFA01_7C1A);
+    let (mut accepted, mut rejected) = (0, 0);
+    for _ in 0..20_000 {
+        let spec = if rng.random_range(0..8u8) == 0 {
+            random_text(&mut rng, 24)
+        } else {
+            (0..rng.random_range(0..5usize))
+                .map(|_| {
+                    let key = KEYS[rng.random_range(0..KEYS.len())];
+                    let value = VALUES[rng.random_range(0..VALUES.len())];
+                    match rng.random_range(0..6u8) {
+                        0 => key.to_string(),
+                        1 => format!(" {key} = {value} "),
+                        _ => format!("{key}={value}"),
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        match FaultPlan::parse(&spec) {
+            Ok(plan) => {
+                accepted += 1;
+                assert!(
+                    plan.validate().is_ok(),
+                    "{spec:?} parsed to an invalid plan"
+                );
+                assert_eq!(
+                    FaultPlan::parse(&plan.to_string()).ok(),
+                    Some(plan),
+                    "{spec:?} does not round-trip"
+                );
+            }
+            Err(_) => rejected += 1,
+        }
+    }
+    assert!(
+        accepted > 1_000 && rejected > 1_000,
+        "{accepted} / {rejected}"
+    );
+}
