@@ -447,3 +447,136 @@ fn attrib_json_parses_and_matches_report() {
         }
     }
 }
+
+/// FNV-1a over an artifact's bytes.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One hash per artifact that `digest()` does not cover: the window
+/// series, the Chrome trace (with the ring's drop and emit counts),
+/// attribution, the profile minus its wall-clock fields, the fault and
+/// audit reports, per-queue latency, and the memory counters.
+fn artifact_hashes(r: &ExperimentResult) -> Vec<(&'static str, u64)> {
+    let profile = r.profile_json().expect("profiled");
+    let (head, rest) = profile.split_at(profile.find(",\"wall_secs\":").unwrap());
+    let host_free = format!("{head}{}", &rest[rest.find(",\"sync_rounds\":").unwrap()..]);
+    let trace = format!(
+        "{}|{}|{}",
+        r.chrome_trace_json().unwrap_or_default(),
+        r.trace_dropped(),
+        r.trace_emitted()
+    );
+    vec![
+        ("digest", fnv(format!("{:?}", r.digest()).as_bytes())),
+        ("windows", fnv(r.metrics_jsonl().as_bytes())),
+        ("trace", fnv(trace.as_bytes())),
+        (
+            "attrib",
+            fnv(r.attrib_json().unwrap_or_default().as_bytes()),
+        ),
+        ("profile", fnv(host_free.as_bytes())),
+        ("faults", fnv(format!("{:?}", r.fault_report()).as_bytes())),
+        ("audit", fnv(format!("{:?}", r.audit_report()).as_bytes())),
+        (
+            "per_queue",
+            fnv(format!("{:?}", r.per_queue_latency_us()).as_bytes()),
+        ),
+        (
+            "mem",
+            fnv(format!("{:?}{:?}", r.mem_stats(), r.fastpath_stats()).as_bytes()),
+        ),
+    ]
+}
+
+/// Pins every serial (`par_workers = 1`) artifact to values recorded
+/// before serial teardown moved onto the fabric merge: HyperPlane on two
+/// two-core sharing groups with every observer attached, the same run
+/// with a 512-record trace ring that wraps, and the full-chaos config of
+/// `tests/par_digest.rs`.
+#[test]
+fn serial_artifacts_are_pinned() {
+    let observed = || {
+        base(Notifier::hyperplane())
+            .with_cores(4, 2)
+            .with_trace(1 << 16)
+            .with_attrib()
+            .with_audit()
+            .with_metrics_window(100_000)
+            .with_par_workers(1)
+    };
+    let storm = FaultPlan::parse("drop=0.5,delay=0.2,evict=0.01,spurious=0.05").unwrap();
+    let chaos = base(Notifier::hyperplane())
+        .with_cores(4, 1)
+        .with_trace(16_384)
+        .with_attrib()
+        .with_audit()
+        .with_metrics_window(500_000)
+        .with_faults(storm.scaled(0.5))
+        .with_chaos(
+            hyperplane::sim::chaos::ChaosSchedule::none()
+                .with_burst(2_000_000, 500_000, 2.0)
+                .with_phase(3_000_000, 6_000_000, storm.clone())
+                .with_churn(2_500_000),
+        )
+        .with_silent_evictions()
+        .with_qwait_timeout(20_000)
+        .with_watchdog(4_000_000)
+        .with_seed(0xC4A0_5C4A)
+        .with_par_workers(1);
+    let runs: [(&str, ExperimentConfig, [u64; 9]); 3] = [
+        (
+            "observed",
+            observed(),
+            [
+                2084057706353135620,
+                537814675362797866,
+                389719217158130612,
+                14769484793535277490,
+                6419298751136547885,
+                7393530455478880603,
+                8259935728730405075,
+                9760610683641484179,
+                168608613229276764,
+            ],
+        ),
+        (
+            "ring-512",
+            observed().with_trace(512),
+            [
+                2084057706353135620,
+                537814675362797866,
+                2369343183570773714,
+                14769484793535277490,
+                6419298751136547885,
+                7393530455478880603,
+                8259935728730405075,
+                9760610683641484179,
+                168608613229276764,
+            ],
+        ),
+        (
+            "chaos",
+            chaos,
+            [
+                2585752038055270930,
+                3391890984310795090,
+                2127610778893462706,
+                7709633989358578037,
+                3363817086485857287,
+                11821217872972980691,
+                5292677708214914814,
+                7579024494089439556,
+                13355593129910689886,
+            ],
+        ),
+    ];
+    for (label, cfg, want) in runs {
+        let r = runner::run(cfg);
+        let got = artifact_hashes(&r);
+        let want: Vec<(&str, u64)> = got.iter().map(|&(k, _)| k).zip(want).collect();
+        assert_eq!(got, want, "{label}: serial artifacts drifted");
+    }
+}
