@@ -11,6 +11,8 @@
 //!
 //! Passing `--quick` (or setting `HP_BENCH_QUICK=1`) shrinks windows and
 //! sample counts so a full run finishes in seconds — used by CI smoke runs.
+//! Any other argument except the `--bench` that `cargo bench` adds prints
+//! `error: …` plus a usage line and exits 2 (see `parse_args`).
 
 use std::time::{Duration, Instant};
 
@@ -44,10 +46,32 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var_os("HP_BENCH_QUICK").is_some();
-        Criterion { quick }
+        let quick = match parse_args(std::env::args().skip(1)) {
+            Ok(quick) => quick,
+            Err(e) => {
+                eprintln!("error: {e}\nusage: cargo bench -p hp-bench [--bench NAME] -- [--quick]");
+                std::process::exit(2);
+            }
+        };
+        Criterion {
+            quick: quick || std::env::var_os("HP_BENCH_QUICK").is_some(),
+        }
     }
+}
+
+/// Reads a bench target's arguments (without `argv[0]`): `--bench`, which
+/// `cargo bench` passes to every harness-less target, and `--quick`.
+/// Returns whether `--quick` was given; any other argument is an error.
+fn parse_args<S: AsRef<str>>(args: impl IntoIterator<Item = S>) -> Result<bool, String> {
+    let mut quick = false;
+    for arg in args {
+        match arg.as_ref() {
+            "--bench" => {}
+            "--quick" => quick = true,
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(quick)
 }
 
 impl Criterion {
@@ -191,6 +215,23 @@ mod tests {
     fn ids_format_like_criterion() {
         assert_eq!(BenchmarkId::new("Ripple", 256).label, "Ripple/256");
         assert_eq!(BenchmarkId::from_parameter(8).label, "8");
+    }
+
+    #[test]
+    fn args_accept_only_bench_and_quick() {
+        let none: [&str; 0] = [];
+        assert_eq!(parse_args(none), Ok(false));
+        assert_eq!(parse_args(["--bench"]), Ok(false));
+        assert_eq!(parse_args(["--quick"]), Ok(true));
+        assert_eq!(parse_args(["--bench", "--quick"]), Ok(true));
+        assert_eq!(parse_args(["--quick", "--bench"]), Ok(true));
+        for bad in ["--quik", "quick", "-q", "--", "", "--bench=1", "kernels"] {
+            assert_eq!(
+                parse_args(["--bench", bad]),
+                Err(format!("unknown argument `{bad}`")),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -91,6 +91,19 @@ pub enum ConfigError {
     /// group: stolen wake-ups couple partitions mid-window, which the
     /// lane decomposition cannot represent.
     ParallelWorkStealing,
+    /// The queue partition left a sharing group without queues (the
+    /// imbalance is too extreme for the queue count and shape).
+    EmptyGroup {
+        /// The group left empty.
+        group: usize,
+    },
+    /// Monitoring-set conflicts consumed every spare doorbell address
+    /// before all queues were registered (Algorithm 1 had nowhere left
+    /// to reallocate).
+    SpareDoorbellsExhausted {
+        /// Requested queues.
+        queues: u32,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -133,6 +146,14 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ParallelWorkStealing => write!(
                 f,
                 "par_workers > 1 is incompatible with work stealing across sharing groups"
+            ),
+            ConfigError::EmptyGroup { group } => write!(
+                f,
+                "queue partition left sharing group {group} without queues (imbalance too extreme)"
+            ),
+            ConfigError::SpareDoorbellsExhausted { queues } => write!(
+                f,
+                "monitoring-set conflicts exhausted the spare doorbell addresses for {queues} queues"
             ),
         }
     }

@@ -32,8 +32,9 @@
 //!
 //! ## Lanes
 //!
-//! The engine doubles as one *lane* of the parallel fabric
-//! ([`crate::par_engine`]): built with `Engine::try_new_lane` it owns a
+//! Every engine is a *lane* of the fabric ([`crate::par_engine`]): built
+//! with [`Engine::try_new`] it owns every sharing group (the one-lane
+//! fabric of a serial run); built with `Engine::try_new_lane` it owns a
 //! single sharing group and materializes only that group's work. Every
 //! stimulus draw is a pure function of `(seed, stream, item index)`
 //! through counter-based sub-streams ([`hp_rand::rngs::CounterRng`])
@@ -42,13 +43,14 @@
 //! load. Flow-structured traffic is the one sequential source; validation
 //! restricts it to a single sharing group, so no lane ever shares it.
 //!
-//! Run control (warmup, stop, watchdog, `max_cycles`) is evaluated at
-//! synchronization-window boundaries in *every* engine — serial included —
-//! so a serial run is exactly a one-lane fabric.
+//! Run control (warmup, stop, watchdog, `max_cycles`) is evaluated by the
+//! fabric at synchronization-window boundaries, and teardown is always
+//! `into_lane_output` followed by the fabric merge, so a serial run is
+//! exactly a one-lane fabric: there is no serial-only driver or teardown.
 
 use crate::config::{ConfigError, ExperimentConfig, Load, Notifier, TrafficSource};
 use crate::metrics::{WindowObservation, WindowSample, WindowedMetrics};
-use crate::result::{DeviceStats, ExperimentResult, FaultReport};
+use crate::result::{DeviceStats, ExperimentResult};
 use crate::telemetry::{CoreTelemetry, HaltState, HaltTracker};
 use hp_core::qwait::{HyperPlaneDevice, RearmAction};
 use hp_mem::seq::SeqMemo;
@@ -311,7 +313,7 @@ pub struct Engine {
     devices: Vec<HyperPlaneDevice>,
     queues_of_group: Vec<Vec<QueueId>>,
     /// Sharing groups this engine materializes work for: all of them in a
-    /// serial run, exactly one in a parallel lane
+    /// one-lane run, exactly one in a multi-lane run
     /// ([`Engine::try_new_lane`]). Non-owned groups draw no stimulus and
     /// touch no queue, device, or core state.
     owned_groups: Vec<bool>,
@@ -484,10 +486,8 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`ExperimentConfig::validate`] or
-    /// if a monitoring-set conflict cannot be resolved (practically
-    /// impossible with the over-provisioned default). Library callers that
-    /// want the error instead should use [`Engine::try_new`].
+    /// Panics where [`Engine::try_new`] returns an error. Library callers
+    /// that want the error instead should use [`Engine::try_new`].
     pub fn new(cfg: ExperimentConfig) -> Self {
         match Self::try_new(cfg) {
             Ok(engine) => engine,
@@ -499,17 +499,21 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// The [`ConfigError`] from [`ExperimentConfig::validate`].
+    /// The [`ConfigError`] from [`ExperimentConfig::validate`], or one
+    /// the build itself finds: a queue partition that leaves a sharing
+    /// group empty ([`ConfigError::EmptyGroup`]), or monitoring-set
+    /// conflicts that use up the spare doorbell addresses
+    /// ([`ConfigError::SpareDoorbellsExhausted`]).
     pub fn try_new(cfg: ExperimentConfig) -> Result<Self, ConfigError> {
         Self::try_new_lane(cfg, None)
     }
 
     /// Builds an engine owning all sharing groups (`lane == None`, the
-    /// serial engine) or exactly one (`lane == Some(g)`, one lane of the
-    /// parallel fabric). Every lane performs the *identical* build —
+    /// one-lane fabric) or exactly one (`lane == Some(g)`, one lane of a
+    /// multi-lane fabric). Every lane performs the *identical* build —
     /// including device registration and conflict-spare consumption for
     /// groups it does not own — so lane-local state is bit-identical to
-    /// the serial engine's view of that group.
+    /// the one-lane engine's view of that group.
     pub(crate) fn try_new_lane(
         cfg: ExperimentConfig,
         lane: Option<usize>,
@@ -537,11 +541,8 @@ impl Engine {
         for (q, &g) in group_of_queue.iter().enumerate() {
             queues_of_group[g].push(QueueId(q as u32));
         }
-        for (g, qs) in queues_of_group.iter().enumerate() {
-            assert!(
-                !qs.is_empty(),
-                "partition left group {g} without queues (imbalance too extreme)"
-            );
+        if let Some(group) = queues_of_group.iter().position(Vec::is_empty) {
+            return Err(ConfigError::EmptyGroup { group });
         }
 
         // Per-queue doorbell addresses. Algorithm 1's control plane: on a
@@ -582,7 +583,9 @@ impl Engine {
                                     QueueLayout::spare_doorbells(cfg.queues),
                                     |i| dev.monitoring_bank_of(layout.spare_doorbell(i).line()),
                                 )
-                                .expect("driver exhausted spare doorbell addresses");
+                                .ok_or(
+                                    ConfigError::SpareDoorbellsExhausted { queues: cfg.queues },
+                                )?;
                                 doorbell[q.0 as usize] = layout.spare_doorbell(idx);
                             }
                             Err(e) => panic!("doorbell registration failed: {e}"),
@@ -778,16 +781,9 @@ impl Engine {
             } else {
                 Attributor::disabled()
             },
-            metrics: cfg.metrics_window_cycles.map(|w| {
-                let m = WindowedMetrics::new(w, clock, cfg.dp_cores);
-                // A lane keeps each window's raw latency histogram so the
-                // fabric merge can recompute exact percentiles.
-                if lane.is_some() {
-                    m.retain_hists()
-                } else {
-                    m
-                }
-            }),
+            metrics: cfg
+                .metrics_window_cycles
+                .map(|w| WindowedMetrics::new(w, clock, cfg.dp_cores)),
             metrics_next: cfg.metrics_window_cycles.unwrap_or(u64::MAX),
             profile: KernelProfile::new(EV_LABELS),
             warmup_span: None,
@@ -906,11 +902,12 @@ impl Engine {
 
     /// Runs the experiment to completion and returns the results.
     ///
-    /// Delegates to the parallel fabric ([`crate::par_engine`]): with
-    /// `par_workers <= 1` (the default) this is the serial engine pumping
-    /// windows on the calling thread; with more workers the fabric
-    /// rebuilds one lane per sharing group and merges. Same seed, same
-    /// config ⇒ digest-identical results for any worker count.
+    /// Delegates to the fabric ([`crate::par_engine`]): with
+    /// `par_workers <= 1` (the default) this engine is the one lane,
+    /// pumped on the calling thread; with more workers the fabric rebuilds
+    /// one lane per sharing group. Either way the same window loop and the
+    /// same merge run. Same seed, same config ⇒ digest-identical results
+    /// for any worker count.
     pub fn run(self) -> ExperimentResult {
         crate::par_engine::run(self)
     }
@@ -1126,7 +1123,7 @@ impl Engine {
 
     /// Aggregates device-plane counters over this engine's *owned*
     /// devices. Each sharing group is owned by exactly one lane, so
-    /// summing lane aggregates reassembles the serial totals (build-time
+    /// summing lane aggregates reassembles the one-lane totals (build-time
     /// registration runs in every lane but is counted only by the owner).
     fn device_stats(&self) -> Option<DeviceStats> {
         if self.devices.is_empty() {
@@ -1142,114 +1139,6 @@ impl Engine {
             }
         }
         Some(d)
-    }
-
-    /// Assembles the single-lane result. `end` is the timestamp of the
-    /// last *processed* event (`ev.now()` may already sit at a carried
-    /// future event); `stalls` is the fabric controller's watchdog verdict.
-    pub(crate) fn finish(
-        mut self,
-        wall_secs: f64,
-        end: SimTime,
-        stalls: crate::par_engine::StallSummary,
-    ) -> ExperimentResult {
-        // Close out the observability plane: full windows first, then the
-        // final partial one; close whichever phase span is still open.
-        if self.metrics.is_some() {
-            self.close_metrics_windows(end.since_start().count(), false);
-            let obs = self.window_observation(end.since_start().count(), false);
-            self.metrics
-                .as_mut()
-                .unwrap()
-                .close_final(end.since_start().count(), &obs);
-        }
-        if let Some(span) = self.measure_span.take() {
-            self.tracer.end_span(end, span);
-        }
-        if let Some(span) = self.warmup_span.take() {
-            self.tracer.end_span(end, span);
-        }
-        // Credit outstanding halt episodes.
-        for c in 0..self.cfg.dp_cores {
-            self.trackers[c].resume(end, &mut self.telem[c]);
-        }
-        let clock = self.cfg.machine.clock;
-        let window = match self.measure_start {
-            Some(start) => end.saturating_since(start),
-            None => end.since_start(),
-        };
-        let throughput = clock.rate_per_sec(self.completions_measured, window);
-        // Aggregate DP-core memory behaviour (queue-scalability evidence).
-        let mut mem_stats = hp_mem::system::CoreMemStats::default();
-        for c in 0..self.cfg.dp_cores {
-            let s = self.mem.core_stats(CoreId(c));
-            mem_stats.l1_hits += s.l1_hits;
-            mem_stats.llc_hits += s.llc_hits;
-            mem_stats.remote_hits += s.remote_hits;
-            mem_stats.dram_fetches += s.dram_fetches;
-        }
-        let fault_report = (self.cfg.faults.is_active()
-            || self.cfg.chaos.is_active()
-            || self.cfg.qwait_timeout_cycles.is_some()
-            || self.cfg.watchdog_period_cycles.is_some())
-        .then(|| FaultReport {
-            injected: self.faults.counters(),
-            qwait_timeouts: self.telem.iter().map(|t| t.qwait_timeouts).sum(),
-            recoveries: self.telem.iter().map(|t| t.recoveries).sum(),
-            recovery_latency_cycles: self.recovery_latency.clone(),
-            eviction_recoveries: self.eviction_recoveries,
-            doorbell_recoveries: self.doorbell_recoveries,
-            eviction_recovery_latency: self.eviction_recovery_latency.clone(),
-            doorbell_recovery_latency: self.doorbell_recovery_latency.clone(),
-            churn_reallocations: self.churn_reallocations,
-            first_stall: stalls.first_stall,
-            stall_events: stalls.stall_events,
-            aborted_on_stall: stalls.aborted,
-            queue_drops: self.queues.iter().map(|q| q.dropped()).sum(),
-        });
-        // Conservation reconciliation: the engine's own residual backlog
-        // (the incrementally maintained counter).
-        let residual_backlog: u64 = self.backlog;
-        let device = self.device_stats();
-        let mut result = ExperimentResult::new(
-            &self.cfg,
-            throughput,
-            self.latency,
-            self.telem,
-            self.completions,
-            self.drops,
-            self.saturation_rate,
-            end,
-        )
-        .with_per_queue(self.qrows.into_iter().map(|r| r.latency).collect())
-        .with_notify_latency(self.notify_latency)
-        .with_mem_stats(mem_stats)
-        .with_fastpath(self.mem.fastpath_stats())
-        .with_profile(self.profile, wall_secs)
-        .with_lane_generated(vec![self.generated_arrivals]);
-        if let Some(d) = device {
-            result = result.with_device(d);
-        }
-        if self.tracer.is_enabled() {
-            result = result.with_trace(
-                self.tracer.records(),
-                self.tracer.dropped(),
-                self.tracer.emitted(),
-            );
-        }
-        if self.attrib.is_enabled() {
-            result = result.with_attrib(self.attrib.finalize());
-        }
-        if let Some(m) = self.metrics {
-            result = result.with_windows(m.into_samples());
-        }
-        if let Some(report) = fault_report {
-            result = result.with_faults(report);
-        }
-        if self.audit.is_enabled() {
-            result = result.with_audit(self.audit.finalize(residual_backlog));
-        }
-        result
     }
 
     // ---------------------------------------------------------------- //
@@ -2271,8 +2160,9 @@ impl Engine {
         }
     }
 
-    /// Tears the lane down into its mergeable outputs. `end` is the
-    /// *fabric-wide* end (the maximum lane-local end), so every lane
+    /// Tears the lane down into its mergeable outputs — the only teardown
+    /// an engine has. `end` is the *fabric-wide* end (the maximum
+    /// lane-local end, clamped by a watchdog abort), so every lane
     /// closes its final metrics window and outstanding halt episodes at
     /// the same instant and the merged window series line up one-for-one.
     pub(crate) fn into_lane_output(mut self, end: SimTime) -> LaneOutput {
@@ -2300,10 +2190,12 @@ impl Engine {
             mem_stats.dram_fetches += s.dram_fetches;
         }
         let residual_backlog: u64 = self.backlog;
-        let queue_owned: Vec<bool> = self
-            .qrows
-            .iter()
-            .map(|r| self.owned_groups[r.group as usize])
+        // The owned groups' queue lists, moved out: a per-queue mask would
+        // scan 2^20 cold rows at teardown.
+        let owned_queues: Vec<Vec<QueueId>> = std::mem::take(&mut self.queues_of_group)
+            .into_iter()
+            .zip(&self.owned_groups)
+            .filter_map(|(qs, &owned)| owned.then_some(qs))
             .collect();
         let core_owned: Vec<bool> = (0..self.cfg.dp_cores)
             .map(|c| self.owned_groups[self.core_group[c]])
@@ -2321,7 +2213,7 @@ impl Engine {
             latency: self.latency,
             notify_latency: self.notify_latency,
             per_queue: self.qrows.into_iter().map(|r| r.latency).collect(),
-            queue_owned,
+            owned_queues,
             telem: self.telem,
             core_owned,
             mem_stats,
@@ -2352,9 +2244,10 @@ impl Engine {
 
 /// One lane's mergeable outputs ([`Engine::into_lane_output`]): everything
 /// the fabric needs to reassemble a whole-machine [`ExperimentResult`].
-/// Lane-disjoint collections (per-queue stats, per-core telemetry) carry
-/// ownership masks; cross-lane aggregates (histograms, counters, the
-/// profile) merge by summation.
+/// Lane-disjoint collections (per-queue stats, per-core telemetry) come
+/// with what the lane owns (its groups' queue lists, a core mask);
+/// cross-lane aggregates (histograms, counters, the profile) merge by
+/// summation.
 #[derive(Debug)]
 pub(crate) struct LaneOutput {
     pub(crate) completions: u64,
@@ -2363,7 +2256,7 @@ pub(crate) struct LaneOutput {
     pub(crate) latency: Histogram,
     pub(crate) notify_latency: Histogram,
     pub(crate) per_queue: Vec<OnlineStats>,
-    pub(crate) queue_owned: Vec<bool>,
+    pub(crate) owned_queues: Vec<Vec<QueueId>>,
     pub(crate) telem: Vec<CoreTelemetry>,
     pub(crate) core_owned: Vec<bool>,
     pub(crate) mem_stats: hp_mem::system::CoreMemStats,

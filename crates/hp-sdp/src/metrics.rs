@@ -58,9 +58,9 @@ pub struct WindowSample {
     pub halt_frac: Vec<f64>,
     /// Spin-loop instructions retired during the window (all DP cores).
     pub spin_instructions: u64,
-    /// The window's raw latency histogram, retained only when the sampler
-    /// was created with [`WindowedMetrics::retain_hists`] (the parallel
-    /// engine needs it to recompute exact merged percentiles). Never
+    /// The window's raw latency histogram: kept by the sampler so the
+    /// fabric merge can recompute exact percentiles across lanes, and
+    /// dropped by that merge (`None` in every `ExperimentResult`). Never
     /// serialized.
     pub hist: Option<Histogram>,
 }
@@ -128,7 +128,6 @@ pub struct WindowedMetrics {
     halt_base: Vec<u64>,
     spin_base: u64,
     drops_base: u64,
-    retain: bool,
     samples: Vec<WindowSample>,
 }
 
@@ -151,17 +150,8 @@ impl WindowedMetrics {
             halt_base: vec![0; dp_cores],
             spin_base: 0,
             drops_base: 0,
-            retain: false,
             samples: Vec::new(),
         }
-    }
-
-    /// Keep each closed window's raw latency histogram on its
-    /// [`WindowSample`] (the parallel engine's merge recomputes exact
-    /// percentiles from them).
-    pub fn retain_hists(mut self) -> Self {
-        self.retain = true;
-        self
     }
 
     /// The cadence, cycles.
@@ -231,15 +221,10 @@ impl WindowedMetrics {
             cores_halted: obs.cores_halted,
             halt_frac,
             spin_instructions: obs.spin_instructions.saturating_sub(self.spin_base),
-            hist: if self.retain {
-                Some(std::mem::replace(&mut self.hist, Histogram::new()))
-            } else {
-                None
-            },
+            hist: Some(std::mem::take(&mut self.hist)),
         });
         self.index += 1;
         self.completions = 0;
-        self.hist = Histogram::new();
         self.halt_base.clone_from(&obs.halt_cycles);
         self.spin_base = obs.spin_instructions;
         self.drops_base = obs.drops;
@@ -330,7 +315,7 @@ mod tests {
 
     #[test]
     fn retained_hists_are_per_window_and_exact() {
-        let mut m = WindowedMetrics::new(1000, Clock::default(), 1).retain_hists();
+        let mut m = WindowedMetrics::new(1000, Clock::default(), 1);
         m.record_completion(200);
         m.record_completion(400);
         m.close(&obs(0, vec![0], 0, 0));
@@ -339,11 +324,6 @@ mod tests {
         let s = m.samples();
         assert_eq!(s[0].hist.as_ref().unwrap().count(), 2);
         assert_eq!(s[1].hist.as_ref().unwrap().count(), 1);
-        // Without the flag, samples stay lean.
-        let mut lean = WindowedMetrics::new(1000, Clock::default(), 1);
-        lean.record_completion(100);
-        lean.close(&obs(0, vec![0], 0, 0));
-        assert!(lean.samples()[0].hist.is_none());
     }
 
     #[test]

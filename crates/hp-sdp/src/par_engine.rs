@@ -29,11 +29,11 @@
 //! its group index — never of worker count or OS scheduling. `par_workers`
 //! only maps lanes onto threads (worker `w` pumps lanes `w`, `w + W`,
 //! ...), and the merge below folds lane outputs in lane order, so a
-//! same-seed run is digest-identical to the serial engine for any worker
-//! count. The serial engine *is* this fabric with a single lane owning
-//! every group: both paths share `Engine::pump_window` and
-//! `FabricCtrl`, so serial-vs-parallel equivalence is structural, not
-//! coincidental.
+//! same-seed run is digest-identical to the serial run for any worker
+//! count. A serial run *is* this fabric with a single lane owning every
+//! group: it runs the same window loop (on the calling thread), the same
+//! `FabricCtrl`, and the same `merge`, so serial-vs-parallel equivalence
+//! is structural, not coincidental.
 //!
 //! Every simulated event is group-local, so the merged kernel profile's
 //! per-event counts and the window `event_queue_depth` series are
@@ -75,7 +75,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// One lane's window-boundary report to the fabric controller.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LaneReport {
     /// Completions so far (lifetime, owned items only).
     pub(crate) completions: u64,
@@ -90,14 +90,14 @@ pub(crate) struct LaneReport {
 /// The fabric controller's watchdog verdict, threaded into the final
 /// [`FaultReport`].
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StallSummary {
+struct StallSummary {
     /// First stall detection instant.
-    pub(crate) first_stall: Option<SimTime>,
+    first_stall: Option<SimTime>,
     /// Watchdog rounds that found backlog with zero progress and all
     /// cores halted.
-    pub(crate) stall_events: u64,
+    stall_events: u64,
     /// Whether the run was aborted on first stall (`watchdog_abort`).
-    pub(crate) aborted: bool,
+    aborted: bool,
 }
 
 /// The leader's per-window verdict, applied by every worker after the
@@ -107,7 +107,7 @@ struct Decision {
     /// Open the measurement phase at this boundary (all lanes).
     begin_measure: Option<SimTime>,
     /// Stall instants to record in the lifecycle trace (lane 0 carries
-    /// the records, mirroring the serial engine's single stream).
+    /// the records, so they appear once whatever the lane count).
     stall_notes: Vec<SimTime>,
     /// Stop after this window.
     stop: bool,
@@ -117,11 +117,9 @@ struct Decision {
 }
 
 /// Fabric-wide run control, evaluated at window boundaries from summed
-/// lane reports. The serial engine uses the identical controller with a
-/// single lane, so warmup/stop/watchdog semantics cannot drift between
-/// the two paths. Relative to the pre-fabric serial engine, stop and
-/// warmup trigger at the first boundary *after* the threshold crossing —
-/// an overshoot of at most one window.
+/// lane reports, for one lane or many alike. Stop and warmup trigger at
+/// the first boundary *after* the threshold crossing — an overshoot of at
+/// most one window.
 struct FabricCtrl {
     warmup_target: u64,
     stop_target: u64,
@@ -267,155 +265,131 @@ impl FabricCtrl {
     }
 }
 
-/// Runs `engine` to completion, routing between the single-lane path and
-/// the multi-lane fabric. Called by [`Engine::run`].
+/// Runs `engine` to completion on the fabric. Called by [`Engine::run`].
+///
+/// The lanes are `engine` itself, owning every group, when one worker is
+/// asked for, there is nothing to partition, or there are too few producer
+/// cores for a group-disjoint arrival striping; otherwise one rebuilt lane
+/// per sharing group. Either way the same window loop pumps them and the
+/// same [`merge`] tears them down.
 pub(crate) fn run(engine: Engine) -> ExperimentResult {
     let wall_start = Instant::now();
-    let cfg = engine.cfg();
+    let cfg = engine.cfg().clone();
+    let ctrl = FabricCtrl::new(&engine);
     let groups = cfg.groups();
     let producers = cfg.machine.cores - cfg.dp_cores;
-    // Single-lane fallback: one worker asked for, nothing to partition,
-    // or too few producer cores for a group-disjoint arrival striping.
-    if cfg.par_workers <= 1 || groups == 1 || producers < groups {
-        run_single(engine, wall_start)
+    let lanes: Vec<Engine> = if cfg.par_workers <= 1 || groups == 1 || producers < groups {
+        vec![engine]
     } else {
-        let workers = cfg.par_workers.min(groups);
-        run_fabric(engine, wall_start, workers)
-    }
-}
+        drop(engine);
+        (0..groups)
+            .map(|g| {
+                Engine::try_new_lane(cfg.clone(), Some(g))
+                    .expect("lane config is the already-validated fabric config")
+            })
+            .collect()
+    };
+    let workers = cfg.par_workers.clamp(1, lanes.len());
+    let fabric = Fabric {
+        first_boundary: ctrl.first_boundary(),
+        ctrl: Mutex::new(ctrl),
+        reports: Mutex::new(vec![LaneReport::default(); lanes.len()]),
+        decision: Mutex::new(Decision::default()),
+        rendezvous: hp_par::Rendezvous::new(workers),
+    };
 
-/// The one-lane fabric: this engine owns every group; run control still
-/// lives with [`FabricCtrl`] at window boundaries.
-fn run_single(mut engine: Engine, wall_start: Instant) -> ExperimentResult {
-    let mut ctrl = FabricCtrl::new(&engine);
-    engine.seed_events();
-    let mut boundary = ctrl.first_boundary();
-    loop {
-        engine.pump_window(boundary);
-        let report = engine.lane_report();
-        let d = ctrl.decide(boundary, std::slice::from_ref(&report));
-        for &at in &d.stall_notes {
-            engine.note_stall(at);
-        }
-        if let Some(at) = d.begin_measure {
-            engine.begin_measure(at);
-        }
-        if d.stop {
-            break;
-        }
-        boundary = d.next_boundary;
-    }
-    let mut end = SimTime(engine.lane_report().last_processed);
-    // An abort ends the run at the watchdog tick that observed the stall;
-    // a lookahead boundary clamped to that tick processes strictly before
-    // it, so the last event can sit just short of the detection instant.
-    if ctrl.stalls.aborted {
-        if let Some(at) = ctrl.stalls.first_stall {
-            end = end.max(at);
-        }
-    }
-    let rounds = ctrl.rounds;
-    engine
-        .finish(wall_start.elapsed().as_secs_f64(), end, ctrl.stalls)
-        .with_sync_rounds(rounds)
-}
-
-/// The multi-lane fabric: one lane per sharing group, pumped by
-/// `workers` threads in lockstep windows, merged in lane order.
-fn run_fabric(engine: Engine, wall_start: Instant, workers: usize) -> ExperimentResult {
-    let cfg = engine.cfg().clone();
-    let groups = cfg.groups();
-    let ctrl = FabricCtrl::new(&engine);
-    let first_boundary = ctrl.first_boundary();
-    let ctrl = Mutex::new(ctrl);
-    drop(engine);
-
+    // Worker `w` owns lanes `w`, `w + workers`, ... (moved in, so no two
+    // threads' lanes share an allocation); worker 0 is the calling
+    // thread, so a one-worker run spawns nothing.
     let mut per_worker: Vec<Vec<(usize, Engine)>> = (0..workers).map(|_| Vec::new()).collect();
-    for g in 0..groups {
-        let mut lane = Engine::try_new_lane(cfg.clone(), Some(g))
-            .expect("lane config is the already-validated fabric config");
+    for (i, mut lane) in lanes.into_iter().enumerate() {
         lane.seed_events();
-        per_worker[g % workers].push((g, lane));
+        per_worker[i % workers].push((i, lane));
     }
-
-    let reports: Mutex<Vec<Option<LaneReport>>> = Mutex::new(vec![None; groups]);
-    let decision: Mutex<Decision> = Mutex::new(Decision::default());
-    let rendezvous = hp_par::Rendezvous::new(workers);
-    let done: Mutex<Vec<Option<Engine>>> = Mutex::new((0..groups).map(|_| None).collect());
-
-    std::thread::scope(|scope| {
-        for mut my_lanes in per_worker {
-            let (reports, decision, ctrl, rendezvous, done) =
-                (&reports, &decision, &ctrl, &rendezvous, &done);
-            scope.spawn(move || {
-                let mut boundary = first_boundary;
-                loop {
-                    for (_, lane) in my_lanes.iter_mut() {
-                        lane.pump_window(boundary);
-                    }
-                    {
-                        let mut slots = reports.lock().unwrap();
-                        for (g, lane) in my_lanes.iter() {
-                            slots[*g] = Some(lane.lane_report());
-                        }
-                    }
-                    if rendezvous.wait() {
-                        // Leader folds the reports into this window's
-                        // verdict; followers are parked at the second
-                        // barrier until it lands.
-                        let collected: Vec<LaneReport> = reports
-                            .lock()
-                            .unwrap()
-                            .iter()
-                            .map(|r| r.expect("every lane reported"))
-                            .collect();
-                        let d = ctrl.lock().unwrap().decide(boundary, &collected);
-                        *decision.lock().unwrap() = d;
-                    }
-                    rendezvous.wait();
-                    let (stop, next_boundary) = {
-                        let d = decision.lock().unwrap();
-                        for (g, lane) in my_lanes.iter_mut() {
-                            if *g == 0 {
-                                for &at in &d.stall_notes {
-                                    lane.note_stall(at);
-                                }
-                            }
-                            if let Some(at) = d.begin_measure {
-                                lane.begin_measure(at);
-                            }
-                        }
-                        (d.stop, d.next_boundary)
-                    };
-                    if stop {
-                        break;
-                    }
-                    boundary = next_boundary;
-                }
-                let mut slots = done.lock().unwrap();
-                for (g, lane) in my_lanes {
-                    slots[g] = Some(lane);
-                }
-            });
+    let mut lanes: Vec<(usize, Engine)> = std::thread::scope(|scope| {
+        let fabric = &fabric;
+        let mut per_worker = per_worker.into_iter();
+        let mine = per_worker.next().expect("at least one worker");
+        let theirs: Vec<_> = per_worker
+            .map(|lanes| scope.spawn(move || fabric.drive(lanes)))
+            .collect();
+        let mut done = fabric.drive(mine);
+        for handle in theirs {
+            done.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
         }
+        done
     });
+    lanes.sort_by_key(|&(i, _)| i);
+    let lanes = lanes.into_iter().map(|(_, lane)| lane).collect();
 
-    let lanes: Vec<Engine> = done
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|l| l.expect("every lane returned"))
-        .collect();
-    let ctrl = ctrl.into_inner().unwrap();
+    let ctrl = fabric.ctrl.into_inner().unwrap();
     merge(&cfg, lanes, wall_start.elapsed().as_secs_f64(), ctrl.stalls)
         .with_sync_rounds(ctrl.rounds)
 }
 
-/// Folds lane outputs into one whole-machine [`ExperimentResult`],
-/// mirroring the single-lane `Engine::finish` field for field: exact
-/// histogram merges for latency distributions, take-from-owner for
-/// lane-disjoint state (per-queue stats, per-core telemetry), sums for
-/// machine-wide counters.
+/// What the workers share for one run: the controller, the lanes'
+/// window-boundary reports, and the leader's verdict.
+struct Fabric {
+    first_boundary: u64,
+    ctrl: Mutex<FabricCtrl>,
+    reports: Mutex<Vec<LaneReport>>,
+    decision: Mutex<Decision>,
+    rendezvous: hp_par::Rendezvous,
+}
+
+impl Fabric {
+    /// One worker's window loop over its `(lane index, lane)` pairs: pump
+    /// to the boundary, report, let the leader decide, apply the verdict.
+    /// Hands the lanes back once the controller stops the run.
+    fn drive(&self, mut lanes: Vec<(usize, Engine)>) -> Vec<(usize, Engine)> {
+        let mut boundary = self.first_boundary;
+        loop {
+            for (_, lane) in lanes.iter_mut() {
+                lane.pump_window(boundary);
+            }
+            {
+                let mut slots = self.reports.lock().unwrap();
+                for (i, lane) in lanes.iter() {
+                    slots[*i] = lane.lane_report();
+                }
+            }
+            if self.rendezvous.wait() {
+                // Leader folds the reports into this window's verdict;
+                // followers are parked at the second barrier until it
+                // lands.
+                let reports = self.reports.lock().unwrap();
+                let d = self.ctrl.lock().unwrap().decide(boundary, &reports);
+                *self.decision.lock().unwrap() = d;
+            }
+            self.rendezvous.wait();
+            let d = self.decision.lock().unwrap();
+            for (i, lane) in lanes.iter_mut() {
+                if *i == 0 {
+                    for &at in &d.stall_notes {
+                        lane.note_stall(at);
+                    }
+                }
+                if let Some(at) = d.begin_measure {
+                    lane.begin_measure(at);
+                }
+            }
+            if d.stop {
+                return lanes;
+            }
+            boundary = d.next_boundary;
+        }
+    }
+}
+
+/// Folds lane outputs into one whole-machine [`ExperimentResult`] — the
+/// only teardown, whatever the lane count: exact histogram merges for
+/// latency distributions, take-from-owner for lane-disjoint state
+/// (per-queue stats, per-core telemetry), sums for machine-wide counters.
+/// Window histograms are dropped once the merged percentiles are computed.
 fn merge(
     cfg: &ExperimentConfig,
     lanes: Vec<Engine>,
@@ -443,7 +417,6 @@ fn merge(
 
     let clock = cfg.machine.clock;
     let dp_cores = cfg.dp_cores;
-    let n_queues = cfg.queues as usize;
 
     // Measurement window: every lane opened it at the same fabric-chosen
     // boundary (or never).
@@ -477,18 +450,17 @@ fn merge(
     let telem: Vec<CoreTelemetry> = (0..dp_cores)
         .map(|c| outs[core_owner[c]].telem[c])
         .collect();
-    let per_queue: Vec<OnlineStats> = (0..n_queues)
-        .map(|q| {
-            let owner = outs
-                .iter()
-                .position(|o| o.queue_owned[q])
-                .expect("every queue has an owner lane");
-            outs[owner].per_queue[q]
-        })
-        .collect();
+    // Per-queue rows fill lane 0's vector in place: at 2^20 queues a
+    // second whole-machine copy would dominate teardown memory.
+    let mut per_queue: Vec<OnlineStats> = std::mem::take(&mut outs[0].per_queue);
+    for o in &outs[1..] {
+        for &q in o.owned_queues.iter().flatten() {
+            per_queue[q.0 as usize] = o.per_queue[q.0 as usize];
+        }
+    }
 
     // Machine-wide counters: non-owners contribute zero, so sums equal
-    // the serial engine's whole-machine totals.
+    // a one-lane run's whole-machine totals.
     let mut mem_stats = hp_mem::system::CoreMemStats::default();
     let mut fastpath = hp_mem::system::FastPathStats::default();
     let mut injected = FaultCounters::default();
@@ -529,7 +501,7 @@ fn merge(
     }
     // Device counters: each group's device is mutated only by its owning
     // lane, so summing the per-lane owned aggregates reassembles the
-    // serial totals.
+    // one-lane totals.
     let mut device: Option<crate::result::DeviceStats> = None;
     for o in &outs {
         if let Some(d) = &o.device {

@@ -696,3 +696,43 @@ fn fault_plan_parse_is_total_and_sound() {
         "{accepted} / {rejected}"
     );
 }
+
+/// Configs that `validate()` accepts but whose build cannot succeed — a
+/// partition that leaves a group empty, or monitoring-set conflicts that
+/// use up every spare doorbell — come back from `Engine::try_new` as
+/// typed errors, not panics.
+#[test]
+fn unbuildable_configs_are_errors() {
+    use hyperplane::sdp::config::ConfigError;
+    use hyperplane::sdp::engine::Engine;
+    let mut dispatch = ExperimentConfig::new(
+        WorkloadKind::RequestDispatch,
+        TrafficShape::ProportionallyConcentrated,
+        1024,
+    )
+    .with_notifier(Notifier::hyperplane())
+    .with_cores(4, 4);
+    dispatch.target_completions = 100;
+    let mut fb = ExperimentConfig::new(WorkloadKind::PacketEncap, TrafficShape::FullyBalanced, 4)
+        .with_cores(4, 1);
+    fb.imbalance = 0.99;
+    let mut nc = ExperimentConfig::new(
+        WorkloadKind::PacketEncap,
+        TrafficShape::NonproportionallyConcentrated,
+        8,
+    )
+    .with_cores(4, 1);
+    nc.imbalance = 0.9;
+    for (label, cfg, want) in [
+        (
+            "dispatch-pc1024",
+            dispatch,
+            ConfigError::SpareDoorbellsExhausted { queues: 1024 },
+        ),
+        ("fb4-imbalanced", fb, ConfigError::EmptyGroup { group: 3 }),
+        ("nc8-imbalanced", nc, ConfigError::EmptyGroup { group: 3 }),
+    ] {
+        assert!(cfg.validate().is_ok(), "{label}: validate() should accept");
+        assert_eq!(Engine::try_new(cfg).err(), Some(want), "{label}");
+    }
+}
