@@ -15,6 +15,7 @@ use hp_sdp::config::{ExperimentConfig, Notifier};
 use hp_sdp::power::PowerModel;
 use hp_sdp::runner;
 use hp_sdp::telemetry::SmtCoRunner;
+use hp_sdp::Engine;
 use hp_traffic::shape::TrafficShape;
 use hp_workloads::service::WorkloadKind;
 
@@ -66,7 +67,10 @@ fn config(a: cli::Args) -> Result<(ExperimentConfig, f64), CliError> {
     )
     .with_notifier(notifier.unwrap_or(Notifier::hyperplane()))
     .with_cores(cores, cluster);
-    cfg.validate().map_err(|e| CliError(e.to_string()))?;
+    // A trial build, not just `validate()`: the build itself refuses some
+    // configs (an empty sharing group, exhausted spare doorbells), and
+    // those must exit 2 here rather than panic mid-report.
+    Engine::try_new(cfg.clone()).map_err(|e| CliError(e.to_string()))?;
     Ok((cfg, load_pct))
 }
 

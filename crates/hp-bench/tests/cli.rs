@@ -79,6 +79,25 @@ fn binary_specific_values_are_checked_before_running() {
         ("inspect", &["--load", "0"]),
         ("inspect", &["--load", "101"]),
         ("inspect", &["--cores", "3", "--cluster", "2"]),
+        // Passes `validate()`, but the build runs out of spare doorbells.
+        (
+            "inspect",
+            &[
+                "--quick",
+                "--workload",
+                "dispatch",
+                "--shape",
+                "pc",
+                "--queues",
+                "1024",
+                "--notifier",
+                "hyperplane",
+                "--cores",
+                "4",
+                "--cluster",
+                "4",
+            ],
+        ),
         ("scale", &["--queues", "1024,x"]),
         ("attrib-diff", &["a.json"]),
         ("attrib-diff", &["a.json", "b.json", "c.json"]),

@@ -427,6 +427,9 @@ pub struct BankedMonitoringSet {
 }
 
 impl BankedMonitoringSet {
+    /// The largest bank count a set may be built with.
+    pub const MAX_BANKS: usize = 256;
+
     /// Creates `banks` line-interleaved banks sharing `entries` total
     /// capacity.
     ///
@@ -461,8 +464,9 @@ impl BankedMonitoringSet {
         addressing: BankAddressing,
     ) -> Self {
         assert!(
-            (1..=256).contains(&banks),
-            "bank count must be in 1..=256, got {banks}"
+            (1..=Self::MAX_BANKS).contains(&banks),
+            "bank count must be in 1..={}, got {banks}",
+            Self::MAX_BANKS
         );
         BankedMonitoringSet {
             banks: (0..banks)

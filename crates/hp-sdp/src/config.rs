@@ -1,6 +1,7 @@
 //! Experiment configuration: the Table I machine and the knobs every
 //! evaluation figure sweeps.
 
+use hp_core::monitoring::{BankedMonitoringSet, MonitoringSet};
 use hp_core::qwait::HyperPlaneConfig;
 use hp_mem::system::MemSystemConfig;
 use hp_sim::chaos::{ChaosError, ChaosSchedule};
@@ -104,6 +105,15 @@ pub enum ConfigError {
         /// Requested queues.
         queues: u32,
     },
+    /// A HyperPlane run's monitoring set cannot be built: the bank count
+    /// is outside `1..=256`, or a bank would hold fewer entries than its
+    /// Cuckoo ways.
+    BadMonitoringSet {
+        /// Total monitoring-set entries.
+        entries: usize,
+        /// Monitoring banks.
+        banks: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -154,6 +164,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::SpareDoorbellsExhausted { queues } => write!(
                 f,
                 "monitoring-set conflicts exhausted the spare doorbell addresses for {queues} queues"
+            ),
+            ConfigError::BadMonitoringSet { entries, banks } => write!(
+                f,
+                "a monitoring set of {entries} entries cannot be split into {banks} banks"
             ),
         }
     }
@@ -633,6 +647,14 @@ impl ExperimentConfig {
         if self.batch < 1 {
             return Err(ConfigError::ZeroBatch);
         }
+        if matches!(self.notifier, Notifier::HyperPlane { .. }) {
+            let (entries, banks) = (self.hp.monitoring_entries, self.hp.monitoring_banks);
+            if !(1..=BankedMonitoringSet::MAX_BANKS).contains(&banks)
+                || entries / banks < MonitoringSet::DEFAULT_WAYS
+            {
+                return Err(ConfigError::BadMonitoringSet { entries, banks });
+            }
+        }
         if self.queues as usize > self.hp.ready_qids {
             return Err(ConfigError::ReadySetOverflow {
                 queues: self.queues,
@@ -761,6 +783,26 @@ mod tests {
                 ready_qids: 1024
             })
         );
+    }
+
+    #[test]
+    fn unbuildable_monitoring_set_is_refused_for_hyperplane_only() {
+        let mut c =
+            ExperimentConfig::new(WorkloadKind::PacketEncap, TrafficShape::FullyBalanced, 64)
+                .with_notifier(Notifier::hyperplane());
+        for (entries, banks) in [(1024, 0), (1024, 257), (1024, 512), (12, 4)] {
+            c.hp.monitoring_entries = entries;
+            c.hp.monitoring_banks = banks;
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::BadMonitoringSet { entries, banks })
+            );
+        }
+        c.hp.monitoring_entries = 16;
+        c.validate().unwrap();
+        // Spinning never builds a device, so its `hp` settings are inert.
+        c.hp.monitoring_banks = 0;
+        c.with_notifier(Notifier::Spinning).validate().unwrap();
     }
 
     #[test]

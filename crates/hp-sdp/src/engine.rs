@@ -237,24 +237,24 @@ impl FlowStimulus {
 }
 
 /// Bank-aware spare-doorbell selection (Algorithm 1 with the DESIGN.md
-/// §17 homing rule). Preference order: (1) a previously deferred spare
-/// already known to home to `want`; (2) fresh draws from `cursor`,
-/// deferring each other-bank draw into its home bank's pool; (3) once the
-/// range is exhausted, spill across banks from the lowest-numbered
-/// non-empty pool. Returns `None` only when every spare is consumed.
+/// §17 homing rule), shared by build-time conflict reallocation and churn.
+/// Preference order: (1) a previously deferred spare already known to
+/// home to `want`; (2) fresh draws from `fresh` (which advances the
+/// caller's cursor over its spare range and returns `None` once it is
+/// used up), deferring each other-bank draw into its home bank's pool;
+/// (3) once the range is exhausted, spill across banks from the
+/// lowest-numbered non-empty pool. Returns `None` only when every spare
+/// is consumed.
 fn take_spare(
     want: usize,
     pool: &mut [std::collections::VecDeque<u64>],
-    cursor: &mut u64,
-    total: u64,
+    mut fresh: impl FnMut() -> Option<u64>,
     bank_of: impl Fn(u64) -> usize,
 ) -> Option<u64> {
     if let Some(i) = pool[want].pop_front() {
         return Some(i);
     }
-    while *cursor < total {
-        let i = *cursor;
-        *cursor += 1;
+    while let Some(i) = fresh() {
         let b = bank_of(i);
         if b == want {
             return Some(i);
@@ -262,6 +262,40 @@ fn take_spare(
         pool[b].push_back(i);
     }
     pool.iter_mut().find_map(|p| p.pop_front())
+}
+
+/// The set-aware memo eligibility map (DESIGN.md §12), indexed by qid:
+/// per sharing group, count how many of the group's poll lines (doorbell
+/// and descriptor per queue) land in each L1 set; a queue is eligible iff
+/// both of its lines map to sets whose pressure fits within the
+/// associativity. Such lines, once loaded, survive a full sweep lap (the
+/// sweep itself cannot evict them), so the memo pays off even when the
+/// aggregate poll set dwarfs the L1 — the class the plain hint-residency
+/// gate never seals. Pure geometry (final doorbell addresses and cache
+/// config), so the map is deterministic; both gate outcomes issue
+/// identical simulated loads (shadow-check).
+fn memo_eligibility(
+    mem: &MemSystem,
+    queues_of_group: &[Vec<QueueId>],
+    qrows: &[QRow],
+) -> Vec<bool> {
+    let ways = mem.l1_ways() as u32;
+    let mut eligible = vec![false; qrows.len()];
+    let mut pressure = vec![0u32; mem.l1_sets()];
+    for group_queues in queues_of_group {
+        pressure.fill(0);
+        for &q in group_queues {
+            let row = &qrows[q.0 as usize];
+            pressure[mem.l1_set_index(row.doorbell)] += 1;
+            pressure[mem.l1_set_index(row.descriptor)] += 1;
+        }
+        for &q in group_queues {
+            let row = &qrows[q.0 as usize];
+            eligible[q.0 as usize] = pressure[mem.l1_set_index(row.doorbell)] <= ways
+                && pressure[mem.l1_set_index(row.descriptor)] <= ways;
+        }
+    }
+    eligible
 }
 
 /// Per-queue hot row: every per-qid scalar the engine touches on an
@@ -388,7 +422,8 @@ pub struct Engine {
     /// Per-queue memo of the spin-poll doorbell + descriptor load pair
     /// (DESIGN.md §12). Replays in O(1) while the issuing core's L1 copy
     /// of both lines is undisturbed; any producer doorbell write bumps
-    /// the core's disturb epoch and forces a re-record.
+    /// the core's disturb epoch and forces a re-record. Like `memo_ready`
+    /// and `memo_eligible`, empty unless the notifier is spinning.
     poll_memos: Vec<SeqMemo>,
     /// Packed ready bits over `poll_memos` (bit `q` set ⟺ the memo is
     /// sealed and worth attempting to replay). Large sweeps (sq500) never
@@ -403,16 +438,11 @@ pub struct Engine {
     /// sweep itself can never evict them, and a memo is worth recording
     /// even when the line is not resident right now (first touch, or a
     /// transient eviction by buffer streaming). Geometry-only and thus
-    /// deterministic; recomputed on churn re-homing.
+    /// deterministic. Built once, and only for [`Notifier::Spinning`]:
+    /// only `spin_step` reads it, and doorbells move (conflict spares,
+    /// churn) only when HyperPlane devices exist, so a spinning run's
+    /// map never goes stale.
     memo_eligible: Vec<bool>,
-    /// Persistent per-group L1 set-pressure counts backing the memo
-    /// eligibility map (group → set → poll lines homed there). Built by
-    /// the full recompute, updated in O(1) on churn re-homing.
-    l1_pressure: Vec<Vec<u32>>,
-    /// Inverse index: per group and L1 set, the QIDs with a poll line in
-    /// that set (a queue appears once per line). Lets a churn re-home
-    /// re-evaluate only the two affected sets' queues.
-    l1_set_queues: Vec<Vec<Vec<u32>>>,
     warmup_completions: u64,
     measure_start: Option<SimTime>,
     /// Whether the measurement phase is open. Flipped by
@@ -564,6 +594,7 @@ impl Engine {
         // and the consumption order is exactly the historical one.
         let mut devices = Vec::new();
         let mut next_spare = 0u64;
+        let spares = QueueLayout::spare_doorbells(cfg.queues);
         let build_banks = cfg.hp.monitoring_banks.max(1);
         let mut spare_pool: Vec<std::collections::VecDeque<u64>> =
             vec![std::collections::VecDeque::new(); build_banks];
@@ -579,8 +610,13 @@ impl Engine {
                                 let idx = take_spare(
                                     want,
                                     &mut spare_pool,
-                                    &mut next_spare,
-                                    QueueLayout::spare_doorbells(cfg.queues),
+                                    || {
+                                        let i = next_spare;
+                                        (i < spares).then(|| {
+                                            next_spare += 1;
+                                            i
+                                        })
+                                    },
                                     |i| dev.monitoring_bank_of(layout.spare_doorbell(i).line()),
                                 )
                                 .ok_or(
@@ -712,7 +748,20 @@ impl Engine {
             Auditor::disabled()
         };
 
-        let mut engine = Engine {
+        // Spin-loop state: only `spin_step` reads it, so every other
+        // notifier keeps it empty (a stray read panics on the index).
+        let spinning = matches!(cfg.notifier, Notifier::Spinning);
+        let (poll_memos, memo_ready, memo_eligible) = if spinning {
+            (
+                vec![SeqMemo::default(); n_queues],
+                vec![0; n_queues.div_ceil(64)],
+                memo_eligibility(&mem, &queues_of_group, &qrows),
+            )
+        } else {
+            (Vec::new(), Vec::new(), Vec::new())
+        };
+
+        Ok(Engine {
             mem,
             layout,
             qrows,
@@ -748,11 +797,9 @@ impl Engine {
             drops: 0,
             backlog: 0,
             deq_scratch: Vec::with_capacity(cfg.batch.max(IRQ_NAPI_BUDGET)),
-            poll_memos: vec![SeqMemo::default(); n_queues],
-            memo_ready: vec![0; n_queues.div_ceil(64)],
-            memo_eligible: vec![false; n_queues],
-            l1_pressure: Vec::new(),
-            l1_set_queues: Vec::new(),
+            poll_memos,
+            memo_ready,
+            memo_eligible,
             warmup_completions,
             measure_start: None,
             measuring: false,
@@ -789,97 +836,7 @@ impl Engine {
             warmup_span: None,
             measure_span: None,
             cfg,
-        };
-        engine.recompute_memo_eligibility();
-        Ok(engine)
-    }
-
-    /// Recomputes the set-aware memo eligibility map (DESIGN.md §12): per
-    /// sharing group, count how many of the group's poll lines (doorbell
-    /// and descriptor per queue) land in each L1 set; a queue is eligible
-    /// iff both of its lines map to sets whose pressure fits within the
-    /// associativity. Such lines, once loaded, survive a full sweep lap
-    /// (the sweep itself cannot evict them), so the memo pays off even
-    /// when the aggregate poll set dwarfs the L1 — the class the plain
-    /// hint-residency gate never seals. Pure geometry (final doorbell
-    /// addresses and cache config), so the map is deterministic; both
-    /// gate outcomes issue identical simulated loads (shadow-check).
-    fn recompute_memo_eligibility(&mut self) {
-        let Self {
-            mem,
-            queues_of_group,
-            qrows,
-            memo_eligible,
-            l1_pressure,
-            l1_set_queues,
-            ..
-        } = self;
-        let sets = mem.l1_sets();
-        let ways = mem.l1_ways() as u32;
-        *l1_pressure = vec![vec![0u32; sets]; queues_of_group.len()];
-        *l1_set_queues = vec![vec![Vec::new(); sets]; queues_of_group.len()];
-        for (g, group_queues) in queues_of_group.iter().enumerate() {
-            for &q in group_queues {
-                let row = &qrows[q.0 as usize];
-                let ds = mem.l1_set_index(row.doorbell);
-                let cs = mem.l1_set_index(row.descriptor);
-                l1_pressure[g][ds] += 1;
-                l1_pressure[g][cs] += 1;
-                l1_set_queues[g][ds].push(q.0);
-                l1_set_queues[g][cs].push(q.0);
-            }
-            for &q in group_queues {
-                let row = &qrows[q.0 as usize];
-                memo_eligible[q.0 as usize] = l1_pressure[g][mem.l1_set_index(row.doorbell)]
-                    <= ways
-                    && l1_pressure[g][mem.l1_set_index(row.descriptor)] <= ways;
-            }
-        }
-    }
-
-    /// Incremental form of [`Self::recompute_memo_eligibility`] for a
-    /// churn re-home of queue `qi` whose doorbell moved off `old_db`:
-    /// only the two affected L1 sets' pressure changes, so only queues
-    /// with a poll line in those sets can flip eligibility. Exactly
-    /// equivalent to the full recompute (asserted in debug builds) but
-    /// O(set bucket) instead of O(N) per churn event — the difference
-    /// between 1024 and 1,000,000 queues (DESIGN.md §17).
-    fn rehome_memo_eligibility(&mut self, qi: usize, old_db: Addr) {
-        let g = self.qrows[qi].group as usize;
-        let a = self.mem.l1_set_index(old_db);
-        let b = self.mem.l1_set_index(self.qrows[qi].doorbell);
-        if a != b {
-            self.l1_pressure[g][a] -= 1;
-            self.l1_pressure[g][b] += 1;
-            let bucket = &mut self.l1_set_queues[g][a];
-            let pos = bucket
-                .iter()
-                .position(|&x| x == qi as u32)
-                .expect("re-homed queue tracked in its old set bucket");
-            // Buckets are membership lists (a queue appears once per poll
-            // line mapping into the set); order is irrelevant.
-            bucket.swap_remove(pos);
-            self.l1_set_queues[g][b].push(qi as u32);
-            let ways = self.mem.l1_ways() as u32;
-            for s in [a, b] {
-                for i in 0..self.l1_set_queues[g][s].len() {
-                    let q = self.l1_set_queues[g][s][i] as usize;
-                    let row = &self.qrows[q];
-                    self.memo_eligible[q] =
-                        self.l1_pressure[g][self.mem.l1_set_index(row.doorbell)] <= ways
-                            && self.l1_pressure[g][self.mem.l1_set_index(row.descriptor)] <= ways;
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        {
-            let before = self.memo_eligible.clone();
-            self.recompute_memo_eligibility();
-            debug_assert_eq!(
-                before, self.memo_eligible,
-                "incremental memo-eligibility update diverged from full recompute"
-            );
-        }
+        })
     }
 
     fn producer_core(&self, q: QueueId) -> CoreId {
@@ -1948,48 +1905,33 @@ impl Engine {
         // conflict resolution; see `take_spare`).
         let spares = QueueLayout::spare_doorbells(self.cfg.queues);
         let groups = self.queues_of_group.len() as u64;
-        let old_db = self.qrows[qi].doorbell;
-        let want = self.devices[g].monitoring_bank_of(old_db.line());
+        let want = self.devices[g].monitoring_bank_of(self.qrows[qi].doorbell.line());
         let mut rehomed = false;
         loop {
-            // Same-bank pool first, then fresh stride draws (deferring
-            // other-bank draws), then cross-bank spill.
-            let idx = if let Some(i) = self.churn_spare_pool[g][want].pop_front() {
-                i
-            } else {
-                let mut fresh = None;
-                loop {
-                    let i = self.spare_base + g as u64 + self.next_spare[g] * groups;
-                    if i >= spares {
-                        break;
-                    }
-                    self.next_spare[g] += 1;
-                    let b =
-                        self.devices[g].monitoring_bank_of(self.layout.spare_doorbell(i).line());
-                    if b == want {
-                        fresh = Some(i);
-                        break;
-                    }
-                    self.churn_spare_pool[g][b].push_back(i);
-                }
-                match fresh.or_else(|| {
-                    self.churn_spare_pool[g]
-                        .iter_mut()
-                        .find_map(|p| p.pop_front())
-                }) {
-                    Some(i) => i,
-                    None => break,
-                }
+            let (next, base) = (&mut self.next_spare[g], self.spare_base + g as u64);
+            let (dev, layout) = (&self.devices[g], &self.layout);
+            let Some(idx) = take_spare(
+                want,
+                &mut self.churn_spare_pool[g],
+                || {
+                    let i = base + *next * groups;
+                    (i < spares).then(|| {
+                        *next += 1;
+                        i
+                    })
+                },
+                |i| dev.monitoring_bank_of(layout.spare_doorbell(i).line()),
+            ) else {
+                break;
             };
             let addr = self.layout.spare_doorbell(idx);
             match self.devices[g].qwait_add(q, addr.line()) {
                 Ok(()) => {
+                    // Churn needs HyperPlane devices, and only the spin
+                    // loop reads the state that caches a doorbell (poll
+                    // memos, load hints, memo eligibility), so none of it
+                    // needs a refresh here.
                     self.qrows[qi].doorbell = addr;
-                    // The poll memo and directory hint cache the old
-                    // line; drop both so nothing replays a stale address.
-                    self.qrows[qi].db_hint = LoadHint::default();
-                    self.poll_memos[qi] = SeqMemo::default();
-                    self.memo_ready[qi / 64] &= !(1u64 << (qi % 64));
                     rehomed = true;
                     break;
                 }
@@ -1999,11 +1941,6 @@ impl Engine {
         }
         if !rehomed {
             let _ = self.devices[g].qwait_add(q, self.qrows[qi].doorbell.line());
-        } else {
-            // The doorbell moved to a different line, so the per-set poll
-            // pressure shifted; refresh the set-aware memo eligibility for
-            // the two affected L1 sets only.
-            self.rehome_memo_eligibility(qi, old_db);
         }
         self.note(now, TraceKind::FaultEvicted { queue: q.0 });
         // Driver-side migration sync: backlog enqueued before the move
@@ -2786,5 +2723,55 @@ mod tests {
             sw.throughput_tps,
             hw.throughput_tps
         );
+    }
+
+    #[test]
+    fn memo_eligibility_matches_naive_recount_and_is_spinning_only() {
+        // Two sharing groups of 160 queues: each group puts 4 poll lines
+        // in some L1 sets and 6 in others, straddling the 4-way
+        // associativity, so the map holds both outcomes.
+        const QUEUES: u32 = 320;
+        let cfg = ExperimentConfig::new(
+            WorkloadKind::PacketEncap,
+            TrafficShape::FullyBalanced,
+            QUEUES,
+        )
+        .with_cores(2, 1);
+        let e = Engine::try_new(cfg).expect("valid spinning config");
+        let (mem, layout) = (&e.mem, &e.layout);
+        let lines = |q: u32| {
+            let q = QueueId(q);
+            [
+                mem.l1_set_index(layout.doorbell(q)),
+                mem.l1_set_index(layout.descriptor(q)),
+            ]
+        };
+        let naive: Vec<bool> = (0..QUEUES)
+            .map(|q| {
+                let group = e.qrows[q as usize].group;
+                lines(q).iter().all(|&set| {
+                    let pressure = (0..QUEUES)
+                        .filter(|&p| e.qrows[p as usize].group == group)
+                        .flat_map(lines)
+                        .filter(|&s| s == set)
+                        .count();
+                    pressure <= mem.l1_ways()
+                })
+            })
+            .collect();
+        assert_eq!(e.memo_eligible, naive);
+        assert!(naive.contains(&true) && naive.contains(&false));
+
+        // HyperPlane runs never read spin-loop state (and churn moves
+        // doorbells), so none is built.
+        let hp = ExperimentConfig::new(
+            WorkloadKind::PacketEncap,
+            TrafficShape::FullyBalanced,
+            QUEUES,
+        )
+        .with_notifier(Notifier::hyperplane())
+        .with_chaos(hp_sim::chaos::ChaosSchedule::none().with_churn(10_000));
+        let e = Engine::try_new(hp).expect("valid HyperPlane config");
+        assert!(e.memo_eligible.is_empty() && e.poll_memos.is_empty() && e.memo_ready.is_empty());
     }
 }

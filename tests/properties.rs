@@ -736,3 +736,84 @@ fn unbuildable_configs_are_errors() {
         assert_eq!(Engine::try_new(cfg).err(), Some(want), "{label}");
     }
 }
+
+/// `Engine::try_new` is total over configurations: every random config
+/// (notifier, shape, workload, queue count, cores and cluster, imbalance,
+/// chaos bursts and churn, audit, monitoring banks) builds or comes back
+/// as a typed `ConfigError` — it never panics.
+#[test]
+fn random_configs_build_or_are_typed_errors() {
+    use hyperplane::device::monitoring::BankAddressing;
+    use hyperplane::sdp::engine::Engine;
+    use hyperplane::sim::chaos::ChaosSchedule;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    const NOTIFIERS: [Notifier; 5] = [
+        Notifier::Spinning,
+        Notifier::Interrupt,
+        Notifier::hyperplane(),
+        Notifier::hyperplane_power_opt(),
+        Notifier::HyperPlane {
+            power_optimized: false,
+            software_ready_set: true,
+        },
+    ];
+    const SHAPES: [TrafficShape; 4] = [
+        TrafficShape::FullyBalanced,
+        TrafficShape::ProportionallyConcentrated,
+        TrafficShape::NonproportionallyConcentrated,
+        TrafficShape::SingleQueue,
+    ];
+    const IMBALANCES: [f64; 8] = [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0, -0.1];
+    let mut rng = SmallRng::seed_from_u64(0xC0F1_6F22);
+    let (mut built, mut refused) = (0, 0);
+    for case in 0..1500 {
+        let queues = match rng.random_range(0..4u8) {
+            0 => rng.random_range(0..17u32),
+            _ => rng.random_range(0..2049u32),
+        };
+        // Mostly buildable core splits (a cluster dividing the DP cores),
+        // plus the invalid ones `validate` must catch.
+        let dp_cores = rng.random_range(0..17usize);
+        let cluster = if dp_cores > 0 && rng.random_bool(0.75) {
+            let divisors: Vec<usize> = (1..=dp_cores).filter(|d| dp_cores % d == 0).collect();
+            divisors[rng.random_range(0..divisors.len())]
+        } else {
+            rng.random_range(0..dp_cores + 2)
+        };
+        let mut cfg = ExperimentConfig::new(
+            WorkloadKind::ALL[rng.random_range(0..WorkloadKind::ALL.len())],
+            SHAPES[rng.random_range(0..SHAPES.len())],
+            queues,
+        )
+        .with_notifier(NOTIFIERS[rng.random_range(0..NOTIFIERS.len())])
+        .with_cores(dp_cores, cluster);
+        if rng.random_bool(0.5) {
+            cfg.imbalance = IMBALANCES[rng.random_range(0..IMBALANCES.len())];
+        }
+        let mut chaos = ChaosSchedule::none();
+        if rng.random_bool(0.3) {
+            let period = rng.random_range(0..100_000u64);
+            chaos = chaos.with_burst(period, rng.random_range(0..period + 2), 2.0);
+        }
+        if rng.random_bool(0.5) {
+            chaos = chaos.with_churn(rng.random_range(0..200_000u64));
+        }
+        cfg.chaos = chaos;
+        cfg.audit = rng.random_bool(0.5);
+        if rng.random_bool(0.5) {
+            cfg.hp.monitoring_banks = rng.random_range(0..9usize);
+            if rng.random_bool(0.5) {
+                cfg.hp.monitoring_addressing = BankAddressing::Hashed;
+            }
+        }
+        match catch_unwind(AssertUnwindSafe(|| Engine::try_new(cfg.clone()).err())) {
+            Ok(None) => built += 1,
+            Ok(Some(_)) => refused += 1,
+            Err(_) => panic!("case {case}: Engine::try_new panicked on {cfg:?}"),
+        }
+    }
+    assert!(
+        built > 300 && refused > 300,
+        "{built} built / {refused} refused"
+    );
+}
