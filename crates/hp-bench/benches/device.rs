@@ -45,7 +45,7 @@ fn bench_monitoring_set(c: &mut Criterion) {
     for ways in [2usize, 4, 8] {
         g.bench_with_input(BenchmarkId::from_parameter(ways), &ways, |b, &ways| {
             b.iter(|| {
-                let mut ms = MonitoringSet::with_ways(1100, ways);
+                let mut ms = MonitoringSet::with_shape(1100, 1, ways);
                 let mut placed = 0u32;
                 for q in 0..1000u32 {
                     if ms

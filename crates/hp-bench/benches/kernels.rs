@@ -11,7 +11,7 @@
 
 use hp_bench::microbench::Criterion;
 use hp_bench::{criterion_group, criterion_main};
-use hp_core::monitoring::{BankedMonitoringSet, MonitoringSet};
+use hp_core::monitoring::MonitoringSet;
 use hp_core::ready_set::{PpaKind, ReadySet, ServicePolicy};
 use hp_mem::system::{MemSystem, MemSystemConfig};
 use hp_mem::types::{AccessKind, Addr, CoreId, LineAddr};
@@ -297,11 +297,7 @@ fn bench_monitoring_shard_probe(c: &mut Criterion) {
     // the monolithic table the paper sizes for 1024 QIDs.
     let n: usize = 1 << 20;
     let mk = |banks: usize| {
-        let mut ms = if banks > 1 {
-            BankedMonitoringSet::sharded(n + n / 8, banks, MonitoringSet::DEFAULT_WAYS)
-        } else {
-            BankedMonitoringSet::new(n + n / 8, 1)
-        };
+        let mut ms = MonitoringSet::with_shape(n + n / 8, banks, MonitoringSet::DEFAULT_WAYS);
         ms.reserve_qids(n);
         for q in 0..n as u32 {
             let _ = ms.insert(QueueId(q), LineAddr(0x1000 + q as u64));

@@ -3,7 +3,7 @@
 
 use hp_bench::microbench::{BenchmarkId, Criterion};
 use hp_bench::{criterion_group, criterion_main};
-use hp_core::monitoring::BankedMonitoringSet;
+use hp_core::monitoring::MonitoringSet;
 use hp_mem::types::LineAddr;
 use hp_queues::sim::QueueId;
 use hp_rand::Rng;
@@ -65,16 +65,19 @@ fn bench_stats(c: &mut Criterion) {
 
 fn bench_banked_monitoring(c: &mut Criterion) {
     let mut g = c.benchmark_group("banked_monitoring_snoop");
+    // 768 of 1024 entries: hash routing loads banks unevenly, and at 8
+    // banks of 128 entries a 900-QID load overflows the fullest one.
+    const QIDS: u32 = 768;
     for banks in [1usize, 4, 8] {
-        let mut ms = BankedMonitoringSet::new(1024, banks);
-        for q in 0..900u32 {
+        let mut ms = MonitoringSet::with_shape(1024, banks, MonitoringSet::DEFAULT_WAYS);
+        for q in 0..QIDS {
             ms.insert(QueueId(q), LineAddr(0x1_0000 + q as u64))
                 .expect("fits");
         }
         g.bench_with_input(BenchmarkId::from_parameter(banks), &banks, |b, _| {
             let mut q = 0u32;
             b.iter(|| {
-                let line = LineAddr(0x1_0000 + (q % 900) as u64);
+                let line = LineAddr(0x1_0000 + (q % QIDS) as u64);
                 if let Some(qid) = ms.snoop(black_box(line)) {
                     ms.arm(qid);
                 }

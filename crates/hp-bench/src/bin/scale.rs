@@ -28,8 +28,8 @@
 //!
 //! The conservation auditor rides along at every point, and the device
 //! counters (insert conflicts, relocation walks, snoop filter hits,
-//! `by_qid` spill resizes) are reported so shard sizing regressions are
-//! attributable.
+//! QID→doorbell map spill resizes) are reported so shard sizing
+//! regressions are attributable.
 //!
 //! Flags: `--quick` (thin the sweep), `--csv`, `--json`,
 //! `--par-workers N` (intra-run lanes), `--queues A,B,...` (explicit
@@ -160,7 +160,7 @@ fn main() {
         if dev.monitoring.spill_resizes != 0 {
             failures += 1;
             eprintln!(
-                "SPILL RESIZE at {q} queues: by_qid was not pre-sized ({} growths)",
+                "SPILL RESIZE at {q} queues: the QID->doorbell map was not pre-sized ({} growths)",
                 dev.monitoring.spill_resizes
             );
         }

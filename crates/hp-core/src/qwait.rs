@@ -12,7 +12,7 @@
 //! §III-A) hold by construction: no arrival can interleave between the
 //! emptiness check and the re-arm within one call.
 
-use crate::monitoring::{BankAddressing, BankedMonitoringSet, InsertConflict, MonitoringSet};
+use crate::monitoring::{InsertConflict, MonitoringSet};
 use crate::ready_set::{PpaKind, ReadySet, ReadySetStats, ServicePolicy};
 use hp_mem::types::{AddrRange, LineAddr};
 use hp_queues::sim::QueueId;
@@ -49,13 +49,9 @@ pub struct HyperPlaneConfig {
     /// 5–10 % relative to the supported doorbell count).
     pub monitoring_entries: usize,
     /// Monitoring-set banks (§IV-A: banked alongside distributed
-    /// directory banks; 1 = the unified set of Table I).
+    /// directory banks; 1 = the unified set of Table I). Doorbell lines
+    /// home to banks by line hash ([`MonitoringSet::bank_of_line`]).
     pub monitoring_banks: usize,
-    /// How doorbell lines are routed to monitoring banks.
-    /// [`BankAddressing::Interleaved`] is the directory-bank layout of
-    /// §IV-A; [`BankAddressing::Hashed`] is the scale-out sharding
-    /// (DESIGN.md §17) that stays balanced under strided doorbells.
-    pub monitoring_addressing: BankAddressing,
     /// Ready-set size in QIDs (Table I: 1024).
     pub ready_qids: usize,
     /// Service policy.
@@ -78,7 +74,6 @@ impl HyperPlaneConfig {
         HyperPlaneConfig {
             monitoring_entries: 1024,
             monitoring_banks: 1,
-            monitoring_addressing: BankAddressing::Interleaved,
             ready_qids: 1024,
             policy: ServicePolicy::RoundRobin,
             ppa: PpaKind::BrentKung,
@@ -98,11 +93,10 @@ impl HyperPlaneConfig {
         let banks = queues
             .div_ceil(Self::QIDS_PER_SHARD)
             .next_power_of_two()
-            .clamp(1, 256);
+            .min(MonitoringSet::MAX_BANKS);
         HyperPlaneConfig {
             monitoring_entries: queues + queues / 8,
             monitoring_banks: banks,
-            monitoring_addressing: BankAddressing::Hashed,
             ready_qids: queues,
             ..Self::table1()
         }
@@ -174,7 +168,7 @@ pub enum RearmAction {
 /// ```
 #[derive(Debug)]
 pub struct HyperPlaneDevice {
-    monitoring: BankedMonitoringSet,
+    monitoring: MonitoringSet,
     ready: ReadySet,
     snoop_range: AddrRange,
     timing: DeviceTiming,
@@ -185,18 +179,13 @@ impl HyperPlaneDevice {
     /// Creates a device snooping `doorbell_range`, with `QWAIT_init`
     /// semantics (address range + service policy).
     pub fn new(config: HyperPlaneConfig, doorbell_range: AddrRange) -> Self {
-        let mut monitoring = match config.monitoring_addressing {
-            BankAddressing::Interleaved => {
-                BankedMonitoringSet::new(config.monitoring_entries, config.monitoring_banks)
-            }
-            BankAddressing::Hashed => BankedMonitoringSet::sharded(
-                config.monitoring_entries,
-                config.monitoring_banks,
-                MonitoringSet::DEFAULT_WAYS,
-            ),
-        };
-        // Pre-size the reverse indexes for the configured QID space so the
-        // steady state never pays a spill-resize (ISSUE 9 satellite).
+        let mut monitoring = MonitoringSet::with_shape(
+            config.monitoring_entries,
+            config.monitoring_banks,
+            MonitoringSet::DEFAULT_WAYS,
+        );
+        // Pre-size the QID→doorbell map for the configured QID space so
+        // the steady state never pays a spill-resize.
         monitoring.reserve_qids(config.ready_qids);
         HyperPlaneDevice {
             monitoring,
@@ -517,7 +506,6 @@ mod tests {
             let c = HyperPlaneConfig::scaled(q);
             assert_eq!(c.monitoring_entries, 1024);
             assert_eq!(c.monitoring_banks, 1);
-            assert_eq!(c.monitoring_addressing, BankAddressing::Interleaved);
             assert_eq!(c.ready_qids, 1024);
         }
     }
@@ -528,16 +516,14 @@ mod tests {
         assert_eq!(c.ready_qids, 65_536);
         assert_eq!(c.monitoring_entries, 65_536 + 65_536 / 8);
         assert_eq!(c.monitoring_banks, 2);
-        assert_eq!(c.monitoring_addressing, BankAddressing::Hashed);
 
         let c = HyperPlaneConfig::scaled(1_048_576);
         assert_eq!(c.monitoring_banks, 32);
         assert_eq!(c.ready_qids, 1_048_576);
 
-        // Just above the ceiling still gets one hashed bank.
+        // Just above the ceiling still gets one bank.
         let c = HyperPlaneConfig::scaled(2000);
         assert_eq!(c.monitoring_banks, 1);
-        assert_eq!(c.monitoring_addressing, BankAddressing::Hashed);
     }
 
     #[test]

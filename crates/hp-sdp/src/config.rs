@@ -1,7 +1,7 @@
 //! Experiment configuration: the Table I machine and the knobs every
 //! evaluation figure sweeps.
 
-use hp_core::monitoring::{BankedMonitoringSet, MonitoringSet};
+use hp_core::monitoring::MonitoringSet;
 use hp_core::qwait::HyperPlaneConfig;
 use hp_mem::system::MemSystemConfig;
 use hp_sim::chaos::{ChaosError, ChaosSchedule};
@@ -649,9 +649,7 @@ impl ExperimentConfig {
         }
         if matches!(self.notifier, Notifier::HyperPlane { .. }) {
             let (entries, banks) = (self.hp.monitoring_entries, self.hp.monitoring_banks);
-            if !(1..=BankedMonitoringSet::MAX_BANKS).contains(&banks)
-                || entries / banks < MonitoringSet::DEFAULT_WAYS
-            {
+            if !MonitoringSet::is_buildable(entries, banks, MonitoringSet::DEFAULT_WAYS) {
                 return Err(ConfigError::BadMonitoringSet { entries, banks });
             }
         }

@@ -17,51 +17,84 @@ use hyperplane::workloads::raid::PqRaid;
 use hyperplane::workloads::reed_solomon::ReedSolomon;
 use std::collections::{HashMap, HashSet};
 
-/// The Cuckoo monitoring set behaves exactly like a map from line to
-/// (qid, armed) under any operation sequence that fits.
+/// The Cuckoo monitoring set behaves exactly like a map from QID to
+/// (line, armed) under any operation sequence: failed inserts leave no
+/// trace. Besides the light one-bank table, near-full tables at one and
+/// eight banks run enough inserts that walks relocate entries and
+/// overflowing walks roll back.
 #[test]
 fn monitoring_set_matches_model() {
+    use hyperplane::mem::types::LineAddr;
+    use std::collections::hash_map::Entry::Vacant;
     let mut rng = SmallRng::seed_from_u64(0xA11C_E501);
-    for case in 0..200 {
-        let mut ms = MonitoringSet::new(256);
-        let mut model: HashMap<u32, bool> = HashMap::new(); // qid -> armed
-        let n_ops = rng.random_range(1..200usize);
-        for _ in 0..n_ops {
-            let q = rng.random_range(0..64u32);
-            let op = rng.random_range(0..4u8);
-            let line = hyperplane::mem::types::LineAddr(1000 + q as u64);
-            match op {
-                0 => {
-                    // insert if absent
-                    if !model.contains_key(&q) && ms.insert(QueueId(q), line).is_ok() {
-                        model.insert(q, true);
+    // (entries, banks, qids, max ops, cases, loaded)
+    let shapes = [
+        (256, 1, 64u32, 200usize, 200, false),
+        (256, 1, 384, 1500, 12, true),
+        (2048, 8, 3072, 12_000, 4, true),
+    ];
+    for (entries, banks, qids, max_ops, cases, loaded) in shapes {
+        let (mut conflicts, mut relocations) = (0, 0);
+        for case in 0..cases {
+            let mut ms = MonitoringSet::with_shape(entries, banks, MonitoringSet::DEFAULT_WAYS);
+            let mut model: HashMap<u32, bool> = HashMap::new(); // qid -> armed
+            for _ in 0..rng.random_range(1..max_ops) {
+                let q = rng.random_range(0..qids);
+                let line = LineAddr(1000 + q as u64);
+                let ctx = format!("{entries}x{banks} case {case}: q{q}");
+                match rng.random_range(0..7u8) {
+                    0..=2 => {
+                        // insert if absent
+                        if let Vacant(slot) = model.entry(q) {
+                            match ms.insert(QueueId(q), line) {
+                                Ok(()) => {
+                                    slot.insert(true);
+                                }
+                                Err(c) => assert_eq!(c.qid, QueueId(q), "{ctx}"),
+                            }
+                        }
                     }
-                }
-                1 => {
-                    // snoop
-                    let expect = model.get(&q).copied() == Some(true);
-                    let got = ms.snoop(line).is_some();
-                    assert_eq!(got, expect, "case {case}: snoop mismatch for q{q}");
-                    if expect {
-                        model.insert(q, false);
+                    3 => {
+                        let expect = model.get(&q).copied() == Some(true);
+                        assert_eq!(ms.snoop(line).is_some(), expect, "{ctx}: snoop");
+                        if expect {
+                            model.insert(q, false);
+                        }
                     }
-                }
-                2 => {
-                    // arm
-                    let present = model.contains_key(&q);
-                    assert_eq!(ms.arm(QueueId(q)), present);
-                    if present {
-                        model.insert(q, true);
+                    4 => {
+                        let armed = rng.random_bool(0.5);
+                        let present = model.contains_key(&q);
+                        let got = if armed {
+                            ms.arm(QueueId(q))
+                        } else {
+                            ms.disarm(QueueId(q))
+                        };
+                        assert_eq!(got, present, "{ctx}: arm({armed})");
+                        if present {
+                            model.insert(q, armed);
+                        }
                     }
-                }
-                _ => {
-                    // remove
-                    let present = model.remove(&q).is_some();
-                    assert_eq!(ms.remove(QueueId(q)).is_some(), present);
+                    5 => {
+                        let present = model.remove(&q).is_some();
+                        assert_eq!(ms.remove(QueueId(q)).is_some(), present, "{ctx}: remove");
+                    }
+                    _ => {
+                        let armed = model.get(&q).copied();
+                        assert_eq!(ms.is_armed(QueueId(q)), armed == Some(true), "{ctx}");
+                        assert_eq!(ms.line_of(QueueId(q)), armed.map(|_| line), "{ctx}");
+                    }
                 }
             }
+            assert_eq!(ms.occupancy(), model.len());
+            conflicts += ms.stats().conflicts;
+            relocations += ms.stats().relocations;
         }
-        assert_eq!(ms.occupancy(), model.len());
+        if loaded {
+            assert!(
+                conflicts > 0 && relocations > 0,
+                "{entries}x{banks}: {conflicts} conflicts, {relocations} relocations"
+            );
+        }
     }
 }
 
@@ -408,12 +441,11 @@ fn ppa_gate_level_models_match_oracles() {
 /// (Algorithm 1), the sequence both sets must track in lockstep.
 #[test]
 fn sharded_monitoring_set_matches_monolithic_trace() {
-    use hyperplane::device::monitoring::BankedMonitoringSet;
     use hyperplane::mem::types::LineAddr;
     let mut rng = SmallRng::seed_from_u64(0xA11C_E50C);
     for case in 0..60 {
-        let mut mono = BankedMonitoringSet::new(4096, 1);
-        let mut shard = BankedMonitoringSet::sharded(4096, 8, 4);
+        let mut mono = MonitoringSet::new(4096);
+        let mut shard = MonitoringSet::with_shape(4096, 8, 4);
         mono.reserve_qids(256);
         shard.reserve_qids(256);
         // Queue q's doorbell in its current generation: unique per
@@ -743,7 +775,6 @@ fn unbuildable_configs_are_errors() {
 /// as a typed `ConfigError` — it never panics.
 #[test]
 fn random_configs_build_or_are_typed_errors() {
-    use hyperplane::device::monitoring::BankAddressing;
     use hyperplane::sdp::engine::Engine;
     use hyperplane::sim::chaos::ChaosSchedule;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -802,9 +833,6 @@ fn random_configs_build_or_are_typed_errors() {
         cfg.audit = rng.random_bool(0.5);
         if rng.random_bool(0.5) {
             cfg.hp.monitoring_banks = rng.random_range(0..9usize);
-            if rng.random_bool(0.5) {
-                cfg.hp.monitoring_addressing = BankAddressing::Hashed;
-            }
         }
         match catch_unwind(AssertUnwindSafe(|| Engine::try_new(cfg.clone()).err())) {
             Ok(None) => built += 1,
