@@ -176,7 +176,7 @@ fn bench_soa_rows(c: &mut Criterion) {
     let mut g = c.benchmark_group("soa_arrival_touch");
     // Arrival touch: random queue, read the row's poll prefix (doorbell,
     // descriptor, both hints — what one spin_step reads), bump the
-    // backlog mirror (the enqueue-site depth update).
+    // queue depth (the enqueue-site update).
     let n = 500usize;
     g.bench_function("packed_rows", |b| {
         let mut rows = vec![

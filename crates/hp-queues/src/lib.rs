@@ -3,10 +3,10 @@
 //! The queueing substrate of the HyperPlane reproduction, covering both
 //! sides of the model:
 //!
-//! * **Simulated** ([`sim`]): [`sim::SimQueue`] work-item FIFOs with
-//!   doorbell-counter semantics and [`sim::QueueLayout`], which reserves the
-//!   pinned doorbell address range and lays out descriptor lines and buffer
-//!   pools in the simulated physical address space.
+//! * **Simulated** ([`sim`]): the [`sim::QueueId`] and [`sim::WorkItem`]
+//!   the engine's per-queue FIFOs carry, and [`sim::QueueLayout`], which
+//!   reserves the pinned doorbell address range and lays out descriptor
+//!   lines and buffer pools in the simulated physical address space.
 //! * **Real** ([`doorbell`], [`ring`]): a thread-safe semaphore-style
 //!   [`doorbell::Doorbell`] and a Vyukov bounded MPMC [`ring::MpmcRing`] —
 //!   the "lock-free task queues" the paper's SDP uses (§V-A), runnable in
@@ -30,4 +30,4 @@ pub mod sim;
 
 pub use doorbell::Doorbell;
 pub use ring::MpmcRing;
-pub use sim::{QueueId, QueueLayout, SimQueue, WorkItem};
+pub use sim::{QueueId, QueueLayout, WorkItem};

@@ -1,15 +1,14 @@
-//! Simulated I/O queues: work items, per-queue state, and the physical
-//! address layout the memory-system model operates on.
+//! Simulated I/O queues: queue ids, work items, and the physical address
+//! layout the memory-system model operates on.
 //!
-//! A [`SimQueue`] is the discrete-event counterpart of a device- or
-//! tenant-side memory-mapped queue from Fig. 2 of the paper: a FIFO of
-//! [`WorkItem`]s plus the *addresses* of its doorbell and descriptor lines,
-//! which the data-plane engines feed to `hp_mem::MemSystem` to obtain
-//! realistic hit/miss timing.
+//! A device- or tenant-side memory-mapped queue from Fig. 2 of the paper is
+//! a FIFO of [`WorkItem`]s (held by the data-plane engine, one per queue
+//! row) plus the *addresses* of its doorbell and descriptor lines, which
+//! [`QueueLayout`] assigns and the engine feeds to `hp_mem::MemSystem` to
+//! obtain realistic hit/miss timing.
 
 use hp_mem::types::{Addr, AddrRange, LINE_BYTES};
 use hp_sim::time::{Cycles, SimTime};
-use std::collections::VecDeque;
 
 /// Identifier of an I/O queue (the paper's QID).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -30,88 +29,6 @@ pub struct WorkItem {
     pub arrival: SimTime,
     /// Transport-processing service demand, in cycles.
     pub service: Cycles,
-}
-
-/// A simulated FIFO queue with doorbell-counter semantics.
-///
-/// The element counter mirrors the paper's semaphore-style doorbell: it is
-/// incremented on enqueue and decremented on dequeue. The queue itself holds
-/// the items so latency can be measured from true arrival times.
-#[derive(Debug, Clone)]
-pub struct SimQueue {
-    id: QueueId,
-    items: VecDeque<WorkItem>,
-    enqueued_total: u64,
-    dequeued_total: u64,
-    dropped_total: u64,
-    depth_peak: usize,
-}
-
-impl SimQueue {
-    /// Creates an empty queue with the given id.
-    pub fn new(id: QueueId) -> Self {
-        SimQueue {
-            id,
-            items: VecDeque::new(),
-            enqueued_total: 0,
-            dequeued_total: 0,
-            dropped_total: 0,
-            depth_peak: 0,
-        }
-    }
-
-    /// This queue's id.
-    pub fn id(&self) -> QueueId {
-        self.id
-    }
-
-    /// Enqueues an item (producer side; the caller models the doorbell
-    /// store separately).
-    pub fn enqueue(&mut self, item: WorkItem) {
-        self.items.push_back(item);
-        self.enqueued_total += 1;
-        self.depth_peak = self.depth_peak.max(self.items.len());
-    }
-
-    /// Dequeues the item at the head, if any.
-    pub fn dequeue(&mut self) -> Option<WorkItem> {
-        let item = self.items.pop_front();
-        if item.is_some() {
-            self.dequeued_total += 1;
-        }
-        item
-    }
-
-    /// Current element count — what the doorbell counter would read.
-    pub fn depth(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the queue holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Arrival time of the head item, if any (for queuing-delay telemetry).
-    pub fn head_arrival(&self) -> Option<SimTime> {
-        self.items.front().map(|w| w.arrival)
-    }
-
-    /// Records one item refused at the tail (queue overflow / admission
-    /// drop). The item never enters the FIFO; only the counter moves.
-    pub fn record_drop(&mut self) {
-        self.dropped_total += 1;
-    }
-
-    /// Items refused at the tail over the queue's lifetime.
-    pub fn dropped(&self) -> u64 {
-        self.dropped_total
-    }
-
-    /// `(enqueued, dequeued, peak_depth)` lifetime counters.
-    pub fn counters(&self) -> (u64, u64, usize) {
-        (self.enqueued_total, self.dequeued_total, self.depth_peak)
-    }
 }
 
 /// Physical address layout for a set of queues.
@@ -255,42 +172,6 @@ impl QueueLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn queue_fifo_order() {
-        let mut q = SimQueue::new(QueueId(0));
-        for i in 0..5 {
-            q.enqueue(WorkItem {
-                id: i,
-                arrival: SimTime(i * 10),
-                service: Cycles(100),
-            });
-        }
-        assert_eq!(q.depth(), 5);
-        assert_eq!(q.head_arrival(), Some(SimTime(0)));
-        for i in 0..5 {
-            assert_eq!(q.dequeue().unwrap().id, i);
-        }
-        assert!(q.dequeue().is_none());
-        let (e, d, peak) = q.counters();
-        assert_eq!((e, d, peak), (5, 5, 5));
-    }
-
-    #[test]
-    fn drops_are_counted_separately_from_enqueues() {
-        let mut q = SimQueue::new(QueueId(1));
-        q.enqueue(WorkItem {
-            id: 0,
-            arrival: SimTime(0),
-            service: Cycles(10),
-        });
-        q.record_drop();
-        q.record_drop();
-        assert_eq!(q.dropped(), 2);
-        let (e, _, _) = q.counters();
-        assert_eq!(e, 1, "drops never enter the FIFO");
-        assert_eq!(q.depth(), 1);
-    }
 
     #[test]
     fn layout_doorbells_are_line_disjoint() {

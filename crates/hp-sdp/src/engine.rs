@@ -56,7 +56,7 @@ use hp_core::qwait::{HyperPlaneDevice, RearmAction};
 use hp_mem::seq::SeqMemo;
 use hp_mem::system::{LoadHint, MemSystem};
 use hp_mem::types::{AccessKind, Addr, CoreId, LineAddr};
-use hp_queues::sim::{QueueId, QueueLayout, SimQueue, WorkItem};
+use hp_queues::sim::{QueueId, QueueLayout, WorkItem};
 use hp_rand::rngs::{CounterRng, SmallRng};
 use hp_sim::attrib::{AttributionReport, Attributor};
 use hp_sim::audit::{AuditReport, Auditor};
@@ -298,13 +298,13 @@ fn memo_eligibility(
     eligible
 }
 
-/// Per-queue hot row: every per-qid scalar the engine touches on an
-/// arrival, poll, dequeue, or completion, packed into one struct so the
-/// whole set is one host cache line instead of 5–6 scattered `Vec`
-/// touches per event (the SoA→row repack of DESIGN.md §13). Field order
-/// is hottest-first: the poll path reads only the two addresses. Bulky or
-/// cold per-queue state (the `SimQueue` itself, the poll memos) stays in
-/// separate vectors so a row stays line-sized.
+/// One queue: its FIFO of pending items plus every per-qid scalar the
+/// engine touches on an arrival, poll, dequeue, or completion, packed into
+/// one row so an event touches one allocation instead of 5–6 scattered
+/// `Vec`s (the SoA→row repack of DESIGN.md §13). Field order is
+/// hottest-first: the poll path reads the two addresses and the FIFO's
+/// length. The poll memos, touched only by spinning runs, stay in separate
+/// vectors.
 #[derive(Debug, Clone)]
 struct QRow {
     /// Resolved doorbell address (primary or conflict-spare).
@@ -317,11 +317,9 @@ struct QRow {
     /// directory hash probe (self-validating; never affects outcomes).
     db_hint: LoadHint,
     desc_hint: LoadHint,
-    /// Backlog mirror of `queues[qi].depth()`, maintained at the single
-    /// enqueue and dequeue sites so poll/VERIFY/watchdog depth reads never
-    /// touch the cold `SimQueue` allocation (debug builds assert the two
-    /// agree after every update).
-    depth: u32,
+    /// Pending items, oldest first. Its length is what the paper's
+    /// semaphore-style doorbell counter reads (§III, Fig. 2).
+    items: std::collections::VecDeque<WorkItem>,
     /// Sharing group serving this queue.
     group: u32,
     /// Interrupt baseline: raise an IRQ on the next arrival.
@@ -334,6 +332,10 @@ struct QRow {
     latency: OnlineStats,
 }
 
+// Per-queue memory is linear in the queue count (2^20 rows in a flash
+// crowd); DESIGN.md §17's host-memory log records what each byte buys.
+const _: () = assert!(std::mem::size_of::<QRow>() <= 112);
+
 /// The experiment engine. Construct with [`Engine::new`], drive with
 /// [`Engine::run`].
 #[derive(Debug)]
@@ -341,9 +343,8 @@ pub struct Engine {
     cfg: ExperimentConfig,
     mem: MemSystem,
     layout: QueueLayout,
-    /// Per-queue hot state, indexed by qid (see [`QRow`]).
+    /// One row per queue, indexed by qid (see [`QRow`]).
     qrows: Vec<QRow>,
-    queues: Vec<SimQueue>,
     devices: Vec<HyperPlaneDevice>,
     queues_of_group: Vec<Vec<QueueId>>,
     /// Sharing groups this engine materializes work for: all of them in a
@@ -410,7 +411,7 @@ pub struct Engine {
     completions: u64,
     completions_measured: u64,
     drops: u64,
-    /// Total residual backlog (`Σ qrows[q].depth`), maintained at the two
+    /// Total residual backlog (`Σ qrows[q].items.len()`), maintained at the two
     /// depth-mutation sites so window-boundary reports are O(1) instead of
     /// an O(N) row sweep — at 1M queues that sweep would dominate every
     /// sync window (DESIGN.md §17).
@@ -558,7 +559,6 @@ impl Engine {
         mem_cfg.silent_evictions = cfg.silent_evictions;
         let mem = MemSystem::new(mem_cfg);
         let layout = QueueLayout::new(cfg.queues, cfg.workload.buffer_lines(), 4);
-        let queues: Vec<SimQueue> = (0..cfg.queues).map(|q| SimQueue::new(QueueId(q))).collect();
 
         // Partition queues into sharing groups.
         let groups = cfg.groups();
@@ -663,7 +663,7 @@ impl Engine {
                 descriptor: layout.descriptor(QueueId(q as u32)),
                 db_hint: LoadHint::default(),
                 desc_hint: LoadHint::default(),
-                depth: 0,
+                items: std::collections::VecDeque::new(),
                 group: group_of_queue[q] as u32,
                 irq_armed: true,
                 enq_slot: 0,
@@ -765,7 +765,6 @@ impl Engine {
             mem,
             layout,
             qrows,
-            queues,
             devices,
             queues_of_group,
             owned_groups,
@@ -981,7 +980,7 @@ impl Engine {
     pub(crate) fn lane_report(&self) -> crate::par_engine::LaneReport {
         debug_assert_eq!(
             self.backlog,
-            self.qrows.iter().map(|r| u64::from(r.depth)).sum::<u64>()
+            self.qrows.iter().map(|r| r.items.len() as u64).sum::<u64>()
         );
         crate::par_engine::LaneReport {
             completions: self.completions,
@@ -1169,9 +1168,8 @@ impl Engine {
             Some(c) => c.min(self.cfg.queue_cap),
             None => self.cfg.queue_cap,
         };
-        if self.qrows[qi].depth as usize >= cap {
+        if self.qrows[qi].items.len() >= cap {
             self.drops += 1;
-            self.queues[qi].record_drop();
             return;
         }
 
@@ -1188,10 +1186,8 @@ impl Engine {
             arrival: now,
             service,
         };
-        self.queues[qi].enqueue(item);
-        self.qrows[qi].depth += 1;
+        self.qrows[qi].items.push_back(item);
         self.backlog += 1;
-        debug_assert_eq!(self.qrows[qi].depth as usize, self.queues[qi].depth());
         self.note(
             now,
             TraceKind::Enqueue {
@@ -1461,7 +1457,7 @@ impl Engine {
         let poll_cost = self.cfg.poll_overhead_cycles + mem_lat;
         self.poll_cost_ewma[c] = 0.98 * self.poll_cost_ewma[c] + 0.02 * poll_cost as f64;
 
-        if self.qrows[qi].depth == 0 {
+        if self.qrows[qi].items.is_empty() {
             self.telem[c].spin_instructions += POLL_INSTR;
             self.telem[c].active_cycles += poll_cost;
             self.telem[c].empty_polls += 1;
@@ -1508,7 +1504,7 @@ impl Engine {
 
         let sync = if self.cfg.cluster > 1 { CAS_CYCLES } else { 0 };
         total += sync;
-        let batch = self.cfg.batch.min(self.qrows[qi].depth as usize);
+        let batch = self.cfg.batch.min(self.qrows[qi].items.len());
         total += self.dequeue_batch(c, q, batch);
         let deq_instant = now + Cycles(total);
         let items = std::mem::take(&mut self.deq_scratch);
@@ -1542,7 +1538,7 @@ impl Engine {
 
         // NAPI budget: drain up to IRQ_NAPI_BUDGET items, then either
         // re-arm (drained) or reschedule ourselves (still backlogged).
-        let batch = IRQ_NAPI_BUDGET.min(self.qrows[qi].depth as usize);
+        let batch = IRQ_NAPI_BUDGET.min(self.qrows[qi].items.len());
         if batch > 0 {
             total += self.dequeue_batch(c, q, batch);
             let deq_instant = now + Cycles(total);
@@ -1550,7 +1546,7 @@ impl Engine {
             total += self.process_items(now, c, q, &items, total, deq_instant);
             self.deq_scratch = items;
         }
-        if self.qrows[qi].depth == 0 {
+        if self.qrows[qi].items.is_empty() {
             self.qrows[qi].irq_armed = true;
         } else {
             self.irq_pending[group].push_back(q.0);
@@ -1641,7 +1637,7 @@ impl Engine {
         total += verify_mem.latency.count() + self.devices[group].timing().verify.count();
         self.telem[c].useful_instructions += QWAIT_INSTR / 2;
 
-        let depth = self.qrows[qi].depth as u64;
+        let depth = self.qrows[qi].items.len() as u64;
         let (ready, action) = self.devices[group].qwait_verify(qid, depth);
         if let RearmAction::ProbeShared(line) = action {
             total += self.mem.probe_shared(line).count();
@@ -1653,7 +1649,7 @@ impl Engine {
             return;
         }
 
-        let batch = self.cfg.batch.min(self.qrows[qi].depth as usize);
+        let batch = self.cfg.batch.min(self.qrows[qi].items.len());
         total += self.dequeue_batch(c, qid, batch);
         let deq_instant = now + Cycles(total);
         let items = std::mem::take(&mut self.deq_scratch);
@@ -1694,7 +1690,7 @@ impl Engine {
     fn reconsider(&mut self, c: usize, group: usize, qid: QueueId, now: SimTime) -> u64 {
         let mut cost = self.devices[group].timing().verify.count();
         self.telem[c].useful_instructions += QWAIT_INSTR / 2;
-        let depth_after = self.qrows[qid.0 as usize].depth as u64;
+        let depth_after = self.qrows[qid.0 as usize].items.len() as u64;
         let action = self.devices[group].qwait_reconsider(qid, depth_after);
         if let RearmAction::ProbeShared(line) = action {
             cost += self.mem.probe_shared(line).count();
@@ -1818,7 +1814,7 @@ impl Engine {
                 let _ = self.devices[group].qwait_add(q, self.qrows[qi].doorbell.line());
                 reregistered = true;
             }
-            if self.qrows[qi].depth > 0 {
+            if !self.qrows[qi].items.is_empty() {
                 self.devices[group].force_activate(q);
                 // The forced activation is a ready-set insertion like any
                 // other; announcing it keeps the trace faithful and ends
@@ -1945,20 +1941,16 @@ impl Engine {
         self.note(now, TraceKind::FaultEvicted { queue: q.0 });
         // Driver-side migration sync: backlog enqueued before the move
         // announced itself on the old line, so activate the new entry.
-        if self.qrows[qi].depth > 0 {
+        if !self.qrows[qi].items.is_empty() {
             self.devices[g].force_activate(q);
             self.note(now, TraceKind::ReadyInsert { queue: q.0 });
             self.wake_one(now, g);
         }
     }
 
-    /// Dequeues up to `batch` items from `q` and performs transport
-    /// processing for each; returns the cycles charged. Completions are
-    /// recorded at `now + base + elapsed-so-far` per item, where `base` is
-    /// the cycles the caller already charged this step.
     /// Dequeues up to `batch` items from `q`: descriptor read + doorbell
     /// decrement (a consumer store, issued while the entry is disarmed so
-    /// it cannot self-wake — §III-B). Returns the items and cycles charged.
+    /// it cannot self-wake — §III-B). Returns the cycles charged.
     /// The dequeued items land in `self.deq_scratch` (cleared first) so the
     /// per-step buffer is reused instead of reallocated; callers
     /// `mem::take` it around `process_items` and put it back.
@@ -1974,20 +1966,15 @@ impl Engine {
             .latency
             .count();
         cost += self.mem.access(core, db, AccessKind::Store).latency.count();
+        let items = &mut self.qrows[qi].items;
+        let n = batch.min(items.len());
         self.deq_scratch.clear();
-        for _ in 0..batch {
-            match self.queues[qi].dequeue() {
-                Some(item) => {
-                    self.telem[c].useful_instructions += DEQ_INSTR;
-                    self.audit.on_dequeue(item.id);
-                    self.deq_scratch.push(item);
-                }
-                None => break,
-            }
+        self.deq_scratch.extend(items.drain(..n));
+        for item in &self.deq_scratch {
+            self.audit.on_dequeue(item.id);
         }
-        self.qrows[qi].depth -= self.deq_scratch.len() as u32;
-        self.backlog -= self.deq_scratch.len() as u64;
-        debug_assert_eq!(self.qrows[qi].depth as usize, self.queues[qi].depth());
+        self.telem[c].useful_instructions += DEQ_INSTR * n as u64;
+        self.backlog -= n as u64;
         cost
     }
 
@@ -2163,7 +2150,6 @@ impl Engine {
             doorbell_recovery_latency: self.doorbell_recovery_latency,
             churn_reallocations: self.churn_reallocations,
             generated_arrivals: self.generated_arrivals,
-            queue_drops: self.queues.iter().map(|q| q.dropped()).sum(),
             trace_enabled: self.tracer.is_enabled(),
             trace_records: self.tracer.records(),
             trace_dropped: self.tracer.dropped(),
@@ -2206,7 +2192,6 @@ pub(crate) struct LaneOutput {
     pub(crate) doorbell_recovery_latency: Histogram,
     pub(crate) churn_reallocations: u64,
     pub(crate) generated_arrivals: u64,
-    pub(crate) queue_drops: u64,
     pub(crate) trace_enabled: bool,
     pub(crate) trace_records: Vec<TraceRecord>,
     pub(crate) trace_dropped: u64,
@@ -2449,6 +2434,34 @@ mod tests {
             Load::Saturation,
         );
         assert!(r.drops > 0, "saturation should overflow the queue cap");
+
+        // Two sharing groups, serial and as two lanes, under a `cap=` fault
+        // plan: a refused arrival never enters the FIFO, and the fault
+        // report's queue drops are the engine's drops.
+        for notifier in [Notifier::Spinning, Notifier::hyperplane()] {
+            for workers in [1, 2] {
+                let mut cfg = ExperimentConfig::new(
+                    WorkloadKind::PacketEncap,
+                    TrafficShape::FullyBalanced,
+                    64,
+                )
+                .with_cores(4, 2)
+                .with_notifier(notifier)
+                .with_load(Load::Saturation)
+                .with_faults(hp_sim::faults::FaultPlan::parse("cap=4").unwrap())
+                .with_audit()
+                .with_par_workers(workers);
+                cfg.target_completions = 2_000;
+                let r = Engine::new(cfg).run();
+                let case = format!("{notifier:?} x{workers}");
+                assert!(r.drops > 0, "{case}: no drops");
+                let audit = r.audit_report().expect("audit on");
+                assert_eq!(r.lane_generated_arrivals().len(), workers, "{case}");
+                let generated: u64 = r.lane_generated_arrivals().iter().sum();
+                assert_eq!(audit.enqueued + r.drops, generated, "{case}");
+                assert_eq!(r.fault_report().unwrap().queue_drops, r.drops, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -327,8 +327,13 @@ pub(crate) fn run(engine: Engine) -> ExperimentResult {
     let lanes = lanes.into_iter().map(|(_, lane)| lane).collect();
 
     let ctrl = fabric.ctrl.into_inner().unwrap();
-    merge(&cfg, lanes, wall_start.elapsed().as_secs_f64(), ctrl.stalls)
-        .with_sync_rounds(ctrl.rounds)
+    merge(
+        &cfg,
+        lanes,
+        wall_start.elapsed().as_secs_f64(),
+        ctrl.stalls,
+        ctrl.rounds,
+    )
 }
 
 /// What the workers share for one run: the controller, the lanes'
@@ -390,11 +395,13 @@ impl Fabric {
 /// latency distributions, take-from-owner for lane-disjoint state
 /// (per-queue stats, per-core telemetry), sums for machine-wide counters.
 /// Window histograms are dropped once the merged percentiles are computed.
+/// `sync_rounds` is the controller's window-boundary rendezvous count.
 fn merge(
     cfg: &ExperimentConfig,
     lanes: Vec<Engine>,
     wall_secs: f64,
     stalls: StallSummary,
+    sync_rounds: u64,
 ) -> ExperimentResult {
     // Global end: the latest event any lane processed. Every lane closes
     // its metrics windows and halt episodes at this shared instant. An
@@ -469,7 +476,6 @@ fn merge(
     let mut doorbell_recovery_latency = Histogram::new();
     let mut eviction_recoveries = 0u64;
     let mut doorbell_recoveries = 0u64;
-    let mut queue_drops = 0u64;
     // Each lane counts its owned churn ticks; the sum is the global count.
     let mut churn_reallocations = 0u64;
     for o in &outs {
@@ -496,7 +502,6 @@ fn merge(
         doorbell_recovery_latency.merge(&o.doorbell_recovery_latency);
         eviction_recoveries += o.eviction_recoveries;
         doorbell_recoveries += o.doorbell_recoveries;
-        queue_drops += o.queue_drops;
         churn_reallocations += o.churn_reallocations;
     }
     // Device counters: each group's device is mutated only by its owning
@@ -509,39 +514,15 @@ fn merge(
         }
     }
 
-    let mut result = ExperimentResult::new(
-        cfg,
-        throughput,
-        latency,
-        telem.clone(),
-        completions,
-        drops,
-        outs[0].saturation_rate,
-        end,
-    )
-    .with_per_queue(per_queue)
-    .with_notify_latency(notify_latency)
-    .with_mem_stats(mem_stats)
-    .with_fastpath(fastpath)
-    .with_profile(
-        {
-            let mut p = outs[0].profile.clone();
-            for o in &outs[1..] {
-                p.merge(&o.profile);
-            }
-            p
-        },
-        wall_secs,
-    )
-    .with_lane_generated(outs.iter().map(|o| o.generated_arrivals).collect());
-    if let Some(d) = device {
-        result = result.with_device(d);
+    let mut profile = outs[0].profile.clone();
+    for o in &outs[1..] {
+        profile.merge(&o.profile);
     }
 
-    if outs[0].trace_enabled {
-        // Deterministic merge: (time, lane, within-lane emission order),
-        // then re-sequence so exporters sorting by (at, seq) reproduce
-        // exactly this order. Span ids stay lane-local.
+    // Deterministic trace merge: (time, lane, within-lane emission order),
+    // then re-sequence so exporters sorting by (at, seq) reproduce exactly
+    // this order. Span ids stay lane-local.
+    let trace = outs[0].trace_enabled.then(|| {
         let streams: Vec<Vec<(u64, TraceRecord)>> = outs
             .iter_mut()
             .map(|o| {
@@ -551,60 +532,83 @@ fn merge(
                     .collect()
             })
             .collect();
-        let records: Vec<TraceRecord> = hp_par::merge_timestamped(streams)
+        hp_par::merge_timestamped(streams)
             .into_iter()
             .enumerate()
             .map(|(i, (_, _, mut r))| {
                 r.seq = i as u64;
                 r
             })
-            .collect();
-        let dropped: u64 = outs.iter().map(|o| o.trace_dropped).sum();
-        let emitted: u64 = outs.iter().map(|o| o.trace_emitted).sum();
-        result = result.with_trace(records, dropped, emitted);
-    }
+            .collect()
+    });
 
     let attribs: Vec<AttributionReport> = outs.iter_mut().filter_map(|o| o.attrib.take()).collect();
-    if !attribs.is_empty() {
-        result = result.with_attrib(merge_attrib(attribs, cfg.attrib_exemplars));
-    }
+    let attrib = (!attribs.is_empty()).then(|| merge_attrib(attribs, cfg.attrib_exemplars));
 
-    if outs[0].windows.is_some() {
+    let windows = if outs[0].windows.is_some() {
         let lane_windows: Vec<Vec<WindowSample>> = outs
             .iter_mut()
             .map(|o| o.windows.take().expect("all lanes sample windows"))
             .collect();
-        result = result.with_windows(merge_windows(cfg, &core_owner, lane_windows));
-    }
+        merge_windows(cfg, &core_owner, lane_windows)
+    } else {
+        Vec::new()
+    };
 
-    if cfg.faults.is_active()
+    let faults = (cfg.faults.is_active()
         || cfg.chaos.is_active()
         || cfg.qwait_timeout_cycles.is_some()
-        || cfg.watchdog_period_cycles.is_some()
-    {
-        result = result.with_faults(FaultReport {
-            injected,
-            qwait_timeouts: telem.iter().map(|t| t.qwait_timeouts).sum(),
-            recoveries: telem.iter().map(|t| t.recoveries).sum(),
-            recovery_latency_cycles: recovery_latency,
-            eviction_recoveries,
-            doorbell_recoveries,
-            eviction_recovery_latency,
-            doorbell_recovery_latency,
-            churn_reallocations,
-            first_stall: stalls.first_stall,
-            stall_events: stalls.stall_events,
-            aborted_on_stall: stalls.aborted,
-            queue_drops,
-        });
-    }
+        || cfg.watchdog_period_cycles.is_some())
+    .then(|| FaultReport {
+        injected,
+        qwait_timeouts: telem.iter().map(|t| t.qwait_timeouts).sum(),
+        recoveries: telem.iter().map(|t| t.recoveries).sum(),
+        recovery_latency_cycles: recovery_latency,
+        eviction_recoveries,
+        doorbell_recoveries,
+        eviction_recovery_latency,
+        doorbell_recovery_latency,
+        churn_reallocations,
+        first_stall: stalls.first_stall,
+        stall_events: stalls.stall_events,
+        aborted_on_stall: stalls.aborted,
+        // Every refused arrival is one engine drop.
+        queue_drops: drops,
+    });
 
     let audits: Vec<AuditReport> = outs.iter_mut().filter_map(|o| o.audit.take()).collect();
-    if !audits.is_empty() {
-        result = result.with_audit(merge_audit(&audits));
-    }
+    let audit = (!audits.is_empty()).then(|| merge_audit(&audits));
 
-    result
+    ExperimentResult {
+        throughput_tps: throughput,
+        latency_cycles: latency,
+        per_core: telem,
+        completions,
+        drops,
+        offered_tps: outs[0].saturation_rate,
+        end,
+        clock,
+        per_queue,
+        notify_latency,
+        mem_stats,
+        faults,
+        audit,
+        windows,
+        trace,
+        trace_dropped: outs.iter().map(|o| o.trace_dropped).sum(),
+        trace_emitted: outs.iter().map(|o| o.trace_emitted).sum(),
+        attrib,
+        profile: Some(profile),
+        fastpath,
+        device,
+        wall_secs,
+        sync_rounds,
+        lane_generated_arrivals: outs.iter().map(|o| o.generated_arrivals).collect(),
+        workload_label: cfg.workload.name(),
+        notifier_label: cfg.notifier.label(),
+        queues: cfg.queues,
+        seed: cfg.seed,
+    }
 }
 
 /// Folds per-lane attribution reports: conservation counters and phase

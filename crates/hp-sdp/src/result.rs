@@ -1,7 +1,6 @@
 //! Experiment results: throughput, latency distribution, telemetry, and
 //! derived power / co-runner metrics.
 
-use crate::config::ExperimentConfig;
 use crate::metrics::WindowSample;
 use crate::power::PowerModel;
 use crate::telemetry::{CoreTelemetry, SmtCoRunner};
@@ -153,80 +152,30 @@ pub struct ExperimentResult {
     pub offered_tps: f64,
     /// Simulated end time.
     pub end: SimTime,
-    clock: Clock,
-    per_queue: Vec<OnlineStats>,
-    notify_latency: Histogram,
-    mem_stats: hp_mem::system::CoreMemStats,
-    faults: Option<FaultReport>,
-    audit: Option<AuditReport>,
-    windows: Vec<WindowSample>,
-    trace: Option<Vec<TraceRecord>>,
-    trace_dropped: u64,
-    trace_emitted: u64,
-    attrib: Option<AttributionReport>,
-    profile: Option<KernelProfile>,
-    fastpath: hp_mem::system::FastPathStats,
-    device: Option<DeviceStats>,
-    wall_secs: f64,
-    sync_rounds: u64,
-    lane_generated_arrivals: Vec<u64>,
-    workload_label: &'static str,
-    notifier_label: &'static str,
-    queues: u32,
-    seed: u64,
+    pub(crate) clock: Clock,
+    pub(crate) per_queue: Vec<OnlineStats>,
+    pub(crate) notify_latency: Histogram,
+    pub(crate) mem_stats: hp_mem::system::CoreMemStats,
+    pub(crate) faults: Option<FaultReport>,
+    pub(crate) audit: Option<AuditReport>,
+    pub(crate) windows: Vec<WindowSample>,
+    pub(crate) trace: Option<Vec<TraceRecord>>,
+    pub(crate) trace_dropped: u64,
+    pub(crate) trace_emitted: u64,
+    pub(crate) attrib: Option<AttributionReport>,
+    pub(crate) profile: Option<KernelProfile>,
+    pub(crate) fastpath: hp_mem::system::FastPathStats,
+    pub(crate) device: Option<DeviceStats>,
+    pub(crate) wall_secs: f64,
+    pub(crate) sync_rounds: u64,
+    pub(crate) lane_generated_arrivals: Vec<u64>,
+    pub(crate) workload_label: &'static str,
+    pub(crate) notifier_label: &'static str,
+    pub(crate) queues: u32,
+    pub(crate) seed: u64,
 }
 
 impl ExperimentResult {
-    /// Assembles a result (called by the engine).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        cfg: &ExperimentConfig,
-        throughput_tps: f64,
-        latency_cycles: Histogram,
-        per_core: Vec<CoreTelemetry>,
-        completions: u64,
-        drops: u64,
-        offered_tps: f64,
-        end: SimTime,
-    ) -> Self {
-        ExperimentResult {
-            throughput_tps,
-            latency_cycles,
-            per_core,
-            completions,
-            drops,
-            offered_tps,
-            end,
-            clock: cfg.machine.clock,
-            per_queue: Vec::new(),
-            notify_latency: Histogram::new(),
-            mem_stats: hp_mem::system::CoreMemStats::default(),
-            faults: None,
-            audit: None,
-            windows: Vec::new(),
-            trace: None,
-            trace_dropped: 0,
-            trace_emitted: 0,
-            attrib: None,
-            profile: None,
-            fastpath: hp_mem::system::FastPathStats::default(),
-            device: None,
-            wall_secs: 0.0,
-            sync_rounds: 0,
-            lane_generated_arrivals: Vec::new(),
-            workload_label: cfg.workload.name(),
-            notifier_label: cfg.notifier.label(),
-            queues: cfg.queues,
-            seed: cfg.seed,
-        }
-    }
-
-    /// Attaches the fault/resilience report (engine internal).
-    pub(crate) fn with_faults(mut self, faults: FaultReport) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
     /// The fault/resilience report, if fault injection, the QWAIT
     /// timeout, or the watchdog was configured for this run.
     pub fn fault_report(&self) -> Option<&FaultReport> {
@@ -238,36 +187,10 @@ impl ExperimentResult {
         self.faults.as_ref().is_some_and(|f| f.stalled())
     }
 
-    /// Attaches the conservation-audit report (engine internal).
-    pub(crate) fn with_audit(mut self, audit: AuditReport) -> Self {
-        self.audit = Some(audit);
-        self
-    }
-
     /// The conservation-audit report, if the audit was enabled for this
     /// run.
     pub fn audit_report(&self) -> Option<&AuditReport> {
         self.audit.as_ref()
-    }
-
-    /// Attaches the windowed-metrics time series (engine internal).
-    pub(crate) fn with_windows(mut self, windows: Vec<WindowSample>) -> Self {
-        self.windows = windows;
-        self
-    }
-
-    /// Attaches the lifecycle trace plus the tracer's drop accounting
-    /// (engine internal).
-    pub(crate) fn with_trace(
-        mut self,
-        trace: Vec<TraceRecord>,
-        dropped: u64,
-        emitted: u64,
-    ) -> Self {
-        self.trace = Some(trace);
-        self.trace_dropped = dropped;
-        self.trace_emitted = emitted;
-        self
     }
 
     /// Records evicted from the trace ring by capacity pressure. Nonzero
@@ -282,32 +205,10 @@ impl ExperimentResult {
         self.trace_emitted
     }
 
-    /// Attaches the latency-attribution report (engine internal).
-    pub(crate) fn with_attrib(mut self, attrib: AttributionReport) -> Self {
-        self.attrib = Some(attrib);
-        self
-    }
-
     /// The latency-attribution report (DESIGN.md §15), if `attrib` was
     /// enabled for this run.
     pub fn attrib_report(&self) -> Option<&AttributionReport> {
         self.attrib.as_ref()
-    }
-
-    /// Attaches the sim-kernel profile and wall-clock runtime (engine
-    /// internal).
-    pub(crate) fn with_profile(mut self, profile: KernelProfile, wall_secs: f64) -> Self {
-        self.profile = Some(profile);
-        self.wall_secs = wall_secs;
-        self
-    }
-
-    /// Attaches the fabric controller's synchronization-round count
-    /// (engine internal; set by the parallel fabric for serial and
-    /// parallel runs alike — a serial run is a one-lane fabric).
-    pub(crate) fn with_sync_rounds(mut self, rounds: u64) -> Self {
-        self.sync_rounds = rounds;
-        self
     }
 
     /// Synchronization rounds the fabric controller ran: the number of
@@ -322,12 +223,6 @@ impl ExperimentResult {
     /// a foreign chain; kept for callers that still report the count.
     pub fn replicated_chain_events(&self) -> u64 {
         0
-    }
-
-    /// Attaches the per-lane generation counters (engine internal).
-    pub(crate) fn with_lane_generated(mut self, counts: Vec<u64>) -> Self {
-        self.lane_generated_arrivals = counts;
-        self
     }
 
     /// Arrivals each lane *generated* (delivered into its own groups'
@@ -399,21 +294,9 @@ impl ExperimentResult {
         }
     }
 
-    /// Attaches aggregated DP-core memory stats (engine internal).
-    pub(crate) fn with_mem_stats(mut self, mem_stats: hp_mem::system::CoreMemStats) -> Self {
-        self.mem_stats = mem_stats;
-        self
-    }
-
     /// Aggregated DP-core cache behaviour: hit/miss counts per level.
     pub fn mem_stats(&self) -> hp_mem::system::CoreMemStats {
         self.mem_stats
-    }
-
-    /// Attaches memory-system fast-path counters (engine internal).
-    pub(crate) fn with_fastpath(mut self, fastpath: hp_mem::system::FastPathStats) -> Self {
-        self.fastpath = fastpath;
-        self
     }
 
     /// Memory-system fast-path counters (DESIGN.md §12): MRU filter hits,
@@ -421,12 +304,6 @@ impl ExperimentResult {
     /// `mem_fast_path` is disabled.
     pub fn fastpath_stats(&self) -> hp_mem::system::FastPathStats {
         self.fastpath
-    }
-
-    /// Attaches device-plane counters (engine internal).
-    pub(crate) fn with_device(mut self, device: DeviceStats) -> Self {
-        self.device = Some(device);
-        self
     }
 
     /// Device-plane counters (monitoring-set inserts/conflicts/snoops and
@@ -608,12 +485,6 @@ impl ExperimentResult {
         Some(w.finish())
     }
 
-    /// Attaches the notification-latency histogram (engine internal).
-    pub(crate) fn with_notify_latency(mut self, h: Histogram) -> Self {
-        self.notify_latency = h;
-        self
-    }
-
     /// Mean *notification* latency (arrival to dequeue) in microseconds —
     /// the component HyperPlane accelerates; end-to-end latency adds
     /// service time on top. `NaN` when the run completed nothing (e.g. a
@@ -638,12 +509,6 @@ impl ExperimentResult {
             .percentile(p)
             .map(|c| self.clock.cycles_to_micros(Cycles(c)))
             .unwrap_or(f64::NAN)
-    }
-
-    /// Attaches per-queue latency accumulators (engine internal).
-    pub(crate) fn with_per_queue(mut self, per_queue: Vec<OnlineStats>) -> Self {
-        self.per_queue = per_queue;
-        self
     }
 
     /// Mean latency per queue in microseconds, with sample counts:
@@ -788,16 +653,36 @@ mod tests {
             active_cycles: 100,
             ..Default::default()
         };
-        ExperimentResult::new(
-            &cfg,
-            500_000.0,
-            lat,
-            vec![t],
-            4,
-            0,
-            2_000_000.0,
-            SimTime(1_000_000),
-        )
+        ExperimentResult {
+            throughput_tps: 500_000.0,
+            latency_cycles: lat,
+            per_core: vec![t],
+            completions: 4,
+            drops: 0,
+            offered_tps: 2_000_000.0,
+            end: SimTime(1_000_000),
+            clock: cfg.machine.clock,
+            per_queue: Vec::new(),
+            notify_latency: Histogram::new(),
+            mem_stats: Default::default(),
+            faults: None,
+            audit: None,
+            windows: Vec::new(),
+            trace: None,
+            trace_dropped: 0,
+            trace_emitted: 0,
+            attrib: None,
+            profile: None,
+            fastpath: Default::default(),
+            device: None,
+            wall_secs: 0.0,
+            sync_rounds: 0,
+            lane_generated_arrivals: Vec::new(),
+            workload_label: cfg.workload.name(),
+            notifier_label: cfg.notifier.label(),
+            queues: cfg.queues,
+            seed: cfg.seed,
+        }
     }
 
     #[test]
