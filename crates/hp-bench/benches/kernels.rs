@@ -153,8 +153,9 @@ fn bench_calendar_wheel(c: &mut Criterion) {
     g.finish();
 }
 
-/// The engine's per-queue hot state, reproduced at both layouts the SoA
-/// refactor chose between: the packed row holds exactly the poll/arrival
+/// The engine's per-queue hot state as the SoA refactor first packed it
+/// (the row has since shrunk further; DESIGN.md §13), reproduced at both
+/// layouts that refactor chose between: the packed row holds exactly the poll/arrival
 /// prefix (one host line), the padded row models the pre-refactor struct
 /// where cold latency accumulators ride in the same allocation.
 fn bench_soa_rows(c: &mut Criterion) {

@@ -17,10 +17,12 @@
 //!
 //! Two curves come out of the sweep:
 //!
-//! * **Deterministic**: simulated cycles per event and per completion —
-//!   seeded, platform-independent, the CI gate. The acceptance bar is
-//!   that the largest point stays within 1.5x of the 1024-queue
-//!   baseline's per-event cost.
+//! * **Deterministic**: simulated cycles per event and per completion,
+//!   and the host bytes each queue's structures reserve
+//!   (`ExperimentResult::queue_state_bytes` per queue) — seeded,
+//!   platform-independent, the CI gates. The acceptance bars are that
+//!   the largest point stays within 1.5x of the 1024-queue baseline's
+//!   per-event cost and within 1.5x of its bytes per queue.
 //! * **Wall clock**: host events/s, the queues-vs-events/s curve
 //!   (machine-dependent, informational; the `flash-1m` workload of the
 //!   simulator benchmark in `bench/README.md` and `BENCHMARK.json` is the
@@ -52,6 +54,10 @@ const CHURN_PERIOD: u64 = 200_000;
 /// Per-event slowdown budget for the largest point vs the 1024-queue
 /// baseline (acceptance criterion).
 const MAX_PER_EVENT_RATIO: f64 = 1.5;
+
+/// Per-queue host-bytes budget for the largest point vs the 1024-queue
+/// baseline: host memory must stay linear in the queue count.
+const MAX_BYTES_PER_QUEUE_RATIO: f64 = 1.5;
 
 fn cell_config(opts: &HarnessOpts, queues: u32) -> ExperimentConfig {
     let mut cfg = experiment(
@@ -131,6 +137,7 @@ fn main() {
             "banks",
             "cyc_per_ev",
             "cyc_per_compl",
+            "bytes_per_q",
             "events_per_sec",
             "p99_us",
             "churn",
@@ -148,6 +155,8 @@ fn main() {
 
     let mut baseline_cpe: Option<f64> = None;
     let mut last_cpe = 0.0;
+    let mut baseline_bpq: Option<f64> = None;
+    let mut last_bpq = 0.0;
     for (&q, r) in sweep.iter().zip(&results) {
         let a = r.audit_report().expect("auditor was enabled");
         if !a.ok() {
@@ -169,15 +178,19 @@ fn main() {
             .map(|f| f.churn_reallocations)
             .unwrap_or_default();
         let cpe = cycles_per_event(r);
+        let bpq = r.queue_state_bytes() as f64 / f64::from(q);
         if q == 1_024 {
             baseline_cpe = Some(cpe);
+            baseline_bpq = Some(bpq);
         }
         last_cpe = cpe;
+        last_bpq = bpq;
         table.row(vec![
             q.to_string(),
             dev.monitoring_banks.to_string(),
             f3(cpe),
             f2(r.end.since_start().count() as f64 / r.completions.max(1) as f64),
+            f2(bpq),
             format!("{:.0}", r.events_per_sec_wall()),
             f2(r.p99_latency_us()),
             churn.to_string(),
@@ -209,6 +222,26 @@ fn main() {
         }
     }
 
+    // The host-memory gate: bytes of per-queue structures at the largest
+    // point within 1.5x of the baseline's, per queue. A structure sized
+    // by something other than the queue count (or a row that grows) shows
+    // up here deterministically, where peak RSS is host noise.
+    if let Some(base) = baseline_bpq {
+        if base > 0.0 {
+            let ratio = last_bpq / base;
+            let largest = sweep.last().copied().unwrap_or_default();
+            println!(
+                "Bytes per queue {largest} queues vs 1024: {last_bpq:.2} / {base:.2} = {ratio:.2}x (budget {MAX_BYTES_PER_QUEUE_RATIO}x)"
+            );
+            if ratio > MAX_BYTES_PER_QUEUE_RATIO {
+                failures += 1;
+                eprintln!(
+                    "BYTES-PER-QUEUE GATE: {last_bpq:.2} bytes per queue at {largest} queues vs {base:.2} at 1024 ({ratio:.2}x exceeds the {MAX_BYTES_PER_QUEUE_RATIO}x budget)"
+                );
+            }
+        }
+    }
+
     // Deterministic run digest for cross-worker-count byte-identity
     // (the CI smoke runs --par-workers 1 and 2 and diffs the files).
     if let Some(path) = digest_path {
@@ -234,7 +267,7 @@ fn main() {
     println!(
         "\nScale-out held: the flash crowd cleared conservation at every\n\
          universe size, the monitoring set never spill-resized, and the\n\
-         per-event simulated cost stayed within budget of the paper-scale\n\
-         baseline."
+         per-event simulated cost and per-queue host bytes stayed within\n\
+         budget of the paper-scale baseline."
     );
 }

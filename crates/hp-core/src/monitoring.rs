@@ -137,6 +137,12 @@ impl Bank {
     }
 }
 
+/// The QID→doorbell map's mark for "no line registered". A line address
+/// is a byte address divided by the line size, so no real line is all
+/// ones; the sentinel keeps the map at 8 bytes per QID where an
+/// `Option<LineAddr>` would take 16.
+const UNREGISTERED: LineAddr = LineAddr(u64::MAX);
+
 /// The Cuckoo-hashed monitoring set, banked for distributed directories.
 ///
 /// # Examples
@@ -167,9 +173,10 @@ impl Bank {
 pub struct MonitoringSet {
     banks: Vec<Bank>,
     /// QID -> registered doorbell line (driver bookkeeping; hardware
-    /// routes by address). Pre-sized via [`Self::reserve_qids`]; lazy
-    /// growth past that is counted as a spill-resize in the stats.
-    line_of_qid: Vec<Option<LineAddr>>,
+    /// routes by address), [`UNREGISTERED`] where none is. Pre-sized via
+    /// [`Self::reserve_qids`]; lazy growth past that is counted as a
+    /// spill-resize in the stats.
+    line_of_qid: Vec<LineAddr>,
     stats: MonitoringStats,
 }
 
@@ -237,7 +244,7 @@ impl MonitoringSet {
     /// spill-resizes (surfaced by `trace --profile`).
     pub fn reserve_qids(&mut self, qids: usize) {
         if qids > self.line_of_qid.len() {
-            self.line_of_qid.resize(qids, None);
+            self.line_of_qid.resize(qids, UNREGISTERED);
         }
     }
 
@@ -275,6 +282,19 @@ impl MonitoringSet {
         self.stats
     }
 
+    /// Host bytes reserved for entry slots and the QID→doorbell map
+    /// (capacity × element size): the set's per-QID memory.
+    pub fn reserved_bytes(&self) -> usize {
+        let slots: usize = self
+            .banks
+            .iter()
+            .flat_map(|b| &b.ways)
+            .map(Vec::capacity)
+            .sum();
+        slots * std::mem::size_of::<Option<Entry>>()
+            + self.line_of_qid.capacity() * std::mem::size_of::<LineAddr>()
+    }
+
     /// `QWAIT-ADD`: associates `qid` with its doorbell `line` and arms it.
     ///
     /// Performs a Cuckoo insertion walk in the line's bank, relocating
@@ -292,6 +312,10 @@ impl MonitoringSet {
     /// Panics if `qid` is already present (driver bug: QIDs are added once
     /// per tenant connect and removed on disconnect).
     pub fn insert(&mut self, qid: QueueId, line: LineAddr) -> Result<(), InsertConflict> {
+        assert_ne!(
+            line, UNREGISTERED,
+            "the all-ones line marks no registration"
+        );
         assert!(
             self.line_of(qid).is_none(),
             "{qid} already present in monitoring set"
@@ -309,10 +333,10 @@ impl MonitoringSet {
         self.stats.relocations += relocations;
         let i = qid.0 as usize;
         if i >= self.line_of_qid.len() {
-            self.line_of_qid.resize(i + 1, None);
+            self.line_of_qid.resize(i + 1, UNREGISTERED);
             self.stats.spill_resizes += 1;
         }
-        self.line_of_qid[i] = Some(line);
+        self.line_of_qid[i] = line;
         Ok(())
     }
 
@@ -336,7 +360,10 @@ impl MonitoringSet {
     pub fn remove(&mut self, qid: QueueId) -> Option<LineAddr> {
         let (b, way, row) = self.locate(qid)?;
         self.banks[b].ways[way][row] = None;
-        self.line_of_qid[qid.0 as usize].take()
+        Some(std::mem::replace(
+            &mut self.line_of_qid[qid.0 as usize],
+            UNREGISTERED,
+        ))
     }
 
     /// Sets the monitoring bit of `qid`'s entry (re-arm). Returns `false`
@@ -367,7 +394,10 @@ impl MonitoringSet {
 
     /// The doorbell line registered for `qid`, if present.
     pub fn line_of(&self, qid: QueueId) -> Option<LineAddr> {
-        self.line_of_qid.get(qid.0 as usize).copied().flatten()
+        self.line_of_qid
+            .get(qid.0 as usize)
+            .copied()
+            .filter(|&line| line != UNREGISTERED)
     }
 
     /// Snoops a GetM transaction on `line`: if it matches an **armed**

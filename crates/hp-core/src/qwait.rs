@@ -350,6 +350,12 @@ impl HyperPlaneDevice {
     pub fn monitoring_banks(&self) -> usize {
         self.monitoring.banks()
     }
+
+    /// Host bytes the device reserves per QID: monitoring slots, the
+    /// QID→doorbell map, and the ready set.
+    pub fn reserved_bytes(&self) -> usize {
+        self.monitoring.reserved_bytes() + self.ready.reserved_bytes()
+    }
 }
 
 #[cfg(test)]

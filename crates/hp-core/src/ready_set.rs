@@ -302,6 +302,19 @@ impl ReadySet {
         self.stats
     }
 
+    /// Host bytes reserved for the ready and mask words, the summary
+    /// pyramid, and WRR weights (capacity × element size).
+    pub fn reserved_bytes(&self) -> usize {
+        let words = self.ready.capacity()
+            + self.mask.capacity()
+            + self.summaries.iter().map(Vec::capacity).sum::<usize>();
+        let weights = match &self.policy {
+            ServicePolicy::WeightedRoundRobin { weights } => weights.capacity(),
+            ServicePolicy::RoundRobin | ServicePolicy::StrictPriority => 0,
+        };
+        words * std::mem::size_of::<u64>() + weights * std::mem::size_of::<u32>()
+    }
+
     fn check(&self, qid: QueueId) {
         assert!(
             (qid.0 as usize) < self.n,

@@ -117,6 +117,23 @@ impl QueueLayout {
         Addr(self.doorbell_base + (self.queues as u64 + i) * LINE_BYTES)
     }
 
+    /// The `i`-th line of the reserved doorbell region: queue `i`'s
+    /// primary doorbell for `i < queues`, spare `i - queues` beyond it. A
+    /// caller can thus hold any doorbell, primary or spare, as one `u32`
+    /// index instead of an 8-byte address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is past the last spare line.
+    pub fn doorbell_at(&self, i: u32) -> Addr {
+        let i = u64::from(i);
+        assert!(
+            i < self.queues as u64 + Self::spare_doorbells(self.queues),
+            "doorbell line {i} out of range"
+        );
+        Addr(self.doorbell_base + i * LINE_BYTES)
+    }
+
     /// Doorbell address of queue `q` (one full line each, no false sharing).
     ///
     /// # Panics
@@ -198,6 +215,24 @@ mod tests {
         }
         let last = l.spare_doorbell(QueueLayout::spare_doorbells(100) - 1);
         assert!(l.doorbell_range().contains_line(last.line()));
+    }
+
+    #[test]
+    fn doorbell_at_indexes_primaries_then_spares() {
+        let l = QueueLayout::new(16, 2, 4);
+        for q in 0..16 {
+            assert_eq!(l.doorbell_at(q), l.doorbell(QueueId(q)));
+        }
+        for i in 0..QueueLayout::spare_doorbells(16) {
+            assert_eq!(l.doorbell_at(16 + i as u32), l.spare_doorbell(i));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn doorbell_at_bounds_checked() {
+        let l = QueueLayout::new(16, 2, 4);
+        let _ = l.doorbell_at(16 + QueueLayout::spare_doorbells(16) as u32);
     }
 
     #[test]

@@ -264,6 +264,12 @@ fn take_spare(
     pool.iter_mut().find_map(|p| p.pop_front())
 }
 
+/// The doorbell-region line index of spare `i`
+/// ([`QueueLayout::doorbell_at`]).
+fn spare_index(queues: u32, i: u64) -> u32 {
+    u32::try_from(u64::from(queues) + i).expect("doorbell region indices fit a u32")
+}
+
 /// The set-aware memo eligibility map (DESIGN.md §12), indexed by qid:
 /// per sharing group, count how many of the group's poll lines (doorbell
 /// and descriptor per queue) land in each L1 set; a queue is eligible iff
@@ -276,65 +282,76 @@ fn take_spare(
 /// identical simulated loads (shadow-check).
 fn memo_eligibility(
     mem: &MemSystem,
+    layout: &QueueLayout,
     queues_of_group: &[Vec<QueueId>],
     qrows: &[QRow],
 ) -> Vec<bool> {
     let ways = mem.l1_ways() as u32;
+    let sets = |q: QueueId| {
+        [
+            mem.l1_set_index(layout.doorbell_at(qrows[q.0 as usize].doorbell)),
+            mem.l1_set_index(layout.descriptor(q)),
+        ]
+    };
     let mut eligible = vec![false; qrows.len()];
     let mut pressure = vec![0u32; mem.l1_sets()];
     for group_queues in queues_of_group {
         pressure.fill(0);
         for &q in group_queues {
-            let row = &qrows[q.0 as usize];
-            pressure[mem.l1_set_index(row.doorbell)] += 1;
-            pressure[mem.l1_set_index(row.descriptor)] += 1;
+            for set in sets(q) {
+                pressure[set] += 1;
+            }
         }
         for &q in group_queues {
-            let row = &qrows[q.0 as usize];
-            eligible[q.0 as usize] = pressure[mem.l1_set_index(row.doorbell)] <= ways
-                && pressure[mem.l1_set_index(row.descriptor)] <= ways;
+            eligible[q.0 as usize] = sets(q).iter().all(|&set| pressure[set] <= ways);
         }
     }
     eligible
 }
 
-/// One queue: its FIFO of pending items plus every per-qid scalar the
+/// One queue: its FIFO of pending items plus the per-qid scalars the
 /// engine touches on an arrival, poll, dequeue, or completion, packed into
-/// one row so an event touches one allocation instead of 5–6 scattered
-/// `Vec`s (the SoA→row repack of DESIGN.md §13). Field order is
-/// hottest-first: the poll path reads the two addresses and the FIFO's
-/// length. The poll memos, touched only by spinning runs, stay in separate
-/// vectors.
+/// one row so an event touches one allocation instead of scattered `Vec`s
+/// (the SoA→row repack of DESIGN.md §13). At 2^20 queues every byte here
+/// is a MiB of host memory, so the row keeps only what cannot be derived:
+/// the descriptor address is `layout.descriptor(q)`, the doorbell is a
+/// `u32` line index, and state that only some runs or some queues need
+/// lives beside the rows — spinning-only poll memos and load hints, and a
+/// sparse per-queue latency map filled by measured completions.
 #[derive(Debug, Clone)]
 struct QRow {
-    /// Resolved doorbell address (primary or conflict-spare).
-    doorbell: Addr,
-    /// Queue-head descriptor address (`layout.descriptor(q)`, precomputed
-    /// so the poll loop does no address arithmetic).
-    descriptor: Addr,
-    /// Cached directory slots for the two poll lines, fed back by
-    /// [`MemSystem::load_hinted`] so the steady-state sweep skips the
-    /// directory hash probe (self-validating; never affects outcomes).
-    db_hint: LoadHint,
-    desc_hint: LoadHint,
     /// Pending items, oldest first. Its length is what the paper's
     /// semaphore-style doorbell counter reads (§III, Fig. 2).
     items: std::collections::VecDeque<WorkItem>,
+    /// Resolved doorbell as a line index into the layout's doorbell region
+    /// ([`QueueLayout::doorbell_at`]): the primary `q`, or `queues + i` for
+    /// conflict or churn spare `i`.
+    doorbell: u32,
     /// Sharing group serving this queue.
     group: u32,
+    /// Producer-side buffer entry, already reduced modulo
+    /// [`BUFFER_ENTRIES`].
+    enq_slot: u8,
+    /// Consumer-side buffer entry, reduced the same way.
+    deq_slot: u8,
+    /// Producer core (`CoreId` index; the memory system caps cores at 64).
+    producer: u8,
     /// Interrupt baseline: raise an IRQ on the next arrival.
     irq_armed: bool,
-    /// Producer-side buffer slot cursor.
-    enq_slot: u64,
-    /// Consumer-side buffer slot cursor.
-    deq_slot: u64,
-    /// Post-warmup per-queue latency accumulator.
-    latency: OnlineStats,
 }
 
 // Per-queue memory is linear in the queue count (2^20 rows in a flash
 // crowd); DESIGN.md §17's host-memory log records what each byte buys.
-const _: () = assert!(std::mem::size_of::<QRow>() <= 112);
+const _: () = assert!(std::mem::size_of::<QRow>() <= 48);
+
+/// Data-buffer entries per queue: each queue's buffer pool cycles through
+/// this many entries, so a row's slot cursors fit a `u8`.
+const BUFFER_ENTRIES: u8 = 4;
+
+/// Advances a buffer-entry cursor, wrapping at [`BUFFER_ENTRIES`].
+fn next_slot(slot: u8) -> u8 {
+    (slot + 1) % BUFFER_ENTRIES
+}
 
 /// The experiment engine. Construct with [`Engine::new`], drive with
 /// [`Engine::run`].
@@ -352,12 +369,6 @@ pub struct Engine {
     /// ([`Engine::try_new_lane`]). Non-owned groups draw no stimulus and
     /// touch no queue, device, or core state.
     owned_groups: Vec<bool>,
-    /// Producer core per queue, precomputed so producers partition cleanly
-    /// by sharing group: group `g`'s queues stripe over a contiguous,
-    /// group-private slice of the producer cores (when there are at least
-    /// as many producers as groups), keeping every memory-system actor of
-    /// a lane private to it.
-    producer_of_queue: Vec<CoreId>,
     core_group: Vec<usize>,
     core_ptr: Vec<usize>,
     empty_streak: Vec<usize>,
@@ -404,6 +415,11 @@ pub struct Engine {
     last_processed: u64,
     latency: Histogram,
     notify_latency: Histogram,
+    /// Post-warmup latency per queue, only for queues that completed
+    /// measured work: a flash crowd's cold tail costs nothing here.
+    /// Drained into a qid-sorted list at teardown, so hash order never
+    /// reaches a result.
+    queue_latency: std::collections::HashMap<u32, OnlineStats>,
     /// Per-core average poll cost (feeds the fast-forward skip count;
     /// per-core so one core's estimate is a function of its own schedule
     /// only, independent of how other cores' steps interleave).
@@ -426,6 +442,11 @@ pub struct Engine {
     /// the core's disturb epoch and forces a re-record. Like `memo_ready`
     /// and `memo_eligible`, empty unless the notifier is spinning.
     poll_memos: Vec<SeqMemo>,
+    /// Per-queue cached directory slots for the two poll lines (doorbell,
+    /// descriptor), fed back by [`MemSystem::load_hinted`] so the
+    /// steady-state sweep skips the directory hash probe (self-validating;
+    /// never affects outcomes). Spinning-only, like `poll_memos`.
+    poll_hints: Vec<[LoadHint; 2]>,
     /// Packed ready bits over `poll_memos` (bit `q` set ⟺ the memo is
     /// sealed and worth attempting to replay). Large sweeps (sq500) never
     /// seal, so their polls read one hot bitmap word instead of pulling a
@@ -558,7 +579,11 @@ impl Engine {
         mem_cfg.fast_path = cfg.mem_fast_path;
         mem_cfg.silent_evictions = cfg.silent_evictions;
         let mem = MemSystem::new(mem_cfg);
-        let layout = QueueLayout::new(cfg.queues, cfg.workload.buffer_lines(), 4);
+        let layout = QueueLayout::new(
+            cfg.queues,
+            cfg.workload.buffer_lines(),
+            BUFFER_ENTRIES.into(),
+        );
 
         // Partition queues into sharing groups.
         let groups = cfg.groups();
@@ -575,14 +600,39 @@ impl Engine {
             return Err(ConfigError::EmptyGroup { group });
         }
 
-        // Per-queue doorbell addresses. Algorithm 1's control plane: on a
+        // Partition producer cores by sharing group: group `g`'s `i`-th
+        // queue (in qid order) stripes over producers
+        // `g*share .. (g+1)*share`. With `producers >= groups` the slices
+        // are disjoint, so no producer core ever writes into two groups —
+        // the property that lets each lane model its producers' caches
+        // privately. (With fewer producers than groups the fabric falls
+        // back to a single lane; see `par_engine::run`.)
+        let producers = cfg.machine.cores - cfg.dp_cores;
+        let share = (producers / groups).max(1);
+        let mut qrows: Vec<QRow> = (0..cfg.queues)
+            .map(|q| QRow {
+                items: std::collections::VecDeque::new(),
+                doorbell: q,
+                group: group_of_queue[q as usize] as u32,
+                enq_slot: 0,
+                deq_slot: 0,
+                producer: 0,
+                irq_armed: true,
+            })
+            .collect();
+        for (g, group_queues) in queues_of_group.iter().enumerate() {
+            for (i, &q) in group_queues.iter().enumerate() {
+                let p = (g * share + i % share) % producers;
+                qrows[q.0 as usize].producer =
+                    u8::try_from(cfg.dp_cores + p).expect("the memory system caps cores at 64");
+            }
+        }
+
+        // Per-queue doorbell lines. Algorithm 1's control plane: on a
         // monitoring-set insertion conflict, the driver reallocates the
         // queue's doorbell to a spare line in the reserved range and
         // retries (lines 3-6 of the paper's pseudocode).
-        let mut doorbell: Vec<Addr> = (0..cfg.queues)
-            .map(|q| layout.doorbell(QueueId(q)))
-            .collect();
-
+        //
         // One HyperPlane device per group (the scale-out/up-2 partitioned
         // ready-set variants of Fig. 10); unused for spinning.
         //
@@ -602,11 +652,13 @@ impl Engine {
             for group_queues in queues_of_group.iter().take(groups) {
                 let mut dev = HyperPlaneDevice::new(cfg.hp.clone(), layout.doorbell_range());
                 for &q in group_queues {
+                    let row = &mut qrows[q.0 as usize];
                     loop {
-                        match dev.qwait_add(q, doorbell[q.0 as usize].line()) {
+                        let line = layout.doorbell_at(row.doorbell).line();
+                        match dev.qwait_add(q, line) {
                             Ok(()) => break,
                             Err(hp_core::qwait::QwaitError::Conflict(_)) => {
-                                let want = dev.monitoring_bank_of(doorbell[q.0 as usize].line());
+                                let want = dev.monitoring_bank_of(line);
                                 let idx = take_spare(
                                     want,
                                     &mut spare_pool,
@@ -622,7 +674,7 @@ impl Engine {
                                 .ok_or(
                                     ConfigError::SpareDoorbellsExhausted { queues: cfg.queues },
                                 )?;
-                                doorbell[q.0 as usize] = layout.spare_doorbell(idx);
+                                row.doorbell = spare_index(cfg.queues, idx);
                             }
                             Err(e) => panic!("doorbell registration failed: {e}"),
                         }
@@ -637,40 +689,6 @@ impl Engine {
             None => vec![true; groups],
             Some(g) => (0..groups).map(|i| i == g).collect(),
         };
-
-        // Partition producer cores by sharing group: group `g`'s `i`-th
-        // queue (in qid order) stripes over producers
-        // `g*share .. (g+1)*share`. With `producers >= groups` the slices
-        // are disjoint, so no producer core ever writes into two groups —
-        // the property that lets each lane model its producers' caches
-        // privately. (With fewer producers than groups the fabric falls
-        // back to a single lane; see `par_engine::run`.)
-        let producers = cfg.machine.cores - cfg.dp_cores;
-        let share = (producers / groups).max(1);
-        let mut producer_of_queue: Vec<CoreId> = vec![CoreId(cfg.dp_cores); cfg.queues as usize];
-        for (g, group_queues) in queues_of_group.iter().enumerate() {
-            for (i, &q) in group_queues.iter().enumerate() {
-                let p = (g * share + i % share) % producers;
-                producer_of_queue[q.0 as usize] = CoreId(cfg.dp_cores + p);
-            }
-        }
-
-        // Pack the per-queue hot scalars into rows (after conflict-spare
-        // doorbell resolution so the stored address is final).
-        let qrows: Vec<QRow> = (0..cfg.queues as usize)
-            .map(|q| QRow {
-                doorbell: doorbell[q],
-                descriptor: layout.descriptor(QueueId(q as u32)),
-                db_hint: LoadHint::default(),
-                desc_hint: LoadHint::default(),
-                items: std::collections::VecDeque::new(),
-                group: group_of_queue[q] as u32,
-                irq_armed: true,
-                enq_slot: 0,
-                deq_slot: 0,
-                latency: OnlineStats::new(),
-            })
-            .collect();
 
         let rate = match cfg.load {
             Load::RatePerSec(r) => r,
@@ -751,14 +769,15 @@ impl Engine {
         // Spin-loop state: only `spin_step` reads it, so every other
         // notifier keeps it empty (a stray read panics on the index).
         let spinning = matches!(cfg.notifier, Notifier::Spinning);
-        let (poll_memos, memo_ready, memo_eligible) = if spinning {
+        let (poll_memos, poll_hints, memo_ready, memo_eligible) = if spinning {
             (
                 vec![SeqMemo::default(); n_queues],
+                vec![[LoadHint::default(); 2]; n_queues],
                 vec![0; n_queues.div_ceil(64)],
-                memo_eligibility(&mem, &queues_of_group, &qrows),
+                memo_eligibility(&mem, &layout, &queues_of_group, &qrows),
             )
         } else {
-            (Vec::new(), Vec::new(), Vec::new())
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new())
         };
 
         Ok(Engine {
@@ -768,7 +787,6 @@ impl Engine {
             devices,
             queues_of_group,
             owned_groups,
-            producer_of_queue,
             core_group,
             core_ptr: vec![0; cfg.dp_cores],
             empty_streak: vec![0; cfg.dp_cores],
@@ -790,6 +808,7 @@ impl Engine {
             last_processed: 0,
             latency: Histogram::new(),
             notify_latency: Histogram::new(),
+            queue_latency: std::collections::HashMap::new(),
             poll_cost_ewma: vec![20.0; cfg.dp_cores],
             completions: 0,
             completions_measured: 0,
@@ -797,6 +816,7 @@ impl Engine {
             backlog: 0,
             deq_scratch: Vec::with_capacity(cfg.batch.max(IRQ_NAPI_BUDGET)),
             poll_memos,
+            poll_hints,
             memo_ready,
             memo_eligible,
             warmup_completions,
@@ -838,8 +858,36 @@ impl Engine {
         })
     }
 
-    fn producer_core(&self, q: QueueId) -> CoreId {
-        self.producer_of_queue[q.0 as usize]
+    /// Host bytes of the per-queue structures this lane built (capacity ×
+    /// element size): rows, group lists, spin-loop state, HyperPlane
+    /// devices, and arrival alias tables. FIFO buffers grow with backlog,
+    /// not with the queue count, and are not counted. Deterministic for a
+    /// config, so the scale harness can gate on it where RSS is noise.
+    fn queue_state_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let rows = self.qrows.capacity() * size_of::<QRow>();
+        let groups: usize = self.queues_of_group.iter().map(Vec::capacity).sum();
+        let spin = self.poll_memos.capacity() * size_of::<SeqMemo>()
+            + self.poll_hints.capacity() * size_of::<[LoadHint; 2]>()
+            + self.memo_ready.capacity() * size_of::<u64>()
+            + self.memo_eligible.capacity() * size_of::<bool>();
+        let devices: usize = self
+            .devices
+            .iter()
+            .map(HyperPlaneDevice::reserved_bytes)
+            .sum();
+        let arrivals: usize = self
+            .keyed_arrivals
+            .iter()
+            .flatten()
+            .map(KeyedArrivals::reserved_bytes)
+            .sum();
+        (rows + groups * size_of::<QueueId>() + spin + devices + arrivals) as u64
+    }
+
+    /// Queue `qi`'s resolved doorbell address.
+    fn doorbell(&self, qi: usize) -> Addr {
+        self.layout.doorbell_at(self.qrows[qi].doorbell)
     }
 
     fn dp_core(&self, c: usize) -> CoreId {
@@ -1198,20 +1246,18 @@ impl Engine {
         self.audit.on_enqueue(item.id, now.since_start().count());
 
         // Producer writes the payload buffers then rings the doorbell.
-        let prod = self.producer_core(q);
-        let slot = self.qrows[qi].enq_slot;
-        self.qrows[qi].enq_slot += 1;
+        let row = &mut self.qrows[qi];
+        let (prod, slot) = (CoreId(row.producer as usize), row.enq_slot);
+        row.enq_slot = next_slot(slot);
         {
             // Split borrow: the line iterator borrows `layout` while the
             // accesses mutate `mem` — no per-arrival Vec needed.
             let Self { layout, mem, .. } = self;
-            for a in layout.buffer_lines(q, slot) {
+            for a in layout.buffer_lines(q, slot.into()) {
                 mem.access(prod, a, AccessKind::Store);
             }
         }
-        let ring = self
-            .mem
-            .access(prod, self.qrows[qi].doorbell, AccessKind::Store);
+        let ring = self.mem.access(prod, self.doorbell(qi), AccessKind::Store);
         self.note(now, TraceKind::DoorbellWrite { queue: q.0 });
 
         // Interrupt baseline: a doorbell write to an armed queue raises a
@@ -1386,16 +1432,16 @@ impl Engine {
         // queue counts). The pair is the canonical memoizable sequence:
         // identical lines every visit, loads only — so while this core's
         // L1 copies are undisturbed it replays in O(1).
+        let (db, desc_addr) = (self.doorbell(qi), self.layout.descriptor(q));
         let mem_lat = if self.cfg.mem_fast_path {
             let Self {
                 mem,
                 poll_memos,
-                qrows,
+                poll_hints,
                 memo_ready,
                 memo_eligible,
                 ..
             } = self;
-            let row = &mut qrows[qi];
             let (w, bit) = (qi / 64, 1u64 << (qi % 64));
             // The bitmap gate keeps sq500-class polls off the cold memo
             // vector entirely; when the bit is set the memo is sealed and
@@ -1425,13 +1471,11 @@ impl Engine {
                 // and residency is simulator state, so the gate is
                 // deterministic, and both paths issue the identical loads
                 // (pinned by shadow-check).
-                None if memo_eligible[qi]
-                    || mem.l1_hint_resident(core, &row.db_hint, row.doorbell) =>
-                {
+                None if memo_eligible[qi] || mem.l1_hint_resident(core, &poll_hints[qi][0], db) => {
                     let m = &mut poll_memos[qi];
                     m.begin(core);
-                    let poll = mem.record_access(m, core, row.doorbell, AccessKind::Load);
-                    let desc = mem.record_access(m, core, row.descriptor, AccessKind::Load);
+                    let poll = mem.record_access(m, core, db, AccessKind::Load);
+                    let desc = mem.record_access(m, core, desc_addr, AccessKind::Load);
                     mem.seal_memo(m);
                     if m.is_ready() {
                         memo_ready[w] |= bit;
@@ -1442,14 +1486,13 @@ impl Engine {
                 }
                 None => {
                     memo_ready[w] &= !bit;
-                    let poll = mem.load_hinted(core, row.doorbell, &mut row.db_hint);
-                    let desc = mem.load_hinted(core, row.descriptor, &mut row.desc_hint);
+                    let [db_hint, desc_hint] = &mut poll_hints[qi];
+                    let poll = mem.load_hinted(core, db, db_hint);
+                    let desc = mem.load_hinted(core, desc_addr, desc_hint);
                     poll.latency.count() + desc.latency.count()
                 }
             }
         } else {
-            let row = &self.qrows[qi];
-            let (db, desc_addr) = (row.doorbell, row.descriptor);
             let poll = self.mem.access(core, db, AccessKind::Load);
             let desc = self.mem.access(core, desc_addr, AccessKind::Load);
             poll.latency.count() + desc.latency.count()
@@ -1631,9 +1674,7 @@ impl Engine {
 
         // QWAIT-VERIFY: read the doorbell count.
         let qi = qid.0 as usize;
-        let verify_mem = self
-            .mem
-            .access(core, self.qrows[qi].doorbell, AccessKind::Load);
+        let verify_mem = self.mem.access(core, self.doorbell(qi), AccessKind::Load);
         total += verify_mem.latency.count() + self.devices[group].timing().verify.count();
         self.telem[c].useful_instructions += QWAIT_INSTR / 2;
 
@@ -1799,19 +1840,16 @@ impl Engine {
         let mut cost = 0u64;
         let mut found = false;
         let mut reregistered = false;
-        let qids = self.queues_of_group[group].clone();
-        for q in qids {
+        for i in 0..self.queues_of_group[group].len() {
+            let q = self.queues_of_group[group][i];
             let qi = q.0 as usize;
+            let db = self.doorbell(qi);
             cost += self.cfg.poll_overhead_cycles;
-            cost += self
-                .mem
-                .access(core, self.qrows[qi].doorbell, AccessKind::Load)
-                .latency
-                .count();
+            cost += self.mem.access(core, db, AccessKind::Load).latency.count();
             self.telem[c].useful_instructions += POLL_INSTR;
             if self.devices[group].line_of(q).is_none() {
                 cost += self.devices[group].timing().monitor_lookup.count();
-                let _ = self.devices[group].qwait_add(q, self.qrows[qi].doorbell.line());
+                let _ = self.devices[group].qwait_add(q, db.line());
                 reregistered = true;
             }
             if !self.qrows[qi].items.is_empty() {
@@ -1901,7 +1939,7 @@ impl Engine {
         // conflict resolution; see `take_spare`).
         let spares = QueueLayout::spare_doorbells(self.cfg.queues);
         let groups = self.queues_of_group.len() as u64;
-        let want = self.devices[g].monitoring_bank_of(self.qrows[qi].doorbell.line());
+        let want = self.devices[g].monitoring_bank_of(self.doorbell(qi).line());
         let mut rehomed = false;
         loop {
             let (next, base) = (&mut self.next_spare[g], self.spare_base + g as u64);
@@ -1927,7 +1965,7 @@ impl Engine {
                     // loop reads the state that caches a doorbell (poll
                     // memos, load hints, memo eligibility), so none of it
                     // needs a refresh here.
-                    self.qrows[qi].doorbell = addr;
+                    self.qrows[qi].doorbell = spare_index(self.cfg.queues, idx);
                     rehomed = true;
                     break;
                 }
@@ -1936,7 +1974,8 @@ impl Engine {
             }
         }
         if !rehomed {
-            let _ = self.devices[g].qwait_add(q, self.qrows[qi].doorbell.line());
+            let line = self.doorbell(qi).line();
+            let _ = self.devices[g].qwait_add(q, line);
         }
         self.note(now, TraceKind::FaultEvicted { queue: q.0 });
         // Driver-side migration sync: backlog enqueued before the move
@@ -1957,8 +1996,7 @@ impl Engine {
     fn dequeue_batch(&mut self, c: usize, q: QueueId, batch: usize) -> u64 {
         let core = self.dp_core(c);
         let qi = q.0 as usize;
-        let row = &self.qrows[qi];
-        let (desc_addr, db) = (row.descriptor, row.doorbell);
+        let (desc_addr, db) = (self.layout.descriptor(q), self.doorbell(qi));
         let mut cost = 0u64;
         cost += self
             .mem
@@ -1993,16 +2031,16 @@ impl Engine {
     ) -> u64 {
         let core = self.dp_core(c);
         let qi = q.0 as usize;
-        let desc_addr = self.qrows[qi].descriptor;
+        let desc_addr = self.layout.descriptor(q);
         let mut total = 0u64;
         for item in items {
             // Stream the payload buffer lines (MLP-overlapped).
             let slot = self.qrows[qi].deq_slot;
-            self.qrows[qi].deq_slot += 1;
+            self.qrows[qi].deq_slot = next_slot(slot);
             let mut buf_lat = 0u64;
             {
                 let Self { layout, mem, .. } = self;
-                for a in layout.buffer_lines(q, slot) {
+                for a in layout.buffer_lines(q, slot.into()) {
                     buf_lat += mem.access(core, a, AccessKind::Load).latency.count();
                 }
             }
@@ -2080,7 +2118,10 @@ impl Engine {
         if self.measuring {
             self.completions_measured += 1;
             self.latency.record(lat);
-            self.qrows[q.0 as usize].latency.record(lat as f64);
+            self.queue_latency
+                .entry(q.0)
+                .or_default()
+                .record(lat as f64);
         }
     }
 
@@ -2114,13 +2155,9 @@ impl Engine {
             mem_stats.dram_fetches += s.dram_fetches;
         }
         let residual_backlog: u64 = self.backlog;
-        // The owned groups' queue lists, moved out: a per-queue mask would
-        // scan 2^20 cold rows at teardown.
-        let owned_queues: Vec<Vec<QueueId>> = std::mem::take(&mut self.queues_of_group)
-            .into_iter()
-            .zip(&self.owned_groups)
-            .filter_map(|(qs, &owned)| owned.then_some(qs))
-            .collect();
+        let queue_state_bytes = self.queue_state_bytes();
+        let mut per_queue: Vec<(u32, OnlineStats)> = self.queue_latency.drain().collect();
+        per_queue.sort_unstable_by_key(|&(q, _)| q);
         let core_owned: Vec<bool> = (0..self.cfg.dp_cores)
             .map(|c| self.owned_groups[self.core_group[c]])
             .collect();
@@ -2136,8 +2173,8 @@ impl Engine {
             drops: self.drops,
             latency: self.latency,
             notify_latency: self.notify_latency,
-            per_queue: self.qrows.into_iter().map(|r| r.latency).collect(),
-            owned_queues,
+            per_queue,
+            queue_state_bytes,
             telem: self.telem,
             core_owned,
             mem_stats,
@@ -2167,8 +2204,8 @@ impl Engine {
 
 /// One lane's mergeable outputs ([`Engine::into_lane_output`]): everything
 /// the fabric needs to reassemble a whole-machine [`ExperimentResult`].
-/// Lane-disjoint collections (per-queue stats, per-core telemetry) come
-/// with what the lane owns (its groups' queue lists, a core mask);
+/// Lane-disjoint collections come keyed by what the lane owns (per-queue
+/// stats by qid, per-core telemetry with a core mask);
 /// cross-lane aggregates (histograms, counters, the profile) merge by
 /// summation.
 #[derive(Debug)]
@@ -2178,8 +2215,10 @@ pub(crate) struct LaneOutput {
     pub(crate) drops: u64,
     pub(crate) latency: Histogram,
     pub(crate) notify_latency: Histogram,
-    pub(crate) per_queue: Vec<OnlineStats>,
-    pub(crate) owned_queues: Vec<Vec<QueueId>>,
+    /// Measured latency of the queues this lane completed work on,
+    /// qid-sorted.
+    pub(crate) per_queue: Vec<(u32, OnlineStats)>,
+    pub(crate) queue_state_bytes: u64,
     pub(crate) telem: Vec<CoreTelemetry>,
     pub(crate) core_owned: Vec<bool>,
     pub(crate) mem_stats: hp_mem::system::CoreMemStats,
@@ -2739,6 +2778,34 @@ mod tests {
     }
 
     #[test]
+    fn queue_state_bytes_are_linear_in_the_queue_count() {
+        let per_queue = |queues: u32, notifier: Notifier| {
+            let cfg = ExperimentConfig::new(
+                WorkloadKind::PacketEncap,
+                TrafficShape::NonproportionallyConcentrated,
+                queues,
+            )
+            .with_notifier(notifier);
+            let e = Engine::try_new(cfg).expect("valid config");
+            let bytes = e.queue_state_bytes() as f64 / f64::from(queues);
+            assert!(bytes >= std::mem::size_of::<QRow>() as f64);
+            bytes
+        };
+        // Above Table I's 1024 QIDs the device scales with the queue
+        // count, so every structure is per-queue and the ratio is flat.
+        let (small, large) = (
+            per_queue(1 << 12, Notifier::hyperplane()),
+            per_queue(1 << 16, Notifier::hyperplane()),
+        );
+        assert!(
+            (large / small - 1.0).abs() < 0.01,
+            "{small:.2} vs {large:.2} bytes per queue"
+        );
+        // Spin-loop state is counted, and only spinning runs build it.
+        assert!(per_queue(1 << 12, Notifier::Spinning) > small);
+    }
+
+    #[test]
     fn memo_eligibility_matches_naive_recount_and_is_spinning_only() {
         // Two sharing groups of 160 queues: each group puts 4 poll lines
         // in some L1 sets and 6 in others, straddling the 4-way
@@ -2786,5 +2853,6 @@ mod tests {
         .with_chaos(hp_sim::chaos::ChaosSchedule::none().with_churn(10_000));
         let e = Engine::try_new(hp).expect("valid HyperPlane config");
         assert!(e.memo_eligible.is_empty() && e.poll_memos.is_empty() && e.memo_ready.is_empty());
+        assert!(e.poll_hints.is_empty());
     }
 }

@@ -457,14 +457,16 @@ fn merge(
     let telem: Vec<CoreTelemetry> = (0..dp_cores)
         .map(|c| outs[core_owner[c]].telem[c])
         .collect();
-    // Per-queue rows fill lane 0's vector in place: at 2^20 queues a
-    // second whole-machine copy would dominate teardown memory.
-    let mut per_queue: Vec<OnlineStats> = std::mem::take(&mut outs[0].per_queue);
-    for o in &outs[1..] {
-        for &q in o.owned_queues.iter().flatten() {
-            per_queue[q.0 as usize] = o.per_queue[q.0 as usize];
-        }
-    }
+    // Per-queue latency: each lane lists only the queues it completed
+    // measured work on, and lanes own disjoint queues.
+    let mut per_queue: Vec<(u32, OnlineStats)> = outs
+        .iter_mut()
+        .flat_map(|o| std::mem::take(&mut o.per_queue))
+        .collect();
+    per_queue.sort_unstable_by_key(|&(q, _)| q);
+    // Every lane builds the whole queue universe's rows; the largest
+    // lane's footprint is the per-lane cost.
+    let queue_state_bytes = outs.iter().map(|o| o.queue_state_bytes).max().unwrap_or(0);
 
     // Machine-wide counters: non-owners contribute zero, so sums equal
     // a one-lane run's whole-machine totals.
@@ -589,6 +591,7 @@ fn merge(
         end,
         clock,
         per_queue,
+        queue_state_bytes,
         notify_latency,
         mem_stats,
         faults,

@@ -153,7 +153,10 @@ pub struct ExperimentResult {
     /// Simulated end time.
     pub end: SimTime,
     pub(crate) clock: Clock,
-    pub(crate) per_queue: Vec<OnlineStats>,
+    /// Measured latency per queue that completed measured work, sorted
+    /// by qid.
+    pub(crate) per_queue: Vec<(u32, OnlineStats)>,
+    pub(crate) queue_state_bytes: u64,
     pub(crate) notify_latency: Histogram,
     pub(crate) mem_stats: hp_mem::system::CoreMemStats,
     pub(crate) faults: Option<FaultReport>,
@@ -511,19 +514,27 @@ impl ExperimentResult {
             .unwrap_or(f64::NAN)
     }
 
+    /// Host bytes of the per-queue structures one lane builds (capacity ×
+    /// element size of the queue rows, monitoring slots and QID→doorbell
+    /// map, ready-set words, arrival alias tables, and group lists; the
+    /// largest lane's in a multi-lane run). A deterministic proxy for the
+    /// run's per-queue host memory; kept out of [`Self::digest`] so it can
+    /// shrink without moving a pin.
+    pub fn queue_state_bytes(&self) -> u64 {
+        self.queue_state_bytes
+    }
+
     /// Mean latency per queue in microseconds, with sample counts:
     /// `(queue, samples, mean_us)` for queues that completed work.
     /// Used to demonstrate service-policy differentiation (WRR weights).
     pub fn per_queue_latency_us(&self) -> Vec<(u32, u64, f64)> {
         self.per_queue
             .iter()
-            .enumerate()
-            .filter(|(_, s)| s.count() > 0)
-            .map(|(q, s)| {
+            .map(|&(q, s)| {
                 let us = self
                     .clock
                     .cycles_to_micros(hp_sim::time::Cycles(s.mean() as u64));
-                (q as u32, s.count(), us)
+                (q, s.count(), us)
             })
             .collect()
     }
@@ -663,6 +674,7 @@ mod tests {
             end: SimTime(1_000_000),
             clock: cfg.machine.clock,
             per_queue: Vec::new(),
+            queue_state_bytes: 0,
             notify_latency: Histogram::new(),
             mem_stats: Default::default(),
             faults: None,

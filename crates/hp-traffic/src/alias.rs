@@ -23,7 +23,9 @@ use hp_rand::Rng;
 #[derive(Debug, Clone)]
 pub struct AliasTable {
     prob: Vec<f64>,
-    alias: Vec<usize>,
+    /// Alias category per slot, as `u32`: half the bytes of `usize` on a
+    /// million-queue table (checked against the category count at build).
+    alias: Vec<u32>,
 }
 
 /// Error constructing an alias table.
@@ -35,6 +37,8 @@ pub enum AliasError {
     BadWeight(usize),
     /// All weights were zero.
     ZeroMass,
+    /// More categories than a `u32` alias index can name.
+    TooManyCategories(usize),
 }
 
 impl std::fmt::Display for AliasError {
@@ -43,6 +47,9 @@ impl std::fmt::Display for AliasError {
             AliasError::Empty => write!(f, "empty weight vector"),
             AliasError::BadWeight(i) => write!(f, "weight {i} is negative or non-finite"),
             AliasError::ZeroMass => write!(f, "all weights are zero"),
+            AliasError::TooManyCategories(n) => {
+                write!(f, "{n} categories exceed the u32 alias index")
+            }
         }
     }
 }
@@ -69,12 +76,13 @@ impl AliasTable {
             return Err(AliasError::ZeroMass);
         }
         let n = weights.len();
+        let n32 = u32::try_from(n).map_err(|_| AliasError::TooManyCategories(n))?;
         let scale = n as f64 / total;
         let mut prob: Vec<f64> = weights.iter().map(|w| w * scale).collect();
-        let mut alias = vec![0usize; n];
-        let mut small: Vec<usize> = Vec::with_capacity(n);
-        let mut large: Vec<usize> = Vec::with_capacity(n);
-        for (i, &p) in prob.iter().enumerate() {
+        let mut alias = vec![0u32; n];
+        let mut small: Vec<u32> = Vec::with_capacity(n);
+        let mut large: Vec<u32> = Vec::with_capacity(n);
+        for (i, &p) in (0..n32).zip(&prob) {
             if p < 1.0 {
                 small.push(i);
             } else {
@@ -82,9 +90,10 @@ impl AliasTable {
             }
         }
         while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-            alias[s] = l;
-            prob[l] = (prob[l] + prob[s]) - 1.0;
-            if prob[l] < 1.0 {
+            let (si, li) = (s as usize, l as usize);
+            alias[si] = l;
+            prob[li] = (prob[li] + prob[si]) - 1.0;
+            if prob[li] < 1.0 {
                 small.push(l);
             } else {
                 large.push(l);
@@ -92,7 +101,7 @@ impl AliasTable {
         }
         // Numerical leftovers: pin to 1.
         for i in small.into_iter().chain(large) {
-            prob[i] = 1.0;
+            prob[i as usize] = 1.0;
         }
         Ok(AliasTable { prob, alias })
     }
@@ -114,8 +123,15 @@ impl AliasTable {
         if rng.random::<f64>() < self.prob[i] {
             i
         } else {
-            self.alias[i]
+            self.alias[i] as usize
         }
+    }
+
+    /// Host bytes the table reserves (capacity × element size), for the
+    /// per-queue memory accounting of million-category tables.
+    pub fn reserved_bytes(&self) -> usize {
+        self.prob.capacity() * std::mem::size_of::<f64>()
+            + self.alias.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -158,6 +174,23 @@ mod tests {
             let got = counts[i] as f64 / n as f64;
             assert!((got - expect).abs() < 0.005, "cat {i}: {got} vs {expect}");
         }
+    }
+
+    #[test]
+    fn sample_sequence_is_pinned() {
+        // Captured from the `usize`-indexed table this one replaced: the
+        // `u32` alias column must draw exactly the same categories.
+        let t = AliasTable::new(&[4.0, 1.0, 3.0, 2.0, 0.0, 5.0, 0.5, 2.5]).unwrap();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let drawn: Vec<usize> = (0..32).map(|_| t.sample(&mut rng)).collect();
+        assert_eq!(
+            drawn,
+            [
+                0, 5, 5, 5, 7, 0, 5, 3, 1, 0, 5, 7, 6, 0, 3, 6, 5, 2, 2, 7, 5, 0, 0, 2, 2, 0, 0, 5,
+                1, 5, 0, 0
+            ]
+        );
+        assert_eq!(t.alias, [0, 0, 0, 0, 5, 2, 7, 5]);
     }
 
     #[test]

@@ -215,6 +215,12 @@ impl KeyedArrivals {
     pub fn queue_ids(&self) -> &[QueueId] {
         &self.queue_ids
     }
+
+    /// Host bytes reserved for the alias table and the queue-id column
+    /// (capacity × element size).
+    pub fn reserved_bytes(&self) -> usize {
+        self.table.reserved_bytes() + self.queue_ids.capacity() * std::mem::size_of::<QueueId>()
+    }
 }
 
 /// Splits `queues` queues into `cores` contiguous scale-out partitions,

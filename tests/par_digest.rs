@@ -47,15 +47,25 @@ fn observed(cfg: ExperimentConfig) -> ExperimentConfig {
         .with_metrics_window(500_000)
 }
 
+/// Digest and per-queue latency equal at 1, 2 and 4 workers. The
+/// per-queue list is outside the digest: each lane reports only its own
+/// queues, so a merge that lost a lane's entries would show only here.
 fn assert_worker_invariant(label: &str, mk: impl Fn() -> ExperimentConfig) {
     let serial = runner::run(mk().with_par_workers(1));
     let d0 = serial.digest();
+    let q0 = serial.per_queue_latency_us();
+    assert!(q0.len() > 1, "{label}: per-queue latency is vacuous");
     for workers in [2, 4] {
         let par = runner::run(mk().with_par_workers(workers));
         assert_eq!(
             d0,
             par.digest(),
             "{label}: digest diverged at {workers} workers"
+        );
+        assert_eq!(
+            q0,
+            par.per_queue_latency_us(),
+            "{label}: per-queue latency diverged at {workers} workers"
         );
     }
 }
