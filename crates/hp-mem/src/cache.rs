@@ -16,8 +16,8 @@
 //! (tag check + LRU/state update) reads and writes a *single* host cache
 //! line, where split tag/state/LRU vectors cost three. Slots are stable
 //! handles: a line's slot never changes while the line is resident, which
-//! is what lets [`MemSystem`]'s MRU filter and the epoch-memoized
-//! sequences skip re-probing (see `crate::system`).
+//! is what lets [`MemSystem`]'s directory keep each line's LLC slot as a
+//! self-validating hint and skip re-probing the LLC (see `crate::system`).
 //!
 //! The tick is strictly monotonic and every assignment of a slot's `meta`
 //! uses a fresh tick, so two valid slots never share a tick and comparing
@@ -204,29 +204,6 @@ impl SetAssocCache {
         (line.0 & self.set_mask) as usize
     }
 
-    /// Set index `line` maps to (stable geometry fact, no side effects).
-    ///
-    /// Exposed so the epoch-memoized sequences in [`MemSystem`] can
-    /// partition a core's disturb tracking by set.
-    ///
-    /// [`MemSystem`]: crate::system::MemSystem
-    #[inline]
-    pub fn set_index(&self, line: LineAddr) -> usize {
-        self.set_of(line)
-    }
-
-    /// Number of sets in this cache.
-    #[inline]
-    pub fn sets(&self) -> usize {
-        (self.set_mask as usize) + 1
-    }
-
-    /// Associativity (ways per set).
-    #[inline]
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
     /// Slot holding `line`, if resident. No LRU or counter side effects.
     #[inline]
     pub fn probe(&self, line: LineAddr) -> Option<usize> {
@@ -235,21 +212,12 @@ impl SetAssocCache {
         (base..base + self.ways).find(|&i| self.slots[i].key == needle)
     }
 
-    /// Whether `slot` still holds `line`.
-    ///
-    /// Only meaningful for a slot previously obtained by probing *this*
-    /// line (slots are per-set, and a line maps to exactly one set, so a
-    /// stale slot from the right set can only match if the same line was
-    /// re-inserted there).
-    #[inline]
-    pub fn slot_holds(&self, slot: usize, line: LineAddr) -> bool {
-        self.slots[slot].key == self.key_of(line)
-    }
-
-    /// Bounds-checked variant of [`slot_holds`](Self::slot_holds) for
-    /// `u32` slot hints that may be the "unknown" sentinel (`u32::MAX`) or
-    /// stale. Same precondition: the hint must have been recorded while
-    /// *this* line was resident at that slot.
+    /// Whether the `u32` slot hint `slot` still holds `line`. The hint may
+    /// be the "unknown" sentinel (`u32::MAX`) or stale; it must have been
+    /// recorded while *this* line was resident at that slot (slots are
+    /// per-set, and a line maps to exactly one set, so a stale slot from
+    /// the right set can only match if the same line was re-inserted
+    /// there).
     #[inline]
     pub fn hint_holds(&self, slot: u32, line: LineAddr) -> bool {
         (slot as usize) < self.slots.len() && self.slots[slot as usize].key == self.key_of(line)
@@ -382,8 +350,8 @@ impl SetAssocCache {
     /// [`lookup`](Self::lookup) hit would: bumps the tick, refreshes LRU,
     /// and counts a hit. Returns the line's state.
     ///
-    /// This is the O(1) fast path behind the MRU filter: byte-identical
-    /// bookkeeping to a full set probe that hits.
+    /// The O(1) touch of an LLC line whose slot hint validated:
+    /// byte-identical bookkeeping to a full set probe that hits.
     #[inline]
     pub fn hit_at(&mut self, slot: usize) -> MesiState {
         self.tick += 1;
@@ -403,12 +371,6 @@ impl SetAssocCache {
         self.tick += 2;
         self.slots[slot].meta = (self.tick << 2) | code_of(state);
         self.hits += 1;
-    }
-
-    /// State of a resident slot (no side effects).
-    #[inline]
-    pub fn state_at(&self, slot: usize) -> MesiState {
-        state_of(self.slots[slot].meta)
     }
 
     /// Sets the state of a resident slot directly (no probe, no LRU).
@@ -660,12 +622,12 @@ mod tests {
     fn slot_handles_track_residency() {
         let mut c = tiny();
         let (_, slot) = c.insert_slot(LineAddr(4), MesiState::Exclusive);
-        assert!(c.slot_holds(slot, LineAddr(4)));
-        assert_eq!(c.state_at(slot), MesiState::Exclusive);
+        assert!(c.hint_holds(slot as u32, LineAddr(4)));
+        assert!(!c.hint_holds(u32::MAX, LineAddr(4)));
         c.set_state_at(slot, MesiState::Modified);
         assert_eq!(c.state(LineAddr(4)), Some(MesiState::Modified));
         c.invalidate(LineAddr(4));
-        assert!(!c.slot_holds(slot, LineAddr(4)));
+        assert!(!c.hint_holds(slot as u32, LineAddr(4)));
     }
 
     #[test]

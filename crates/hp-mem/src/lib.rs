@@ -35,10 +35,8 @@
 pub mod cache;
 pub mod dir;
 pub mod reference;
-pub mod seq;
 pub mod system;
 pub mod types;
 
-pub use seq::SeqMemo;
 pub use system::{AccessResult, FastPathStats, LatencyModel, MemSystem, MemSystemConfig};
 pub use types::{AccessKind, Addr, AddrRange, CoreId, HitLevel, LineAddr, LINE_BYTES};

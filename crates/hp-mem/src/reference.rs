@@ -7,7 +7,11 @@
 //! deliberately implemented with *different* data structures than
 //! [`crate::system::MemSystem`] (nested `Vec<Vec<Way>>` sets instead of
 //! flat tag arrays, std map instead of [`crate::dir::DirTable`]) so that a
-//! shared bug in a clever layout cannot hide a divergence.
+//! shared bug in a clever layout cannot hide a divergence. What it checks
+//! is every shortcut `MemSystem` takes: the stable-state short-circuit,
+//! the shared-line LLC route, the directory and LLC slot hints (including
+//! the caller-owned [`crate::system::LoadHint`]), and the fused L1/LLC
+//! lookup-and-placement scans.
 //!
 //! Uses:
 //!
@@ -183,7 +187,7 @@ struct RefDirEntry {
 ///
 /// Same observable API surface as `MemSystem` (access results, telemetry,
 /// interconnect counters), implemented as full per-access transactions
-/// with no MRU filter, no fused directory probes, and no memoization.
+/// with no slot hints, no fused directory probes, and no shortcut routes.
 #[derive(Debug, Clone)]
 pub struct RefMemSystem {
     l1s: Vec<RefCache>,

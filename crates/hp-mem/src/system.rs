@@ -20,30 +20,27 @@
 //!
 //! The overwhelming majority of simulated accesses hit a line already held
 //! locally in a stable MESI state and cannot generate coherence traffic.
-//! Three mechanisms exploit this without changing any observable result:
+//! Two mechanisms exploit this without changing any observable result:
 //!
-//! * **MRU line filter** — per core, the last-touched `(line, slot)` pair is
-//!   remembered. An access that hits it resolves with one tag compare and
-//!   the same bookkeeping a full set probe would have performed.
 //! * **Stable-state short-circuit** — a load to a locally resident line, or
 //!   a store to a line in M/E, completes inside the L1 without constructing
 //!   a directory transaction. Stores to Shared lines and all misses (the
 //!   only accesses that can produce GetM traffic, including doorbell-range
 //!   snoops) always take the slow path.
-//! * **Epoch-memoized sequences** — deterministic per-packet access
-//!   sequences are recorded once ([`SeqMemo`]) and replayed in O(1) checks
-//!   while the issuing core's *disturb epoch* is unchanged (no line left or
-//!   was downgraded in its L1).
+//! * **Shared-line LLC route and hinted loads** (DESIGN.md §13) — an L1
+//!   load miss on an unowned, LLC-resident line resolves in one directory
+//!   word, and [`MemSystem::load_hinted`] skips the directory hash probe
+//!   with a caller-owned, self-validating [`LoadHint`]. Both are gated by
+//!   [`MemSystemConfig::fast_path`].
 //!
-//! All fast paths replicate the slow path's side effects exactly (LRU
-//! ticks, hit counters, telemetry), which is what keeps same-seed runs
+//! Every path replicates the general transaction's side effects exactly
+//! (LRU ticks, hit counters, telemetry), which is what keeps same-seed runs
 //! bit-identical — enforced by the `shadow-check` feature, which embeds a
 //! [`crate::reference::RefMemSystem`] and asserts equal results on every
 //! access.
 
 use crate::cache::{CacheConfig, Insert, MesiState, PlacePlan, SetAssocCache};
 use crate::dir::DirTable;
-use crate::seq::SeqMemo;
 use crate::types::{AccessKind, Addr, CoreId, HitLevel, LineAddr};
 use hp_sim::time::Cycles;
 
@@ -175,20 +172,26 @@ impl CoreMemStats {
 
 /// Counters for the memory-system fast paths (wall-clock observability
 /// only — none of these feed back into simulated behaviour).
+///
+/// The four `mru_hits`/`seq_*` fields always read 0: no MRU line filter
+/// or sequence memo exists. They stay so the artifacts that print them —
+/// the attribution snapshot (`SNAPSHOT_LABELS`), `profile_json` and the
+/// benchmark report — keep their layout and pinned hashes until a
+/// benchmark change drops them.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FastPathStats {
-    /// Accesses resolved by the per-core MRU line filter.
+    /// Always 0: there is no MRU line filter. An access to a line the core
+    /// last touched counts in `stable_hits` like any other L1 short-circuit.
     pub mru_hits: u64,
-    /// Slow-path accesses that still short-circuited in the L1 (stable
-    /// local state, no directory transaction constructed).
+    /// Accesses that short-circuited in the L1 (stable local state, no
+    /// directory transaction constructed). Counts whether or not
+    /// [`MemSystemConfig::fast_path`] is on.
     pub stable_hits: u64,
-    /// Memoized sequences replayed in O(1).
+    /// Always 0: there is no sequence memo.
     pub seq_replays: u64,
-    /// Replay attempts on a sealed memo (hits plus validity-check
-    /// failures): `seq_replays / seq_replay_attempts` is the memo hit
-    /// rate surfaced by `trace --profile`.
+    /// Always 0: there is no sequence memo.
     pub seq_replay_attempts: u64,
-    /// Individual accesses covered by those replays.
+    /// Always 0: there is no sequence memo.
     pub seq_replayed_accesses: u64,
     /// Loads on a stably-shared LLC line resolved by the read-only
     /// directory peek: the write-back would have been an identity write,
@@ -203,40 +206,28 @@ pub struct FastPathStats {
     pub shared_joins: u64,
     /// L1 evictions whose victim's directory entry was found via the
     /// per-slot hint (generation-validated), skipping the hash probe.
+    /// Counts whether or not [`MemSystemConfig::fast_path`] is on.
     pub dir_hint_hits: u64,
 }
 
-/// The last-touched line of one core: `slot` is where `line` lived in the
-/// core's L1 when touched. Validity is self-checking (`slot_holds`), so no
-/// invalidation hooks are needed anywhere in the coherence protocol.
-#[derive(Debug, Clone, Copy)]
-struct MruLine {
-    line: LineAddr,
-    slot: usize,
-}
-
-/// A caller-owned, self-validating cache of one line's directory slot
-/// and L1 slot, for callers that re-access the same line periodically
-/// (the spin-poll sweep). Pass to [`MemSystem::load_hinted`]: a hint
-/// whose directory slot still holds the line's entry skips the directory
-/// hash probe entirely, and the L1 slot lets
-/// [`MemSystem::l1_hint_resident`] answer the residency question with a
-/// single compare instead of a set scan. Both validations are sound on
-/// their own — keys/tags are unique per structure, so a slot holding the
-/// key *is* the key's entry, wherever churn may have moved things — and
-/// a stale or default hint just falls back to the probe: the hint can
-/// never change an access's outcome, only its wall-clock cost.
+/// A caller-owned, self-validating cache of one line's directory slot,
+/// for callers that re-access the same line periodically (the spin-poll
+/// sweep). Pass to [`MemSystem::load_hinted`]: a hint whose directory
+/// slot still holds the line's entry skips the directory hash probe
+/// entirely. The validation is sound on its own — keys are unique, so a
+/// slot holding the key *is* the key's entry, wherever churn may have
+/// moved things — and a stale or default hint just falls back to the
+/// probe: the hint can never change an access's outcome, only its
+/// wall-clock cost.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadHint {
     dir_slot: u32,
-    l1_slot: u32,
 }
 
 impl Default for LoadHint {
     fn default() -> Self {
         LoadHint {
             dir_slot: NO_DIR_SLOT,
-            l1_slot: u32::MAX,
         }
     }
 }
@@ -273,25 +264,11 @@ pub struct MemSystem {
     /// Last line loaded per core (stride detection).
     last_load: Vec<Option<u64>>,
     prefetch_fills: u64,
-    /// Whether the MRU filter and memo replay are consulted. Off, every
-    /// access takes the slow path; results are identical either way (the
-    /// fast paths replicate slow-path bookkeeping exactly), which the
-    /// digest-equality tests in `tests/observability.rs` pin.
+    /// Whether the shared-line LLC route and load hints are consulted
+    /// (see [`MemSystemConfig::fast_path`]). Results are identical either
+    /// way, which the digest-equality tests in `tests/observability.rs`
+    /// pin.
     fast_path: bool,
-    /// Per-core MRU line filter.
-    mru: Vec<Option<MruLine>>,
-    /// Disturb epochs, one per `(core, L1 set)` — flat, indexed
-    /// `core * l1_sets + set`. Bumped whenever a line leaves that set of
-    /// the core's L1 (own eviction, external invalidation, inclusive
-    /// back-invalidation) or is downgraded there by a remote reader/probe.
-    /// An unchanged epoch proves every line previously resident in that
-    /// set is still resident in the same slot with the same state — the
-    /// per-partition validity test for [`SeqMemo`] replay. Partitioning
-    /// by set is what lets a core polling hundreds of queues keep memos
-    /// whose lines' sets were untouched while other partitions churn.
-    epochs: Vec<u64>,
-    /// Sets per L1 (epoch partition count per core).
-    l1_sets: usize,
     /// Slots per L1 (`sets * ways`; stride of `dir_hints` per core).
     l1_slots: usize,
     /// Per-`(core, L1 slot)` directory-slot hints, flat-indexed
@@ -329,9 +306,10 @@ pub struct MemSystemConfig {
     /// into the L1 off the critical path (conservatively skipping lines
     /// owned by another core).
     pub prefetch_degree: usize,
-    /// Whether the wall-clock fast paths (MRU filter, memo replay) are
-    /// enabled. Simulated results are identical either way; disabling is
-    /// for A/B equivalence tests and debugging.
+    /// Whether the wall-clock fast paths (the shared-line LLC route and
+    /// [`MemSystem::load_hinted`]'s directory hint) are enabled. Simulated
+    /// results are identical either way; disabling is for A/B equivalence
+    /// tests and debugging.
     pub fast_path: bool,
     /// Silent-eviction mode (DESIGN.md §14): S/E victims leave the L1
     /// with *no* directory message, as on real hardware. The directory's
@@ -382,9 +360,6 @@ impl MemSystem {
             last_load: vec![None; config.cores],
             prefetch_fills: 0,
             fast_path: config.fast_path,
-            mru: vec![None; config.cores],
-            epochs: vec![0; config.cores * config.l1.sets()],
-            l1_sets: config.l1.sets(),
             l1_slots: config.l1.sets() * config.l1.ways,
             dir_hints: vec![NO_DIR_SLOT; config.cores * config.l1.sets() * config.l1.ways],
             fastpath: FastPathStats::default(),
@@ -442,57 +417,6 @@ impl MemSystem {
         self.l1s[core.0].state(line)
     }
 
-    /// Index into `epochs` for `core`'s L1 set holding `line`.
-    #[inline]
-    fn epoch_idx(&self, core: usize, line: LineAddr) -> usize {
-        core * self.l1_sets + self.l1s[core].set_index(line)
-    }
-
-    /// Whether `line` is currently resident in `core`'s L1 (read-only, no
-    /// LRU or counter side effects). The engine uses this to gate memo
-    /// re-recording: a poll set too large for the L1 never produces a
-    /// replayable memo, so re-recording it every sweep is pure churn.
-    #[inline]
-    pub fn l1_resident(&self, core: CoreId, addr: Addr) -> bool {
-        self.l1s[core.0].probe(addr.line()).is_some()
-    }
-
-    /// L1 set index `addr` maps to (stable geometry fact, identical for
-    /// every core's L1). The engine uses this to precompute per-queue
-    /// poll-set pressure: how many distinct poll lines compete for each
-    /// L1 set decides whether a queue's memo can ever stay resident.
-    #[inline]
-    pub fn l1_set_index(&self, addr: Addr) -> usize {
-        self.l1s[0].set_index(addr.line())
-    }
-
-    /// L1 associativity (ways per set).
-    #[inline]
-    pub fn l1_ways(&self) -> usize {
-        self.l1s[0].ways()
-    }
-
-    /// Number of L1 sets (identical for every core's L1).
-    #[inline]
-    pub fn l1_sets(&self) -> usize {
-        self.l1_sets
-    }
-
-    /// [`l1_resident`](Self::l1_resident) answered from a [`LoadHint`]'s
-    /// L1 slot: a single tag compare instead of a set scan. The hint's
-    /// slot is written back on every hinted-load and stable-hit exit, and
-    /// a resident line's slot cannot change while it stays resident, so
-    /// for a line accessed exclusively through
-    /// [`load_hinted`](Self::load_hinted) by one
-    /// core this is decision-equivalent to the scan: the hint validates
-    /// iff the line is resident. (A stale hint on a still-resident line
-    /// would only arise if some *other* path refilled the line; that can
-    /// only delay memo re-recording — never change simulated outcomes.)
-    #[inline]
-    pub fn l1_hint_resident(&self, core: CoreId, hint: &LoadHint, addr: Addr) -> bool {
-        self.l1s[core.0].hint_holds(hint.l1_slot, addr.line())
-    }
-
     fn record(&mut self, core: CoreId, level: HitLevel) {
         let s = &mut self.stats[core.0];
         match level {
@@ -531,20 +455,16 @@ impl MemSystem {
     /// [`access`](Self::access) for a load, with a caller-owned
     /// [`LoadHint`] that skips the directory hash probe while the
     /// line's entry provably has not moved. Byte-identical outcomes to
-    /// `access(core, addr, AccessKind::Load)` — same MRU filter, same
-    /// shadow-check, same prefetcher interaction (the hint is simply not
-    /// consulted while the prefetcher is on).
+    /// `access(core, addr, AccessKind::Load)` — same shadow-check, same
+    /// prefetcher interaction (the hint is simply not consulted while the
+    /// prefetcher is on, or with [`MemSystemConfig::fast_path`] off).
     pub fn load_hinted(&mut self, core: CoreId, addr: Addr, hint: &mut LoadHint) -> AccessResult {
         assert!(core.0 < self.l1s.len(), "unknown {core}");
         #[cfg(feature = "shadow-check")]
         let expected =
             (!self.silent_evictions).then(|| self.shadow.access(core, addr, AccessKind::Load));
-        let line = addr.line();
         let r = if self.fast_path && self.prefetch_degree == 0 {
-            match self.try_mru(core, line, AccessKind::Load) {
-                Some(r) => r,
-                None => self.load_with(core, line, Some(hint)),
-            }
+            self.load_with(core, addr.line(), Some(hint))
         } else {
             self.access_inner(core, addr, AccessKind::Load)
         };
@@ -563,14 +483,6 @@ impl MemSystem {
     #[inline]
     fn access_inner(&mut self, core: CoreId, addr: Addr, kind: AccessKind) -> AccessResult {
         let line = addr.line();
-        // The MRU filter is only consulted when the prefetcher is off:
-        // the prefetcher's stride detector must observe every load, which
-        // the filter would bypass.
-        if self.fast_path && self.prefetch_degree == 0 {
-            if let Some(r) = self.try_mru(core, line, kind) {
-                return r;
-            }
-        }
         match kind {
             AccessKind::Load => {
                 let r = self.load(core, line);
@@ -587,37 +499,6 @@ impl MemSystem {
             }
             AccessKind::Store => self.store(core, line),
         }
-    }
-
-    /// MRU line filter: if `line` is the core's last-touched line, still
-    /// resident, and the access cannot change directory state (any load,
-    /// or a store to M/E), resolve it with the exact bookkeeping a full
-    /// probe would have performed. Stores to Shared lines fall through so
-    /// the GetM upgrade (and its monitoring-set visibility) is untouched.
-    #[inline]
-    fn try_mru(&mut self, core: CoreId, line: LineAddr, kind: AccessKind) -> Option<AccessResult> {
-        let m = self.mru[core.0]?;
-        if m.line != line || !self.l1s[core.0].slot_holds(m.slot, line) {
-            return None;
-        }
-        let state = self.l1s[core.0].state_at(m.slot);
-        match kind {
-            AccessKind::Load => {}
-            AccessKind::Store => match state {
-                MesiState::Modified => {}
-                MesiState::Exclusive => self.l1s[core.0].set_state_at(m.slot, MesiState::Modified),
-                // S->M upgrade is a visible GetM: slow path.
-                MesiState::Shared => return None,
-            },
-        }
-        self.l1s[core.0].hit_at(m.slot);
-        self.fastpath.mru_hits += 1;
-        self.stats[core.0].l1_hits += 1;
-        Some(AccessResult {
-            latency: self.latency.l1_hit,
-            level: HitLevel::L1,
-            getm: None,
-        })
     }
 
     /// Off-critical-path fill of `line` into `core`'s L1 (next-line
@@ -669,15 +550,11 @@ impl MemSystem {
         // the post-transaction fill will use (valid because nothing below
         // touches this core's set on the LLC-hit paths).
         let plan = match self.l1s[core.0].lookup_or_plan(line) {
-            Ok((_state, slot)) => {
+            Ok(_) => {
                 // Stable-state short-circuit: resident in M/E/S, nothing
                 // to tell the directory.
-                self.mru[core.0] = Some(MruLine { line, slot });
                 self.fastpath.stable_hits += 1;
                 self.record(core, HitLevel::L1);
-                if let Some(h) = hint {
-                    h.l1_slot = slot as u32;
-                }
                 return AccessResult {
                     latency: self.latency.l1_hit,
                     level: HitLevel::L1,
@@ -740,11 +617,10 @@ impl MemSystem {
                 MesiState::Shared
             };
             self.llc.hit_refresh_at(ls, MesiState::Shared);
-            let l1_slot = self.fill_l1(core, line, state, dslot as u32, Some(plan));
+            self.fill_l1(core, line, state, dslot as u32, Some(plan));
             self.record(core, HitLevel::Llc);
             if let Some(h) = hint {
                 h.dir_slot = dslot as u32;
-                h.l1_slot = l1_slot as u32;
             }
             return AccessResult {
                 latency: self.latency.llc_hit,
@@ -769,8 +645,6 @@ impl MemSystem {
                 // Downgrade the remote owner to Shared; cache-to-cache fill.
                 sharers = e.sharers | (1 << owner.0) | me;
                 self.l1s[owner.0].set_state(line, MesiState::Shared);
-                let ei = self.epoch_idx(owner.0, line);
-                self.epochs[ei] += 1;
                 HitLevel::RemoteL1
             }
         } else {
@@ -840,10 +714,9 @@ impl MemSystem {
                 (j as u32, None)
             }
         };
-        let l1_slot = self.fill_l1(core, line, state, fill_dslot, fill_plan);
+        self.fill_l1(core, line, state, fill_dslot, fill_plan);
         if let Some(h) = hint {
             h.dir_slot = fill_dslot;
-            h.l1_slot = l1_slot as u32;
         }
         self.record(core, level);
         AccessResult {
@@ -862,7 +735,6 @@ impl MemSystem {
                     if hit == MesiState::Exclusive {
                         self.l1s[core.0].set_state_at(slot, MesiState::Modified);
                     }
-                    self.mru[core.0] = Some(MruLine { line, slot });
                     self.fastpath.stable_hits += 1;
                     self.record(core, HitLevel::L1);
                     return AccessResult {
@@ -884,7 +756,6 @@ impl MemSystem {
                         owner: core.0 as u8,
                     };
                     self.l1s[core.0].set_state_at(slot, MesiState::Modified);
-                    self.mru[core.0] = Some(MruLine { line, slot });
                     self.record(core, HitLevel::Llc);
                     // Stale-sharer pricing (silent-eviction mode): the
                     // GetM cannot complete until every *listed* sharer
@@ -924,10 +795,7 @@ impl MemSystem {
             // The owner's copy may already be gone (silent E-state
             // eviction); the invalidation message is sent regardless,
             // and the RemoteL1 level already prices the round-trip.
-            if self.l1s[owner.0].invalidate(line).is_some() {
-                let ei = self.epoch_idx(owner.0, line);
-                self.epochs[ei] += 1;
-            } else {
+            if self.l1s[owner.0].invalidate(line).is_none() {
                 self.stale_invalidations += 1;
             }
             self.invalidations += 1;
@@ -1025,8 +893,6 @@ impl MemSystem {
                 entry.owner = NO_OWNER;
                 let hint = entry.llc_slot;
                 self.l1s[owner].set_state(line, MesiState::Shared);
-                let ei = self.epoch_idx(owner, line);
-                self.epochs[ei] += 1;
                 if self.llc.hint_holds(hint, line) {
                     self.llc.refresh_at(hint as usize, MesiState::Shared);
                 } else {
@@ -1067,8 +933,6 @@ impl MemSystem {
             mask &= mask - 1;
             if self.l1s[i].invalidate(line).is_some() {
                 self.invalidations += 1;
-                let ei = self.epoch_idx(i, line);
-                self.epochs[ei] += 1;
             } else {
                 stale += 1;
             }
@@ -1084,7 +948,6 @@ impl MemSystem {
     /// `plan` is the placement decision captured by the lookup-miss scan,
     /// valid only when nothing touched the core's L1 set since (callers
     /// that ran an LLC fill — which can back-invalidate — pass `None`).
-    /// Returns the L1 slot the line was filled into.
     fn fill_l1(
         &mut self,
         core: CoreId,
@@ -1092,7 +955,7 @@ impl MemSystem {
         state: MesiState,
         dslot: u32,
         plan: Option<PlacePlan>,
-    ) -> usize {
+    ) {
         let (insert, slot) = match plan {
             Some(p) => (
                 self.l1s[core.0].fill_planned(line, state, p),
@@ -1100,14 +963,10 @@ impl MemSystem {
             ),
             None => self.l1s[core.0].insert_slot_missed(line, state),
         };
-        self.mru[core.0] = Some(MruLine { line, slot });
         let hi = core.0 * self.l1_slots + slot;
         let victim_dslot = self.dir_hints[hi];
         self.dir_hints[hi] = dslot;
         if let Insert::Evicted(victim, victim_state) = insert {
-            // The victim shares the inserted line's set.
-            let ei = self.epoch_idx(core.0, victim);
-            self.epochs[ei] += 1;
             // Silent-eviction mode: clean (S/E) victims drop with no
             // directory message, exactly as real L1s do. The victim's
             // sharer bit — or, for E, its owner claim — goes stale, and
@@ -1122,7 +981,7 @@ impl MemSystem {
             // visibly — dropping dirty data would break the data model,
             // not just timing.
             if self.silent_evictions && victim_state != MesiState::Modified {
-                return slot;
+                return;
             }
             // Writeback of M lines lands in the LLC; directory forgets the
             // private copy either way. The victim's entry is found via the
@@ -1154,7 +1013,6 @@ impl MemSystem {
                 }
             }
         }
-        slot
     }
 
     /// `fill_llc` of the original transaction model: inserts `line` into
@@ -1206,121 +1064,8 @@ impl MemSystem {
             mask &= mask - 1;
             if self.l1s[i].invalidate(victim).is_some() {
                 self.invalidations += 1;
-                let ei = self.epoch_idx(i, victim);
-                self.epochs[ei] += 1;
             }
         }
-    }
-
-    // ---- Epoch-memoized access sequences -------------------------------
-
-    /// Performs `access` while recording it into `memo` (between
-    /// [`SeqMemo::begin`] and [`MemSystem::seal_memo`]). Only loads that
-    /// hit the L1 are memoizable; any other access marks the memo broken
-    /// (it simply records nothing and replay stays disabled).
-    pub fn record_access(
-        &mut self,
-        memo: &mut SeqMemo,
-        core: CoreId,
-        addr: Addr,
-        kind: AccessKind,
-    ) -> AccessResult {
-        let r = self.access(core, addr, kind);
-        if !self.fast_path
-            || self.prefetch_degree != 0
-            || kind != AccessKind::Load
-            || r.level != HitLevel::L1
-        {
-            memo.broken = true;
-        } else if !memo.broken {
-            let m = self.mru[core.0].expect("an L1 load hit always sets the MRU line");
-            debug_assert_eq!(m.line, addr.line());
-            memo.lines.push(crate::seq::SeqEntry {
-                line: m.line.0,
-                slot: m.slot as u32,
-                epoch: 0,
-            });
-            memo.latency += r.latency.count();
-        }
-        r
-    }
-
-    /// Finalizes a recording: the memo becomes replayable iff every
-    /// access since [`SeqMemo::begin`] was a memoizable L1 load hit. Each
-    /// recorded line captures the disturb epoch of the L1 set it maps to.
-    pub fn seal_memo(&self, memo: &mut SeqMemo) {
-        memo.ready = !memo.broken && !memo.lines.is_empty();
-        if memo.ready {
-            let base = memo.core * self.l1_sets;
-            let l1 = &self.l1s[memo.core];
-            for e in &mut memo.lines {
-                e.epoch = self.epochs[base + l1.set_index(LineAddr(e.line))];
-            }
-        }
-    }
-
-    /// Replays a sealed memo with per-partition validity checks: if every
-    /// recorded line's `(core, L1 set)` disturb epoch is unchanged (or
-    /// every recorded line provably still sits in its recorded slot),
-    /// applies exactly the side effects the recorded loads would have had
-    /// — per-line LRU touches and hit counters, `l1_hits` telemetry, MRU
-    /// update — and returns their total latency. Returns `None` when the
-    /// memo must be re-recorded.
-    pub fn replay_memo(&mut self, memo: &mut SeqMemo) -> Option<Cycles> {
-        if !memo.ready || !self.fast_path || self.prefetch_degree != 0 {
-            return None;
-        }
-        self.fastpath.seq_replay_attempts += 1;
-        let core = memo.core;
-        let base = core * self.l1_sets;
-        let l1 = &self.l1s[core];
-        let undisturbed = memo
-            .lines
-            .iter()
-            .all(|e| self.epochs[base + l1.set_index(LineAddr(e.line))] == e.epoch);
-        if !undisturbed {
-            // Some partition was disturbed since sealing; fall back to
-            // per-line revalidation (residency in the recorded slot is
-            // all a load hit needs) and re-capture the set epochs.
-            if memo
-                .lines
-                .iter()
-                .all(|e| l1.slot_holds(e.slot as usize, LineAddr(e.line)))
-            {
-                for e in &mut memo.lines {
-                    e.epoch = self.epochs[base + self.l1s[core].set_index(LineAddr(e.line))];
-                }
-            } else {
-                memo.ready = false;
-                return None;
-            }
-        }
-        #[cfg(feature = "shadow-check")]
-        for e in &memo.lines {
-            let r = self
-                .shadow
-                .access(CoreId(core), LineAddr(e.line).base(), AccessKind::Load);
-            assert_eq!(
-                r.level,
-                HitLevel::L1,
-                "memo replay diverged from reference at {}",
-                LineAddr(e.line)
-            );
-        }
-        let l1 = &mut self.l1s[core];
-        for e in &memo.lines {
-            l1.hit_at(e.slot as usize);
-        }
-        let n = memo.lines.len() as u64;
-        self.stats[core].l1_hits += n;
-        let last = memo.lines.last().expect("ready memo is non-empty");
-        self.mru[core] = Some(MruLine {
-            line: LineAddr(last.line),
-            slot: last.slot as usize,
-        });
-        self.fastpath.seq_replays += 1;
-        self.fastpath.seq_replayed_accesses += n;
-        Some(Cycles(memo.latency))
     }
 }
 
@@ -1551,94 +1296,28 @@ mod tests {
         }
         assert_eq!(fast.getm_total(), slow.getm_total());
         assert_eq!(fast.invalidation_total(), slow.invalidation_total());
-        assert!(
-            fast.fastpath_stats().mru_hits > 0,
-            "the trace should exercise the MRU filter"
-        );
-        assert_eq!(slow.fastpath_stats().mru_hits, 0);
+        // The knob gates the shared-line LLC route; off, no arm of it
+        // may fire, and on, this trace must reach it.
+        let route = |m: &MemSystem| {
+            let f = m.fastpath_stats();
+            f.stable_reloads + f.shared_joins + f.s_state_peeks
+        };
+        assert!(route(&fast) > 0, "the trace should reach the LLC route");
+        assert_eq!(route(&slow), 0);
     }
 
     #[test]
-    fn mru_filter_skips_shared_stores() {
+    fn shared_store_upgrade_is_a_visible_getm() {
         let mut m = sys(2);
         m.access(CoreId(0), Addr(0x4000), AccessKind::Load);
         m.access(CoreId(1), Addr(0x4000), AccessKind::Load); // both Shared
-        m.access(CoreId(0), Addr(0x4000), AccessKind::Load); // MRU primed, S
+        m.access(CoreId(0), Addr(0x4000), AccessKind::Load); // L1 hit in S
         let r = m.access(CoreId(0), Addr(0x4000), AccessKind::Store);
         assert!(
             r.getm.is_some(),
-            "S->M through the MRU line must remain a visible GetM"
+            "S->M after a stable S hit must remain a visible GetM"
         );
         let r = m.access(CoreId(1), Addr(0x4000), AccessKind::Load);
         assert_ne!(r.level, HitLevel::L1, "core 1's copy was invalidated");
-    }
-
-    #[test]
-    fn memo_replays_stable_sequences_exactly() {
-        let mut m = sys(2);
-        let lines = [Addr(0x1000), Addr(0x1040), Addr(0x1080)];
-        for a in lines {
-            m.access(CoreId(0), a, AccessKind::Load);
-        }
-        // Record the sequence (all hits now).
-        let mut memo = SeqMemo::default();
-        memo.begin(CoreId(0));
-        let mut recorded = Cycles::ZERO;
-        for a in lines {
-            recorded += m
-                .record_access(&mut memo, CoreId(0), a, AccessKind::Load)
-                .latency;
-        }
-        m.seal_memo(&mut memo);
-        assert!(memo.is_ready());
-
-        // Replay against a clone executing the real accesses.
-        let mut reference = m.clone();
-        let replayed = m.replay_memo(&mut memo).expect("memo should replay");
-        assert_eq!(replayed, recorded);
-        let mut executed = Cycles::ZERO;
-        for a in lines {
-            executed += reference.access(CoreId(0), a, AccessKind::Load).latency;
-        }
-        assert_eq!(replayed, executed);
-        assert_eq!(
-            m.core_stats(CoreId(0)).l1_hits,
-            reference.core_stats(CoreId(0)).l1_hits,
-            "replay must apply identical telemetry"
-        );
-        assert_eq!(m.fastpath_stats().seq_replays, 1);
-        assert_eq!(m.fastpath_stats().seq_replayed_accesses, 3);
-    }
-
-    #[test]
-    fn memo_invalidated_by_remote_disturbance() {
-        let mut m = sys(2);
-        let a = Addr(0x2000);
-        m.access(CoreId(0), a, AccessKind::Load);
-        let mut memo = SeqMemo::default();
-        memo.begin(CoreId(0));
-        m.record_access(&mut memo, CoreId(0), a, AccessKind::Load);
-        m.seal_memo(&mut memo);
-        assert!(memo.is_ready());
-        // A remote store invalidates core 0's copy: the memo must refuse
-        // to replay (the load would now be a coherence transaction).
-        m.access(CoreId(1), a, AccessKind::Store);
-        assert_eq!(m.replay_memo(&mut memo), None);
-        let r = m.access(CoreId(0), a, AccessKind::Load);
-        assert_eq!(r.level, HitLevel::RemoteL1);
-    }
-
-    #[test]
-    fn memo_with_miss_or_store_never_seals() {
-        let mut m = sys(2);
-        let mut memo = SeqMemo::default();
-        memo.begin(CoreId(0));
-        m.record_access(&mut memo, CoreId(0), Addr(0x3000), AccessKind::Load); // miss
-        m.seal_memo(&mut memo);
-        assert!(!memo.is_ready(), "a miss breaks the memo");
-        memo.begin(CoreId(0));
-        m.record_access(&mut memo, CoreId(0), Addr(0x3000), AccessKind::Store);
-        m.seal_memo(&mut memo);
-        assert!(!memo.is_ready(), "stores are never memoized");
     }
 }

@@ -377,11 +377,12 @@ pub struct ExperimentConfig {
     /// Next-line prefetcher degree for DP cores (0 = Table I baseline,
     /// none). Ablation: accelerates the sequential buffer-streaming loads.
     pub prefetch_degree: usize,
-    /// Memory-system fast path (DESIGN.md §12): per-core MRU filter,
-    /// stable-state short-circuit, and epoch-memoized access sequences.
-    /// Bit-identical to the slow path by construction (pinned by the
-    /// shadow-check feature and the observability digests); the knob
-    /// exists for A/B measurement and as a belt-and-braces escape hatch.
+    /// Memory-system fast path (DESIGN.md §13): the shared-line LLC route
+    /// and the spin loop's directory load hints
+    /// ([`hp_mem::system::MemSystemConfig::fast_path`]). Bit-identical to
+    /// the slow path by construction (pinned by the shadow-check feature
+    /// and the observability digests); the knob exists for A/B
+    /// measurement and as a belt-and-braces escape hatch.
     pub mem_fast_path: bool,
     /// Fault-injection plan (default: inject nothing). Fault decisions
     /// draw from a dedicated RNG stream, so the same seed produces

@@ -53,7 +53,6 @@ use crate::metrics::{WindowObservation, WindowSample, WindowedMetrics};
 use crate::result::{DeviceStats, ExperimentResult};
 use crate::telemetry::{CoreTelemetry, HaltState, HaltTracker};
 use hp_core::qwait::{HyperPlaneDevice, RearmAction};
-use hp_mem::seq::SeqMemo;
 use hp_mem::system::{LoadHint, MemSystem};
 use hp_mem::types::{AccessKind, Addr, CoreId, LineAddr};
 use hp_queues::sim::{QueueId, QueueLayout, WorkItem};
@@ -270,45 +269,6 @@ fn spare_index(queues: u32, i: u64) -> u32 {
     u32::try_from(u64::from(queues) + i).expect("doorbell region indices fit a u32")
 }
 
-/// The set-aware memo eligibility map (DESIGN.md §12), indexed by qid:
-/// per sharing group, count how many of the group's poll lines (doorbell
-/// and descriptor per queue) land in each L1 set; a queue is eligible iff
-/// both of its lines map to sets whose pressure fits within the
-/// associativity. Such lines, once loaded, survive a full sweep lap (the
-/// sweep itself cannot evict them), so the memo pays off even when the
-/// aggregate poll set dwarfs the L1 — the class the plain hint-residency
-/// gate never seals. Pure geometry (final doorbell addresses and cache
-/// config), so the map is deterministic; both gate outcomes issue
-/// identical simulated loads (shadow-check).
-fn memo_eligibility(
-    mem: &MemSystem,
-    layout: &QueueLayout,
-    queues_of_group: &[Vec<QueueId>],
-    qrows: &[QRow],
-) -> Vec<bool> {
-    let ways = mem.l1_ways() as u32;
-    let sets = |q: QueueId| {
-        [
-            mem.l1_set_index(layout.doorbell_at(qrows[q.0 as usize].doorbell)),
-            mem.l1_set_index(layout.descriptor(q)),
-        ]
-    };
-    let mut eligible = vec![false; qrows.len()];
-    let mut pressure = vec![0u32; mem.l1_sets()];
-    for group_queues in queues_of_group {
-        pressure.fill(0);
-        for &q in group_queues {
-            for set in sets(q) {
-                pressure[set] += 1;
-            }
-        }
-        for &q in group_queues {
-            eligible[q.0 as usize] = sets(q).iter().all(|&set| pressure[set] <= ways);
-        }
-    }
-    eligible
-}
-
 /// One queue: its FIFO of pending items plus the per-qid scalars the
 /// engine touches on an arrival, poll, dequeue, or completion, packed into
 /// one row so an event touches one allocation instead of scattered `Vec`s
@@ -316,8 +276,8 @@ fn memo_eligibility(
 /// is a MiB of host memory, so the row keeps only what cannot be derived:
 /// the descriptor address is `layout.descriptor(q)`, the doorbell is a
 /// `u32` line index, and state that only some runs or some queues need
-/// lives beside the rows — spinning-only poll memos and load hints, and a
-/// sparse per-queue latency map filled by measured completions.
+/// lives beside the rows — spinning-only load hints, and a sparse
+/// per-queue latency map filled by measured completions.
 #[derive(Debug, Clone)]
 struct QRow {
     /// Pending items, oldest first. Its length is what the paper's
@@ -436,35 +396,12 @@ pub struct Engine {
     /// `process_items`, retained across steps so the hot loop never
     /// allocates.
     deq_scratch: Vec<WorkItem>,
-    /// Per-queue memo of the spin-poll doorbell + descriptor load pair
-    /// (DESIGN.md §12). Replays in O(1) while the issuing core's L1 copy
-    /// of both lines is undisturbed; any producer doorbell write bumps
-    /// the core's disturb epoch and forces a re-record. Like `memo_ready`
-    /// and `memo_eligible`, empty unless the notifier is spinning.
-    poll_memos: Vec<SeqMemo>,
     /// Per-queue cached directory slots for the two poll lines (doorbell,
     /// descriptor), fed back by [`MemSystem::load_hinted`] so the
     /// steady-state sweep skips the directory hash probe (self-validating;
-    /// never affects outcomes). Spinning-only, like `poll_memos`.
+    /// never affects outcomes). Built only for [`Notifier::Spinning`]:
+    /// only `spin_step` reads it.
     poll_hints: Vec<[LoadHint; 2]>,
-    /// Packed ready bits over `poll_memos` (bit `q` set ⟺ the memo is
-    /// sealed and worth attempting to replay). Large sweeps (sq500) never
-    /// seal, so their polls read one hot bitmap word instead of pulling a
-    /// cold `SeqMemo` line into the host cache every visit. Purely a
-    /// heuristic gate: replay and plain access are state-identical
-    /// (shadow-check), so a stale clear bit only costs a replay miss.
-    memo_ready: Vec<u64>,
-    /// Set-aware memo eligibility, indexed by qid: `true` when both of
-    /// the queue's poll lines map to L1 sets whose pressure from the
-    /// owning group's *entire* poll set fits the associativity — then the
-    /// sweep itself can never evict them, and a memo is worth recording
-    /// even when the line is not resident right now (first touch, or a
-    /// transient eviction by buffer streaming). Geometry-only and thus
-    /// deterministic. Built once, and only for [`Notifier::Spinning`]:
-    /// only `spin_step` reads it, and doorbells move (conflict spares,
-    /// churn) only when HyperPlane devices exist, so a spinning run's
-    /// map never goes stale.
-    memo_eligible: Vec<bool>,
     warmup_completions: u64,
     measure_start: Option<SimTime>,
     /// Whether the measurement phase is open. Flipped by
@@ -768,16 +705,10 @@ impl Engine {
 
         // Spin-loop state: only `spin_step` reads it, so every other
         // notifier keeps it empty (a stray read panics on the index).
-        let spinning = matches!(cfg.notifier, Notifier::Spinning);
-        let (poll_memos, poll_hints, memo_ready, memo_eligible) = if spinning {
-            (
-                vec![SeqMemo::default(); n_queues],
-                vec![[LoadHint::default(); 2]; n_queues],
-                vec![0; n_queues.div_ceil(64)],
-                memo_eligibility(&mem, &layout, &queues_of_group, &qrows),
-            )
+        let poll_hints = if matches!(cfg.notifier, Notifier::Spinning) {
+            vec![[LoadHint::default(); 2]; n_queues]
         } else {
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new())
+            Vec::new()
         };
 
         Ok(Engine {
@@ -815,10 +746,7 @@ impl Engine {
             drops: 0,
             backlog: 0,
             deq_scratch: Vec::with_capacity(cfg.batch.max(IRQ_NAPI_BUDGET)),
-            poll_memos,
             poll_hints,
-            memo_ready,
-            memo_eligible,
             warmup_completions,
             measure_start: None,
             measuring: false,
@@ -867,10 +795,7 @@ impl Engine {
         use std::mem::size_of;
         let rows = self.qrows.capacity() * size_of::<QRow>();
         let groups: usize = self.queues_of_group.iter().map(Vec::capacity).sum();
-        let spin = self.poll_memos.capacity() * size_of::<SeqMemo>()
-            + self.poll_hints.capacity() * size_of::<[LoadHint; 2]>()
-            + self.memo_ready.capacity() * size_of::<u64>()
-            + self.memo_eligible.capacity() * size_of::<bool>();
+        let spin = self.poll_hints.capacity() * size_of::<[LoadHint; 2]>();
         let devices: usize = self
             .devices
             .iter()
@@ -888,10 +813,6 @@ impl Engine {
     /// Queue `qi`'s resolved doorbell address.
     fn doorbell(&self, qi: usize) -> Addr {
         self.layout.doorbell_at(self.qrows[qi].doorbell)
-    }
-
-    fn dp_core(&self, c: usize) -> CoreId {
-        CoreId(c)
     }
 
     fn wake_cycles(&self) -> Cycles {
@@ -1416,7 +1337,7 @@ impl Engine {
     /// process it if non-empty, else advance.
     fn spin_step(&mut self, now: SimTime, c: usize) {
         let group = self.core_group[c];
-        let core = self.dp_core(c);
+        let core = CoreId(c);
         let qlist_len = self.queues_of_group[group].len();
         // `core_ptr` is kept in-range by every writer; the sweep advance
         // below wraps by compare instead of `%` (an integer divide on the
@@ -1429,74 +1350,13 @@ impl Engine {
         // Poll: read the doorbell line and the queue-head descriptor line
         // (a poll-mode driver interrogates the ring head, not just a
         // counter — two lines per queue is what thrashes the L1 at high
-        // queue counts). The pair is the canonical memoizable sequence:
-        // identical lines every visit, loads only — so while this core's
-        // L1 copies are undisturbed it replays in O(1).
+        // queue counts). The per-queue hints skip the directory probe;
+        // with `mem_fast_path` off, `load_hinted` ignores them.
         let (db, desc_addr) = (self.doorbell(qi), self.layout.descriptor(q));
-        let mem_lat = if self.cfg.mem_fast_path {
-            let Self {
-                mem,
-                poll_memos,
-                poll_hints,
-                memo_ready,
-                memo_eligible,
-                ..
-            } = self;
-            let (w, bit) = (qi / 64, 1u64 << (qi % 64));
-            // The bitmap gate keeps sq500-class polls off the cold memo
-            // vector entirely; when the bit is set the memo is sealed and
-            // a replay attempt is worth the line touch.
-            let replayed = if memo_ready[w] & bit != 0 {
-                let m = &mut poll_memos[qi];
-                if m.core() == core {
-                    mem.replay_memo(m)
-                } else {
-                    None // queue last polled by a sibling core: re-record
-                }
-            } else {
-                None
-            };
-            match replayed {
-                Some(cycles) => cycles.count(),
-                // Re-record when the doorbell line is still L1-resident
-                // (the pair will be L1 hits and the memo can replay on the
-                // next visit) — or when the queue is set-aware eligible:
-                // its poll lines map to L1 sets the sweep itself cannot
-                // overflow, so even after a transient eviction (buffer
-                // streaming, first touch) a record pass re-warms the lines
-                // and the memo seals one lap later. Everything else (the
-                // sq500 class whose per-set pressure exceeds the ways) could
-                // never survive a lap, and begin/record/seal every poll is
-                // pure churn — take the plain path. Eligibility is geometry
-                // and residency is simulator state, so the gate is
-                // deterministic, and both paths issue the identical loads
-                // (pinned by shadow-check).
-                None if memo_eligible[qi] || mem.l1_hint_resident(core, &poll_hints[qi][0], db) => {
-                    let m = &mut poll_memos[qi];
-                    m.begin(core);
-                    let poll = mem.record_access(m, core, db, AccessKind::Load);
-                    let desc = mem.record_access(m, core, desc_addr, AccessKind::Load);
-                    mem.seal_memo(m);
-                    if m.is_ready() {
-                        memo_ready[w] |= bit;
-                    } else {
-                        memo_ready[w] &= !bit;
-                    }
-                    poll.latency.count() + desc.latency.count()
-                }
-                None => {
-                    memo_ready[w] &= !bit;
-                    let [db_hint, desc_hint] = &mut poll_hints[qi];
-                    let poll = mem.load_hinted(core, db, db_hint);
-                    let desc = mem.load_hinted(core, desc_addr, desc_hint);
-                    poll.latency.count() + desc.latency.count()
-                }
-            }
-        } else {
-            let poll = self.mem.access(core, db, AccessKind::Load);
-            let desc = self.mem.access(core, desc_addr, AccessKind::Load);
-            poll.latency.count() + desc.latency.count()
-        };
+        let [db_hint, desc_hint] = &mut self.poll_hints[qi];
+        let poll = self.mem.load_hinted(core, db, db_hint);
+        let desc = self.mem.load_hinted(core, desc_addr, desc_hint);
+        let mem_lat = poll.latency.count() + desc.latency.count();
         let poll_cost = self.cfg.poll_overhead_cycles + mem_lat;
         self.poll_cost_ewma[c] = 0.98 * self.poll_cost_ewma[c] + 0.02 * poll_cost as f64;
 
@@ -1602,7 +1462,7 @@ impl Engine {
     /// process (Algorithm 1's data-plane loop).
     fn hp_step(&mut self, now: SimTime, c: usize) {
         let group = self.core_group[c];
-        let core = self.dp_core(c);
+        let core = CoreId(c);
         let (power_optimized, software_ready_set) = match self.cfg.notifier {
             Notifier::HyperPlane {
                 power_optimized,
@@ -1836,7 +1696,7 @@ impl Engine {
     /// whether the sweep had to re-register an evicted monitoring entry
     /// (the eviction fault class, as opposed to a lost doorbell).
     fn recovery_sweep(&mut self, now: SimTime, c: usize, group: usize) -> (bool, u64, bool) {
-        let core = self.dp_core(c);
+        let core = CoreId(c);
         let mut cost = 0u64;
         let mut found = false;
         let mut reregistered = false;
@@ -1962,9 +1822,8 @@ impl Engine {
             match self.devices[g].qwait_add(q, addr.line()) {
                 Ok(()) => {
                     // Churn needs HyperPlane devices, and only the spin
-                    // loop reads the state that caches a doorbell (poll
-                    // memos, load hints, memo eligibility), so none of it
-                    // needs a refresh here.
+                    // loop reads the load hints, so nothing cached needs
+                    // a refresh here.
                     self.qrows[qi].doorbell = spare_index(self.cfg.queues, idx);
                     rehomed = true;
                     break;
@@ -1994,7 +1853,7 @@ impl Engine {
     /// per-step buffer is reused instead of reallocated; callers
     /// `mem::take` it around `process_items` and put it back.
     fn dequeue_batch(&mut self, c: usize, q: QueueId, batch: usize) -> u64 {
-        let core = self.dp_core(c);
+        let core = CoreId(c);
         let qi = q.0 as usize;
         let (desc_addr, db) = (self.layout.descriptor(q), self.doorbell(qi));
         let mut cost = 0u64;
@@ -2029,7 +1888,7 @@ impl Engine {
         base: u64,
         deq_instant: SimTime,
     ) -> u64 {
-        let core = self.dp_core(c);
+        let core = CoreId(c);
         let qi = q.0 as usize;
         let desc_addr = self.layout.descriptor(q);
         let mut total = 0u64;
@@ -2801,46 +2660,26 @@ mod tests {
             (large / small - 1.0).abs() < 0.01,
             "{small:.2} vs {large:.2} bytes per queue"
         );
-        // Spin-loop state is counted, and only spinning runs build it.
-        assert!(per_queue(1 << 12, Notifier::Spinning) > small);
+        // Spin-loop state is counted, and only spinning runs build it:
+        // interrupt runs build neither devices nor spin state, so the two
+        // differ by exactly the pair of load hints per queue.
+        assert_eq!(
+            per_queue(1 << 12, Notifier::Spinning) - per_queue(1 << 12, Notifier::Interrupt),
+            (2 * std::mem::size_of::<LoadHint>()) as f64
+        );
     }
 
     #[test]
-    fn memo_eligibility_matches_naive_recount_and_is_spinning_only() {
-        // Two sharing groups of 160 queues: each group puts 4 poll lines
-        // in some L1 sets and 6 in others, straddling the 4-way
-        // associativity, so the map holds both outcomes.
+    fn spin_state_is_spinning_only() {
         const QUEUES: u32 = 320;
-        let cfg = ExperimentConfig::new(
+        let spin = ExperimentConfig::new(
             WorkloadKind::PacketEncap,
             TrafficShape::FullyBalanced,
             QUEUES,
         )
         .with_cores(2, 1);
-        let e = Engine::try_new(cfg).expect("valid spinning config");
-        let (mem, layout) = (&e.mem, &e.layout);
-        let lines = |q: u32| {
-            let q = QueueId(q);
-            [
-                mem.l1_set_index(layout.doorbell(q)),
-                mem.l1_set_index(layout.descriptor(q)),
-            ]
-        };
-        let naive: Vec<bool> = (0..QUEUES)
-            .map(|q| {
-                let group = e.qrows[q as usize].group;
-                lines(q).iter().all(|&set| {
-                    let pressure = (0..QUEUES)
-                        .filter(|&p| e.qrows[p as usize].group == group)
-                        .flat_map(lines)
-                        .filter(|&s| s == set)
-                        .count();
-                    pressure <= mem.l1_ways()
-                })
-            })
-            .collect();
-        assert_eq!(e.memo_eligible, naive);
-        assert!(naive.contains(&true) && naive.contains(&false));
+        let e = Engine::try_new(spin).expect("valid spinning config");
+        assert_eq!(e.poll_hints.len(), QUEUES as usize);
 
         // HyperPlane runs never read spin-loop state (and churn moves
         // doorbells), so none is built.
@@ -2852,7 +2691,6 @@ mod tests {
         .with_notifier(Notifier::hyperplane())
         .with_chaos(hp_sim::chaos::ChaosSchedule::none().with_churn(10_000));
         let e = Engine::try_new(hp).expect("valid HyperPlane config");
-        assert!(e.memo_eligible.is_empty() && e.poll_memos.is_empty() && e.memo_ready.is_empty());
         assert!(e.poll_hints.is_empty());
     }
 }

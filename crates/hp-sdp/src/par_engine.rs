@@ -485,11 +485,7 @@ fn merge(
         mem_stats.llc_hits += o.mem_stats.llc_hits;
         mem_stats.remote_hits += o.mem_stats.remote_hits;
         mem_stats.dram_fetches += o.mem_stats.dram_fetches;
-        fastpath.mru_hits += o.fastpath.mru_hits;
         fastpath.stable_hits += o.fastpath.stable_hits;
-        fastpath.seq_replays += o.fastpath.seq_replays;
-        fastpath.seq_replay_attempts += o.fastpath.seq_replay_attempts;
-        fastpath.seq_replayed_accesses += o.fastpath.seq_replayed_accesses;
         fastpath.s_state_peeks += o.fastpath.s_state_peeks;
         fastpath.stable_reloads += o.fastpath.stable_reloads;
         fastpath.shared_joins += o.fastpath.shared_joins;

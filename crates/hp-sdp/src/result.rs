@@ -302,9 +302,11 @@ impl ExperimentResult {
         self.mem_stats
     }
 
-    /// Memory-system fast-path counters (DESIGN.md §12): MRU filter hits,
-    /// stable-state short-circuits, and memo replays. All zero when
-    /// `mem_fast_path` is disabled.
+    /// Memory-system fast-path counters (DESIGN.md §12–13): stable-state
+    /// short-circuits, shared-line LLC route arms, and directory-hint
+    /// hits. `stable_hits` and `dir_hint_hits` count whether or not
+    /// `mem_fast_path` is on; the LLC route arms count only when it is.
+    /// The `mru_hits` and `seq_*` fields always read 0.
     pub fn fastpath_stats(&self) -> hp_mem::system::FastPathStats {
         self.fastpath
     }
@@ -373,12 +375,9 @@ impl ExperimentResult {
                 "{{\"label\":\"{label}\",\"events\":{count},\"sim_cycles\":{cycles}}}"
             ));
         }
+        // `memo_hit_rate` is a constant 0, like the `mru_hits` and `seq_*`
+        // counters it sits beside (see `FastPathStats`).
         let f = &self.fastpath;
-        let memo_hit_rate = if f.seq_replay_attempts > 0 {
-            f.seq_replays as f64 / f.seq_replay_attempts as f64
-        } else {
-            0.0
-        };
         out.push_str(&format!(
             "],\"total_events\":{},\"wall_secs\":{:.6},\"events_per_sec\":{:.0},\
              \"sync_rounds\":{},\
@@ -387,7 +386,7 @@ impl ExperimentResult {
              \"seq_replays\":{},\"seq_replayed_accesses\":{},\
              \"s_state_peeks\":{},\"stable_reloads\":{},\
              \"shared_joins\":{},\"dir_hint_hits\":{},\
-             \"seq_replay_attempts\":{},\"memo_hit_rate\":{:.4}}}",
+             \"seq_replay_attempts\":{},\"memo_hit_rate\":0.0000}}",
             p.total_events(),
             self.wall_secs,
             self.events_per_sec_wall(),
@@ -406,7 +405,6 @@ impl ExperimentResult {
             f.shared_joins,
             f.dir_hint_hits,
             f.seq_replay_attempts,
-            memo_hit_rate,
         ));
         if let Some(d) = &self.device {
             let fields: Vec<String> = d

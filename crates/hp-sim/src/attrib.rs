@@ -92,7 +92,9 @@ pub const SNAPSHOT_COUNTERS: usize = 8;
 
 /// Labels for the exemplar fast-path counter snapshot, in array order.
 /// These mirror the memory-system fast-path counters the engine samples
-/// when an exemplar is captured.
+/// when an exemplar is captured. `mru_hits`, `seq_replays` and
+/// `seq_replayed_accesses` name retired fast paths and always read 0;
+/// they keep their slots so the artifact layout does not move.
 pub const SNAPSHOT_LABELS: [&str; SNAPSHOT_COUNTERS] = [
     "mru_hits",
     "stable_hits",

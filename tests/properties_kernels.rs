@@ -604,20 +604,18 @@ fn silent_evictions_make_the_peek_arm_live() {
     assert!(stale > 0, "no stale invalidations: evictions not silent?");
 }
 
-/// A spin-poll loop built exactly like the engine's — memo replay when
-/// sealed, hint-gated re-record, hinted plain loads otherwise — is
-/// indistinguishable from a twin that issues plain `access` calls:
-/// identical latencies per poll, identical telemetry, and the
-/// single-compare residency gate (`l1_hint_resident`) agrees with the
-/// full set scan (`l1_resident`) at every step. Randomized doorbell-range
-/// GetM snoops (device-side stores) land mid-replay and break memos; the
-/// queue count overcommits the L1 so set-conflict evictions churn slots.
+/// A spin-poll loop built exactly like the engine's — two hinted loads
+/// per poll, doorbell then descriptor — is indistinguishable from a twin
+/// that issues plain `access` calls: identical latencies per poll,
+/// identical telemetry and interconnect counters. Randomized
+/// doorbell-range GetM snoops (device-side stores) land mid-stream and
+/// invalidate the poller's copies; the queue count overcommits the L1 so
+/// set-conflict evictions churn slots and move directory entries under
+/// the hints.
 #[test]
 fn hinted_poll_loop_matches_plain_access_twin() {
     use hyperplane::mem::system::LoadHint;
-    use hyperplane::mem::{
-        AccessKind, Addr, CoreId, MemSystem, MemSystemConfig, SeqMemo, LINE_BYTES,
-    };
+    use hyperplane::mem::{AccessKind, Addr, CoreId, MemSystem, MemSystemConfig, LINE_BYTES};
 
     let mut rng = SmallRng::seed_from_u64(0xBEEF_0010);
     for _case in 0..12 {
@@ -626,58 +624,27 @@ fn hinted_poll_loop_matches_plain_access_twin() {
         let mut plain = MemSystem::new(cfg);
         let core = CoreId(0);
         let dev = CoreId(1);
-        // Queue count spans both regimes: small sets stay L1-resident
-        // (memos replay), large ones overcommit the 512-line L1.
+        // Queue count spans both regimes: small sets stay L1-resident,
+        // large ones overcommit the 512-line L1.
         let nq = [8usize, 48, 300][rng.random_range(0..3usize)];
         let db = |q: usize| Addr((2 * q) as u64 * LINE_BYTES);
         let desc = |q: usize| Addr((2 * q + 1) as u64 * LINE_BYTES);
-        let mut memos: Vec<SeqMemo> = (0..nq).map(|_| SeqMemo::default()).collect();
-        let mut ready = vec![false; nq];
         let mut hints: Vec<(LoadHint, LoadHint)> = vec![Default::default(); nq];
         let mut q = 0usize;
         for _ in 0..rng.random_range(200..2000usize) {
             if rng.random_range(0..50u8) == 0 {
                 // Doorbell-range GetM snoop: the device writes a random
-                // doorbell line, invalidating the poller's copy (and any
-                // memo over it) mid-replay-stream.
+                // doorbell line, invalidating the poller's copy.
                 let v = rng.random_range(0..nq);
                 let a = hinted.access(dev, db(v), AccessKind::Store);
                 let b = plain.access(dev, db(v), AccessKind::Store);
                 assert_eq!(a, b, "snoop store diverged");
                 continue;
             }
-            let (dbh, dsh) = &mut hints[q];
-            assert_eq!(
-                hinted.l1_hint_resident(core, dbh, db(q)),
-                hinted.l1_resident(core, db(q)),
-                "hint gate disagrees with set scan for queue {q}"
-            );
             // The engine's poll structure, verbatim.
-            let cost_hinted = {
-                let replayed = if ready[q] && memos[q].core() == core {
-                    hinted.replay_memo(&mut memos[q])
-                } else {
-                    None
-                };
-                match replayed {
-                    Some(c) => c.count(),
-                    None if hinted.l1_hint_resident(core, dbh, db(q)) => {
-                        let m = &mut memos[q];
-                        m.begin(core);
-                        let p = hinted.record_access(m, core, db(q), AccessKind::Load);
-                        let d = hinted.record_access(m, core, desc(q), AccessKind::Load);
-                        hinted.seal_memo(m);
-                        ready[q] = m.is_ready();
-                        p.latency.count() + d.latency.count()
-                    }
-                    None => {
-                        ready[q] = false;
-                        let p = hinted.load_hinted(core, db(q), dbh);
-                        let d = hinted.load_hinted(core, desc(q), dsh);
-                        p.latency.count() + d.latency.count()
-                    }
-                }
-            };
+            let (dbh, dsh) = &mut hints[q];
+            let cost_hinted = hinted.load_hinted(core, db(q), dbh).latency.count()
+                + hinted.load_hinted(core, desc(q), dsh).latency.count();
             let cost_plain = plain.access(core, db(q), AccessKind::Load).latency.count()
                 + plain
                     .access(core, desc(q), AccessKind::Load)
@@ -698,9 +665,9 @@ fn hinted_poll_loop_matches_plain_access_twin() {
     }
 }
 
-/// Disabling the wall-clock fast path (MRU filter, stable-state
-/// short-circuit, memo replay) is observationally invisible: the same
-/// trace produces identical results and telemetry either way.
+/// Disabling the wall-clock fast path (the shared-line LLC route) is
+/// observationally invisible: the same trace produces identical results
+/// and telemetry either way.
 #[test]
 fn mem_fast_path_toggle_is_invisible() {
     use hyperplane::mem::{AccessKind, Addr, CoreId, MemSystem, MemSystemConfig};
@@ -732,66 +699,5 @@ fn mem_fast_path_toggle_is_invisible() {
         }
         assert_eq!(on.getm_total(), off.getm_total());
         assert_eq!(on.invalidation_total(), off.invalidation_total());
-    }
-}
-
-/// Epoch-memoized sequence replay is indistinguishable from re-walking
-/// the accesses: a twin system that never memoizes charges the same
-/// cycles and accumulates the same telemetry, across random disturbances
-/// (remote stores that invalidate recorded lines and break the memo).
-#[test]
-fn seq_memo_replay_equals_plain_access_walk() {
-    use hyperplane::mem::{AccessKind, Addr, CoreId, MemSystem, MemSystemConfig, SeqMemo};
-
-    let mut rng = SmallRng::seed_from_u64(0xBEEF_000D);
-    for _case in 0..40 {
-        let cfg = MemSystemConfig::cmp(4);
-        let mut memoized = MemSystem::new(cfg);
-        let mut plain = MemSystem::new(cfg);
-        let core = CoreId(0);
-        let seq_len = rng.random_range(1..5usize);
-        let seq: Vec<Addr> = (0..seq_len)
-            .map(|i| Addr((0x40 + i as u64) * hyperplane::mem::LINE_BYTES))
-            .collect();
-        let mut memo = SeqMemo::default();
-        for _round in 0..rng.random_range(2..40usize) {
-            let cost_memoized = match memoized.replay_memo(&mut memo) {
-                Some(c) => c.count(),
-                None => {
-                    memo.begin(core);
-                    let mut t = 0;
-                    for &a in &seq {
-                        t += memoized
-                            .record_access(&mut memo, core, a, AccessKind::Load)
-                            .latency
-                            .count();
-                    }
-                    memoized.seal_memo(&mut memo);
-                    t
-                }
-            };
-            let cost_plain: u64 = seq
-                .iter()
-                .map(|&a| plain.access(core, a, AccessKind::Load).latency.count())
-                .sum();
-            assert_eq!(cost_memoized, cost_plain, "replay mispriced the walk");
-            if rng.random_range(0..4u8) == 0 {
-                // Remote store to a recorded line: invalidates core 0's
-                // copy, bumps its epoch, and must break the memo.
-                let victim = seq[rng.random_range(0..seq.len())];
-                let a = memoized.access(CoreId(2), victim, AccessKind::Store);
-                let b = plain.access(CoreId(2), victim, AccessKind::Store);
-                assert_eq!(a, b);
-            }
-        }
-        for c in 0..4 {
-            assert_eq!(
-                stats_tuple(memoized.core_stats(CoreId(c))),
-                stats_tuple(plain.core_stats(CoreId(c))),
-                "memoized telemetry diverged on core {c}"
-            );
-        }
-        assert_eq!(memoized.getm_total(), plain.getm_total());
-        assert_eq!(memoized.invalidation_total(), plain.invalidation_total());
     }
 }
