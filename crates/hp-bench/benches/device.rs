@@ -1,11 +1,11 @@
-//! Micro-benchmarks of the HyperPlane hardware structures, plus
-//! the two DESIGN.md ablations: monitoring-set associativity and
-//! ripple-vs-Brent–Kung PPA.
+//! Micro-benchmarks of the HyperPlane hardware structures, plus the
+//! DESIGN.md monitoring-set associativity ablation. (The two PPA designs
+//! differ only in gate depth and area; the `hwcost` binary compares them.)
 
 use hp_bench::microbench::{BenchmarkId, Criterion};
 use hp_bench::{criterion_group, criterion_main};
 use hp_core::monitoring::MonitoringSet;
-use hp_core::ready_set::{PpaKind, ReadySet, ServicePolicy};
+use hp_core::ready_set::{ReadySet, ServicePolicy};
 use hp_mem::types::LineAddr;
 use hp_queues::sim::QueueId;
 use std::hint::black_box;
@@ -63,24 +63,23 @@ fn bench_monitoring_set(c: &mut Criterion) {
 }
 
 fn bench_ready_set(c: &mut Criterion) {
-    // Ablation: PPA select cost, ripple vs Brent-Kung, vs width.
-    let mut g = c.benchmark_group("ablate_ppa_select");
+    // Select cost vs width. One series: the ready set computes the one
+    // function both PPA designs implement, so the design is not an input.
+    let mut g = c.benchmark_group("ready_set_select");
     for n in [64usize, 256, 1024] {
-        for ppa in [PpaKind::Ripple, PpaKind::BrentKung] {
-            let mut rs = ReadySet::new(n, ServicePolicy::RoundRobin, ppa);
-            // Half the queues ready.
-            for q in (0..n).step_by(2) {
-                rs.activate(QueueId(q as u32));
-            }
-            g.bench_with_input(BenchmarkId::new(format!("{ppa:?}"), n), &n, |b, _| {
-                b.iter(|| {
-                    if let Some(q) = rs.select() {
-                        rs.activate(q); // keep the set populated
-                        black_box(q);
-                    }
-                })
-            });
+        let mut rs = ReadySet::new(n, ServicePolicy::RoundRobin);
+        // Half the queues ready.
+        for q in (0..n).step_by(2) {
+            rs.activate(QueueId(q as u32));
         }
+        g.bench_with_input(BenchmarkId::new("round_robin_half_ready", n), &n, |b, _| {
+            b.iter(|| {
+                if let Some(q) = rs.select() {
+                    rs.activate(q); // keep the set populated
+                    black_box(q);
+                }
+            })
+        });
     }
     g.finish();
 
@@ -95,7 +94,7 @@ fn bench_ready_set(c: &mut Criterion) {
             },
         ),
     ] {
-        let mut rs = ReadySet::new(1024, policy, PpaKind::BrentKung);
+        let mut rs = ReadySet::new(1024, policy);
         for q in (0..1024).step_by(3) {
             rs.activate(QueueId(q as u32));
         }

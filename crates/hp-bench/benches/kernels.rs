@@ -12,7 +12,7 @@
 use hp_bench::microbench::Criterion;
 use hp_bench::{criterion_group, criterion_main};
 use hp_core::monitoring::MonitoringSet;
-use hp_core::ready_set::{PpaKind, ReadySet, ServicePolicy};
+use hp_core::ready_set::{ReadySet, ServicePolicy};
 use hp_mem::system::{MemSystem, MemSystemConfig};
 use hp_mem::types::{AccessKind, Addr, CoreId, LineAddr};
 use hp_par::Rendezvous;
@@ -262,7 +262,7 @@ fn bench_ready_select_hier(c: &mut Criterion) {
     // degenerates to the flat scan (16 leaf words, no summary levels).
     for (label, n) in [("select_1m", 1usize << 20), ("select_1k", 1024)] {
         g.bench_function(label, |b| {
-            let mut rs = ReadySet::new(n, ServicePolicy::RoundRobin, PpaKind::BrentKung);
+            let mut rs = ReadySet::new(n, ServicePolicy::RoundRobin);
             let stride = (n / 64).max(1);
             for i in 0..64 {
                 rs.activate(QueueId((i * stride % n) as u32));
@@ -279,7 +279,7 @@ fn bench_ready_select_hier(c: &mut Criterion) {
     // and re-activated — the longest climb-and-descend path.
     g.bench_function("select_far_bit_1m", |b| {
         let n = 1usize << 20;
-        let mut rs = ReadySet::new(n, ServicePolicy::RoundRobin, PpaKind::BrentKung);
+        let mut rs = ReadySet::new(n, ServicePolicy::RoundRobin);
         rs.activate(QueueId(n as u32 - 1));
         b.iter(|| {
             let q = rs.select().expect("bit is reactivated");

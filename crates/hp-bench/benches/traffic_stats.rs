@@ -6,13 +6,14 @@ use hp_bench::{criterion_group, criterion_main};
 use hp_core::monitoring::MonitoringSet;
 use hp_mem::types::LineAddr;
 use hp_queues::sim::QueueId;
+use hp_rand::rngs::CounterRng;
 use hp_rand::Rng;
 use hp_sim::rng::RngFactory;
 use hp_sim::stats::Histogram;
 use hp_sim::time::Clock;
 use hp_traffic::alias::AliasTable;
 use hp_traffic::flows::FlowTrafficGenerator;
-use hp_traffic::generator::TrafficGenerator;
+use hp_traffic::generator::KeyedArrivals;
 use hp_traffic::shape::TrafficShape;
 use std::hint::black_box;
 
@@ -20,16 +21,24 @@ fn bench_traffic(c: &mut Criterion) {
     let mut g = c.benchmark_group("traffic");
     let factory = RngFactory::new(1);
 
-    let mut shape_gen = TrafficGenerator::new(
+    // The engine's per-arrival call: arrival `k` of one partition's stream.
+    let shape_arrivals = KeyedArrivals::for_partition(
         TrafficShape::ProportionallyConcentrated,
         1000,
         1e6,
         Clock::default(),
-        factory.stream(0),
+        &[0; 1000],
+        0,
+        CounterRng::keyed(1, 0, 0),
     )
-    .expect("valid");
+    .expect("valid")
+    .expect("the only partition carries traffic");
+    let mut k = 0u64;
     g.bench_function("shape_next_arrival", |b| {
-        b.iter(|| black_box(shape_gen.next_arrival()))
+        b.iter(|| {
+            k += 1;
+            black_box(shape_arrivals.arrival(black_box(k)))
+        })
     });
 
     let mut flow_gen =

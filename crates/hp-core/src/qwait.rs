@@ -13,7 +13,7 @@
 //! emptiness check and the re-arm within one call.
 
 use crate::monitoring::{InsertConflict, MonitoringSet};
-use crate::ready_set::{PpaKind, ReadySet, ReadySetStats, ServicePolicy};
+use crate::ready_set::{ReadySet, ReadySetStats, ServicePolicy};
 use hp_mem::types::{AddrRange, LineAddr};
 use hp_queues::sim::QueueId;
 use hp_sim::time::Cycles;
@@ -56,8 +56,6 @@ pub struct HyperPlaneConfig {
     pub ready_qids: usize,
     /// Service policy.
     pub policy: ServicePolicy,
-    /// PPA hardware model.
-    pub ppa: PpaKind,
     /// Latency parameters.
     pub timing: DeviceTiming,
 }
@@ -69,14 +67,13 @@ impl HyperPlaneConfig {
     pub const QIDS_PER_SHARD: usize = 32_768;
 
     /// The Table I configuration: 1024-entry monitoring and ready sets,
-    /// round-robin service, Brent–Kung PPA.
+    /// round-robin service.
     pub fn table1() -> Self {
         HyperPlaneConfig {
             monitoring_entries: 1024,
             monitoring_banks: 1,
             ready_qids: 1024,
             policy: ServicePolicy::RoundRobin,
-            ppa: PpaKind::BrentKung,
             timing: DeviceTiming::default(),
         }
     }
@@ -189,7 +186,7 @@ impl HyperPlaneDevice {
         monitoring.reserve_qids(config.ready_qids);
         HyperPlaneDevice {
             monitoring,
-            ready: ReadySet::new(config.ready_qids, config.policy, config.ppa),
+            ready: ReadySet::new(config.ready_qids, config.policy),
             snoop_range: doorbell_range,
             timing: config.timing,
             spurious_wakeups: 0,

@@ -1,7 +1,8 @@
 //! The ready set: ready/mask bit vectors plus a Programmable Priority
 //! Arbiter (PPA) implementing the service policies (§IV-B of the paper).
 //!
-//! Two functionally identical PPA models are provided:
+//! The paper gives two PPA designs that select the same QID on every
+//! input and differ only in gate depth and area:
 //!
 //! * [`PpaKind::Ripple`] — the bit-slice ripple-priority design of the
 //!   paper's Fig. 7: linear gate depth, with the wrap-around handled by
@@ -11,10 +12,12 @@
 //!   parallel-prefix network (logarithmic gate depth), eliminating the
 //!   combinational loop.
 //!
-//! Both must select the same QID on every input — a property the test
-//! suite checks exhaustively and by randomized search. Because they agree,
-//! the simulated [`ReadySet::select`] computes the shared function — a
-//! circular first-fit — directly over packed 64-bit ready/mask words.
+//! [`PpaKind`] is therefore a cost model only ([`PpaKind::gate_levels`],
+//! [`PpaKind::banked_gate_levels`], [`crate::cost::estimate`]): the test suite
+//! checks the two gate-level select models agree exhaustively and by
+//! randomized search, and the simulated [`ReadySet::select`] computes
+//! their shared function — a circular first-fit — directly over packed
+//! 64-bit ready/mask words.
 //!
 //! # Million-queue scale-out (DESIGN.md §17)
 //!
@@ -30,9 +33,7 @@
 //! exactly the words the flat scan would, returning the identical index
 //! for every (ready, mask, position) input; the flat scan itself stays
 //! available as [`ReadySet::flat_first_fit`], the behavioural oracle the
-//! property suite pins the hierarchy against. The gate-level models remain
-//! for [`PpaKind::gate_levels`] / [`PpaKind::banked_gate_levels`]
-//! ablations.
+//! property suite pins the hierarchy against.
 
 use hp_queues::sim::QueueId;
 
@@ -46,7 +47,8 @@ fn ceil_log2(n: usize) -> u32 {
     }
 }
 
-/// Which PPA hardware model computes the select vector.
+/// A PPA hardware design, for gate-depth and area estimates (every
+/// design selects the same QID).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PpaKind {
     /// Linear ripple-priority chain (Fig. 7).
@@ -200,10 +202,10 @@ pub struct ReadySetStats {
 /// # Examples
 ///
 /// ```
-/// use hp_core::ready_set::{PpaKind, ReadySet, ServicePolicy};
+/// use hp_core::ready_set::{ReadySet, ServicePolicy};
 /// use hp_queues::sim::QueueId;
 ///
-/// let mut rs = ReadySet::new(8, ServicePolicy::RoundRobin, PpaKind::BrentKung);
+/// let mut rs = ReadySet::new(8, ServicePolicy::RoundRobin);
 /// rs.activate(QueueId(5));
 /// rs.activate(QueueId(2));
 /// assert_eq!(rs.select(), Some(QueueId(2)));
@@ -229,7 +231,6 @@ pub struct ReadySet {
     /// [`Self::ready_count`] is O(1) at any size.
     live: usize,
     policy: ServicePolicy,
-    ppa: PpaKind,
     /// Next-priority position for round-robin.
     rr_next: usize,
     /// WRR state: QID currently holding priority and its remaining credit.
@@ -245,7 +246,7 @@ impl ReadySet {
     ///
     /// Panics if `n` is zero, or if a WRR policy's weight vector length
     /// does not equal `n`.
-    pub fn new(n: usize, policy: ServicePolicy, ppa: PpaKind) -> Self {
+    pub fn new(n: usize, policy: ServicePolicy) -> Self {
         assert!(n > 0, "ready set needs at least one QID");
         let mut wrr_credit = 0;
         if let ServicePolicy::WeightedRoundRobin { weights } = &policy {
@@ -274,7 +275,6 @@ impl ReadySet {
             summaries,
             live: 0,
             policy,
-            ppa,
             rr_next: 0,
             wrr_qid: 0,
             wrr_credit,
@@ -290,11 +290,6 @@ impl ReadySet {
     /// Whether the capacity is zero (never true after construction).
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The PPA implementation in use.
-    pub fn ppa_kind(&self) -> PpaKind {
-        self.ppa
     }
 
     /// Lifetime statistics.
@@ -615,7 +610,7 @@ mod tests {
         use hp_sim::rng::splitmix64;
         for trial in 0..200u64 {
             let n = 1 + (splitmix64(trial) % 300) as usize;
-            let mut rs = ReadySet::new(n, ServicePolicy::RoundRobin, PpaKind::BrentKung);
+            let mut rs = ReadySet::new(n, ServicePolicy::RoundRobin);
             let req: Vec<bool> = (0..n)
                 .map(|i| splitmix64(trial * 7777 + i as u64).is_multiple_of(3))
                 .collect();
@@ -678,7 +673,7 @@ mod tests {
         use hp_sim::rng::splitmix64;
         // Sizes straddling the word and summary-level boundaries.
         for n in [1usize, 63, 64, 65, 4096, 4097, 300_000] {
-            let mut rs = ReadySet::new(n, ServicePolicy::RoundRobin, PpaKind::BrentKung);
+            let mut rs = ReadySet::new(n, ServicePolicy::RoundRobin);
             for step in 0..600u64 {
                 let r = splitmix64(n as u64 * 1_000_003 + step);
                 let q = QueueId((r % n as u64) as u32);
@@ -709,7 +704,7 @@ mod tests {
         // finds it from position 0 in O(log64 N) steps. This is a
         // behavioural proxy (the structural claim is the pyramid depth).
         let n = 1 << 20;
-        let mut rs = ReadySet::new(n, ServicePolicy::RoundRobin, PpaKind::BrentKung);
+        let mut rs = ReadySet::new(n, ServicePolicy::RoundRobin);
         assert_eq!(rs.summaries.len(), 3, "2^20 QIDs need three summary levels");
         rs.activate(QueueId((n - 2) as u32));
         assert_eq!(rs.first_fit(0), Some(n - 2));
@@ -724,7 +719,7 @@ mod tests {
 
     #[test]
     fn ready_count_is_maintained_incrementally() {
-        let mut rs = ReadySet::new(200, ServicePolicy::RoundRobin, PpaKind::BrentKung);
+        let mut rs = ReadySet::new(200, ServicePolicy::RoundRobin);
         rs.activate(QueueId(7));
         rs.activate(QueueId(100));
         rs.activate(QueueId(199));
@@ -748,7 +743,7 @@ mod tests {
 
     #[test]
     fn round_robin_is_fair() {
-        let mut rs = ReadySet::new(4, ServicePolicy::RoundRobin, PpaKind::BrentKung);
+        let mut rs = ReadySet::new(4, ServicePolicy::RoundRobin);
         // Keep all queues always ready; grants must cycle 0,1,2,3,0,...
         let mut grants = Vec::new();
         for _ in 0..8 {
@@ -762,7 +757,7 @@ mod tests {
 
     #[test]
     fn strict_priority_always_prefers_low_qid() {
-        let mut rs = ReadySet::new(4, ServicePolicy::StrictPriority, PpaKind::Ripple);
+        let mut rs = ReadySet::new(4, ServicePolicy::StrictPriority);
         for _ in 0..5 {
             rs.activate(QueueId(3));
             rs.activate(QueueId(1));
@@ -780,7 +775,6 @@ mod tests {
             ServicePolicy::WeightedRoundRobin {
                 weights: vec![3, 1, 1],
             },
-            PpaKind::BrentKung,
         );
         let mut grants = Vec::new();
         for _ in 0..10 {
@@ -800,7 +794,6 @@ mod tests {
             ServicePolicy::WeightedRoundRobin {
                 weights: vec![10, 1, 1],
             },
-            PpaKind::BrentKung,
         );
         rs.activate(QueueId(0));
         rs.activate(QueueId(1));
@@ -812,7 +805,7 @@ mod tests {
 
     #[test]
     fn disable_masks_ready_queue() {
-        let mut rs = ReadySet::new(4, ServicePolicy::RoundRobin, PpaKind::BrentKung);
+        let mut rs = ReadySet::new(4, ServicePolicy::RoundRobin);
         rs.activate(QueueId(2));
         rs.disable(QueueId(2));
         assert_eq!(rs.select(), None, "disabled queue must not be granted");
@@ -823,7 +816,7 @@ mod tests {
 
     #[test]
     fn empty_select_counts_and_returns_none() {
-        let mut rs = ReadySet::new(2, ServicePolicy::RoundRobin, PpaKind::Ripple);
+        let mut rs = ReadySet::new(2, ServicePolicy::RoundRobin);
         assert_eq!(rs.select(), None);
         assert_eq!(rs.stats().empty_polls, 1);
         assert_eq!(rs.stats().grants, 0);
@@ -891,7 +884,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn activate_bounds_checked() {
-        let mut rs = ReadySet::new(2, ServicePolicy::RoundRobin, PpaKind::Ripple);
+        let mut rs = ReadySet::new(2, ServicePolicy::RoundRobin);
         rs.activate(QueueId(2));
     }
 
@@ -903,7 +896,6 @@ mod tests {
             ServicePolicy::WeightedRoundRobin {
                 weights: vec![1, 2],
             },
-            PpaKind::Ripple,
         );
     }
 }

@@ -15,7 +15,7 @@
 //! *semantics*: policy-ordered grants, VERIFY/RECONSIDER re-arm rules, and
 //! enable/disable masking.
 
-use crate::ready_set::{PpaKind, ReadySet, ServicePolicy};
+use crate::ready_set::{ReadySet, ServicePolicy};
 use hp_queues::doorbell::Doorbell;
 use hp_queues::sim::QueueId;
 use std::sync::Arc;
@@ -85,7 +85,7 @@ impl QwaitSession {
     /// Panics if `n` is zero or a WRR weight vector does not cover `n`.
     pub fn new(n: usize, policy: ServicePolicy) -> Self {
         QwaitSession {
-            ready: ReadySet::new(n, policy, PpaKind::BrentKung),
+            ready: ReadySet::new(n, policy),
             doorbells: vec![None; n],
             armed: vec![false; n],
             spurious: 0,

@@ -1,5 +1,12 @@
-//! Experiment configuration: the Table I machine and the knobs every
-//! evaluation figure sweeps.
+//! Experiment configuration: the Table I machine and the values the
+//! evaluation figures, benchmarks and tests vary.
+//!
+//! A value the paper fixes as a design point, and no caller varies, is a
+//! named constant beside the code that reads it rather than a field here:
+//! the C1 wake latency, the interrupt delivery cost, the inter-group hop
+//! and the QWAIT backoff ceiling live in the engine, the tail-exemplar
+//! bound is [`hp_sim::attrib::DEFAULT_EXEMPLARS`], and the parallel
+//! engine's lookahead window schedule lives in its fabric controller.
 
 use hp_core::monitoring::MonitoringSet;
 use hp_core::qwait::HyperPlaneConfig;
@@ -79,15 +86,8 @@ pub enum ConfigError {
     /// `trace_capacity` was `Some(0)` — an enabled tracer that can hold
     /// nothing is always a configuration mistake.
     ZeroTraceCapacity,
-    /// `attrib` was enabled with `attrib_exemplars == 0` — an attribution
-    /// run that can retain no tail exemplars is always a mistake (disable
-    /// attribution instead).
-    ZeroAttribExemplars,
     /// `metrics_window_cycles` was `Some(0)`.
     ZeroMetricsWindow,
-    /// The sync window was pinned to `Fixed(0)` — the parallel engine's
-    /// lanes would never advance.
-    ZeroSyncWindow,
     /// `par_workers > 1` with work stealing across more than one sharing
     /// group: stolen wake-ups couple partitions mid-window, which the
     /// lane decomposition cannot represent.
@@ -148,11 +148,7 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::ZeroWatchdogPeriod => write!(f, "watchdog period must be nonzero"),
             ConfigError::ZeroTraceCapacity => write!(f, "trace capacity must be nonzero"),
-            ConfigError::ZeroAttribExemplars => {
-                write!(f, "attribution needs a nonzero tail-exemplar bound")
-            }
             ConfigError::ZeroMetricsWindow => write!(f, "metrics window must be nonzero"),
-            ConfigError::ZeroSyncWindow => write!(f, "sync window must be nonzero"),
             ConfigError::ParallelWorkStealing => write!(
                 f,
                 "par_workers > 1 is incompatible with work stealing across sharing groups"
@@ -294,21 +290,6 @@ pub enum Load {
     Saturation,
 }
 
-/// Parallel-engine window policy: how far lanes run between rendezvous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncWindow {
-    /// Fixed window length in cycles (PR 8's lockstep behaviour).
-    Fixed(u64),
-    /// Conservative-PDES lookahead (the default): window lengths derive
-    /// from run progress toward the stop target, growing geometrically
-    /// from a floor of a few coherence round-trips up to a bounded
-    /// maximum. The schedule is computed identically by the serial and
-    /// parallel fabric controllers from boundary-synchronized state, so
-    /// it is part of the experiment definition and digests stay
-    /// worker-count-invariant.
-    Lookahead,
-}
-
 /// One experiment's full parameterization.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -347,20 +328,15 @@ pub struct ExperimentConfig {
     pub queue_cap: usize,
     /// HyperPlane device configuration.
     pub hp: HyperPlaneConfig,
-    /// C1 wake-up latency in microseconds (paper: ~0.5 µs).
-    pub wake_us: f64,
     /// Extra per-poll software overhead in cycles. ~10 models the tight
     /// in-house SDP loop of §V-A; ~100 models a DPDK-class poll-mode
     /// driver iteration (Fig. 3 case study).
     pub poll_overhead_cycles: u64,
     /// Work stealing across sharing groups (the paper's §III-B NUMA
     /// future-work proposal): a HyperPlane core whose local ready set is
-    /// empty fetches ready QIDs from remote ready sets, paying
-    /// [`Self::inter_group_cycles`] per remote operation.
+    /// empty fetches ready QIDs from remote ready sets, paying an
+    /// inter-socket hop per remote operation.
     pub work_stealing: bool,
-    /// Inter-socket/inter-group access penalty in cycles (QPI/UPI-class
-    /// hop) charged on stolen work.
-    pub inter_group_cycles: u64,
     /// In-order (flow-stateful) processing: `QWAIT-RECONSIDER` is issued
     /// only after the dequeued item finishes processing (the paper's
     /// "swap lines 18 and 19" variant, §III-B), serializing each queue.
@@ -369,9 +345,6 @@ pub struct ExperimentConfig {
     /// is ready the core runs latency-insensitive background work instead
     /// of halting, polling the ready set between chunks.
     pub background_task: bool,
-    /// Kernel interrupt delivery + scheduling cost for the
-    /// [`Notifier::Interrupt`] baseline, microseconds.
-    pub interrupt_cost_us: f64,
     /// Arrival source (synthetic shape or flow-structured).
     pub traffic: TrafficSource,
     /// Next-line prefetcher degree for DP cores (0 = Table I baseline,
@@ -410,10 +383,6 @@ pub struct ExperimentConfig {
     /// doorbell notifications). `None` disables the timeout — a missed
     /// wake-up then stalls until the watchdog notices.
     pub qwait_timeout_cycles: Option<u64>,
-    /// Ceiling for the timeout's exponential backoff (fruitless expiries
-    /// double the next timeout up to this bound, so an idle fault-free
-    /// core converges to cheap, infrequent re-polls).
-    pub qwait_backoff_max_cycles: u64,
     /// Simulation-level no-progress watchdog period. Every period the
     /// engine checks for a livelock/missed-wakeup stall (backlog present,
     /// no completions since the last tick, every DP core halted) and
@@ -435,9 +404,6 @@ pub struct ExperimentConfig {
     /// it needs no ring buffer and ring truncation cannot bias it. Pure
     /// observation: an attributed run is bit-identical to a bare one.
     pub attrib: bool,
-    /// Bound on retained worst-case notifications in the attribution
-    /// report (the tail-exemplar set). Ignored unless `attrib` is on.
-    pub attrib_exemplars: usize,
     /// Windowed-metrics cadence in cycles: close a
     /// [`crate::metrics::WindowSample`] every this-many cycles. `None`
     /// disables the sampler. Like tracing, sampling never schedules
@@ -449,13 +415,6 @@ pub struct ExperimentConfig {
     /// this many workers in bounded time windows. Same-seed results are
     /// digest-identical for any worker count.
     pub par_workers: usize,
-    /// Synchronization-window policy for the parallel engine: lanes run
-    /// independently inside a window and exchange state only at window
-    /// boundaries. Run control (warmup, stop, watchdog, the cycle
-    /// ceiling) is evaluated at these boundaries in *every* engine, so the
-    /// window schedule is part of the experiment definition, not a tuning
-    /// knob that may change results across worker counts.
-    pub sync_window: SyncWindow,
 }
 
 impl ExperimentConfig {
@@ -484,13 +443,10 @@ impl ExperimentConfig {
             // still shrink `hp.ready_qids` by hand, in which case
             // `validate` reports `ReadySetOverflow`.
             hp: HyperPlaneConfig::scaled(queues as usize),
-            wake_us: 0.5,
             poll_overhead_cycles: 10,
             work_stealing: false,
-            inter_group_cycles: 120,
             in_order: false,
             background_task: false,
-            interrupt_cost_us: 2.0,
             traffic: TrafficSource::Shape,
             prefetch_degree: 0,
             mem_fast_path: true,
@@ -499,15 +455,12 @@ impl ExperimentConfig {
             silent_evictions: false,
             audit: false,
             qwait_timeout_cycles: None,
-            qwait_backoff_max_cycles: 2_000_000,
             watchdog_period_cycles: None,
             watchdog_abort: false,
             trace_capacity: None,
             attrib: false,
-            attrib_exemplars: hp_sim::attrib::DEFAULT_EXEMPLARS,
             metrics_window_cycles: None,
             par_workers: 1,
-            sync_window: SyncWindow::Lookahead,
         }
     }
 
@@ -599,19 +552,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Builder-style: pin the parallel-engine synchronization window to a
-    /// fixed length (replacing the default lookahead schedule).
-    pub fn with_sync_window(mut self, cycles: u64) -> Self {
-        self.sync_window = SyncWindow::Fixed(cycles);
-        self
-    }
-
-    /// Builder-style: set the synchronization-window policy.
-    pub fn with_sync_window_mode(mut self, mode: SyncWindow) -> Self {
-        self.sync_window = mode;
-        self
-    }
-
     /// Validates cross-field invariants.
     ///
     /// # Errors
@@ -697,14 +637,8 @@ impl ExperimentConfig {
         if self.trace_capacity == Some(0) {
             return Err(ConfigError::ZeroTraceCapacity);
         }
-        if self.attrib && self.attrib_exemplars == 0 {
-            return Err(ConfigError::ZeroAttribExemplars);
-        }
         if self.metrics_window_cycles == Some(0) {
             return Err(ConfigError::ZeroMetricsWindow);
-        }
-        if self.sync_window == SyncWindow::Fixed(0) {
-            return Err(ConfigError::ZeroSyncWindow);
         }
         if self.par_workers > 1 && self.work_stealing && self.groups() > 1 {
             return Err(ConfigError::ParallelWorkStealing);
@@ -901,12 +835,6 @@ mod tests {
             base.clone().with_metrics_window(0).validate(),
             Err(ConfigError::ZeroMetricsWindow)
         );
-        let mut zero_exemplars = base.clone().with_attrib();
-        zero_exemplars.attrib_exemplars = 0;
-        assert_eq!(
-            zero_exemplars.validate(),
-            Err(ConfigError::ZeroAttribExemplars)
-        );
         base.with_trace(4096)
             .with_metrics_window(100_000)
             .with_attrib()
@@ -918,10 +846,6 @@ mod tests {
     fn parallel_knobs_validate() {
         let base =
             ExperimentConfig::new(WorkloadKind::PacketEncap, TrafficShape::FullyBalanced, 100);
-        assert_eq!(
-            base.clone().with_sync_window(0).validate(),
-            Err(ConfigError::ZeroSyncWindow)
-        );
         let mut stealing = base.clone().with_cores(4, 1).with_par_workers(2);
         stealing.work_stealing = true;
         assert_eq!(stealing.validate(), Err(ConfigError::ParallelWorkStealing));
@@ -932,7 +856,6 @@ mod tests {
         one_group.validate().unwrap();
         base.with_cores(4, 1)
             .with_par_workers(4)
-            .with_sync_window(32_768)
             .validate()
             .unwrap();
     }

@@ -57,7 +57,7 @@ use hp_mem::system::{LoadHint, MemSystem};
 use hp_mem::types::{AccessKind, Addr, CoreId, LineAddr};
 use hp_queues::sim::{QueueId, QueueLayout, WorkItem};
 use hp_rand::rngs::{CounterRng, SmallRng};
-use hp_sim::attrib::{AttributionReport, Attributor};
+use hp_sim::attrib::{AttributionReport, Attributor, DEFAULT_EXEMPLARS};
 use hp_sim::audit::{AuditReport, Auditor};
 use hp_sim::event::EventQueue;
 use hp_sim::faults::{DoorbellFate, FaultCounters, FaultInjector};
@@ -98,10 +98,23 @@ const BACKGROUND_CHUNK_CYCLES: u64 = 250;
 const BACKGROUND_IPC: f64 = 2.0;
 /// Softirq dispatch + driver entry cost per serviced interrupt, cycles
 /// (the kernel *delivery* cost is charged at wake-up via
-/// `interrupt_cost_us`).
+/// [`IRQ_DELIVERY_US`]).
 const IRQ_DISPATCH_CYCLES: u64 = 600;
+/// Kernel interrupt delivery + scheduling cost for the
+/// [`Notifier::Interrupt`] baseline, microseconds.
+const IRQ_DELIVERY_US: f64 = 2.0;
 /// NAPI-style per-interrupt drain budget.
 const IRQ_NAPI_BUDGET: usize = 64;
+/// C1 wake-up latency of a power-optimized HyperPlane core, microseconds
+/// (paper: ≈0.5 µs).
+const C1_WAKE_US: f64 = 0.5;
+/// Inter-socket/inter-group access penalty (a QPI/UPI-class hop) charged
+/// per remote device operation on stolen work, cycles.
+const INTER_GROUP_CYCLES: u64 = 120;
+/// Ceiling for the QWAIT re-poll timeout's exponential backoff, cycles:
+/// fruitless expiries double the next timeout up to this bound, so an
+/// idle fault-free core converges to cheap, infrequent re-polls.
+const QWAIT_BACKOFF_MAX_CYCLES: u64 = 2_000_000;
 
 /// Profile labels, indexed in [`Ev`] declaration order (see
 /// [`Ev::profile_idx`]).
@@ -421,7 +434,6 @@ pub struct Engine {
     qwait_epoch: Vec<u64>,
     /// Per-core current re-poll timeout (exponential backoff state).
     qwait_backoff: Vec<u64>,
-    recovery_latency: Histogram,
     /// Per-fault-class recovery accounting: sweeps that had to re-register
     /// an evicted monitoring entry vs. sweeps that only found backlog a
     /// lost doorbell never announced.
@@ -755,7 +767,6 @@ impl Engine {
             straggler_step: vec![0; cfg.dp_cores],
             qwait_epoch: vec![0; cfg.dp_cores],
             qwait_backoff: vec![timeout_base; cfg.dp_cores],
-            recovery_latency: Histogram::new(),
             eviction_recoveries: 0,
             doorbell_recoveries: 0,
             eviction_recovery_latency: Histogram::new(),
@@ -771,7 +782,7 @@ impl Engine {
                 None => Tracer::disabled(),
             },
             attrib: if cfg.attrib {
-                Attributor::enabled(cfg.attrib_exemplars)
+                Attributor::enabled(DEFAULT_EXEMPLARS)
             } else {
                 Attributor::disabled()
             },
@@ -820,7 +831,7 @@ impl Engine {
             Notifier::HyperPlane {
                 power_optimized: true,
                 ..
-            } => self.cfg.machine.clock.micros_to_cycles(self.cfg.wake_us),
+            } => self.cfg.machine.clock.micros_to_cycles(C1_WAKE_US),
             _ => Cycles::ZERO,
         }
     }
@@ -1188,11 +1199,7 @@ impl Engine {
             self.irq_pending[g].push_back(q.0);
             if let Some(core) = self.halted_by_group[g].pop() {
                 debug_assert!(self.halted[core]);
-                let cost = self
-                    .cfg
-                    .machine
-                    .clock
-                    .micros_to_cycles(self.cfg.interrupt_cost_us);
+                let cost = self.cfg.machine.clock.micros_to_cycles(IRQ_DELIVERY_US);
                 self.ev.schedule_at(now + cost, Ev::CoreWake(core));
             }
         }
@@ -1285,9 +1292,7 @@ impl Engine {
                         debug_assert!(self.halted[core]);
                         self.qwait_epoch[core] += 1;
                         let delay = Cycles(
-                            lookup.count()
-                                + self.wake_cycles().count()
-                                + self.cfg.inter_group_cycles,
+                            lookup.count() + self.wake_cycles().count() + INTER_GROUP_CYCLES,
                         );
                         self.ev.schedule_at(now + delay, Ev::CoreWake(core));
                         return;
@@ -1498,7 +1503,7 @@ impl Engine {
                 if let Some(q) = self.devices[g2].qwait_select() {
                     serve_group = g2;
                     selected = Some(q);
-                    total += 2 * self.cfg.inter_group_cycles;
+                    total += 2 * INTER_GROUP_CYCLES;
                     break;
                 }
             }
@@ -1650,7 +1655,6 @@ impl Engine {
             // (or not-yet-delivered) doorbell.
             if let Some(since) = halted_at {
                 let lat = now.saturating_since(since).count();
-                self.recovery_latency.record(lat);
                 if reregistered {
                     self.eviction_recovery_latency.record(lat);
                 } else {
@@ -1682,7 +1686,7 @@ impl Engine {
             self.trackers[c].halt(now + Cycles(sweep_cost), state);
             self.qwait_backoff[c] = self.qwait_backoff[c]
                 .saturating_mul(2)
-                .clamp(base, self.cfg.qwait_backoff_max_cycles.max(base));
+                .clamp(base, QWAIT_BACKOFF_MAX_CYCLES.max(base));
             self.arm_qwait_timeout(now + Cycles(sweep_cost), c);
         }
     }
@@ -2039,7 +2043,6 @@ impl Engine {
             mem_stats,
             fastpath: self.mem.fastpath_stats(),
             fault_counters: self.faults.counters(),
-            recovery_latency: self.recovery_latency,
             eviction_recoveries: self.eviction_recoveries,
             doorbell_recoveries: self.doorbell_recoveries,
             eviction_recovery_latency: self.eviction_recovery_latency,
@@ -2083,7 +2086,6 @@ pub(crate) struct LaneOutput {
     pub(crate) mem_stats: hp_mem::system::CoreMemStats,
     pub(crate) fastpath: hp_mem::system::FastPathStats,
     pub(crate) fault_counters: FaultCounters,
-    pub(crate) recovery_latency: Histogram,
     pub(crate) eviction_recoveries: u64,
     pub(crate) doorbell_recoveries: u64,
     pub(crate) eviction_recovery_latency: Histogram,

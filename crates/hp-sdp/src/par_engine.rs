@@ -3,10 +3,9 @@
 //! Runs one experiment as a set of *lanes* — one per sharing group — each
 //! owning the group's queues, its HyperPlane device, and the DP cores
 //! assigned to it, with a private calendar-wheel event queue. Lanes
-//! advance in lockstep over bounded synchronization windows (fixed-size
-//! or lookahead-derived, `sync_window`) and a fabric controller folds
-//! their window-boundary reports into run-control decisions (warmup,
-//! stop, watchdog, `max_cycles`).
+//! advance in lockstep over bounded, lookahead-derived synchronization
+//! windows and a fabric controller folds their window-boundary reports
+//! into run-control decisions (warmup, stop, watchdog, `max_cycles`).
 //!
 //! ## Why the partition is exact
 //!
@@ -48,23 +47,23 @@
 //! affect you — is *infinite* for the simulation state itself. What does
 //! couple lanes is run control: stop, warmup, and the watchdog are
 //! fabric-wide decisions whose fidelity degrades with window size (each
-//! triggers at the first boundary after its threshold). `SyncWindow::
-//! Lookahead` therefore sizes each window from the controller's own
-//! horizon: the estimated time to the next run-control threshold
-//! (remaining completions at the observed completion rate), clamped
-//! between a floor of a few coherence round-trips and a 1 Mi-cycle cap,
-//! and never past the next watchdog period. Early windows stay small
-//! (cheap, accurate warmup detection), steady-state windows grow toward
-//! the cap, and barrier count drops by an order of magnitude versus fixed
-//! 64 Ki windows while preserving the one-watchdog-period-per-window
-//! stall semantics.
+//! triggers at the first boundary after its threshold). The controller
+//! therefore sizes each window from its own horizon: the estimated time
+//! to the next run-control threshold (remaining completions at the
+//! observed completion rate), clamped between a floor of a few coherence
+//! round-trips and a 1 Mi-cycle cap, and never past the next watchdog
+//! period. Early windows stay small (cheap, accurate warmup detection),
+//! steady-state windows grow toward the cap, and barrier count is an
+//! order of magnitude below the fixed 64 Ki windows this schedule
+//! replaced, while preserving the one-watchdog-period-per-window stall
+//! semantics.
 
-use crate::config::{ExperimentConfig, SyncWindow};
+use crate::config::ExperimentConfig;
 use crate::engine::{Engine, LaneOutput};
 use crate::metrics::WindowSample;
 use crate::result::{ExperimentResult, FaultReport};
 use crate::telemetry::CoreTelemetry;
-use hp_sim::attrib::AttributionReport;
+use hp_sim::attrib::{AttributionReport, DEFAULT_EXEMPLARS};
 use hp_sim::audit::AuditReport;
 use hp_sim::faults::FaultCounters;
 use hp_sim::stats::{Histogram, OnlineStats};
@@ -111,8 +110,8 @@ struct Decision {
     stall_notes: Vec<SimTime>,
     /// Stop after this window.
     stop: bool,
-    /// The next window's boundary (fixed stride or lookahead-derived;
-    /// ignored when `stop` is set).
+    /// The next window's boundary (lookahead-derived; ignored when `stop`
+    /// is set).
     next_boundary: u64,
 }
 
@@ -130,8 +129,6 @@ struct FabricCtrl {
     watchdog_last_total: u64,
     measuring: bool,
     stalls: StallSummary,
-    /// Window-sizing policy (fixed stride or lookahead-derived).
-    sync_window: SyncWindow,
     /// Previous boundary / fabric-wide completion total, feeding the
     /// lookahead rate estimate.
     prev_boundary: u64,
@@ -165,7 +162,6 @@ impl FabricCtrl {
             watchdog_last_total: 0,
             measuring: false,
             stalls: StallSummary::default(),
-            sync_window: cfg.sync_window,
             prev_boundary: 0,
             prev_total: 0,
             prev_window: LOOKAHEAD_FLOOR,
@@ -173,50 +169,42 @@ impl FabricCtrl {
         }
     }
 
-    /// The first window's boundary: the fixed stride, or the lookahead
-    /// floor (no completion-rate signal exists yet).
+    /// The first window's boundary: the lookahead floor (no
+    /// completion-rate signal exists yet).
     fn first_boundary(&self) -> u64 {
-        match self.sync_window {
-            SyncWindow::Fixed(n) => n,
-            SyncWindow::Lookahead => LOOKAHEAD_FLOOR.min(self.watchdog_next),
-        }
+        LOOKAHEAD_FLOOR.min(self.watchdog_next)
     }
 
-    /// Chooses the boundary after `boundary` (see the module docs): fixed
-    /// mode strides; lookahead mode extrapolates the time to the next
-    /// run-control threshold from the last window's completion rate,
-    /// clamped to `[LOOKAHEAD_FLOOR, LOOKAHEAD_MAX]`, never past the next
-    /// watchdog period, and never skipping the `max_cycles` stop boundary.
+    /// Chooses the boundary after `boundary` (see the module docs):
+    /// extrapolates the time to the next run-control threshold from the
+    /// last window's completion rate, clamped to `[LOOKAHEAD_FLOOR,
+    /// LOOKAHEAD_MAX]`, never past the next watchdog period, and never
+    /// skipping the `max_cycles` stop boundary.
     fn next_boundary(&mut self, boundary: u64, total: u64) -> u64 {
-        match self.sync_window {
-            SyncWindow::Fixed(n) => boundary + n,
-            SyncWindow::Lookahead => {
-                let dt = boundary - self.prev_boundary;
-                let dc = total.saturating_sub(self.prev_total);
-                let target = if self.measuring {
-                    self.stop_target
-                } else {
-                    self.warmup_target
-                };
-                let remaining = target.saturating_sub(total).max(1);
-                let horizon = if dc == 0 || dt == 0 {
-                    // No progress signal this window: ramp geometrically
-                    // rather than re-probing at the floor forever.
-                    self.prev_window.saturating_mul(2)
-                } else {
-                    ((remaining as u128 * dt as u128) / dc as u128).min(u128::from(u64::MAX)) as u64
-                };
-                let w = horizon.clamp(LOOKAHEAD_FLOOR, LOOKAHEAD_MAX);
-                self.prev_window = w;
-                // `decide` leaves `watchdog_next > boundary`, so both
-                // clamps keep the schedule strictly advancing.
-                let mut next = boundary.saturating_add(w).min(self.watchdog_next);
-                if boundary < self.max_cycles {
-                    next = next.min(self.max_cycles);
-                }
-                next
-            }
+        let dt = boundary - self.prev_boundary;
+        let dc = total.saturating_sub(self.prev_total);
+        let target = if self.measuring {
+            self.stop_target
+        } else {
+            self.warmup_target
+        };
+        let remaining = target.saturating_sub(total).max(1);
+        let horizon = if dc == 0 || dt == 0 {
+            // No progress signal this window: ramp geometrically
+            // rather than re-probing at the floor forever.
+            self.prev_window.saturating_mul(2)
+        } else {
+            ((remaining as u128 * dt as u128) / dc as u128).min(u128::from(u64::MAX)) as u64
+        };
+        let w = horizon.clamp(LOOKAHEAD_FLOOR, LOOKAHEAD_MAX);
+        self.prev_window = w;
+        // `decide` leaves `watchdog_next > boundary`, so both
+        // clamps keep the schedule strictly advancing.
+        let mut next = boundary.saturating_add(w).min(self.watchdog_next);
+        if boundary < self.max_cycles {
+            next = next.min(self.max_cycles);
         }
+        next
     }
 
     /// Folds the lanes' reports at `boundary` into this window's verdict.
@@ -473,7 +461,6 @@ fn merge(
     let mut mem_stats = hp_mem::system::CoreMemStats::default();
     let mut fastpath = hp_mem::system::FastPathStats::default();
     let mut injected = FaultCounters::default();
-    let mut recovery_latency = Histogram::new();
     let mut eviction_recovery_latency = Histogram::new();
     let mut doorbell_recovery_latency = Histogram::new();
     let mut eviction_recoveries = 0u64;
@@ -495,7 +482,6 @@ fn merge(
         injected.evictions += o.fault_counters.evictions;
         injected.spurious_injected += o.fault_counters.spurious_injected;
         injected.straggler_stalls += o.fault_counters.straggler_stalls;
-        recovery_latency.merge(&o.recovery_latency);
         eviction_recovery_latency.merge(&o.eviction_recovery_latency);
         doorbell_recovery_latency.merge(&o.doorbell_recovery_latency);
         eviction_recoveries += o.eviction_recoveries;
@@ -541,7 +527,7 @@ fn merge(
     });
 
     let attribs: Vec<AttributionReport> = outs.iter_mut().filter_map(|o| o.attrib.take()).collect();
-    let attrib = (!attribs.is_empty()).then(|| merge_attrib(attribs, cfg.attrib_exemplars));
+    let attrib = (!attribs.is_empty()).then(|| merge_attrib(attribs));
 
     let windows = if outs[0].windows.is_some() {
         let lane_windows: Vec<Vec<WindowSample>> = outs
@@ -557,21 +543,26 @@ fn merge(
         || cfg.chaos.is_active()
         || cfg.qwait_timeout_cycles.is_some()
         || cfg.watchdog_period_cycles.is_some())
-    .then(|| FaultReport {
-        injected,
-        qwait_timeouts: telem.iter().map(|t| t.qwait_timeouts).sum(),
-        recoveries: telem.iter().map(|t| t.recoveries).sum(),
-        recovery_latency_cycles: recovery_latency,
-        eviction_recoveries,
-        doorbell_recoveries,
-        eviction_recovery_latency,
-        doorbell_recovery_latency,
-        churn_reallocations,
-        first_stall: stalls.first_stall,
-        stall_events: stalls.stall_events,
-        aborted_on_stall: stalls.aborted,
-        // Every refused arrival is one engine drop.
-        queue_drops: drops,
+    .then(|| {
+        // Every recovery latency lands in exactly one fault class.
+        let mut recovery_latency_cycles = eviction_recovery_latency.clone();
+        recovery_latency_cycles.merge(&doorbell_recovery_latency);
+        FaultReport {
+            injected,
+            qwait_timeouts: telem.iter().map(|t| t.qwait_timeouts).sum(),
+            recoveries: telem.iter().map(|t| t.recoveries).sum(),
+            recovery_latency_cycles,
+            eviction_recoveries,
+            doorbell_recoveries,
+            eviction_recovery_latency,
+            doorbell_recovery_latency,
+            churn_reallocations,
+            first_stall: stalls.first_stall,
+            stall_events: stalls.stall_events,
+            aborted_on_stall: stalls.aborted,
+            // Every refused arrival is one engine drop.
+            queue_drops: drops,
+        }
     });
 
     let audits: Vec<AuditReport> = outs.iter_mut().filter_map(|o| o.audit.take()).collect();
@@ -614,7 +605,7 @@ fn merge(
 /// totals sum (lanes attribute disjoint item sets), histograms merge
 /// exactly, per-queue/per-core groups concatenate (lane-disjoint keys),
 /// and the exemplar pool is re-ranked worst-first and re-truncated.
-fn merge_attrib(reports: Vec<AttributionReport>, keep_exemplars: usize) -> AttributionReport {
+fn merge_attrib(reports: Vec<AttributionReport>) -> AttributionReport {
     let mut it = reports.into_iter();
     let mut out = it.next().expect("at least one lane");
     for r in it {
@@ -636,7 +627,7 @@ fn merge_attrib(reports: Vec<AttributionReport>, keep_exemplars: usize) -> Attri
     out.per_queue.sort_by_key(|g| g.id);
     out.per_core.sort_by_key(|g| g.id);
     out.exemplars.sort_by_key(|e| (Reverse(e.latency), e.item));
-    out.exemplars.truncate(keep_exemplars);
+    out.exemplars.truncate(DEFAULT_EXEMPLARS);
     out
 }
 

@@ -24,7 +24,8 @@ pub struct FaultReport {
     pub qwait_timeouts: u64,
     /// Timeout expiries that found missed work and recovered it.
     pub recoveries: u64,
-    /// Missed-wakeup recovery latency (halt begin → recovery), cycles.
+    /// Missed-wakeup recovery latency (halt begin → recovery), cycles:
+    /// the eviction and lost-doorbell class histograms merged.
     pub recovery_latency_cycles: Histogram,
     /// First watchdog-detected stall instant, if any.
     pub first_stall: Option<SimTime>,

@@ -1,7 +1,7 @@
 //! Flow-based traffic generation: Zipf-popular flows steered to queues
 //! through an RSS indirection table, as a real NIC does.
 //!
-//! The shape-based generator ([`crate::generator::TrafficGenerator`])
+//! The shape-based generator ([`crate::generator::KeyedArrivals`])
 //! assigns each packet to a queue directly from a weight vector. Real
 //! traffic is *flow*-structured: packets belong to flows, flow popularity
 //! is heavy-tailed (Zipf), and the NIC maps a flow's Toeplitz hash through

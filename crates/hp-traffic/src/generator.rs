@@ -2,15 +2,15 @@
 //!
 //! The paper's emulated I/O sources "generate traffic with different shapes
 //! and loads" and arrivals "follow a Poisson process (memoryless
-//! inter-arrival times)" (§V-A/§V-B). [`TrafficGenerator`] produces a
-//! deterministic, seeded stream of `(inter-arrival, queue)` draws: the
-//! data-plane engines schedule each arrival as a producer-core doorbell
-//! store.
+//! inter-arrival times)" (§V-A/§V-B). [`KeyedArrivals`] produces a
+//! deterministic, seeded stream of `(inter-arrival, queue)` draws per
+//! queue partition: the data-plane engines schedule each arrival as a
+//! producer-core doorbell store.
 
 use crate::alias::AliasTable;
 use crate::shape::TrafficShape;
 use hp_queues::sim::QueueId;
-use hp_rand::rngs::{CounterRng, SmallRng};
+use hp_rand::rngs::CounterRng;
 use hp_sim::rng::sample_exp;
 use hp_sim::time::{Clock, Cycles};
 
@@ -23,99 +23,7 @@ pub struct Arrival {
     pub queue: QueueId,
 }
 
-/// Deterministic open-loop Poisson arrival stream over a traffic shape.
-///
-/// # Examples
-///
-/// ```
-/// use hp_traffic::generator::TrafficGenerator;
-/// use hp_traffic::shape::TrafficShape;
-/// use hp_sim::rng::RngFactory;
-/// use hp_sim::time::Clock;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut gen = TrafficGenerator::new(
-///     TrafficShape::SingleQueue,
-///     16,            // queues
-///     100_000.0,     // tasks/second offered
-///     Clock::default(),
-///     RngFactory::new(1).stream(7),
-/// )?;
-/// let a = gen.next_arrival();
-/// assert_eq!(a.queue.0, 0, "SQ sends everything to queue 0");
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct TrafficGenerator {
-    table: AliasTable,
-    mean_gap_cycles: f64,
-    rng: SmallRng,
-    generated: u64,
-}
-
-impl TrafficGenerator {
-    /// Creates a generator offering `rate_per_sec` tasks/second spread over
-    /// `queues` queues according to `shape`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string if the shape produces an invalid weight
-    /// vector (cannot happen for positive queue counts) or the rate is not
-    /// positive.
-    pub fn new(
-        shape: TrafficShape,
-        queues: u32,
-        rate_per_sec: f64,
-        clock: Clock,
-        rng: SmallRng,
-    ) -> Result<Self, String> {
-        if !(rate_per_sec.is_finite() && rate_per_sec > 0.0) {
-            return Err(format!("offered rate must be positive, got {rate_per_sec}"));
-        }
-        let weights = shape.weights(queues);
-        let table = AliasTable::new(&weights).map_err(|e| e.to_string())?;
-        let cycles_per_sec = clock.ghz() * 1e9;
-        Ok(TrafficGenerator {
-            table,
-            mean_gap_cycles: cycles_per_sec / rate_per_sec,
-            rng,
-            generated: 0,
-        })
-    }
-
-    /// Draws the next arrival (exponential gap, shape-weighted queue).
-    pub fn next_arrival(&mut self) -> Arrival {
-        let gap = sample_exp(&mut self.rng, self.mean_gap_cycles)
-            .round()
-            .max(1.0) as u64;
-        let queue = self.table.sample(&mut self.rng) as u32;
-        self.generated += 1;
-        Arrival {
-            gap: Cycles(gap),
-            queue: QueueId(queue),
-        }
-    }
-
-    /// Draws only a destination queue (for closed-loop saturation drives
-    /// where the arrival process is "always backlogged").
-    pub fn next_queue(&mut self) -> QueueId {
-        QueueId(self.table.sample(&mut self.rng) as u32)
-    }
-
-    /// Mean inter-arrival gap in cycles.
-    pub fn mean_gap_cycles(&self) -> f64 {
-        self.mean_gap_cycles
-    }
-
-    /// Arrivals generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
-    }
-}
-
-/// Keyed per-partition Poisson arrival stream: the distributed-generation
-/// counterpart of [`TrafficGenerator`].
+/// Keyed per-partition Poisson arrival stream over a traffic shape.
 ///
 /// A Poisson process split by independent queue picks is a superposition of
 /// independent per-partition Poisson processes, so instead of one shared
@@ -192,8 +100,7 @@ impl KeyedArrivals {
     }
 
     /// The `k`-th arrival of this partition's stream (0-based): the gap to
-    /// the *next* arrival and the destination queue of *this* one —
-    /// mirroring [`TrafficGenerator::next_arrival`]'s contract. Pure in
+    /// the *next* arrival and the destination queue of *this* one. Pure in
     /// `k`: each index gets its own split sub-stream, so the (variable)
     /// number of underlying draws per arrival never shifts later indices.
     pub fn arrival(&self, k: u64) -> Arrival {
@@ -291,73 +198,6 @@ pub fn partition_queues(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hp_sim::rng::RngFactory;
-
-    fn generator(shape: TrafficShape, queues: u32, rate: f64) -> TrafficGenerator {
-        TrafficGenerator::new(
-            shape,
-            queues,
-            rate,
-            Clock::default(),
-            RngFactory::new(11).stream(0),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn arrival_rate_converges() {
-        let mut g = generator(TrafficShape::FullyBalanced, 8, 1_000_000.0);
-        let n = 100_000;
-        let total: u64 = (0..n).map(|_| g.next_arrival().gap.count()).sum();
-        let mean = total as f64 / n as f64;
-        // 2 GHz / 1M tasks/s = 2000 cycles mean gap.
-        assert!((mean - 2000.0).abs() < 30.0, "mean gap {mean}");
-        assert_eq!(g.generated(), n);
-    }
-
-    #[test]
-    fn sq_targets_only_queue_zero() {
-        let mut g = generator(TrafficShape::SingleQueue, 64, 1000.0);
-        for _ in 0..1000 {
-            assert_eq!(g.next_arrival().queue, QueueId(0));
-        }
-    }
-
-    #[test]
-    fn pc_hot_queues_receive_most_traffic() {
-        let queues = 100u32;
-        let mut g = generator(TrafficShape::ProportionallyConcentrated, queues, 1000.0);
-        let mut counts = vec![0u64; queues as usize];
-        for _ in 0..100_000 {
-            counts[g.next_queue().0 as usize] += 1;
-        }
-        let hot: u64 = counts[..20].iter().sum();
-        let cold: u64 = counts[20..].iter().sum();
-        // Hot mass fraction = 20 / (20 + 80*0.05) = 0.8333.
-        let frac = hot as f64 / (hot + cold) as f64;
-        assert!((frac - 0.8333).abs() < 0.01, "hot fraction {frac}");
-    }
-
-    #[test]
-    fn determinism_with_same_seed() {
-        let mut a = generator(TrafficShape::FullyBalanced, 16, 5000.0);
-        let mut b = generator(TrafficShape::FullyBalanced, 16, 5000.0);
-        for _ in 0..100 {
-            assert_eq!(a.next_arrival(), b.next_arrival());
-        }
-    }
-
-    #[test]
-    fn rejects_nonpositive_rate() {
-        assert!(TrafficGenerator::new(
-            TrafficShape::FullyBalanced,
-            4,
-            0.0,
-            Clock::default(),
-            RngFactory::new(1).stream(0)
-        )
-        .is_err());
-    }
 
     #[test]
     fn balanced_partition_deals_hot_queues_evenly() {
@@ -438,6 +278,11 @@ mod tests {
                 assert_eq!(owner[ka.arrival(k).queue.0 as usize], p);
             }
         }
+        // SQ on a single partition sends everything to queue 0.
+        let sq = keyed(TrafficShape::SingleQueue, 64, 1, 0).unwrap();
+        for k in 0..1000 {
+            assert_eq!(sq.arrival(k).queue, QueueId(0));
+        }
     }
 
     #[test]
@@ -480,6 +325,15 @@ mod tests {
             assert!((ratio - 20.0).abs() < 2.0, "partition {p} ratio {ratio}");
         }
         let _ = total_mass;
+        // On a single partition the hot queues carry the shape's hot mass
+        // fraction, 20 / (20 + 80 * 0.05) = 0.8333.
+        let one = keyed(shape, queues, 1, 0).unwrap();
+        let n = 100_000u64;
+        let hot = (0..n)
+            .filter(|&k| weights[one.arrival(k).queue.0 as usize] == 1.0)
+            .count();
+        let frac = hot as f64 / n as f64;
+        assert!((frac - 0.8333).abs() < 0.01, "hot fraction {frac}");
     }
 
     #[test]
@@ -501,6 +355,19 @@ mod tests {
         for p in 0..4 {
             let ka = keyed(TrafficShape::SingleQueue, 8, 4, p);
             assert_eq!(ka.is_some(), p == q0_owner, "partition {p}");
+        }
+        // A non-positive rate is an error, not an empty stream.
+        for rate in [0.0, -1.0] {
+            assert!(KeyedArrivals::for_partition(
+                TrafficShape::FullyBalanced,
+                4,
+                rate,
+                Clock::default(),
+                &[0; 4],
+                0,
+                CounterRng::keyed(11, 1, 0),
+            )
+            .is_err());
         }
     }
 }

@@ -21,5 +21,5 @@ pub mod flows;
 pub mod generator;
 pub mod shape;
 
-pub use generator::{partition_queues, Arrival, TrafficGenerator};
+pub use generator::{partition_queues, Arrival};
 pub use shape::TrafficShape;

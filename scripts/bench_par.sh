@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Parallel-engine benchmark: worker scaling, kernel-event parity, and the
-# rendezvous-count comparison (lookahead vs fixed windows), plus the
+# rendezvous-count gate (lookahead windows), plus the
 # rendezvous microbench. Writes results/par_bench.json.
 # Usage: scripts/bench_par.sh [--quick]
 #   --quick  reduced run length for a fast smoke pass
