@@ -1,36 +1,15 @@
-//! Benchmarks of the substrate layers: the lock-free rings, the
-//! doorbell, the memory-system model, and a small end-to-end simulation.
+//! Benchmarks of the substrate layers: the memory-system model and a
+//! small end-to-end simulation.
 
 use hp_bench::microbench::{BenchmarkId, Criterion};
 use hp_bench::{criterion_group, criterion_main};
 use hp_mem::system::{MemSystem, MemSystemConfig};
 use hp_mem::types::{AccessKind, Addr, CoreId};
-use hp_queues::doorbell::Doorbell;
-use hp_queues::ring::MpmcRing;
 use hp_sdp::config::{ExperimentConfig, Notifier};
 use hp_sdp::runner;
 use hp_traffic::shape::TrafficShape;
 use hp_workloads::service::WorkloadKind;
 use std::hint::black_box;
-
-fn bench_rings(c: &mut Criterion) {
-    let mut g = c.benchmark_group("rings");
-    g.bench_function("mpmc_push_pop", |b| {
-        let (tx, rx) = MpmcRing::with_capacity(1024);
-        b.iter(|| {
-            tx.push(black_box(7u64)).unwrap();
-            black_box(rx.pop().unwrap());
-        })
-    });
-    g.bench_function("doorbell_ring_take", |b| {
-        let db = Doorbell::new();
-        b.iter(|| {
-            db.ring(1);
-            black_box(db.try_take(1));
-        })
-    });
-    g.finish();
-}
 
 fn bench_memsys(c: &mut Criterion) {
     let mut g = c.benchmark_group("mem_system");
@@ -86,5 +65,5 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_rings, bench_memsys, bench_end_to_end);
+criterion_group!(benches, bench_memsys, bench_end_to_end);
 criterion_main!(benches);

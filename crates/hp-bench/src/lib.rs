@@ -68,7 +68,7 @@ impl HarnessOpts {
     }
 
     /// Path of the JSONL sink for this binary (`results/<bin>.jsonl`).
-    pub fn jsonl_path(&self) -> PathBuf {
+    fn jsonl_path(&self) -> PathBuf {
         PathBuf::from("results").join(format!("{}.jsonl", self.bin))
     }
 

@@ -29,7 +29,6 @@ pub struct AsciiChart {
     title: String,
     width: usize,
     height: usize,
-    log_y: bool,
     series: Vec<Series>,
 }
 
@@ -42,15 +41,8 @@ impl AsciiChart {
             title: title.to_string(),
             width: 64,
             height: 16,
-            log_y: false,
             series: Vec::new(),
         }
-    }
-
-    /// Uses a log10 y-axis (Fig. 12b style).
-    pub fn log_y(mut self) -> Self {
-        self.log_y = true;
-        self
     }
 
     /// Adds a series.
@@ -72,14 +64,13 @@ impl AsciiChart {
         if pts.is_empty() {
             return format!("[{}: no data]\n", self.title);
         }
-        let ymap = |y: f64| if self.log_y { y.max(1e-12).log10() } else { y };
         let (mut xmin, mut xmax) = (f64::INFINITY, f64::NEG_INFINITY);
         let (mut ymin, mut ymax) = (f64::INFINITY, f64::NEG_INFINITY);
         for &(x, y) in &pts {
             xmin = xmin.min(x);
             xmax = xmax.max(x);
-            ymin = ymin.min(ymap(y));
-            ymax = ymax.max(ymap(y));
+            ymin = ymin.min(y);
+            ymax = ymax.max(y);
         }
         if (xmax - xmin).abs() < f64::EPSILON {
             xmax = xmin + 1.0;
@@ -96,8 +87,7 @@ impl AsciiChart {
                     continue;
                 }
                 let cx = ((x - xmin) / (xmax - xmin) * (self.width - 1) as f64).round() as usize;
-                let cy =
-                    ((ymap(y) - ymin) / (ymax - ymin) * (self.height - 1) as f64).round() as usize;
+                let cy = ((y - ymin) / (ymax - ymin) * (self.height - 1) as f64).round() as usize;
                 let row = self.height - 1 - cy;
                 grid[row][cx.min(self.width - 1)] = mark;
             }
@@ -105,16 +95,8 @@ impl AsciiChart {
 
         let mut out = String::new();
         out.push_str(&format!("  {}\n", self.title));
-        let y_hi = if self.log_y {
-            format!("1e{ymax:.1}")
-        } else {
-            format!("{ymax:.3}")
-        };
-        let y_lo = if self.log_y {
-            format!("1e{ymin:.1}")
-        } else {
-            format!("{ymin:.3}")
-        };
+        let y_hi = format!("{ymax:.3}");
+        let y_lo = format!("{ymin:.3}");
         for (i, row) in grid.iter().enumerate() {
             let label = if i == 0 {
                 format!("{y_hi:>10} |")
@@ -169,16 +151,6 @@ mod tests {
             .series(Series::new("b", vec![(0.0, 2.0), (1.0, 1.0)]));
         let s = chart.render();
         assert!(s.contains('*') && s.contains('o'));
-    }
-
-    #[test]
-    fn log_scale_compresses_range() {
-        let chart = AsciiChart::new("log")
-            .log_y()
-            .series(Series::new("s", vec![(0.0, 1.0), (1.0, 1000.0)]));
-        let s = chart.render();
-        assert!(s.contains("1e3.0"), "log axis label missing:\n{s}");
-        assert!(s.contains("1e0.0"));
     }
 
     #[test]

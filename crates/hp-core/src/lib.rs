@@ -40,7 +40,6 @@ pub mod cost;
 pub mod monitoring;
 pub mod qwait;
 pub mod ready_set;
-pub mod session;
 
 pub use qwait::{DeviceTiming, HyperPlaneConfig, HyperPlaneDevice, QwaitError, RearmAction};
 pub use ready_set::{PpaKind, ServicePolicy};

@@ -270,7 +270,7 @@ impl MonitoringSet {
     }
 
     /// Per-bank occupancy (for balance diagnostics).
-    pub fn occupancy_per_bank(&self) -> Vec<usize> {
+    fn occupancy_per_bank(&self) -> Vec<usize> {
         self.banks
             .iter()
             .map(|b| b.ways.iter().flatten().filter(|e| e.is_some()).count())

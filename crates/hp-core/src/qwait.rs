@@ -13,7 +13,7 @@
 //! emptiness check and the re-arm within one call.
 
 use crate::monitoring::{InsertConflict, MonitoringSet};
-use crate::ready_set::{ReadySet, ReadySetStats, ServicePolicy};
+use crate::ready_set::{ReadySet, ServicePolicy};
 use hp_mem::types::{AddrRange, LineAddr};
 use hp_queues::sim::QueueId;
 use hp_sim::time::Cycles;
@@ -198,11 +198,6 @@ impl HyperPlaneDevice {
         self.timing
     }
 
-    /// The snooped doorbell range.
-    pub fn snoop_range(&self) -> AddrRange {
-        self.snoop_range
-    }
-
     /// `QWAIT-ADD` (privileged): registers and arms a doorbell for `qid`.
     ///
     /// # Errors
@@ -324,11 +319,6 @@ impl HyperPlaneDevice {
     /// Spurious wake-ups filtered by `QWAIT-VERIFY`.
     pub fn spurious_wakeups(&self) -> u64 {
         self.spurious_wakeups
-    }
-
-    /// Ready-set statistics.
-    pub fn ready_stats(&self) -> ReadySetStats {
-        self.ready.stats()
     }
 
     /// Monitoring-set statistics.

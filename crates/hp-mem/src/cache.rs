@@ -108,8 +108,8 @@ pub enum Insert {
     Evicted(LineAddr, MesiState),
 }
 
-/// Sentinel slot index meaning "not resident" (returned alongside a miss).
-pub const NO_SLOT: usize = usize::MAX;
+/// Sentinel slot index meaning "no such way" in the placement scans.
+const NO_SLOT: usize = usize::MAX;
 
 /// A placement decision captured during a [`lookup_or_plan`] miss scan,
 /// to be applied by [`fill_planned`] once the rest of the transaction
@@ -226,32 +226,24 @@ impl SetAssocCache {
     /// Looks up `line`, updating LRU and hit/miss counters. Returns its
     /// state if present.
     pub fn lookup(&mut self, line: LineAddr) -> Option<MesiState> {
-        self.lookup_slot(line).0
-    }
-
-    /// [`lookup`](Self::lookup) that also returns the hit slot
-    /// ([`NO_SLOT`] on a miss), so callers can follow up with the `_at`
-    /// accessors instead of re-probing the set.
-    #[inline]
-    pub fn lookup_slot(&mut self, line: LineAddr) -> (Option<MesiState>, usize) {
         self.tick += 1;
         match self.probe(line) {
             Some(i) => {
                 let s = &mut self.slots[i];
                 s.meta = (self.tick << 2) | (s.meta & 3);
                 self.hits += 1;
-                (Some(state_of(s.meta)), i)
+                Some(state_of(s.meta))
             }
             None => {
                 self.misses += 1;
-                (None, NO_SLOT)
+                None
             }
         }
     }
 
-    /// Fused [`lookup_slot`](Self::lookup_slot) + miss-placement scan:
+    /// Fused [`lookup`](Self::lookup) + miss-placement scan:
     /// one pass over the set that either hits (identical bookkeeping to
-    /// `lookup_slot`) or returns the [`PlacePlan`] a subsequent
+    /// `lookup`) or returns the [`PlacePlan`] a subsequent
     /// [`place_absent`](Self::insert_slot_missed) scan would compute —
     /// first invalid way, else the LRU victim, same way-order
     /// tie-breaking. Halves the set scans on the miss→fill path.
@@ -436,7 +428,7 @@ impl SetAssocCache {
     }
 
     /// [`insert_slot`](Self::insert_slot) for a line the caller has just
-    /// proven absent (a `lookup_slot`/`probe` miss on this line with no
+    /// proven absent (a `lookup`/`probe` miss on this line with no
     /// intervening mutation): skips the resident scan, otherwise
     /// byte-identical bookkeeping — same tick advance, same first-invalid
     /// way / LRU-victim precedence, same counters.

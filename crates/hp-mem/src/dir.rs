@@ -66,11 +66,6 @@ pub struct DirTable<V> {
     len: usize,
     /// `64 - log2(capacity)`: right-shift that maps a mixed hash to a slot.
     shift: u32,
-    /// Bumped by every operation that can move an existing entry to a
-    /// different slot: growth (rehash-all) and backward-shift deletion.
-    /// Plain insertion never moves existing entries, so a cached slot
-    /// index paired with an unchanged generation is still valid.
-    generation: u64,
 }
 
 impl<V> fmt::Debug for DirTable<V> {
@@ -95,16 +90,7 @@ impl<V> DirTable<V> {
             slots: (0..INITIAL_CAPACITY).map(|_| Slot::Empty).collect(),
             len: 0,
             shift: 64 - INITIAL_CAPACITY.trailing_zeros(),
-            generation: 0,
         }
-    }
-
-    /// Slot-movement generation: unchanged ⟺ no slot index handed out
-    /// earlier (by [`entry_slot`](DirTable::entry_slot) or
-    /// [`find_slot`](DirTable::find_slot)) has been invalidated since.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Whether `slot` currently holds `key` (cheap validation for a
@@ -193,7 +179,6 @@ impl<V> DirTable<V> {
             Slot::Empty => unreachable!(),
         };
         self.len -= 1;
-        self.generation += 1;
         let mask = self.slots.len() - 1;
         let mut i = (hole + 1) & mask;
         loop {
@@ -284,7 +269,6 @@ impl<V: Default> DirTable<V> {
     }
 
     fn grow(&mut self) {
-        self.generation += 1;
         let new_cap = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| Slot::Empty).collect());
         self.shift = 64 - new_cap.trailing_zeros();

@@ -657,7 +657,7 @@ impl MemSystem {
                 }
                 // Fused probe + placement scan (the LLC twin of the L1's
                 // `lookup_or_plan`): a hit books identically to
-                // `lookup_slot`; a miss captures the placement plan the
+                // `lookup`; a miss captures the placement plan the
                 // fill below applies, saving the second set scan.
                 None => match self.llc.lookup_or_plan(line) {
                     Ok((_state, ls)) => {

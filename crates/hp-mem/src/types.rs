@@ -25,12 +25,6 @@ impl Addr {
     pub fn line(self) -> LineAddr {
         LineAddr(self.0 / LINE_BYTES)
     }
-
-    /// Byte offset within the cache line.
-    #[inline]
-    pub fn line_offset(self) -> u64 {
-        self.0 % LINE_BYTES
-    }
 }
 
 impl fmt::Display for Addr {
@@ -130,7 +124,6 @@ mod tests {
         assert_eq!(Addr(0).line(), LineAddr(0));
         assert_eq!(Addr(63).line(), LineAddr(0));
         assert_eq!(Addr(64).line(), LineAddr(1));
-        assert_eq!(Addr(130).line_offset(), 2);
         assert_eq!(LineAddr(2).base(), Addr(128));
     }
 

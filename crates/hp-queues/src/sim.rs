@@ -178,12 +178,6 @@ impl QueueLayout {
             + entry * self.buffer_lines_per_entry * LINE_BYTES;
         (0..self.buffer_lines_per_entry).map(move |i| Addr(base + i * LINE_BYTES))
     }
-
-    /// Total data footprint (doorbells + descriptors + buffer pools), bytes.
-    pub fn footprint_bytes(&self) -> u64 {
-        let q = self.queues as u64;
-        q * LINE_BYTES * 2 + q * self.buffer_entries * self.buffer_lines_per_entry * LINE_BYTES
-    }
 }
 
 #[cfg(test)]
@@ -270,13 +264,6 @@ mod tests {
         for a in &q0 {
             assert!(!q1.contains(a));
         }
-    }
-
-    #[test]
-    fn footprint_grows_with_queue_count() {
-        let small = QueueLayout::new(10, 16, 4).footprint_bytes();
-        let large = QueueLayout::new(1000, 16, 4).footprint_bytes();
-        assert!(large > 90 * small);
     }
 
     #[test]

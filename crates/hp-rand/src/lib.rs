@@ -181,7 +181,7 @@ const SPLITMIX_GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Exposed so key-derivation chains (stream seeds, per-decision hashes)
 /// share the exact mixing function the generators use.
 #[inline]
-pub fn splitmix64_mix(mut z: u64) -> u64 {
+fn splitmix64_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -280,18 +280,6 @@ pub mod rngs {
                     .wrapping_add(n.wrapping_add(1).wrapping_mul(SPLITMIX_GOLDEN)),
             )
         }
-
-        /// Repositions the cursor so the next sequential draw is draw
-        /// `n` — an O(1) skip over any number of foreign draws.
-        #[inline]
-        pub fn seek(&mut self, n: u64) {
-            self.ctr = n;
-        }
-
-        /// The index of the next sequential draw.
-        pub fn position(&self) -> u64 {
-            self.ctr
-        }
     }
 
     impl RngCore for CounterRng {
@@ -310,18 +298,6 @@ pub mod rngs {
     #[derive(Debug, Clone)]
     pub struct SmallRng {
         s: [u64; 4],
-    }
-
-    impl SmallRng {
-        /// Builds a generator from raw state.
-        ///
-        /// # Panics
-        ///
-        /// Panics if the state is all zero (the one forbidden state).
-        pub fn from_state(s: [u64; 4]) -> Self {
-            assert!(s.iter().any(|&w| w != 0), "xoshiro state must be nonzero");
-            SmallRng { s }
-        }
     }
 
     impl SeedableRng for SmallRng {
@@ -367,20 +343,6 @@ mod tests {
         let raw = CounterRng::keyed(0x5EED, 9, 3);
         for n in 0..1000u64 {
             assert_eq!(seq.next_u64(), raw.at(n), "draw {n}");
-        }
-    }
-
-    #[test]
-    fn counter_rng_seek_skips_in_o1() {
-        let mut a = CounterRng::keyed(1, 2, 3);
-        for _ in 0..777 {
-            let _ = a.next_u64();
-        }
-        let mut b = CounterRng::keyed(1, 2, 3);
-        b.seek(777);
-        assert_eq!(a.position(), b.position());
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 
@@ -445,8 +407,8 @@ mod tests {
         let n = 100_000;
         let mut sum = 0.0;
         let mut ones = 0u64;
-        for _ in 0..n {
-            ones += rng.at(rng.position()).count_ones() as u64;
+        for i in 0..n {
+            ones += rng.at(i).count_ones() as u64;
             let x: f64 = rng.random();
             assert!((0.0..1.0).contains(&x));
             sum += x;

@@ -28,7 +28,7 @@ pub fn mm1_sojourn(lambda: f64, mu: f64) -> f64 {
 /// # Panics
 ///
 /// Panics unless `c >= 1` and `lambda < c*mu`.
-pub fn erlang_c(lambda: f64, mu: f64, c: usize) -> f64 {
+fn erlang_c(lambda: f64, mu: f64, c: usize) -> f64 {
     assert!(c >= 1, "need at least one server");
     let a = lambda / mu; // offered load in Erlangs
     let rho = a / c as f64;
@@ -48,7 +48,7 @@ pub fn erlang_c(lambda: f64, mu: f64, c: usize) -> f64 {
 ///
 /// # Panics
 ///
-/// Propagates [`erlang_c`]'s requirements.
+/// Panics unless `c >= 1` and `lambda < c*mu` (the Erlang-C domain).
 pub fn mmc_sojourn(lambda: f64, mu: f64, c: usize) -> f64 {
     let pw = erlang_c(lambda, mu, c);
     let rho = lambda / (c as f64 * mu);

@@ -154,11 +154,6 @@ impl WindowedMetrics {
         }
     }
 
-    /// The cadence, cycles.
-    pub fn window_cycles(&self) -> u64 {
-        self.window
-    }
-
     /// The next boundary at which a window must close, cycles.
     pub fn next_boundary(&self) -> u64 {
         self.next_boundary

@@ -74,17 +74,6 @@ impl FaultReport {
             ),
         ]
     }
-
-    /// Whether every class's worst recovery latency fits under `bound`
-    /// cycles (vacuously true for classes that never recovered).
-    pub fn recovery_within(&self, bound: u64) -> bool {
-        [
-            &self.eviction_recovery_latency,
-            &self.doorbell_recovery_latency,
-        ]
-        .iter()
-        .all(|h| h.percentile(100.0).is_none_or(|max| max <= bound))
-    }
 }
 
 /// Device-plane counters aggregated over the run's HyperPlane devices

@@ -6,7 +6,7 @@
 //! * [`run_at_load`] — run an open-loop drive at a fraction of a measured
 //!   peak and report the latency distribution (Figs. 3b/3c, 9, 10, 12b).
 
-use crate::config::{ConfigError, ExperimentConfig, Load};
+use crate::config::{ExperimentConfig, Load};
 use crate::engine::Engine;
 use crate::result::ExperimentResult;
 
@@ -14,19 +14,10 @@ use crate::result::ExperimentResult;
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration; use [`try_run`] to get the
-/// [`ConfigError`] instead.
+/// Panics on an invalid configuration; use [`Engine::try_new`] to get
+/// the [`ConfigError`](crate::config::ConfigError) instead.
 pub fn run(cfg: ExperimentConfig) -> ExperimentResult {
     Engine::new(cfg).run()
-}
-
-/// Runs `cfg` as configured, refusing invalid configurations up front.
-///
-/// # Errors
-///
-/// The [`ConfigError`] from [`ExperimentConfig::validate`].
-pub fn try_run(cfg: ExperimentConfig) -> Result<ExperimentResult, ConfigError> {
-    Ok(Engine::try_new(cfg)?.run())
 }
 
 /// Measures peak *sustainable* throughput (tasks/second).
@@ -204,12 +195,12 @@ mod tests {
     }
 
     #[test]
-    fn try_run_surfaces_config_errors() {
+    fn try_new_surfaces_config_errors() {
         let mut cfg = base();
         cfg.queues = 0;
         assert_eq!(
-            try_run(cfg).unwrap_err(),
-            crate::config::ConfigError::NoQueues
+            Engine::try_new(cfg).err(),
+            Some(crate::config::ConfigError::NoQueues)
         );
     }
 }

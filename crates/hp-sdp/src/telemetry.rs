@@ -155,11 +155,6 @@ impl HaltTracker {
         }
     }
 
-    /// Whether the core is currently halted.
-    pub fn is_halted(&self) -> bool {
-        self.since.is_some()
-    }
-
     /// When the current halt episode began, if halted. Used by the
     /// resilience path to measure missed-wakeup recovery latency.
     pub fn halted_since(&self) -> Option<SimTime> {
@@ -254,7 +249,7 @@ mod tests {
         let mut t = CoreTelemetry::default();
         let mut h = HaltTracker::new();
         h.halt(SimTime(100), HaltState::C0Halt);
-        assert!(h.is_halted());
+        assert_eq!(h.halted_since(), Some(SimTime(100)));
         h.resume(SimTime(150), &mut t);
         h.halt(SimTime(200), HaltState::C1);
         h.resume(SimTime(300), &mut t);

@@ -112,7 +112,6 @@ pub struct EventQueue<E> {
     base: u64,
     seq: u64,
     now: SimTime,
-    scheduled_total: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -133,7 +132,6 @@ impl<E> EventQueue<E> {
             base: 0,
             seq: 0,
             now: SimTime::ZERO,
-            scheduled_total: 0,
         }
     }
 
@@ -157,7 +155,6 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled_total += 1;
         // `t >= now >= base`, so the subtraction cannot wrap.
         if t.0 - self.base < WHEEL_SLOTS as u64 {
             self.bucket_push(t.0, payload);
@@ -302,7 +299,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the earliest pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    fn peek_time(&self) -> Option<SimTime> {
         if self.near_len > 0 {
             Some(SimTime(self.base + self.first_occupied_offset() as u64))
         } else {
@@ -318,11 +315,6 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total number of events ever scheduled (telemetry).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 }
 
@@ -513,11 +505,10 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_scheduled() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime(1), ());
         q.schedule_at(SimTime(2), ());
-        assert_eq!(q.scheduled_total(), 2);
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
     }

@@ -16,7 +16,7 @@
 //! * [`event`] — the deterministic [`EventQueue`] with FIFO tie-breaking
 //!   and the [`event::run_until`] driver.
 //! * [`stats`] — HDR-style [`Histogram`] (percentiles + CDF),
-//!   [`stats::OnlineStats`] and [`stats::TimeWeighted`] accumulators.
+//!   and the [`stats::OnlineStats`] running mean.
 //! * [`rng`] — [`rng::RngFactory`] seed-derived deterministic streams and
 //!   the service-time [`rng::Distribution`] shapes.
 //! * [`faults`] — the deterministic [`faults::FaultPlan`] /

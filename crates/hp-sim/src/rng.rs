@@ -34,11 +34,6 @@ impl RngFactory {
         RngFactory { root_seed }
     }
 
-    /// The root seed this factory was built from.
-    pub fn root_seed(&self) -> u64 {
-        self.root_seed
-    }
-
     /// Returns the deterministic stream for `stream_id`.
     ///
     /// Streams with distinct ids are decorrelated by passing the
@@ -76,12 +71,6 @@ pub fn sample_exp(rng: &mut impl Rng, mean: f64) -> f64 {
     // Inverse CDF; guard the open interval so ln(0) cannot occur.
     let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
     -mean * u.ln()
-}
-
-/// Samples a deterministic (constant) "distribution" — provided so service
-/// models can switch between CV=0 and CV=1 uniformly.
-pub fn sample_const(_rng: &mut impl Rng, mean: f64) -> f64 {
-    mean
 }
 
 /// A service/inter-arrival time distribution with a configurable shape.
@@ -130,15 +119,6 @@ impl Distribution {
                     sample_exp(rng, m2)
                 }
             }
-        }
-    }
-
-    /// The squared coefficient of variation of this shape.
-    pub fn scv(&self) -> f64 {
-        match *self {
-            Distribution::Constant => 0.0,
-            Distribution::Exponential => 1.0,
-            Distribution::HyperExp { cv } => cv * cv,
         }
     }
 }
@@ -197,8 +177,6 @@ mod tests {
         let f = RngFactory::new(1);
         let mut rng = f.stream(0);
         assert_eq!(Distribution::Constant.sample(&mut rng, 3.25), 3.25);
-        assert_eq!(Distribution::Constant.scv(), 0.0);
-        assert_eq!(Distribution::Exponential.scv(), 1.0);
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl Histogram {
     }
 
     /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -209,7 +209,7 @@ impl Histogram {
     }
 }
 
-/// Welford online mean/variance accumulator for `f64` samples.
+/// Welford online mean accumulator for `f64` samples.
 ///
 /// # Examples
 ///
@@ -221,12 +221,17 @@ impl Histogram {
 ///     s.record(v);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
+    /// Welford's running sum of squared deviations. Nothing reads it
+    /// since the variance accessors went, but dropping it shrinks every
+    /// per-queue map entry by 8 B, and that shift in heap layout alone
+    /// raises the `par-fb64-4lane` benchmark's peak RSS by ~12 % (glibc
+    /// malloc, 2-vCPU x86-64 host). See ROADMAP.md, "Peak RSS
+    /// independent of heap layout".
     m2: f64,
 }
 
@@ -257,87 +262,11 @@ impl OnlineStats {
             self.mean
         }
     }
-
-    /// Population variance (0.0 with fewer than one sample).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal (e.g. queue depth,
-/// core utilization, power draw).
-///
-/// Call [`TimeWeighted::set`] whenever the signal changes; the accumulator
-/// integrates `value × dt` between updates.
-///
-/// # Examples
-///
-/// ```
-/// use hp_sim::stats::TimeWeighted;
-/// use hp_sim::time::SimTime;
-///
-/// let mut u = TimeWeighted::new(SimTime::ZERO, 0.0);
-/// u.set(SimTime(10), 1.0); // signal was 0.0 over [0,10)
-/// u.set(SimTime(30), 0.0); // signal was 1.0 over [10,30)
-/// assert_eq!(u.average(SimTime(40)), 0.5); // 20 of 40 cycles at 1.0
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct TimeWeighted {
-    last_change: crate::time::SimTime,
-    current: f64,
-    integral: f64,
-    start: crate::time::SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts tracking at `start` with initial signal `value`.
-    pub fn new(start: crate::time::SimTime, value: f64) -> Self {
-        TimeWeighted {
-            last_change: start,
-            current: value,
-            integral: 0.0,
-            start,
-        }
-    }
-
-    /// Updates the signal to `value` effective at time `now`.
-    pub fn set(&mut self, now: crate::time::SimTime, value: f64) {
-        let dt = now.saturating_since(self.last_change).count() as f64;
-        self.integral += self.current * dt;
-        self.current = value;
-        self.last_change = now;
-    }
-
-    /// Current signal value.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// Time-weighted average over `[start, now]`.
-    pub fn average(&self, now: crate::time::SimTime) -> f64 {
-        let dt_tail = now.saturating_since(self.last_change).count() as f64;
-        let span = now.saturating_since(self.start).count() as f64;
-        if span == 0.0 {
-            self.current
-        } else {
-            (self.integral + self.current * dt_tail) / span
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
     #[test]
     fn histogram_exact_for_small_values() {
@@ -491,33 +420,6 @@ mod tests {
         let mut s = OnlineStats::new();
         s.record(42.0);
         assert_eq!(s.mean(), 42.0);
-        assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.count(), 1);
-    }
-
-    #[test]
-    fn time_weighted_constant_signal() {
-        let u = TimeWeighted::new(SimTime::ZERO, 3.0);
-        assert_eq!(u.average(SimTime(100)), 3.0);
-    }
-
-    #[test]
-    fn time_weighted_zero_length_window() {
-        // Before any time passes the only defensible average is the
-        // current value — not 0/0.
-        let mut u = TimeWeighted::new(SimTime(100), 4.0);
-        assert_eq!(u.average(SimTime(100)), 4.0);
-        u.set(SimTime(100), 6.0); // zero-length segment at 4.0
-        assert_eq!(u.average(SimTime(100)), 6.0);
-        assert!(u.average(SimTime(100)).is_finite());
-    }
-
-    #[test]
-    fn time_weighted_step_signal() {
-        let mut u = TimeWeighted::new(SimTime::ZERO, 0.0);
-        u.set(SimTime(50), 2.0);
-        // [0,50) at 0.0, [50,100) at 2.0 => average 1.0
-        assert_eq!(u.average(SimTime(100)), 1.0);
-        assert_eq!(u.current(), 2.0);
     }
 }

@@ -166,7 +166,7 @@ impl Clock {
     /// # Panics
     ///
     /// Panics if `ghz` is not strictly positive and finite.
-    pub fn from_ghz(ghz: f64) -> Self {
+    fn from_ghz(ghz: f64) -> Self {
         assert!(
             ghz.is_finite() && ghz > 0.0,
             "clock frequency must be positive, got {ghz}"
@@ -186,18 +186,13 @@ impl Clock {
         Cycles((us * 1e-6 * self.cycles_per_sec).round() as u64)
     }
 
-    /// Converts nanoseconds to (rounded) cycles.
-    pub fn nanos_to_cycles(&self, ns: f64) -> Cycles {
-        Cycles((ns * 1e-9 * self.cycles_per_sec).round() as u64)
-    }
-
     /// Converts a duration to fractional microseconds.
     pub fn cycles_to_micros(&self, c: Cycles) -> f64 {
         c.0 as f64 / self.cycles_per_sec * 1e6
     }
 
     /// Converts a duration to fractional seconds.
-    pub fn cycles_to_secs(&self, c: Cycles) -> f64 {
+    fn cycles_to_secs(&self, c: Cycles) -> f64 {
         c.0 as f64 / self.cycles_per_sec
     }
 
@@ -242,7 +237,6 @@ mod tests {
         let c = Clock::default();
         assert_eq!(c.ghz(), 2.0);
         assert_eq!(c.micros_to_cycles(1.0), Cycles(2000));
-        assert_eq!(c.nanos_to_cycles(0.5), Cycles(1));
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl RssIndirection {
     ///
     /// Panics if `entries` or `queues` is zero, or `entries` is not a
     /// power of two.
-    pub fn balanced(entries: usize, queues: u32) -> Self {
+    fn balanced(entries: usize, queues: u32) -> Self {
         assert!(
             entries > 0 && entries.is_power_of_two(),
             "RETA entries must be a power of two"
@@ -55,17 +55,8 @@ impl RssIndirection {
         self.table.is_empty()
     }
 
-    /// Redirects one RETA slot (the rebalancing primitive NIC drivers use).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    pub fn redirect(&mut self, slot: usize, queue: QueueId) {
-        self.table[slot] = queue.0;
-    }
-
     /// Maps an RSS hash to its queue.
-    pub fn queue_for(&self, hash: u32) -> QueueId {
+    fn queue_for(&self, hash: u32) -> QueueId {
         QueueId(self.table[hash as usize & (self.table.len() - 1)])
     }
 }
@@ -103,10 +94,8 @@ pub struct FlowArrival {
 /// ```
 #[derive(Debug)]
 pub struct FlowTrafficGenerator {
-    flows: Vec<FlowKey>,
     queue_of_flow: Vec<QueueId>,
     popularity: AliasTable,
-    zipf_s: f64,
     mean_gap_cycles: f64,
     rng: SmallRng,
 }
@@ -131,7 +120,7 @@ impl FlowTrafficGenerator {
         assert!(s > 0.0, "zipf exponent must be positive");
         assert!(rate_per_sec > 0.0, "rate must be positive");
         let reta = RssIndirection::balanced(RssIndirection::DEFAULT_ENTRIES, queues);
-        let keys: Vec<FlowKey> = (0..flows)
+        let queue_of_flow: Vec<QueueId> = (0..flows)
             .map(|i| FlowKey {
                 src_ip: [10, (i >> 8) as u8, i as u8, 1],
                 dst_ip: [192, 168, 0, 1],
@@ -139,9 +128,6 @@ impl FlowTrafficGenerator {
                 dst_port: 443,
                 protocol: 6,
             })
-            .collect();
-        let queue_of_flow: Vec<QueueId> = keys
-            .iter()
             .map(|k| reta.queue_for(k.hash(&DEFAULT_RSS_KEY)))
             .collect();
         // Zipf weights: 1 / rank^s.
@@ -150,10 +136,8 @@ impl FlowTrafficGenerator {
             .collect();
         let popularity = AliasTable::new(&weights).expect("positive weights");
         FlowTrafficGenerator {
-            flows: keys,
             queue_of_flow,
             popularity,
-            zipf_s: s,
             mean_gap_cycles: clock.ghz() * 1e9 / rate_per_sec,
             rng,
         }
@@ -187,29 +171,6 @@ impl FlowTrafficGenerator {
             out.push_back((a.gap, a.queue));
         }
     }
-
-    /// The 5-tuple of flow `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn flow_key(&self, i: u32) -> FlowKey {
-        self.flows[i as usize]
-    }
-
-    /// The per-queue arrival probability implied by the flow→queue mapping
-    /// and the popularity distribution (for analysis/tests).
-    pub fn queue_load_shares(&self, queues: u32) -> Vec<f64> {
-        let s_total: f64 = (1..=self.flows.len())
-            .map(|r| 1.0 / (r as f64).powf(self.zipf_s))
-            .sum();
-        let mut shares = vec![0.0; queues as usize];
-        for (i, q) in self.queue_of_flow.iter().enumerate() {
-            let w = 1.0 / ((i + 1) as f64).powf(self.zipf_s);
-            shares[q.0 as usize] += w / s_total;
-        }
-        shares
-    }
 }
 
 #[cfg(test)]
@@ -236,16 +197,6 @@ mod tests {
             counts[reta.queue_for(h).0 as usize] += 1;
         }
         assert!(counts.iter().all(|&c| c == 16), "{counts:?}");
-    }
-
-    #[test]
-    fn reta_redirect_moves_traffic() {
-        let mut reta = RssIndirection::balanced(128, 4);
-        let victim_hash = 5u32;
-        let before = reta.queue_for(victim_hash);
-        reta.redirect(5, QueueId(3));
-        assert_eq!(reta.queue_for(victim_hash), QueueId(3));
-        assert_ne!(before, QueueId(3), "slot 5 originally maps to queue 1");
     }
 
     #[test]
@@ -303,14 +254,6 @@ mod tests {
             max > 3 * min.max(1),
             "expected heavy queue imbalance, got min {min} max {max}"
         );
-    }
-
-    #[test]
-    fn load_share_analysis_sums_to_one() {
-        let g = generator(300, 8);
-        let shares = g.queue_load_shares(8);
-        let total: f64 = shares.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "total {total}");
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl KeyedArrivals {
         self.mean_gap_cycles
     }
 
-    /// The queues this partition's stream can target.
-    pub fn queue_ids(&self) -> &[QueueId] {
-        &self.queue_ids
-    }
-
     /// Host bytes reserved for the alias table and the queue-id column
     /// (capacity × element size).
     pub fn reserved_bytes(&self) -> usize {

@@ -78,18 +78,6 @@ impl TrafficShape {
             }
         }
     }
-
-    /// Number of hot (always-active) queues under this shape.
-    pub fn hot_queues(self, total_queues: u32) -> u32 {
-        match self {
-            TrafficShape::FullyBalanced => total_queues,
-            TrafficShape::SingleQueue => 1,
-            TrafficShape::ProportionallyConcentrated => {
-                ((total_queues as f64 * PC_HOT_FRACTION).round() as u32).max(1)
-            }
-            TrafficShape::NonproportionallyConcentrated => NC_HOT_QUEUES.min(total_queues),
-        }
-    }
 }
 
 impl std::fmt::Display for TrafficShape {
@@ -113,7 +101,6 @@ mod tests {
         let w = TrafficShape::SingleQueue.weights(100);
         assert_eq!(w[0], 1.0);
         assert!(w[1..].iter().all(|&x| x == 0.0));
-        assert_eq!(TrafficShape::SingleQueue.hot_queues(100), 1);
     }
 
     #[test]
@@ -121,21 +108,14 @@ mod tests {
         for q in [10u32, 100, 1000] {
             let w = TrafficShape::ProportionallyConcentrated.weights(q);
             let hot = w.iter().filter(|&&x| x == 1.0).count() as u32;
-            assert_eq!(hot, TrafficShape::ProportionallyConcentrated.hot_queues(q));
             assert_eq!(hot, (q as f64 * 0.2).round() as u32);
         }
     }
 
     #[test]
     fn nc_hot_count_is_fixed() {
-        assert_eq!(
-            TrafficShape::NonproportionallyConcentrated.hot_queues(1000),
-            100
-        );
-        assert_eq!(
-            TrafficShape::NonproportionallyConcentrated.hot_queues(50),
-            50
-        );
+        let w = TrafficShape::NonproportionallyConcentrated.weights(50);
+        assert!(w.iter().all(|&x| x == 1.0), "fewer queues than hot slots");
         let w = TrafficShape::NonproportionallyConcentrated.weights(500);
         assert_eq!(w.iter().filter(|&&x| x == 1.0).count(), 100);
         assert_eq!(w.iter().filter(|&&x| x == COLD_PROB).count(), 400);

@@ -214,7 +214,7 @@ impl Aes256 {
     }
 
     /// Encrypts one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    fn encrypt_block(&self, block: &mut [u8; 16]) {
         Self::add_round_key(block, &self.round_keys[0]);
         for r in 1..ROUNDS {
             Self::sub_bytes(block);
@@ -228,7 +228,7 @@ impl Aes256 {
     }
 
     /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+    fn decrypt_block(&self, block: &mut [u8; 16]) {
         Self::add_round_key(block, &self.round_keys[ROUNDS]);
         for r in (1..ROUNDS).rev() {
             Self::inv_shift_rows(block);

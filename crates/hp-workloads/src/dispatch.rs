@@ -253,11 +253,6 @@ impl Dispatcher {
             frame: out.freeze(),
         })
     }
-
-    /// Total RPCs prepared.
-    pub fn dispatched_total(&self) -> u64 {
-        self.dispatched
-    }
 }
 
 #[cfg(test)]
@@ -318,7 +313,6 @@ mod tests {
             })
             .collect();
         assert_eq!(backends, vec![0, 1, 2, 0, 1, 2]);
-        assert_eq!(d.dispatched_total(), 6);
     }
 
     #[test]

@@ -139,15 +139,6 @@ impl ServiceModel {
         }
     }
 
-    /// Creates a model with a custom mean (for sensitivity studies).
-    pub fn with_mean_cycles(kind: WorkloadKind, distribution: Distribution, mean: Cycles) -> Self {
-        ServiceModel {
-            kind,
-            distribution,
-            mean_cycles: mean.count() as f64,
-        }
-    }
-
     /// The workload this model describes.
     pub fn kind(&self) -> WorkloadKind {
         self.kind
@@ -330,18 +321,6 @@ mod tests {
             WorkloadKind::PacketEncap.mean_service_us()
                 < WorkloadKind::PacketSteering.mean_service_us()
         );
-    }
-
-    #[test]
-    fn custom_mean_override() {
-        let m = ServiceModel::with_mean_cycles(
-            WorkloadKind::PacketEncap,
-            Distribution::Constant,
-            Cycles(1234),
-        );
-        let mut rng = RngFactory::new(3).stream(0);
-        assert_eq!(m.sample(&mut rng), Cycles(1234));
-        assert_eq!(m.kind(), WorkloadKind::PacketEncap);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub fn toeplitz_hash(key: &[u8; 40], input: &[u8]) -> u32 {
 impl FlowKey {
     /// Serializes the tuple in RSS input order
     /// (src ip, dst ip, src port, dst port).
-    pub fn rss_bytes(&self) -> [u8; 12] {
+    fn rss_bytes(&self) -> [u8; 12] {
         let mut b = [0u8; 12];
         b[0..4].copy_from_slice(&self.src_ip);
         b[4..8].copy_from_slice(&self.dst_ip);
@@ -111,9 +111,9 @@ struct Session {
 
 /// A fixed-capacity open-addressing session-affinity table.
 ///
-/// New flows are assigned `hash % destinations`; existing flows keep their
-/// original destination even if the destination set later grows — the
-/// affinity property load balancers need.
+/// New flows are assigned `hash % destinations`; a flow then keeps that
+/// destination for as long as its session lives — the affinity property
+/// load balancers need.
 ///
 /// # Examples
 ///
@@ -127,8 +127,8 @@ struct Session {
 ///     src_port: 1234, dst_port: 80, protocol: 6,
 /// };
 /// let first = s.steer(&flow)?;
-/// s.set_destinations(8); // scale out
 /// assert_eq!(s.steer(&flow)?, first, "existing session keeps its destination");
+/// assert_eq!(s.sessions(), 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -160,17 +160,6 @@ impl PacketSteerer {
             lookups: 0,
             inserts: 0,
         }
-    }
-
-    /// Changes the destination count for *future* flows; existing sessions
-    /// keep their destinations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `destinations` is zero.
-    pub fn set_destinations(&mut self, destinations: u16) {
-        assert!(destinations > 0, "need at least one destination");
-        self.destinations = destinations;
     }
 
     /// Steers one packet: returns the destination for its flow, creating a
@@ -285,19 +274,6 @@ mod tests {
             protocol: 6,
         };
         assert_eq!(k.hash(&DEFAULT_RSS_KEY), 0xc626_b0ea);
-    }
-
-    #[test]
-    fn affinity_is_sticky_across_rescale() {
-        let mut s = PacketSteerer::new(256, 2);
-        let mut before = Vec::new();
-        for sp in 0..50 {
-            before.push(s.steer(&flow(sp)).unwrap());
-        }
-        s.set_destinations(16);
-        for sp in 0..50 {
-            assert_eq!(s.steer(&flow(sp)).unwrap(), before[sp as usize]);
-        }
     }
 
     #[test]

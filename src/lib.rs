@@ -15,7 +15,7 @@
 //! | [`device`] | `hp-core` | monitoring set, ready set/PPA, QWAIT, HW cost model |
 //! | [`sdp`] | `hp-sdp` | spinning + HyperPlane data-plane engines, telemetry, power |
 //! | [`mem`] | `hp-mem` | L1/LLC + directory-MESI coherence simulator |
-//! | [`queues`] | `hp-queues` | doorbells, simulated queues, lock-free rings |
+//! | [`queues`] | `hp-queues` | simulated doorbells, queues and their address layout |
 //! | [`traffic`] | `hp-traffic` | FB/PC/NC/SQ shapes, Poisson generation |
 //! | [`workloads`] | `hp-workloads` | GRE, AES-CBC, steering, Reed–Solomon, RAID P+Q, dispatch |
 //! | [`sim`] | `hp-sim` | event queue, cycle clock, histograms, RNG streams |

@@ -10,7 +10,6 @@ use hyperplane::device::ready_set::{PpaKind, ReadySet, ServicePolicy};
 use hyperplane::mem::system::{MemSystem, MemSystemConfig};
 use hyperplane::mem::types::{AccessKind, Addr, CoreId, HitLevel};
 use hyperplane::prelude::*;
-use hyperplane::queues::ring::MpmcRing;
 use hyperplane::sim::stats::Histogram;
 use hyperplane::workloads::aes::Aes256;
 use hyperplane::workloads::raid::PqRaid;
@@ -280,28 +279,6 @@ fn histogram_percentile_bounded_error() {
             (approx - exact).abs() / exact < 0.05,
             "p{p}: approx {approx} exact {exact}"
         );
-    }
-}
-
-/// The MPMC ring delivers every pushed value exactly once, in FIFO order
-/// for a single producer/consumer pair.
-#[test]
-fn ring_fifo_exactly_once() {
-    let mut rng = SmallRng::seed_from_u64(0xA11C_E508);
-    for _case in 0..100 {
-        let n = rng.random_range(0..200usize);
-        let values: Vec<u64> = (0..n).map(|_| rng.random()).collect();
-        let (tx, rx) = MpmcRing::with_capacity(64);
-        let mut popped = Vec::new();
-        for chunk in values.chunks(32) {
-            for &v in chunk {
-                tx.push(v).expect("chunk fits");
-            }
-            while let Some(v) = rx.pop() {
-                popped.push(v);
-            }
-        }
-        assert_eq!(popped, values);
     }
 }
 
