@@ -651,6 +651,22 @@ impl ExperimentConfig {
         self.dp_cores / self.cluster
     }
 
+    /// Completions run before measurement opens: a fifth of the target,
+    /// at least one. The fabric controller applies it to *fabric-wide*
+    /// completions.
+    pub(crate) fn warmup_completions(&self) -> u64 {
+        (self.target_completions / 5).max(1)
+    }
+
+    /// Offered arrival rate, tasks/second: the configured rate, or a
+    /// saturation drive well past capacity (drops bound the backlog).
+    pub(crate) fn offered_rate(&self) -> f64 {
+        match self.load {
+            Load::RatePerSec(r) => r,
+            Load::Saturation => self.capacity_estimate_per_core() * self.dp_cores as f64 * 3.0,
+        }
+    }
+
     /// Rough single-core capacity estimate, tasks/second (used to pick the
     /// saturation drive rate).
     pub fn capacity_estimate_per_core(&self) -> f64 {

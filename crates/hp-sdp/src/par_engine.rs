@@ -149,9 +149,8 @@ const LOOKAHEAD_FLOOR: u64 = 4_096;
 const LOOKAHEAD_MAX: u64 = 1 << 20;
 
 impl FabricCtrl {
-    fn new(engine: &Engine) -> Self {
-        let cfg = engine.cfg();
-        let warmup = engine.warmup_completions();
+    fn new(cfg: &ExperimentConfig) -> Self {
+        let warmup = cfg.warmup_completions();
         FabricCtrl {
             warmup_target: warmup,
             stop_target: cfg.target_completions + warmup,
@@ -263,7 +262,7 @@ impl FabricCtrl {
 pub(crate) fn run(engine: Engine) -> ExperimentResult {
     let wall_start = Instant::now();
     let cfg = engine.cfg().clone();
-    let ctrl = FabricCtrl::new(&engine);
+    let ctrl = FabricCtrl::new(&cfg);
     let groups = cfg.groups();
     let producers = cfg.machine.cores - cfg.dp_cores;
     let lanes: Vec<Engine> = if cfg.par_workers <= 1 || groups == 1 || producers < groups {
@@ -417,14 +416,11 @@ fn merge(
     // boundary (or never).
     let measure_start = outs[0].measure_start;
     debug_assert!(outs.iter().all(|o| o.measure_start == measure_start));
-    let completions_measured: u64 = outs.iter().map(|o| o.completions_measured).sum();
     let span = match measure_start {
         Some(s) => end.saturating_since(s),
         None => end.since_start(),
     };
-    let throughput = clock.rate_per_sec(completions_measured, span);
 
-    let completions: u64 = outs.iter().map(|o| o.completions).sum();
     let drops: u64 = outs.iter().map(|o| o.drops).sum();
 
     let mut latency = Histogram::new();
@@ -433,6 +429,8 @@ fn merge(
         latency.merge(&o.latency);
         notify_latency.merge(&o.notify_latency);
     }
+    // Every measured completion is one latency sample.
+    let throughput = clock.rate_per_sec(latency.count(), span);
 
     // Lane-disjoint state: exactly one lane owns each core and queue.
     let core_owner: Vec<usize> = (0..dp_cores)
@@ -445,6 +443,7 @@ fn merge(
     let telem: Vec<CoreTelemetry> = (0..dp_cores)
         .map(|c| outs[core_owner[c]].telem[c])
         .collect();
+    let completions: u64 = telem.iter().map(|t| t.completions).sum();
     // Per-queue latency: each lane lists only the queues it completed
     // measured work on, and lanes own disjoint queues.
     let mut per_queue: Vec<(u32, OnlineStats)> = outs
@@ -463,8 +462,6 @@ fn merge(
     let mut injected = FaultCounters::default();
     let mut eviction_recovery_latency = Histogram::new();
     let mut doorbell_recovery_latency = Histogram::new();
-    let mut eviction_recoveries = 0u64;
-    let mut doorbell_recoveries = 0u64;
     // Each lane counts its owned churn ticks; the sum is the global count.
     let mut churn_reallocations = 0u64;
     for o in &outs {
@@ -484,8 +481,6 @@ fn merge(
         injected.straggler_stalls += o.fault_counters.straggler_stalls;
         eviction_recovery_latency.merge(&o.eviction_recovery_latency);
         doorbell_recovery_latency.merge(&o.doorbell_recovery_latency);
-        eviction_recoveries += o.eviction_recoveries;
-        doorbell_recoveries += o.doorbell_recoveries;
         churn_reallocations += o.churn_reallocations;
     }
     // Device counters: each group's device is mutated only by its owning
@@ -552,8 +547,10 @@ fn merge(
             qwait_timeouts: telem.iter().map(|t| t.qwait_timeouts).sum(),
             recoveries: telem.iter().map(|t| t.recoveries).sum(),
             recovery_latency_cycles,
-            eviction_recoveries,
-            doorbell_recoveries,
+            // One latency sample per recovery: the counts are the
+            // histograms' sample counts.
+            eviction_recoveries: eviction_recovery_latency.count(),
+            doorbell_recoveries: doorbell_recovery_latency.count(),
             eviction_recovery_latency,
             doorbell_recovery_latency,
             churn_reallocations,
@@ -574,7 +571,7 @@ fn merge(
         per_core: telem,
         completions,
         drops,
-        offered_tps: outs[0].saturation_rate,
+        offered_tps: cfg.offered_rate(),
         end,
         clock,
         per_queue,

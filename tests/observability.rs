@@ -495,8 +495,9 @@ fn artifact_hashes(r: &ExperimentResult) -> Vec<(&'static str, u64)> {
 /// Pins every serial (`par_workers = 1`) artifact to values recorded
 /// before serial teardown moved onto the fabric merge: HyperPlane on two
 /// two-core sharing groups with every observer attached, the same run
-/// with a 512-record trace ring that wraps, and the full-chaos config of
-/// `tests/par_digest.rs`.
+/// with a 512-record trace ring that wraps, the full-chaos config of
+/// `tests/par_digest.rs`, and the observed run in in-order mode with a
+/// background task.
 #[test]
 fn serial_artifacts_are_pinned() {
     let observed = || {
@@ -527,7 +528,15 @@ fn serial_artifacts_are_pinned() {
         .with_watchdog(4_000_000)
         .with_seed(0xC4A0_5C4A)
         .with_par_workers(1);
-    let runs: [(&str, ExperimentConfig, [u64; 9]); 3] = [
+    // Deferred RECONSIDER events and the non-blocking QWAIT branch: no
+    // golden or other digest pin runs either path.
+    let variants = {
+        let mut cfg = observed().with_load(Load::RatePerSec(400_000.0));
+        cfg.in_order = true;
+        cfg.background_task = true;
+        cfg
+    };
+    let runs: [(&str, ExperimentConfig, [u64; 9]); 4] = [
         (
             "observed",
             observed(),
@@ -573,11 +582,35 @@ fn serial_artifacts_are_pinned() {
                 13355593129910689886,
             ],
         ),
+        (
+            "variants",
+            variants,
+            [
+                11774522647683210163,
+                18262031469000474518,
+                3723643605523153717,
+                13730598950589467883,
+                3307966756663701463,
+                7393530455478880603,
+                18384094352174761531,
+                7815563706197793261,
+                3280013039741933372,
+            ],
+        ),
     ];
     for (label, cfg, want) in runs {
         let r = runner::run(cfg);
         let got = artifact_hashes(&r);
         let want: Vec<(&str, u64)> = got.iter().map(|&(k, _)| k).zip(want).collect();
         assert_eq!(got, want, "{label}: serial artifacts drifted");
+        if label == "variants" {
+            let p = r.kernel_profile().expect("profiled");
+            let reconsider = p.labels().iter().position(|&l| l == "reconsider");
+            assert!(p.count(reconsider.expect("labelled")) > 0, "{label}");
+            assert!(
+                r.aggregate_telemetry().background_instructions > 0,
+                "{label}"
+            );
+        }
     }
 }

@@ -70,14 +70,37 @@ fn assert_worker_invariant(label: &str, mk: impl Fn() -> ExperimentConfig) {
 }
 
 /// Clean runs (no faults) with tracing, attribution, audit, and windowed
-/// metrics attached: spinning, HyperPlane, and the Fig. 10 imbalance;
-/// plus HyperPlane with no observer, the lookahead window schedule alone.
+/// metrics attached: spinning, interrupts, HyperPlane in its plain,
+/// power-optimized and software-ready-set forms, the Fig. 10 imbalance,
+/// in-order mode on two-core groups, and the non-blocking QWAIT with a
+/// background task; plus HyperPlane with no observer, the lookahead
+/// window schedule alone.
 #[test]
 fn parallel_digest_matches_serial_across_configs() {
     assert_worker_invariant("spinning", || observed(base(Notifier::Spinning)));
+    assert_worker_invariant("interrupt", || observed(base(Notifier::Interrupt)));
     assert_worker_invariant("hyperplane", || observed(base(Notifier::hyperplane())));
+    assert_worker_invariant("hyperplane-c1", || {
+        observed(base(Notifier::hyperplane_power_opt()))
+    });
+    assert_worker_invariant("software-ready-set", || {
+        observed(base(Notifier::HyperPlane {
+            power_optimized: false,
+            software_ready_set: true,
+        }))
+    });
     assert_worker_invariant("hyperplane-bare", || base(Notifier::hyperplane()));
     assert_worker_invariant("fig10-imbalance", || observed(fig10()));
+    assert_worker_invariant("in-order", || {
+        let mut cfg = observed(base(Notifier::hyperplane()).with_cores(4, 2));
+        cfg.in_order = true;
+        cfg
+    });
+    assert_worker_invariant("background-task", || {
+        let mut cfg = observed(base(Notifier::hyperplane()));
+        cfg.background_task = true;
+        cfg
+    });
 }
 
 /// Full chaos — correlated bursts, a storm phase, live doorbell churn,
