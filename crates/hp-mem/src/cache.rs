@@ -16,8 +16,9 @@
 //! (tag check + LRU/state update) reads and writes a *single* host cache
 //! line, where split tag/state/LRU vectors cost three. Slots are stable
 //! handles: a line's slot never changes while the line is resident, which
-//! is what lets [`MemSystem`]'s directory keep each line's LLC slot as a
-//! self-validating hint and skip re-probing the LLC (see `crate::system`).
+//! is what lets [`MemSystem`] keep the coherence directory beside the LLC
+//! tags (one holder word per LLC slot) and link each L1 slot to its line's
+//! LLC slot (see `crate::system`).
 //!
 //! The tick is strictly monotonic and every assignment of a slot's `meta`
 //! uses a fresh tick, so two valid slots never share a tick and comparing
@@ -108,22 +109,25 @@ pub enum Insert {
     Evicted(LineAddr, MesiState),
 }
 
-/// Sentinel slot index meaning "no such way" in the placement scans.
-const NO_SLOT: usize = usize::MAX;
+/// Placement rank bit of a valid way in [`SetAssocCache::probe_or_plan`]:
+/// an invalid way ranks by its way index, below every valid way, and a
+/// valid way ranks by its `meta` word (LRU tick), so one running minimum
+/// picks the first invalid way, else the LRU victim.
+const VALID_RANK: u64 = 1 << 63;
 
-/// A placement decision captured during a [`lookup_or_plan`] miss scan,
+/// A placement decision captured during a [`probe_or_plan`] miss scan,
 /// to be applied by [`fill_planned`] once the rest of the transaction
 /// (directory + LLC bookkeeping) has run.
 ///
 /// The plan is valid only while the set is untouched between the scan
-/// and the fill. `MemSystem` guarantees that on LLC-hit load paths (a
-/// core's own L1 set is never mutated mid-transaction there); paths
-/// that can back-invalidate (an LLC fill) must discard the plan and
-/// fall back to [`insert_slot_missed`](SetAssocCache::insert_slot_missed).
+/// and the fill. `MemSystem` guarantees that on LLC-hit paths (a core's
+/// own L1 set is never mutated mid-transaction there); paths that can
+/// back-invalidate (an LLC fill that evicts) must discard the plan and
+/// scan again.
 ///
-/// [`lookup_or_plan`]: SetAssocCache::lookup_or_plan
+/// [`probe_or_plan`]: SetAssocCache::probe_or_plan
 /// [`fill_planned`]: SetAssocCache::fill_planned
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacePlan {
     /// Slot the fill will land in (first invalid way, else LRU victim).
     slot: u32,
@@ -241,80 +245,68 @@ impl SetAssocCache {
         }
     }
 
-    /// Fused [`lookup`](Self::lookup) + miss-placement scan:
-    /// one pass over the set that either hits (identical bookkeeping to
-    /// `lookup`) or returns the [`PlacePlan`] a subsequent
-    /// [`place_absent`](Self::insert_slot_missed) scan would compute —
-    /// first invalid way, else the LRU victim, same way-order
-    /// tie-breaking. Halves the set scans on the miss→fill path.
+    /// One pass over `line`'s set with no side effects: the slot holding
+    /// `line`, or the [`PlacePlan`] a fill would use — first invalid way,
+    /// else the LRU victim, ties broken by way order. A hit returns at
+    /// its way; the placement choice is branch-free, one running minimum
+    /// of a per-way rank kept with selects.
     #[inline]
-    pub fn lookup_or_plan(&mut self, line: LineAddr) -> Result<(MesiState, usize), PlacePlan> {
-        self.tick += 1;
+    pub fn probe_or_plan(&self, line: LineAddr) -> Result<usize, PlacePlan> {
         let set = self.set_of(line);
         let base = set * self.ways;
         let needle = self.key_of(line);
-        let mut invalid = NO_SLOT;
-        let mut victim = base;
-        for i in base..base + self.ways {
-            let s = self.slots[i];
+        let mut best = u64::MAX;
+        let mut pick = base;
+        for (w, s) in self.slots[base..base + self.ways].iter().enumerate() {
             if s.key == needle {
-                let sm = &mut self.slots[i];
-                sm.meta = (self.tick << 2) | (sm.meta & 3);
-                self.hits += 1;
-                return Ok((state_of(sm.meta), i));
+                return Ok(base + w);
             }
-            if s.key == 0 {
-                if invalid == NO_SLOT {
-                    invalid = i;
-                }
-            } else if s.meta < self.slots[victim].meta {
-                victim = i;
+            // Valid slots never share a tick, so comparing packed meta
+            // words orders them exactly like comparing LRU ticks.
+            let rank = if s.key == 0 {
+                w as u64
+            } else {
+                s.meta | VALID_RANK
+            };
+            if rank < best {
+                best = rank;
+                pick = base + w;
             }
         }
-        self.misses += 1;
-        let (slot, inv) = if invalid != NO_SLOT {
-            (invalid, true)
-        } else {
-            (victim, false)
-        };
         Err(PlacePlan {
-            slot: slot as u32,
+            slot: pick as u32,
             set: set as u32,
-            invalid: inv,
+            invalid: best < VALID_RANK,
         })
     }
 
-    /// Applies a [`PlacePlan`] from [`lookup_or_plan`](Self::lookup_or_plan):
-    /// byte-identical bookkeeping to
-    /// [`insert_slot_missed`](Self::insert_slot_missed) — same tick
-    /// advance, same slot choice, same counters — minus the second set
-    /// scan. Caller must guarantee the set is untouched since the scan
-    /// (checked in debug builds by recomputing the decision).
+    /// [`probe_or_plan`](Self::probe_or_plan) with [`lookup`](Self::lookup)'s
+    /// bookkeeping: a hit refreshes LRU and counts a hit, a miss counts a
+    /// miss and returns the plan. One set scan on the miss→fill path.
     #[inline]
-    pub fn fill_planned(&mut self, line: LineAddr, state: MesiState, plan: PlacePlan) -> Insert {
-        debug_assert!(self.probe(line).is_none(), "line is resident: {line}");
-        #[cfg(debug_assertions)]
-        {
-            // The plan must still be what a fresh scan would decide.
-            let base = plan.set as usize * self.ways;
-            let mut invalid = NO_SLOT;
-            let mut victim = base;
-            for i in base..base + self.ways {
-                let s = self.slots[i];
-                if s.key == 0 {
-                    if invalid == NO_SLOT {
-                        invalid = i;
-                    }
-                } else if s.meta < self.slots[victim].meta {
-                    victim = i;
-                }
+    pub fn lookup_or_plan(&mut self, line: LineAddr) -> Result<(MesiState, usize), PlacePlan> {
+        self.tick += 1;
+        match self.probe_or_plan(line) {
+            Ok(i) => {
+                let s = &mut self.slots[i];
+                s.meta = (self.tick << 2) | (s.meta & 3);
+                self.hits += 1;
+                Ok((state_of(s.meta), i))
             }
-            if invalid != NO_SLOT {
-                debug_assert!(plan.invalid && plan.slot as usize == invalid, "stale plan");
-            } else {
-                debug_assert!(!plan.invalid && plan.slot as usize == victim, "stale plan");
+            Err(plan) => {
+                self.misses += 1;
+                Err(plan)
             }
         }
+    }
+
+    /// Applies a [`PlacePlan`] from [`probe_or_plan`](Self::probe_or_plan):
+    /// advances the tick and fills the planned way, evicting its line if
+    /// it was valid. Caller must guarantee the set is untouched since the
+    /// scan (checked in debug builds by scanning again).
+    #[inline]
+    pub fn fill_planned(&mut self, line: LineAddr, state: MesiState, plan: PlacePlan) -> Insert {
+        debug_assert_eq!(self.probe_or_plan(line), Err(plan), "stale plan for {line}");
         self.tick += 1;
         let i = plan.slot as usize;
         let fresh = Slot {
@@ -405,80 +397,13 @@ impl SetAssocCache {
     /// If the line is already resident, its state is updated in place and
     /// the call reports [`Insert::Placed`].
     pub fn insert(&mut self, line: LineAddr, state: MesiState) -> Insert {
-        self.insert_slot(line, state).0
-    }
-
-    /// [`insert`](Self::insert) that also returns the slot the line landed
-    /// in, so callers can seed an MRU filter without re-probing.
-    pub fn insert_slot(&mut self, line: LineAddr, state: MesiState) -> (Insert, usize) {
-        self.tick += 1;
-        let base = self.set_of(line) * self.ways;
-        let needle = self.key_of(line);
-
-        // Resident: update in place. Then first invalid way, then LRU
-        // victim — the same precedence (and tie-breaking by way order) as
-        // the per-set representation this replaced.
-        for i in base..base + self.ways {
-            if self.slots[i].key == needle {
-                self.slots[i].meta = (self.tick << 2) | code_of(state);
-                return (Insert::Placed, i);
+        match self.probe_or_plan(line) {
+            Ok(i) => {
+                self.refresh_at(i, state);
+                Insert::Placed
             }
+            Err(plan) => self.fill_planned(line, state, plan),
         }
-        self.place_absent(base, self.set_of(line), needle, state)
-    }
-
-    /// [`insert_slot`](Self::insert_slot) for a line the caller has just
-    /// proven absent (a `lookup`/`probe` miss on this line with no
-    /// intervening mutation): skips the resident scan, otherwise
-    /// byte-identical bookkeeping — same tick advance, same first-invalid
-    /// way / LRU-victim precedence, same counters.
-    pub fn insert_slot_missed(&mut self, line: LineAddr, state: MesiState) -> (Insert, usize) {
-        debug_assert!(self.probe(line).is_none(), "line is resident: {line}");
-        self.tick += 1;
-        let set = self.set_of(line);
-        let needle = self.key_of(line);
-        self.place_absent(set * self.ways, set, needle, state)
-    }
-
-    /// Places a known-absent `needle` into the set at `base`: first
-    /// invalid way wins, otherwise the LRU victim is evicted. Single pass:
-    /// the victim scan runs ahead of the invalid-way check, but an invalid
-    /// way always returns before the victim is used, preserving the
-    /// two-pass precedence exactly.
-    #[inline]
-    fn place_absent(
-        &mut self,
-        base: usize,
-        set_idx: usize,
-        needle: u64,
-        state: MesiState,
-    ) -> (Insert, usize) {
-        let tick = self.tick;
-        let mut victim = base;
-        for i in base..base + self.ways {
-            let s = self.slots[i];
-            if s.key == 0 {
-                self.slots[i] = Slot {
-                    key: needle,
-                    meta: (tick << 2) | code_of(state),
-                };
-                return (Insert::Placed, i);
-            }
-            // Valid slots never share a tick, so comparing packed meta
-            // words orders them exactly like comparing LRU ticks.
-            if s.meta < self.slots[victim].meta {
-                victim = i;
-            }
-        }
-        let evicted_line =
-            LineAddr(((self.slots[victim].key >> 1) << self.tag_shift) | set_idx as u64);
-        let evicted_state = state_of(self.slots[victim].meta);
-        self.slots[victim] = Slot {
-            key: needle,
-            meta: (tick << 2) | code_of(state),
-        };
-        self.evictions += 1;
-        (Insert::Evicted(evicted_line, evicted_state), victim)
     }
 
     /// Invalidates `line` if resident; returns its state at invalidation.
@@ -490,6 +415,14 @@ impl SetAssocCache {
             }
             None => None,
         }
+    }
+
+    /// The line resident in `slot`, if any.
+    #[cfg(test)]
+    pub(crate) fn line_at(&self, slot: usize) -> Option<LineAddr> {
+        let key = self.slots[slot].key;
+        let set = (slot / self.ways) as u64;
+        (key != 0).then_some(LineAddr(((key >> 1) << self.tag_shift) | set))
     }
 
     /// `(hits, misses, evictions)` since construction.
@@ -613,7 +546,8 @@ mod tests {
     #[test]
     fn slot_handles_track_residency() {
         let mut c = tiny();
-        let (_, slot) = c.insert_slot(LineAddr(4), MesiState::Exclusive);
+        c.insert(LineAddr(4), MesiState::Exclusive);
+        let slot = c.probe(LineAddr(4)).unwrap();
         assert!(c.hint_holds(slot as u32, LineAddr(4)));
         assert!(!c.hint_holds(u32::MAX, LineAddr(4)));
         c.set_state_at(slot, MesiState::Modified);
@@ -686,9 +620,8 @@ mod tests {
                 Err(plan) => {
                     assert_eq!(b.lookup(line), None);
                     let ins = a.fill_planned(line, MesiState::Shared, plan);
-                    let (ins_b, slot_b) = b.insert_slot(line, MesiState::Shared);
-                    assert_eq!(ins, ins_b);
-                    assert_eq!(SetAssocCache::plan_slot(&plan), slot_b);
+                    assert_eq!(ins, b.insert(line, MesiState::Shared));
+                    assert_eq!(Some(SetAssocCache::plan_slot(&plan)), b.probe(line));
                 }
             }
             assert_eq!(a.counters(), b.counters());
@@ -697,26 +630,41 @@ mod tests {
     }
 
     #[test]
-    fn insert_slot_missed_matches_insert_slot() {
-        // Drive two caches through the same mixed trace; inserts of
-        // known-absent lines go through the missed variant on one side.
-        let mut a = tiny();
-        let mut b = tiny();
+    fn probe_or_plan_matches_two_pass_scan() {
+        // The branch-free scan must pick what the plain two-pass rule
+        // picks: the resident way, else the first invalid way, else the
+        // way with the oldest tick. Random invalidations leave holes in
+        // any way position.
+        let mut c = SetAssocCache::new(CacheConfig {
+            size_bytes: 1024,
+            ways: 4,
+        });
         let mut x = 0x1234_5678_u64;
-        for _ in 0..500 {
+        for _ in 0..2000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let line = LineAddr((x >> 33) % 16);
-            if a.lookup(line).is_none() {
-                b.lookup(line);
-                assert_eq!(
-                    a.insert_slot_missed(line, MesiState::Shared),
-                    b.insert_slot(line, MesiState::Shared)
-                );
+            let line = LineAddr((x >> 33) % 32);
+            let base = c.set_of(line) * c.ways;
+            let ways = &c.slots[base..base + c.ways];
+            let resident = ways.iter().position(|s| s.key == c.key_of(line));
+            let want = match resident {
+                Some(w) => Ok(base + w),
+                None => match ways.iter().position(|s| s.key == 0) {
+                    Some(w) => Err((base + w, true)),
+                    None => {
+                        let w = (0..c.ways).min_by_key(|&w| ways[w].meta >> 2).unwrap();
+                        Err((base + w, false))
+                    }
+                },
+            };
+            let got = c
+                .probe_or_plan(line)
+                .map_err(|p| (p.slot as usize, p.invalid));
+            assert_eq!(got, want, "line {line}");
+            if (x >> 20).is_multiple_of(5) {
+                c.invalidate(line);
             } else {
-                b.lookup(line);
+                c.insert(line, MesiState::Shared);
             }
-            assert_eq!(a.counters(), b.counters());
         }
-        assert_eq!(a.occupancy(), b.occupancy());
     }
 }

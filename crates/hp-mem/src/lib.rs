@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod dir;
 pub mod reference;
 pub mod system;
 pub mod types;

@@ -2,16 +2,18 @@
 //!
 //! This module preserves the pre-fast-path implementation of the memory
 //! hierarchy as an executable specification: an array-of-structs per-set
-//! cache and a `std::collections::HashMap` directory, with every access
-//! walking the full L1 → directory → LLC MESI transaction. It is
-//! deliberately implemented with *different* data structures than
-//! [`crate::system::MemSystem`] (nested `Vec<Vec<Way>>` sets instead of
-//! flat tag arrays, std map instead of [`crate::dir::DirTable`]) so that a
-//! shared bug in a clever layout cannot hide a divergence. What it checks
-//! is every shortcut `MemSystem` takes: the stable-state short-circuit,
-//! the shared-line LLC route, the directory and LLC slot hints (including
-//! the caller-owned [`crate::system::LoadHint`]), and the fused L1/LLC
-//! lookup-and-placement scans.
+//! cache and a `std::collections::HashMap` directory keyed by line
+//! address, with every access walking the full L1 → directory → LLC MESI
+//! transaction. It is deliberately implemented with *different* data
+//! structures than [`crate::system::MemSystem`] (nested `Vec<Vec<Way>>`
+//! sets instead of flat tag arrays, a map instead of holder words kept
+//! beside the LLC tags, a full sweep of every L1 on back-invalidation
+//! instead of a walk of the holder bits) so that a shared bug in a clever
+//! layout cannot hide a divergence. What it checks is every shortcut
+//! `MemSystem` takes: the stable-state short-circuit, the shared-line LLC
+//! route, the L1-to-LLC slot links, the caller-owned
+//! [`crate::system::LoadHint`], and the fused L1/LLC lookup-and-placement
+//! scans.
 //!
 //! Uses:
 //!

@@ -8,10 +8,14 @@
 //! set snoops (§III-B of the paper).
 //!
 //! Fidelity notes (documented simplifications):
-//! * The directory is unbounded and keyed by line address. The paper's
-//!   monitoring set is explicitly *not* subject to directory conflict
-//!   evictions, so an unbounded directory does not change the observable
-//!   behaviour being studied.
+//! * The directory lives in the inclusive LLC: one holder word per LLC
+//!   slot (a sharer mask, or one owner), like the core-valid bits of
+//!   inclusive-LLC hardware. Inclusion makes it exact in coverage — a line
+//!   has a directory entry exactly while it is LLC-resident, and an LLC
+//!   eviction back-invalidates every private copy — so the directory
+//!   never evicts on its own. The paper's monitoring set is explicitly
+//!   *not* subject to directory conflict evictions, so this does not
+//!   change the observable behaviour being studied.
 //! * Sharer bitmasks may be stale after silent L1 evictions of Shared lines;
 //!   invalidations sent to non-holders are harmless, as in real imprecise
 //!   directories.
@@ -29,8 +33,8 @@
 //!   snoops) always take the slow path.
 //! * **Shared-line LLC route and hinted loads** (DESIGN.md §13) — an L1
 //!   load miss on an unowned, LLC-resident line resolves in one directory
-//!   word, and [`MemSystem::load_hinted`] skips the directory hash probe
-//!   with a caller-owned, self-validating [`LoadHint`]. Both are gated by
+//!   word, and [`MemSystem::load_hinted`] skips the LLC set probe with a
+//!   caller-owned, self-validating [`LoadHint`]. Both are gated by
 //!   [`MemSystemConfig::fast_path`].
 //!
 //! Every path replicates the general transaction's side effects exactly
@@ -40,7 +44,6 @@
 //! access.
 
 use crate::cache::{CacheConfig, Insert, MesiState, PlacePlan, SetAssocCache};
-use crate::dir::DirTable;
 use crate::types::{AccessKind, Addr, CoreId, HitLevel, LineAddr};
 use hp_sim::time::Cycles;
 
@@ -98,46 +101,31 @@ pub struct AccessResult {
     pub getm: Option<LineAddr>,
 }
 
-/// Sentinel for [`DirEntry::owner`]: no owning core.
-const NO_OWNER: u8 = u8::MAX;
-/// Sentinel for [`DirEntry::llc_slot`]: hint unknown.
-const NO_HINT: u32 = u32::MAX;
-/// Sentinel for `MemSystem::dir_hints`: no directory slot recorded.
-const NO_DIR_SLOT: u32 = u32::MAX;
+/// Most cores a [`MemSystem`] models: a holder word's sharer mask uses
+/// bits 0..63, and bit 63 flags a word that names one owner instead.
+pub const MAX_CORES: usize = 63;
 
-/// One directory entry, packed to 16 bytes (the directory is the hottest
-/// associative structure in the simulator; see `crate::dir`).
-#[derive(Debug, Clone, Copy)]
-struct DirEntry {
-    /// Bitmask of cores that may hold the line in S.
-    sharers: u64,
-    /// LLC slot the line occupied when last filled — a self-validating
-    /// hint (checked with `hint_holds` before use) that turns the common
-    /// LLC touch into an O(1) slot refresh instead of a 16-way probe.
-    llc_slot: u32,
-    /// Core holding the line in M or E ([`NO_OWNER`] if none).
-    owner: u8,
+/// Holder-word flag: the low bits name the one core holding the line in
+/// M or E. Without it, the word is the mask of cores that may hold the
+/// line in S.
+const OWNED: u64 = 1 << 63;
+
+/// The holder word naming `core` as the line's owner.
+#[inline]
+fn owned_by(core: CoreId) -> u64 {
+    OWNED | core.0 as u64
 }
 
-impl Default for DirEntry {
-    fn default() -> Self {
-        DirEntry {
-            sharers: 0,
-            llc_slot: NO_HINT,
-            owner: NO_OWNER,
-        }
-    }
+/// The owning core a holder word names, if any.
+#[inline]
+fn owner_of(word: u64) -> Option<usize> {
+    (word & OWNED != 0).then_some((word & !OWNED) as usize)
 }
 
-impl DirEntry {
-    #[inline]
-    fn owner(&self) -> Option<CoreId> {
-        if self.owner == NO_OWNER {
-            None
-        } else {
-            Some(CoreId(self.owner as usize))
-        }
-    }
+/// Every core a holder word names: its owner, or its sharers.
+#[inline]
+fn holder_mask(word: u64) -> u64 {
+    owner_of(word).map_or(word, |o| 1 << o)
 }
 
 /// Per-core access telemetry.
@@ -204,31 +192,31 @@ pub struct FastPathStats {
     /// Loads joining the sharer set of an unowned line: one directory
     /// word written (sharer bit added), no transition logic walked.
     pub shared_joins: u64,
-    /// L1 evictions whose victim's directory entry was found via the
-    /// per-slot hint (generation-validated), skipping the hash probe.
-    /// Counts whether or not [`MemSystemConfig::fast_path`] is on.
+    /// L1 evictions whose victim's directory word was reached through
+    /// the L1 slot's link to its LLC slot: every visible L1 eviction (and,
+    /// in silent-eviction mode, every M write-back), since inclusion keeps
+    /// the link valid. Counts whether or not [`MemSystemConfig::fast_path`]
+    /// is on.
     pub dir_hint_hits: u64,
 }
 
-/// A caller-owned, self-validating cache of one line's directory slot,
-/// for callers that re-access the same line periodically (the spin-poll
-/// sweep). Pass to [`MemSystem::load_hinted`]: a hint whose directory
-/// slot still holds the line's entry skips the directory hash probe
-/// entirely. The validation is sound on its own — keys are unique, so a
-/// slot holding the key *is* the key's entry, wherever churn may have
-/// moved things — and a stale or default hint just falls back to the
+/// A caller-owned, self-validating cache of one line's LLC slot, for
+/// callers that re-access the same line periodically (the spin-poll
+/// sweep). Pass to [`MemSystem::load_hinted`]: a hint whose LLC slot
+/// still holds the line skips the LLC set probe, and with it the search
+/// for the line's directory word. The validation is sound on its own — a
+/// line maps to one set, so a slot of that set tagged with the line *is*
+/// the line's slot — and a stale or default hint just falls back to the
 /// probe: the hint can never change an access's outcome, only its
 /// wall-clock cost.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadHint {
-    dir_slot: u32,
+    llc_slot: u32,
 }
 
 impl Default for LoadHint {
     fn default() -> Self {
-        LoadHint {
-            dir_slot: NO_DIR_SLOT,
-        }
+        LoadHint { llc_slot: u32::MAX }
     }
 }
 
@@ -255,7 +243,15 @@ impl Default for LoadHint {
 pub struct MemSystem {
     l1s: Vec<SetAssocCache>,
     llc: SetAssocCache,
-    directory: DirTable<DirEntry>,
+    /// The directory: one holder word per LLC slot (see [`OWNED`]),
+    /// way-major — way `w` of LLC set `s` at `w * llc_sets + s` — so the
+    /// table grows one way at a time as the LLC first fills that way
+    /// (it fills the first invalid way, so ways are used in order) and a
+    /// run pays only for the ways it uses. A line's word is found by the
+    /// LLC set probe its transaction already needs.
+    holders: Vec<u64>,
+    llc_sets: usize,
+    llc_ways: usize,
     latency: LatencyModel,
     stats: Vec<CoreMemStats>,
     getm_count: u64,
@@ -269,16 +265,15 @@ pub struct MemSystem {
     /// way, which the digest-equality tests in `tests/observability.rs`
     /// pin.
     fast_path: bool,
-    /// Slots per L1 (`sets * ways`; stride of `dir_hints` per core).
+    /// Slots per L1 (`sets * ways`; stride of `l1_links` per core).
     l1_slots: usize,
-    /// Per-`(core, L1 slot)` directory-slot hints, flat-indexed
-    /// `core * l1_slots + slot`: the directory slot of the entry for the
-    /// line currently filling that L1 slot, recorded at fill time. Lets
-    /// the victim path on the *next* fill of that slot update the
-    /// victim's directory entry without a hash probe; validated by
-    /// `slot_holds` (sound on its own — a slot holding the key *is* the
-    /// key's unique entry), with any stale hint falling back to the probe.
-    dir_hints: Vec<u32>,
+    /// Per-`(core, L1 slot)` LLC slot of the line in that L1 slot,
+    /// flat-indexed `core * l1_slots + slot` and recorded at fill time.
+    /// Inclusion keeps it valid while the line is L1-resident (an LLC
+    /// eviction kills every private copy first), so the S→M upgrade and
+    /// the victim path on the *next* fill of that slot reach the line's
+    /// directory word with no probe. Debug builds check the link.
+    l1_links: Vec<u32>,
     fastpath: FastPathStats,
     /// Silent-eviction mode (see [`MemSystemConfig::silent_evictions`]).
     silent_evictions: bool,
@@ -328,8 +323,8 @@ impl MemSystemConfig {
     /// LLC, default latencies.
     pub fn cmp(cores: usize) -> Self {
         assert!(
-            cores > 0 && cores <= 64,
-            "cores must be in 1..=64, got {cores}"
+            (1..=MAX_CORES).contains(&cores),
+            "cores must be in 1..={MAX_CORES}, got {cores}"
         );
         MemSystemConfig {
             cores,
@@ -345,13 +340,25 @@ impl MemSystemConfig {
 
 impl MemSystem {
     /// Builds the hierarchy described by `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.cores` is outside `1..=`[`MAX_CORES`].
     pub fn new(config: MemSystemConfig) -> Self {
+        assert!(
+            (1..=MAX_CORES).contains(&config.cores),
+            "cores must be in 1..={MAX_CORES}, got {}",
+            config.cores
+        );
+        let l1_slots = config.l1.sets() * config.l1.ways;
         MemSystem {
             l1s: (0..config.cores)
                 .map(|_| SetAssocCache::new(config.l1))
                 .collect(),
             llc: SetAssocCache::new(config.llc),
-            directory: DirTable::new(),
+            holders: Vec::new(),
+            llc_sets: config.llc.sets(),
+            llc_ways: config.llc.ways,
             latency: config.latency,
             stats: vec![CoreMemStats::default(); config.cores],
             getm_count: 0,
@@ -360,8 +367,8 @@ impl MemSystem {
             last_load: vec![None; config.cores],
             prefetch_fills: 0,
             fast_path: config.fast_path,
-            l1_slots: config.l1.sets() * config.l1.ways,
-            dir_hints: vec![NO_DIR_SLOT; config.cores * config.l1.sets() * config.l1.ways],
+            l1_slots,
+            l1_links: vec![0; config.cores * l1_slots],
             fastpath: FastPathStats::default(),
             silent_evictions: config.silent_evictions,
             stale_invalidations: 0,
@@ -453,8 +460,8 @@ impl MemSystem {
     }
 
     /// [`access`](Self::access) for a load, with a caller-owned
-    /// [`LoadHint`] that skips the directory hash probe while the
-    /// line's entry provably has not moved. Byte-identical outcomes to
+    /// [`LoadHint`] that skips the LLC set probe while the line provably
+    /// has not moved. Byte-identical outcomes to
     /// `access(core, addr, AccessKind::Load)` — same shadow-check, same
     /// prefetcher interaction (the hint is simply not consulted while the
     /// prefetcher is on, or with [`MemSystemConfig::fast_path`] off).
@@ -507,27 +514,21 @@ impl MemSystem {
         if self.l1s[core.0].state(line).is_some() {
             return;
         }
-        if let Some(entry) = self.directory.get(line.0) {
-            if entry.owner != NO_OWNER {
-                return;
+        let me = 1u64 << core.0;
+        let ls = match self.llc.probe_or_plan(line) {
+            Ok(ls) => {
+                let hi = self.holder_index(line, ls);
+                let word = self.holders[hi];
+                if owner_of(word).is_some() {
+                    return;
+                }
+                self.holders[hi] = word | me;
+                self.llc.refresh_at(ls, MesiState::Shared);
+                ls
             }
-        }
-        let entry = self.directory.entry_or_default(line.0);
-        entry.sharers |= 1 << core.0;
-        let hint = entry.llc_slot;
-        // Already LLC-resident (valid hint): refresh in place — the same
-        // tick advance and meta update `insert_slot`'s resident path would
-        // perform, minus the set scan.
-        let ls = if self.llc.hint_holds(hint, line) {
-            self.llc.refresh_at(hint as usize, MesiState::Shared);
-            hint
-        } else {
-            self.fill_llc_slot(line)
+            Err(plan) => self.fill_llc(line, plan, me),
         };
-        if let Some(entry) = self.directory.get_mut(line.0) {
-            entry.llc_slot = ls;
-        }
-        self.fill_l1(core, line, MesiState::Shared, NO_DIR_SLOT, None);
+        self.fill_l1(core, line, MesiState::Shared, ls, None);
         self.prefetch_fills += 1;
     }
 
@@ -564,159 +565,102 @@ impl MemSystem {
             Err(plan) => plan,
         };
 
-        // One directory probe for the whole transaction: read the entry,
-        // compute the outcome, write it back before any fill can move
-        // table slots. `llc_at` is the LLC slot the line is known to
-        // occupy (hint or probe); `None` means a full fill must run. A
-        // valid caller hint replaces the probe with a direct index.
-        let dslot = match &hint {
-            Some(h) if self.directory.slot_holds(h.dir_slot as usize, line.0) => {
-                h.dir_slot as usize
-            }
-            _ => self.directory.entry_slot(line.0),
+        // One LLC set probe for the whole transaction: it finds the line's
+        // slot, and with it the line's directory word, or the placement
+        // plan a miss fills. A caller hint that still holds the line
+        // replaces the probe with a tag check.
+        let llc_at = match &hint {
+            Some(h) if self.llc.hint_holds(h.llc_slot, line) => Ok(h.llc_slot as usize),
+            _ => self.llc.probe_or_plan(line),
         };
-        let e = *self.directory.at(dslot);
         let me = 1u64 << core.0;
 
-        // Spinning-path fast route (DESIGN.md §13): a load of an unowned
-        // line whose LLC slot hint validates is an LLC hit whose entire
-        // directory transition is known up front — at most one word
-        // written back, and for a stably-shared line (our sharer bit
-        // already set) the write-back is an identity write, so the
-        // directory is only *read*. The general walk below computes the
-        // same outcome; this route just skips constructing it. Invariant
-        // argument: with no owner there is no copy to downgrade or
-        // invalidate, so no coherence transition can be missed; the LLC
-        // touch and L1 fill below are the exact bookkeeping the general
-        // path performs (fused hit+refresh, fill after a proven miss).
-        if self.fast_path && e.owner == NO_OWNER && self.llc.hint_holds(e.llc_slot, line) {
-            let ls = e.llc_slot as usize;
-            let state = if e.sharers | me == me {
-                // Sole holder re-takes the line in E (the usual reload of
-                // a line this core's L1 evicted).
-                *self.directory.at_mut(dslot) = DirEntry {
-                    sharers: 0,
-                    llc_slot: e.llc_slot,
-                    owner: core.0 as u8,
-                };
-                self.fastpath.stable_reloads += 1;
-                MesiState::Exclusive
-            } else if e.sharers & me != 0 {
-                // Stably shared: sharers, owner, and hint all unchanged —
-                // read-only peek, nothing written.
-                self.fastpath.s_state_peeks += 1;
-                MesiState::Shared
-            } else {
-                // Join the sharer set: one word written.
-                *self.directory.at_mut(dslot) = DirEntry {
-                    sharers: e.sharers | me,
-                    llc_slot: e.llc_slot,
-                    owner: NO_OWNER,
-                };
-                self.fastpath.shared_joins += 1;
-                MesiState::Shared
-            };
-            self.llc.hit_refresh_at(ls, MesiState::Shared);
-            self.fill_l1(core, line, state, dslot as u32, Some(plan));
-            self.record(core, HitLevel::Llc);
-            if let Some(h) = hint {
-                h.dir_slot = dslot as u32;
-            }
-            return AccessResult {
-                latency: self.latency.llc_hit,
-                level: HitLevel::Llc,
-                getm: None,
-            };
-        }
-
-        let mut llc_at = None;
-        let mut llc_plan = None;
-        if self.llc.hint_holds(e.llc_slot, line) {
-            llc_at = Some(e.llc_slot);
-        }
-        let mut sharers;
-        let level = if let Some(owner) = e.owner() {
-            if owner == core {
-                // Directory thought we owned it but the L1 evicted it
-                // silently (E) or wrote it back; treat as LLC hit.
-                sharers = e.sharers | me;
-                HitLevel::Llc
-            } else {
-                // Downgrade the remote owner to Shared; cache-to-cache fill.
-                sharers = e.sharers | (1 << owner.0) | me;
-                self.l1s[owner.0].set_state(line, MesiState::Shared);
-                HitLevel::RemoteL1
-            }
-        } else {
-            sharers = e.sharers | me;
-            match llc_at {
-                // Known-resident: replicate the lookup hit in place.
-                Some(ls) => {
-                    self.llc.hit_at(ls as usize);
-                    HitLevel::Llc
+        let (level, state, ls, fill_plan) = match llc_at {
+            Ok(ls) => {
+                let hi = self.holder_index(line, ls);
+                let word = self.holders[hi];
+                // Spinning-path fast route (DESIGN.md §13): a load of an
+                // unowned LLC-resident line is an LLC hit whose entire
+                // directory transition is known up front — at most one
+                // word written back, and for a stably-shared line (our
+                // sharer bit already set) the write-back is an identity
+                // write, so the directory is only *read*. The general walk
+                // below computes the same outcome; this route just skips
+                // constructing it. Invariant argument: with no owner there
+                // is no copy to downgrade or invalidate, so no coherence
+                // transition can be missed; the LLC touch and L1 fill
+                // below are the exact bookkeeping the general path
+                // performs (fused hit+refresh, fill after a proven miss).
+                if self.fast_path && owner_of(word).is_none() {
+                    let state = if word | me == me {
+                        // Sole holder re-takes the line in E (the usual
+                        // reload of a line this core's L1 evicted).
+                        self.holders[hi] = owned_by(core);
+                        self.fastpath.stable_reloads += 1;
+                        MesiState::Exclusive
+                    } else if word & me != 0 {
+                        // Stably shared: nothing written.
+                        self.fastpath.s_state_peeks += 1;
+                        MesiState::Shared
+                    } else {
+                        // Join the sharer set: one word written.
+                        self.holders[hi] = word | me;
+                        self.fastpath.shared_joins += 1;
+                        MesiState::Shared
+                    };
+                    self.llc.hit_refresh_at(ls, MesiState::Shared);
+                    self.fill_l1(core, line, state, ls, Some(plan));
+                    self.record(core, HitLevel::Llc);
+                    if let Some(h) = hint {
+                        h.llc_slot = ls as u32;
+                    }
+                    return AccessResult {
+                        latency: self.latency.llc_hit,
+                        level: HitLevel::Llc,
+                        getm: None,
+                    };
                 }
-                // Fused probe + placement scan (the LLC twin of the L1's
-                // `lookup_or_plan`): a hit books identically to
-                // `lookup`; a miss captures the placement plan the
-                // fill below applies, saving the second set scan.
-                None => match self.llc.lookup_or_plan(line) {
-                    Ok((_state, ls)) => {
-                        llc_at = Some(ls as u32);
-                        HitLevel::Llc
+                let (level, sharers) = match owner_of(word) {
+                    // Directory thought we owned it but the L1 evicted it
+                    // silently (E); treat as LLC hit.
+                    Some(o) if o == core.0 => (HitLevel::Llc, me),
+                    // Downgrade the remote owner to Shared; cache-to-cache
+                    // fill.
+                    Some(o) => {
+                        self.l1s[o].set_state(line, MesiState::Shared);
+                        (HitLevel::RemoteL1, (1 << o) | me)
                     }
-                    Err(plan) => {
-                        llc_plan = Some(plan);
-                        HitLevel::Memory
+                    None => {
+                        self.llc.hit_at(ls);
+                        (HitLevel::Llc, word | me)
                     }
-                },
-            }
-        };
-
-        // Take exclusive (E) if we are the only holder; the silent E->M
-        // upgrade this enables is exactly why QWAIT's re-arm must issue a
-        // GetS probe (modeled by `probe_shared`).
-        let mut owner = NO_OWNER;
-        let state = if sharers == me {
-            owner = core.0 as u8;
-            sharers = 0;
-            MesiState::Exclusive
-        } else {
-            MesiState::Shared
-        };
-        *self.directory.at_mut(dslot) = DirEntry {
-            sharers,
-            llc_slot: llc_at.unwrap_or(NO_HINT),
-            owner,
-        };
-        let (fill_dslot, fill_plan) = match llc_at {
-            // Already resident: refresh in place instead of re-probing.
-            // The L1 set is untouched, so the lookup's plan still holds.
-            Some(ls) => {
-                self.llc.refresh_at(ls as usize, MesiState::Shared);
-                (dslot as u32, Some(plan))
-            }
-            None => {
-                // The LLC fill may delete an entry (inclusive
-                // back-invalidation), moving others; re-find the slot.
-                // The back-invalidation can also free a way in this
-                // core's target set, so the placement plan is stale.
-                let ls = match llc_plan {
-                    // Proven absent by the fused scan, set untouched
-                    // since: apply the captured plan.
-                    Some(plan) => self.fill_llc_planned(line, plan),
-                    None => self.fill_llc_slot(line),
                 };
-                let j = self
-                    .directory
-                    .find_slot(line.0)
-                    .expect("entry written this transaction");
-                self.directory.at_mut(j).llc_slot = ls;
-                (j as u32, None)
+                // Take exclusive (E) if we are the only holder; the silent
+                // E->M upgrade this enables is exactly why QWAIT's re-arm
+                // must issue a GetS probe (modeled by `probe_shared`).
+                let state = if sharers == me {
+                    self.holders[hi] = owned_by(core);
+                    MesiState::Exclusive
+                } else {
+                    self.holders[hi] = sharers;
+                    MesiState::Shared
+                };
+                // Already resident: refresh in place. The L1 set is
+                // untouched, so the lookup's plan still holds.
+                self.llc.refresh_at(ls, MesiState::Shared);
+                (level, state, ls, Some(plan))
+            }
+            // LLC miss: by inclusion no L1 holds the line, so this core
+            // takes it in E from memory. The fill's back-invalidation can
+            // free a way in this core's target set, so the plan is stale.
+            Err(llc_plan) => {
+                let ls = self.fill_llc(line, llc_plan, owned_by(core));
+                (HitLevel::Memory, MesiState::Exclusive, ls, None)
             }
         };
-        self.fill_l1(core, line, state, fill_dslot, fill_plan);
+        self.fill_l1(core, line, state, ls, fill_plan);
         if let Some(h) = hint {
-            h.dir_slot = fill_dslot;
+            h.llc_slot = ls as u32;
         }
         self.record(core, level);
         AccessResult {
@@ -744,17 +688,13 @@ impl MemSystem {
                     };
                 }
                 MesiState::Shared => {
-                    // Upgrade: GetM invalidating other sharers; directory
-                    // access.
+                    // Upgrade: GetM invalidating other sharers; the L1
+                    // slot's link leads to the directory word.
                     self.getm_count += 1;
-                    let dslot = self.directory.entry_slot(line.0);
-                    let e = *self.directory.at(dslot);
-                    let stale = self.invalidate_holders(core, line, e.sharers, e.owner());
-                    *self.directory.at_mut(dslot) = DirEntry {
-                        sharers: 0,
-                        llc_slot: e.llc_slot,
-                        owner: core.0 as u8,
-                    };
+                    let ls = self.linked_llc_slot(core, slot, line);
+                    let hi = self.holder_index(line, ls);
+                    let stale = self.invalidate_holders(core, line, self.holders[hi]);
+                    self.holders[hi] = owned_by(core);
                     self.l1s[core.0].set_state_at(slot, MesiState::Modified);
                     self.record(core, HitLevel::Llc);
                     // Stale-sharer pricing (silent-eviction mode): the
@@ -779,75 +719,43 @@ impl MemSystem {
             Err(plan) => plan,
         };
 
-        // Write miss: GetM. Same single-probe read/write-back shape as
-        // `load`.
+        // Write miss: GetM. Same single-probe shape as `load`.
         self.getm_count += 1;
-        let dslot = self.directory.entry_slot(line.0);
-        let e = *self.directory.at(dslot);
-        let remote_owner = e.owner().filter(|&o| o != core);
-        let mut llc_at = None;
-        let mut llc_plan = None;
-        if self.llc.hint_holds(e.llc_slot, line) {
-            llc_at = Some(e.llc_slot);
-        }
         let mut stale = 0u64;
-        let level = if let Some(owner) = remote_owner {
-            // The owner's copy may already be gone (silent E-state
-            // eviction); the invalidation message is sent regardless,
-            // and the RemoteL1 level already prices the round-trip.
-            if self.l1s[owner.0].invalidate(line).is_none() {
-                self.stale_invalidations += 1;
-            }
-            self.invalidations += 1;
-            HitLevel::RemoteL1
-        } else {
-            let lvl = match llc_at {
-                Some(ls) => {
-                    self.llc.hit_at(ls as usize);
-                    HitLevel::Llc
-                }
-                // Fused probe + placement scan, as on the load path.
-                None => match self.llc.lookup_or_plan(line) {
-                    Ok((_state, ls)) => {
-                        llc_at = Some(ls as u32);
+        let (level, ls, fill_plan) = match self.llc.probe_or_plan(line) {
+            Ok(ls) => {
+                let hi = self.holder_index(line, ls);
+                let word = self.holders[hi];
+                let level = match owner_of(word).filter(|&o| o != core.0) {
+                    // The owner's copy may already be gone (silent E-state
+                    // eviction); the invalidation message is sent
+                    // regardless, and the RemoteL1 level already prices
+                    // the round-trip.
+                    Some(owner) => {
+                        if self.l1s[owner].invalidate(line).is_none() {
+                            self.stale_invalidations += 1;
+                        }
+                        self.invalidations += 1;
+                        HitLevel::RemoteL1
+                    }
+                    None => {
+                        self.llc.hit_at(ls);
+                        stale = self.invalidate_holders(core, line, word);
                         HitLevel::Llc
                     }
-                    Err(plan) => {
-                        llc_plan = Some(plan);
-                        HitLevel::Memory
-                    }
-                },
-            };
-            stale = self.invalidate_holders(core, line, e.sharers, e.owner());
-            lvl
-        };
-
-        *self.directory.at_mut(dslot) = DirEntry {
-            sharers: 0,
-            llc_slot: llc_at.unwrap_or(NO_HINT),
-            owner: core.0 as u8,
-        };
-        let (fill_dslot, fill_plan) = match llc_at {
-            Some(ls) => {
-                self.llc.refresh_at(ls as usize, MesiState::Shared);
-                (dslot as u32, Some(plan))
-            }
-            None => {
-                // LLC fill may back-invalidate into this core's target
-                // set: re-find the directory slot, drop the stale plan.
-                let ls = match llc_plan {
-                    Some(plan) => self.fill_llc_planned(line, plan),
-                    None => self.fill_llc_slot(line),
                 };
-                let j = self
-                    .directory
-                    .find_slot(line.0)
-                    .expect("entry written this transaction");
-                self.directory.at_mut(j).llc_slot = ls;
-                (j as u32, None)
+                self.holders[hi] = owned_by(core);
+                self.llc.refresh_at(ls, MesiState::Shared);
+                (level, ls, Some(plan))
+            }
+            // LLC miss: no other holder. The fill may back-invalidate into
+            // this core's target set: drop the stale plan.
+            Err(llc_plan) => {
+                let ls = self.fill_llc(line, llc_plan, owned_by(core));
+                (HitLevel::Memory, ls, None)
             }
         };
-        self.fill_l1(core, line, MesiState::Modified, fill_dslot, fill_plan);
+        self.fill_l1(core, line, MesiState::Modified, ls, fill_plan);
         self.record(core, level);
         // Stale-sharer pricing: a GetM that had to message a vanished
         // sharer waits on that ack like any remote round-trip (no-op in
@@ -886,47 +794,48 @@ impl MemSystem {
     }
 
     fn probe_shared_inner(&mut self, line: LineAddr) -> Cycles {
-        if let Some(entry) = self.directory.get_mut(line.0) {
-            if entry.owner != NO_OWNER {
-                let owner = entry.owner as usize;
-                entry.sharers |= 1 << owner;
-                entry.owner = NO_OWNER;
-                let hint = entry.llc_slot;
+        if let Some(ls) = self.llc.probe(line) {
+            let hi = self.holder_index(line, ls);
+            if let Some(owner) = owner_of(self.holders[hi]) {
+                self.holders[hi] = 1 << owner;
                 self.l1s[owner].set_state(line, MesiState::Shared);
-                if self.llc.hint_holds(hint, line) {
-                    self.llc.refresh_at(hint as usize, MesiState::Shared);
-                } else {
-                    let ls = self.fill_llc_slot(line);
-                    if let Some(entry) = self.directory.get_mut(line.0) {
-                        entry.llc_slot = ls;
-                    }
-                }
+                self.llc.refresh_at(ls, MesiState::Shared);
                 return self.latency.remote_l1;
             }
         }
         self.latency.llc_hit
     }
 
+    /// Index in `holders` of the directory word of `line`, resident at
+    /// LLC slot `llc_slot` (way-major: way times sets, plus set).
+    #[inline]
+    fn holder_index(&self, line: LineAddr, llc_slot: usize) -> usize {
+        let set = line.0 as usize & (self.llc_sets - 1);
+        (llc_slot - set * self.llc_ways) * self.llc_sets + set
+    }
+
+    /// LLC slot of `line`, resident in `core`'s L1 at `l1_slot`, read
+    /// from the slot's link.
+    #[inline]
+    fn linked_llc_slot(&self, core: CoreId, l1_slot: usize, line: LineAddr) -> usize {
+        let ls = self.l1_links[core.0 * self.l1_slots + l1_slot];
+        debug_assert!(
+            self.llc.hint_holds(ls, line),
+            "inclusion broken: {line} in {core}'s L1 but not at its linked LLC slot"
+        );
+        ls as usize
+    }
+
     /// Invalidates every L1 copy of `line` held by a core other than
-    /// `core`, per the directory's (possibly stale, always superset)
-    /// sharer/owner view. Walks only the set bits instead of every core.
+    /// `core`, per the directory word `holders` (possibly stale, always a
+    /// superset). Walks only the set bits instead of every core.
     ///
     /// Returns the number of *stale* messages sent — directory-listed
     /// holders whose copy was already (silently) gone. Always zero in
     /// visible-eviction mode; in silent mode callers price the fan-out
     /// wait on the store path with it.
-    fn invalidate_holders(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        sharers: u64,
-        owner: Option<CoreId>,
-    ) -> u64 {
-        let mut mask = sharers;
-        if let Some(o) = owner {
-            mask |= 1 << o.0;
-        }
-        mask &= !(1u64 << core.0);
+    fn invalidate_holders(&mut self, core: CoreId, line: LineAddr, holders: u64) -> u64 {
+        let mut mask = holder_mask(holders) & !(1u64 << core.0);
         let mut stale = 0u64;
         while mask != 0 {
             let i = mask.trailing_zeros() as usize;
@@ -941,31 +850,23 @@ impl MemSystem {
         stale
     }
 
-    /// `dslot` is the directory slot of `line`'s entry if the caller
-    /// holds a still-valid handle (else [`NO_DIR_SLOT`]); it is cached
-    /// per L1 slot so the *next* eviction from that slot can update the
-    /// victim's directory entry probe-free.
-    /// `plan` is the placement decision captured by the lookup-miss scan,
-    /// valid only when nothing touched the core's L1 set since (callers
-    /// that ran an LLC fill — which can back-invalidate — pass `None`).
+    /// Fills `line` into `core`'s L1 and links the L1 slot to the line's
+    /// LLC slot `llc_slot`. `plan` is the placement decision captured by
+    /// the lookup-miss scan, valid only when nothing touched the core's
+    /// L1 set since (callers that ran an LLC fill — which can
+    /// back-invalidate — pass `None`, and the set is scanned again).
     fn fill_l1(
         &mut self,
         core: CoreId,
         line: LineAddr,
         state: MesiState,
-        dslot: u32,
+        llc_slot: usize,
         plan: Option<PlacePlan>,
     ) {
-        let (insert, slot) = match plan {
-            Some(p) => (
-                self.l1s[core.0].fill_planned(line, state, p),
-                SetAssocCache::plan_slot(&p),
-            ),
-            None => self.l1s[core.0].insert_slot_missed(line, state),
-        };
-        let hi = core.0 * self.l1_slots + slot;
-        let victim_dslot = self.dir_hints[hi];
-        self.dir_hints[hi] = dslot;
+        let l1 = &mut self.l1s[core.0];
+        let plan = plan.unwrap_or_else(|| l1.probe_or_plan(line).expect_err("line is resident"));
+        let insert = l1.fill_planned(line, state, plan);
+        let slot = SetAssocCache::plan_slot(&plan);
         if let Insert::Evicted(victim, victim_state) = insert {
             // Silent-eviction mode: clean (S/E) victims drop with no
             // directory message, exactly as real L1s do. The victim's
@@ -975,90 +876,56 @@ impl MemSystem {
             // consulted conservatively: invalidations to absent copies
             // are no-op messages (counted and priced as
             // `stale_invalidations`), a stale owner is downgraded or
-            // probed at remote-L1 cost, and `owner == NO_OWNER` still
-            // proves no writable copy exists because silent eviction
-            // never *clears* an owner claim. M victims always write back
+            // probed at remote-L1 cost, and an unowned word still proves
+            // no writable copy exists because silent eviction never
+            // *clears* an owner claim. M victims always write back
             // visibly — dropping dirty data would break the data model,
             // not just timing.
-            if self.silent_evictions && victim_state != MesiState::Modified {
-                return;
-            }
-            // Writeback of M lines lands in the LLC; directory forgets the
-            // private copy either way. The victim's entry is found via the
-            // slot hint recorded when the victim was filled; `slot_holds`
-            // is the full validity proof (unique keys), so the hash probe
-            // is skipped on the steady-state eviction path.
-            let mut victim_hint = NO_HINT;
-            let entry = if self.directory.slot_holds(victim_dslot as usize, victim.0) {
+            if !self.silent_evictions || victim_state == MesiState::Modified {
+                // The directory forgets the private copy; a write-back of
+                // M data lands in the victim's LLC slot.
+                let ls = self.linked_llc_slot(core, slot, victim);
+                let hi = self.holder_index(victim, ls);
+                let word = self.holders[hi];
+                self.holders[hi] = match owner_of(word) {
+                    Some(o) if o == core.0 => 0,
+                    Some(_) => word,
+                    None => word & !(1 << core.0),
+                };
                 self.fastpath.dir_hint_hits += 1;
-                Some(self.directory.at_mut(victim_dslot as usize))
-            } else {
-                self.directory.get_mut(victim.0)
-            };
-            if let Some(entry) = entry {
-                if entry.owner == core.0 as u8 {
-                    entry.owner = NO_OWNER;
-                }
-                entry.sharers &= !(1 << core.0);
-                victim_hint = entry.llc_slot;
-            }
-            if victim_state == MesiState::Modified {
-                if self.llc.hint_holds(victim_hint, victim) {
-                    self.llc.refresh_at(victim_hint as usize, MesiState::Shared);
-                } else {
-                    let ls = self.fill_llc_slot(victim);
-                    if let Some(entry) = self.directory.get_mut(victim.0) {
-                        entry.llc_slot = ls;
-                    }
+                if victim_state == MesiState::Modified {
+                    self.llc.refresh_at(ls, MesiState::Shared);
                 }
             }
         }
+        self.l1_links[core.0 * self.l1_slots + slot] = llc_slot as u32;
     }
 
-    /// `fill_llc` of the original transaction model: inserts `line` into
-    /// the LLC (inclusive back-invalidation on eviction) and returns the
-    /// slot it landed in, which callers cache as the directory's
-    /// `llc_slot` hint.
-    fn fill_llc_slot(&mut self, line: LineAddr) -> u32 {
-        let (insert, slot) = self.llc.insert_slot(line, MesiState::Shared);
-        if let Insert::Evicted(victim, _) = insert {
-            self.back_invalidate(victim);
-        }
-        slot as u32
-    }
-
-    /// [`fill_llc_slot`](Self::fill_llc_slot) for a line the caller's
-    /// fused `lookup_or_plan` scan just proved absent from the LLC, with
-    /// the placement plan that scan captured (nothing touches the LLC
-    /// between the scan and this fill, so the plan is still valid —
-    /// checked in debug builds by `fill_planned` recomputing it). One set
-    /// scan per LLC miss-fill, the same fusion PR 5 applied to the L1.
-    fn fill_llc_planned(&mut self, line: LineAddr, plan: PlacePlan) -> u32 {
+    /// Fills `line`, proven absent by the `probe_or_plan` scan that
+    /// captured `plan`, into the LLC with directory word `holders`, and
+    /// returns the slot it landed in. An evicted line is back-invalidated
+    /// with the holders read from the word being overwritten.
+    fn fill_llc(&mut self, line: LineAddr, plan: PlacePlan, holders: u64) -> usize {
         let insert = self.llc.fill_planned(line, MesiState::Shared, plan);
-        let slot = SetAssocCache::plan_slot(&plan);
-        if let Insert::Evicted(victim, _) = insert {
-            self.back_invalidate(victim);
+        let ls = SetAssocCache::plan_slot(&plan);
+        let hi = self.holder_index(line, ls);
+        if hi >= self.holders.len() {
+            // First fill of this way in any set.
+            self.holders.resize(self.holders.len() + self.llc_sets, 0);
         }
-        slot as u32
+        let victim_holders = std::mem::replace(&mut self.holders[hi], holders);
+        if let Insert::Evicted(victim, _) = insert {
+            self.back_invalidate(victim, victim_holders);
+        }
+        ls
     }
 
     /// Inclusive back-invalidation of an LLC `victim`: kill all private
-    /// copies. The directory's sharer/owner view is a superset of actual
+    /// copies. The directory word `holders` is a superset of actual
     /// holders (silent evictions leave stale bits, never missing ones),
     /// so walking its bits reaches every copy.
-    fn back_invalidate(&mut self, victim: LineAddr) {
-        let holders = match self.directory.remove(victim.0) {
-            Some(e) => {
-                e.sharers
-                    | if e.owner != NO_OWNER {
-                        1u64 << e.owner
-                    } else {
-                        0
-                    }
-            }
-            None => 0,
-        };
-        let mut mask = holders;
+    fn back_invalidate(&mut self, victim: LineAddr, holders: u64) {
+        let mut mask = holder_mask(holders);
         while mask != 0 {
             let i = mask.trailing_zeros() as usize;
             mask &= mask - 1;
@@ -1304,6 +1171,65 @@ mod tests {
         };
         assert!(route(&fast) > 0, "the trace should reach the LLC route");
         assert_eq!(route(&slow), 0);
+    }
+
+    #[test]
+    fn l1_links_name_the_llc_slot_and_holder_under_evictions() {
+        // Random multi-core traces over lines packed onto a few LLC sets,
+        // so the LLC evicts and back-invalidates. Afterwards every
+        // L1-resident line's linked LLC slot must still hold that line,
+        // and the slot's holder word must name the core.
+        let mut x = 0x1D_5EEDu64;
+        let mut next = move |n: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        let mut llc_evictions = 0;
+        for _case in 0..40 {
+            let cores = 1usize << next(3);
+            let mut m = sys(cores);
+            let llc_sets = m.llc_sets as u64;
+            let sets: Vec<u64> = (0..1 + next(3)).map(|_| next(llc_sets)).collect();
+            for _ in 0..2000 {
+                let set = sets[next(sets.len() as u64) as usize];
+                let line = LineAddr(set + next(40) * llc_sets);
+                let core = CoreId(next(cores as u64) as usize);
+                let addr = Addr(line.0 * crate::types::LINE_BYTES);
+                match next(10) {
+                    0 => {
+                        m.probe_shared(line);
+                    }
+                    1..=3 => {
+                        m.access(core, addr, AccessKind::Store);
+                    }
+                    _ => {
+                        m.access(core, addr, AccessKind::Load);
+                    }
+                }
+            }
+            llc_evictions += m.llc.counters().2;
+            for c in 0..cores {
+                for slot in 0..m.l1_slots {
+                    let Some(line) = m.l1s[c].line_at(slot) else {
+                        continue;
+                    };
+                    let ls = m.l1_links[c * m.l1_slots + slot];
+                    assert!(
+                        m.llc.hint_holds(ls, line),
+                        "core {c}: {line} links to LLC slot {ls}, which holds another line"
+                    );
+                    let word = m.holders[m.holder_index(line, ls as usize)];
+                    assert_ne!(
+                        holder_mask(word) & (1 << c),
+                        0,
+                        "core {c} holds {line} but its holder word {word:#x} omits it"
+                    );
+                }
+            }
+        }
+        assert!(llc_evictions > 0, "the traces never evicted from the LLC");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use hp_core::monitoring::MonitoringSet;
 use hp_core::qwait::HyperPlaneConfig;
-use hp_mem::system::MemSystemConfig;
+use hp_mem::system::{MemSystemConfig, MAX_CORES};
 use hp_sim::chaos::{ChaosError, ChaosSchedule};
 use hp_sim::faults::{FaultPlan, FaultPlanError};
 use hp_sim::rng::Distribution;
@@ -29,6 +29,14 @@ pub enum ConfigError {
     NoQueues,
     /// `dp_cores` was zero.
     NoDataPlaneCores,
+    /// The machine has more cores than the memory model's directory word
+    /// can name ([`hp_mem::system::MAX_CORES`]).
+    TooManyCores {
+        /// Requested machine cores.
+        cores: usize,
+        /// The cap.
+        max: usize,
+    },
     /// Every core was assigned to the data plane; producers need one.
     NoProducerCore {
         /// Requested data-plane cores.
@@ -121,6 +129,9 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::NoQueues => write!(f, "need at least one queue"),
             ConfigError::NoDataPlaneCores => write!(f, "need at least one data-plane core"),
+            ConfigError::TooManyCores { cores, max } => {
+                write!(f, "{cores} machine cores exceed the memory model's {max}")
+            }
             ConfigError::NoProducerCore { dp_cores, total } => write!(
                 f,
                 "need at least one non-DP core for producers ({dp_cores} DP of {total} total)"
@@ -566,6 +577,12 @@ impl ExperimentConfig {
         }
         if self.dp_cores < 1 {
             return Err(ConfigError::NoDataPlaneCores);
+        }
+        if self.machine.cores > MAX_CORES {
+            return Err(ConfigError::TooManyCores {
+                cores: self.machine.cores,
+                max: MAX_CORES,
+            });
         }
         if self.dp_cores >= self.machine.cores {
             return Err(ConfigError::NoProducerCore {

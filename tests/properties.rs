@@ -760,11 +760,13 @@ fn unbuildable_configs_are_errors() {
 }
 
 /// `Engine::try_new` is total over configurations: every random config
-/// (notifier, shape, workload, queue count, cores and cluster, imbalance,
-/// chaos bursts and churn, audit, monitoring banks) builds or comes back
-/// as a typed `ConfigError` — it never panics.
+/// (notifier, shape, workload, queue count, machine cores on both sides
+/// of the memory model's cap, cores and cluster, imbalance, chaos bursts
+/// and churn, audit, monitoring banks) builds or comes back as a typed
+/// `ConfigError` — it never panics.
 #[test]
 fn random_configs_build_or_are_typed_errors() {
+    use hyperplane::sdp::config::ConfigError;
     use hyperplane::sdp::engine::Engine;
     use hyperplane::sim::chaos::ChaosSchedule;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -786,7 +788,7 @@ fn random_configs_build_or_are_typed_errors() {
     ];
     const IMBALANCES: [f64; 8] = [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0, -0.1];
     let mut rng = SmallRng::seed_from_u64(0xC0F1_6F22);
-    let (mut built, mut refused) = (0, 0);
+    let (mut built, mut refused, mut too_many) = (0, 0, 0);
     for case in 0..1500 {
         let queues = match rng.random_range(0..4u8) {
             0 => rng.random_range(0..17u32),
@@ -820,18 +822,25 @@ fn random_configs_build_or_are_typed_errors() {
             chaos = chaos.with_churn(rng.random_range(0..200_000u64));
         }
         cfg.chaos = chaos;
+        if rng.random_bool(0.2) {
+            // Power-of-two machines (the LLC's 1 MB per core must split
+            // into a power-of-two set count) from 1 to 128 cores: the
+            // last two exceed `MAX_CORES` and must come back typed.
+            cfg.machine.cores = 1 << rng.random_range(0..8u32);
+        }
         cfg.audit = rng.random_bool(0.5);
         if rng.random_bool(0.5) {
             cfg.hp.monitoring_banks = rng.random_range(0..9usize);
         }
         match catch_unwind(AssertUnwindSafe(|| Engine::try_new(cfg.clone()).err())) {
             Ok(None) => built += 1,
+            Ok(Some(ConfigError::TooManyCores { .. })) => too_many += 1,
             Ok(Some(_)) => refused += 1,
             Err(_) => panic!("case {case}: Engine::try_new panicked on {cfg:?}"),
         }
     }
     assert!(
-        built > 300 && refused > 300,
-        "{built} built / {refused} refused"
+        built > 300 && refused > 300 && too_many > 10,
+        "{built} built / {refused} refused / {too_many} over the core cap"
     );
 }

@@ -4,7 +4,6 @@
 
 use hp_rand::rngs::SmallRng;
 use hp_rand::{Rng, SeedableRng};
-use hyperplane::mem::dir::DirTable;
 use hyperplane::queues::sim::{QueueId, QueueLayout};
 use hyperplane::sim::event::EventQueue;
 use hyperplane::sim::time::SimTime;
@@ -302,39 +301,6 @@ fn calendar_queue_rejects_past_schedules() {
     q.schedule_at(SimTime(5), 1u32);
 }
 
-/// The open-addressed directory table behaves exactly like a `HashMap`
-/// under random insert/lookup/mutate/remove churn. Keys are clustered to
-/// force probe chains and exercise backward-shift deletion.
-#[test]
-fn dir_table_matches_hashmap_model() {
-    let mut rng = SmallRng::seed_from_u64(0xBEEF_000A);
-    for _case in 0..40 {
-        let mut t: DirTable<u64> = DirTable::new();
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        let n_ops = rng.random_range(1..600usize);
-        for _ in 0..n_ops {
-            let key = rng.random_range(0..200u64) * 0x9E37_79B9;
-            match rng.random_range(0..4u8) {
-                0 => {
-                    *t.entry_or_default(key) += 1;
-                    *model.entry(key).or_default() += 1;
-                }
-                1 => assert_eq!(t.get(key), model.get(&key)),
-                2 => {
-                    if let Some(v) = t.get_mut(key) {
-                        *v ^= 0xFF;
-                    }
-                    if let Some(v) = model.get_mut(&key) {
-                        *v ^= 0xFF;
-                    }
-                }
-                _ => assert_eq!(t.remove(key), model.remove(&key)),
-            }
-            assert_eq!(t.len(), model.len());
-        }
-    }
-}
-
 /// Queue layout: doorbell, descriptor, and buffer regions never share a
 /// cache line, for any geometry.
 #[test]
@@ -391,25 +357,45 @@ fn stats_tuple(s: hyperplane::mem::system::CoreMemStats) -> (u64, u64, u64, u64)
 /// deliberately-different reference implementation (array-of-structs sets,
 /// std `HashMap` directory) on randomized multi-core load/store/probe
 /// traces: identical `AccessResult`s, identical per-core telemetry,
-/// identical interconnect counters, identical final MESI states.
+/// identical interconnect counters and prefetch fills, identical final
+/// MESI states. Two cases in three pack 8–40 lines onto each of 1–3 LLC
+/// sets, so the 16-way LLC evicts and back-invalidation runs; a third run
+/// the stride prefetcher at degree 1–3.
 #[test]
 fn mem_system_matches_reference_for_random_traces() {
     use hyperplane::mem::reference::RefMemSystem;
     use hyperplane::mem::{AccessKind, Addr, CoreId, MemSystem, MemSystemConfig};
 
     let mut rng = SmallRng::seed_from_u64(0xBEEF_000B);
-    for _case in 0..25 {
+    let mut evicting = 0;
+    for _case in 0..300 {
         let cores = 1usize << rng.random_range(0..3u32);
-        let cfg = MemSystemConfig::cmp(cores);
+        let mut cfg = MemSystemConfig::cmp(cores);
+        if rng.random_range(0..3u8) == 0 {
+            cfg.prefetch_degree = rng.random_range(1..4usize);
+        }
         let mut fast = MemSystem::new(cfg);
         let mut reference = RefMemSystem::new(cfg);
-        // A small, clustered line space forces sharing, ping-pong, set
-        // conflicts, and eviction churn within a short trace.
-        let lines = rng.random_range(4..120u64);
+        let pool: Vec<u64> = if rng.random_range(0..3u8) == 0 {
+            // A small, clustered line space forces sharing, ping-pong,
+            // set conflicts, and eviction churn within a short trace.
+            (0..rng.random_range(4..120u64)).collect()
+        } else {
+            // 8–40 distinct lines on each of 1–3 LLC sets (line = set +
+            // tag * sets): past 16 tags a set evicts, killing every
+            // private copy.
+            let llc_sets = cfg.llc.sets() as u64;
+            let mut pool = Vec::new();
+            for _ in 0..rng.random_range(1..4u8) {
+                let set = rng.random_range(0..llc_sets);
+                pool.extend((0..rng.random_range(8..41u64)).map(|tag| set + tag * llc_sets));
+            }
+            pool
+        };
         let n_ops = rng.random_range(1..800usize);
         let mut touched = Vec::new();
         for _ in 0..n_ops {
-            let line = rng.random_range(0..lines);
+            let line = pool[rng.random_range(0..pool.len())];
             let addr = Addr(line * hyperplane::mem::LINE_BYTES);
             touched.push(addr.line());
             if rng.random_range(0..10u8) == 0 {
@@ -446,7 +432,13 @@ fn mem_system_matches_reference_for_random_traces() {
         }
         assert_eq!(fast.getm_total(), reference.getm_total());
         assert_eq!(fast.invalidation_total(), reference.invalidation_total());
+        assert_eq!(fast.prefetch_fills(), reference.prefetch_fills());
+        evicting += usize::from(reference.llc_counters().2 > 0);
     }
+    assert!(
+        evicting >= 100,
+        "only {evicting} of 300 cases evicted from the LLC"
+    );
 }
 
 /// Traces crafted to drive the spinning-path fast route (DESIGN.md §13)
