@@ -5,9 +5,10 @@
 //! 3. service-time variability (CV 0 / 1 / 4) and its effect on
 //!    head-of-line blocking in scale-out vs scale-up.
 //!
-//! (The monitoring-set associativity ablation lives in the bench
-//! `ablate_monitoring_ways`; the ripple-vs-Brent–Kung PPA comparison is
-//! gate depth and area, in the `hwcost` binary.)
+//! (The monitoring-set associativity ablation is the `hp-core` unit test
+//! `monitoring::tests::associativity_ablation_placed_counts`; the
+//! ripple-vs-Brent–Kung PPA comparison is gate depth and area, in the
+//! `hwcost` binary.)
 
 use hp_bench::{experiment, f2, f3, HarnessOpts, Table};
 use hp_sdp::config::Notifier;

@@ -1,8 +1,7 @@
 //! # hp-bench — figure-regeneration harness
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md §5
-//! for the experiment index), plus micro-benchmarks of every
-//! hardware structure and workload kernel.
+//! for the experiment index).
 //!
 //! All binaries accept these flags, parsed by [`cli`]:
 //! * `--quick` — cut sample counts and sweep points for a fast smoke run;
@@ -26,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod microbench;
 pub mod plot;
 pub mod sweep;
 

@@ -638,6 +638,23 @@ mod tests {
     }
 
     #[test]
+    fn associativity_ablation_placed_counts() {
+        // DESIGN.md §7 item 1: 1000 doorbells into 1100 entries at 2, 4
+        // and 8 ways. Two ways refuse 11% of the doorbells at this 91%
+        // load; four (the default) and eight place every one.
+        let placed = |ways: usize| {
+            let mut ms = MonitoringSet::with_shape(1100, 1, ways);
+            (0..1000u32)
+                .filter(|&q| {
+                    ms.insert(QueueId(q), LineAddr(0x1_0000 + u64::from(q) * 3))
+                        .is_ok()
+                })
+                .count()
+        };
+        assert_eq!([placed(2), placed(4), placed(8)], [887, 1000, 1000]);
+    }
+
+    #[test]
     fn relocations_are_counted() {
         let mut ms = MonitoringSet::new(64);
         for q in 0..30u32 {

@@ -37,6 +37,12 @@ pub enum ConfigError {
         /// The cap.
         max: usize,
     },
+    /// The machine's core count is not a power of two: the LLC's 1 MB
+    /// per core must split into a power-of-two number of sets.
+    CoresNotPowerOfTwo {
+        /// Requested machine cores.
+        cores: usize,
+    },
     /// Every core was assigned to the data plane; producers need one.
     NoProducerCore {
         /// Requested data-plane cores.
@@ -69,9 +75,6 @@ pub enum ConfigError {
     },
     /// `imbalance` outside `[0, 1)`.
     BadImbalance(f64),
-    /// Flow-structured traffic misconfigured (zero flows, non-positive
-    /// Zipf exponent, or more than one sharing group).
-    BadFlowTraffic(&'static str),
     /// The fault plan has an out-of-range probability.
     BadFaultPlan(FaultPlanError),
     /// The chaos schedule is malformed (zero-period burst, inverted or
@@ -132,6 +135,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::TooManyCores { cores, max } => {
                 write!(f, "{cores} machine cores exceed the memory model's {max}")
             }
+            ConfigError::CoresNotPowerOfTwo { cores } => write!(
+                f,
+                "{cores} machine cores is not a power of two (the LLC needs a power-of-two set count)"
+            ),
             ConfigError::NoProducerCore { dp_cores, total } => write!(
                 f,
                 "need at least one non-DP core for producers ({dp_cores} DP of {total} total)"
@@ -147,7 +154,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "{queues} queues exceed the {ready_qids}-entry ready set")
             }
             ConfigError::BadImbalance(x) => write!(f, "imbalance {x} outside [0,1)"),
-            ConfigError::BadFlowTraffic(why) => write!(f, "flow traffic: {why}"),
             ConfigError::BadFaultPlan(e) => write!(f, "fault plan: {e}"),
             ConfigError::BadChaos(e) => write!(f, "chaos schedule: {e}"),
             ConfigError::ZeroTargetCompletions => {
@@ -274,24 +280,6 @@ impl Notifier {
     }
 }
 
-/// Where arrivals come from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TrafficSource {
-    /// The paper's synthetic shapes (FB/PC/NC/SQ) over `ExperimentConfig::shape`.
-    Shape,
-    /// Flow-structured traffic: Zipf-popular flows steered through a
-    /// Toeplitz/RETA pipeline (`hp_traffic::flows`) — the real-NIC origin
-    /// of the unbalanced queue loads the shapes approximate. Only
-    /// supported for a single sharing group (no static partitioning of
-    /// emergent skew).
-    Flows {
-        /// Number of concurrent flows.
-        flows: u32,
-        /// Zipf popularity exponent (1.0–1.3 typical for datacenter flows).
-        zipf_s: f64,
-    },
-}
-
 /// Offered load.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Load {
@@ -356,8 +344,6 @@ pub struct ExperimentConfig {
     /// is ready the core runs latency-insensitive background work instead
     /// of halting, polling the ready set between chunks.
     pub background_task: bool,
-    /// Arrival source (synthetic shape or flow-structured).
-    pub traffic: TrafficSource,
     /// Next-line prefetcher degree for DP cores (0 = Table I baseline,
     /// none). Ablation: accelerates the sequential buffer-streaming loads.
     pub prefetch_degree: usize,
@@ -458,7 +444,6 @@ impl ExperimentConfig {
             work_stealing: false,
             in_order: false,
             background_task: false,
-            traffic: TrafficSource::Shape,
             prefetch_degree: 0,
             mem_fast_path: true,
             faults: FaultPlan::none(),
@@ -584,6 +569,11 @@ impl ExperimentConfig {
                 max: MAX_CORES,
             });
         }
+        if !self.machine.cores.is_power_of_two() {
+            return Err(ConfigError::CoresNotPowerOfTwo {
+                cores: self.machine.cores,
+            });
+        }
         if self.dp_cores >= self.machine.cores {
             return Err(ConfigError::NoProducerCore {
                 dp_cores: self.dp_cores,
@@ -619,21 +609,6 @@ impl ExperimentConfig {
         }
         if !(0.0..1.0).contains(&self.imbalance) {
             return Err(ConfigError::BadImbalance(self.imbalance));
-        }
-        if let TrafficSource::Flows { flows, zipf_s } = self.traffic {
-            if flows == 0 {
-                return Err(ConfigError::BadFlowTraffic("needs at least one flow"));
-            }
-            if zipf_s <= 0.0 {
-                return Err(ConfigError::BadFlowTraffic(
-                    "zipf exponent must be positive",
-                ));
-            }
-            if self.groups() != 1 {
-                return Err(ConfigError::BadFlowTraffic(
-                    "supports a single sharing group",
-                ));
-            }
         }
         if self.target_completions == 0 {
             return Err(ConfigError::ZeroTargetCompletions);

@@ -2,9 +2,8 @@
 //! Algorithm 1's spare-doorbell reallocation (lines 3–6), and the lane's
 //! stimulus streams.
 
-use super::stimulus::FlowStimulus;
 use super::{Engine, QRow, BUFFER_ENTRIES, EV_LABELS, IRQ_NAPI_BUDGET};
-use crate::config::{ConfigError, ExperimentConfig, Notifier, TrafficSource};
+use crate::config::{ConfigError, ExperimentConfig, Notifier};
 use crate::metrics::WindowedMetrics;
 use crate::telemetry::{CoreTelemetry, HaltTracker};
 use hp_core::qwait::HyperPlaneDevice;
@@ -19,7 +18,6 @@ use hp_sim::profile::KernelProfile;
 use hp_sim::rng::RngFactory;
 use hp_sim::stats::Histogram;
 use hp_sim::trace::Tracer;
-use hp_traffic::flows::FlowTrafficGenerator;
 use hp_traffic::generator::KeyedArrivals;
 use hp_traffic::partition_queues;
 use hp_workloads::service::ServiceModel;
@@ -216,53 +214,31 @@ impl Engine {
         };
 
         let rate = cfg.offered_rate();
-        // Stimulus streams: 1 = traffic, 2 = service, 3 = faults. Shape
-        // traffic splits per-group arrival sub-streams off stream 1 and
-        // the per-item service demand off stream 2 by item id; only
-        // *owned* groups get an arrival stream, so a lane draws nothing
-        // for foreign groups. Flow traffic (one group by validation) draws
-        // both sequentially, and its one group's first arrival is at t=0.
+        // Stimulus streams: 1 = traffic, 2 = service, 3 = faults. Each
+        // group's arrival sub-stream splits off stream 1 and each item's
+        // service demand off stream 2 by item id; only *owned* groups get
+        // an arrival stream, so a lane draws nothing for foreign groups.
+        let base = CounterRng::from_key(rngs.stream_seed(1));
         let mut keyed_arrivals: Vec<Option<KeyedArrivals>> = Vec::with_capacity(groups);
         let mut group_next_arrival: Vec<u64> = Vec::with_capacity(groups);
-        let flows = match cfg.traffic {
-            TrafficSource::Flows { flows, zipf_s } => {
-                keyed_arrivals.push(None);
-                group_next_arrival.push(0);
-                Some(FlowStimulus::new(
-                    FlowTrafficGenerator::new(
-                        flows,
-                        zipf_s,
-                        cfg.queues,
-                        rate,
-                        clock,
-                        rngs.stream(1),
-                    ),
-                    rngs.stream(2),
-                ))
-            }
-            TrafficSource::Shape => {
-                let base = CounterRng::from_key(rngs.stream_seed(1));
-                for (g, &owned) in owned_groups.iter().enumerate() {
-                    let stream = if owned {
-                        KeyedArrivals::for_partition(
-                            cfg.shape,
-                            cfg.queues,
-                            rate,
-                            clock,
-                            &group_of_queue,
-                            g,
-                            base.split(g as u64),
-                        )
-                        .expect("validated configuration")
-                    } else {
-                        None
-                    };
-                    group_next_arrival.push(if stream.is_some() { 0 } else { u64::MAX });
-                    keyed_arrivals.push(stream);
-                }
+        for (g, &owned) in owned_groups.iter().enumerate() {
+            let stream = if owned {
+                KeyedArrivals::for_partition(
+                    cfg.shape,
+                    cfg.queues,
+                    rate,
+                    clock,
+                    &group_of_queue,
+                    g,
+                    base.split(g as u64),
+                )
+                .expect("validated configuration")
+            } else {
                 None
-            }
-        };
+            };
+            group_next_arrival.push(if stream.is_some() { 0 } else { u64::MAX });
+            keyed_arrivals.push(stream);
+        }
         let service_keyed = CounterRng::from_key(rngs.stream_seed(2));
 
         let service = ServiceModel::new(cfg.workload, cfg.service_dist, clock);
@@ -306,7 +282,6 @@ impl Engine {
             irq_pending: vec![VecDeque::new(); groups],
             trackers: vec![HaltTracker::new(); cfg.dp_cores],
             telem: vec![CoreTelemetry::default(); cfg.dp_cores],
-            flows,
             service,
             keyed_arrivals,
             group_arrival_count: vec![0; groups],

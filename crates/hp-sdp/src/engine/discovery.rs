@@ -167,7 +167,7 @@ impl Engine {
         // Poll: read the doorbell line and the queue-head descriptor line
         // (a poll-mode driver interrogates the ring head, not just a
         // counter — two lines per queue is what thrashes the L1 at high
-        // queue counts). The per-queue hints skip the directory probe;
+        // queue counts). The per-queue hints skip the LLC set probe;
         // with `mem_fast_path` off, `load_hinted` ignores them.
         let (db, desc_addr) = (self.doorbell(qi), self.layout.descriptor(q));
         let [db_hint, desc_hint] = &mut self.poll_hints[qi];

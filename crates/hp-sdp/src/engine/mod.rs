@@ -47,8 +47,7 @@
 //! through counter-based sub-streams ([`hp_rand::rngs::CounterRng`])
 //! (DESIGN.md §18), so each lane generates *only its own groups' arrivals
 //! and churn ticks* and its event count scales with owned load, not total
-//! load. Flow-structured traffic is the one sequential source; validation
-//! restricts it to a single sharing group, so no lane ever shares it.
+//! load.
 //!
 //! Run control (warmup, stop, watchdog, `max_cycles`) is evaluated by the
 //! fabric at synchronization-window boundaries, and teardown is always
@@ -84,7 +83,6 @@ use hp_sim::trace::{SpanId, TraceKind, Tracer};
 use hp_traffic::generator::KeyedArrivals;
 use hp_workloads::service::ServiceModel;
 use std::collections::VecDeque;
-use stimulus::FlowStimulus;
 
 /// Instructions retired per poll-loop iteration (read doorbell, compare,
 /// advance index, branch — a tight but real loop body).
@@ -107,8 +105,6 @@ const EV_LABELS: &[&str] = &[
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// Next flow-traffic arrival (the sequential single-group source).
-    Arrival,
     /// A data-plane core's next action completes/begins.
     CoreStep(usize),
     /// A halted core resumes after wake latency.
@@ -139,8 +135,8 @@ enum Ev {
         /// Halt-episode epoch the timeout was armed for.
         epoch: u64,
     },
-    /// Shape-traffic arrival: the next item of one sharing group's
-    /// partition stream. A lane schedules these only for groups it owns.
+    /// Arrival: the next item of one sharing group's partition stream. A
+    /// lane schedules these only for groups it owns.
     GroupArrival(u32),
     /// Chaos-plane doorbell churn: tick `tick` of the global churn
     /// schedule, which re-homes one queue's doorbell through Algorithm 1
@@ -158,7 +154,7 @@ impl Ev {
     /// Index into [`EV_LABELS`] for the kernel profile.
     fn profile_idx(&self) -> usize {
         match self {
-            Ev::Arrival | Ev::GroupArrival(_) => 0,
+            Ev::GroupArrival(_) => 0,
             Ev::CoreStep(_) => 1,
             Ev::CoreWake(_) => 2,
             Ev::Reconsider { .. } => 3,
@@ -244,14 +240,10 @@ pub struct Engine {
     irq_pending: Vec<VecDeque<u32>>,
     trackers: Vec<HaltTracker>,
     telem: Vec<CoreTelemetry>,
-    /// Flow-traffic stimulus (`None` for shape traffic, which draws from
-    /// `keyed_arrivals` and `service_keyed`).
-    flows: Option<FlowStimulus>,
     service: ServiceModel,
-    /// Shape traffic's per-group partition arrival streams. `None` for
-    /// non-owned groups (never drawn from), for partitions with zero
-    /// offered mass (no arrival can ever target them), and under flow
-    /// traffic.
+    /// Per-group partition arrival streams. `None` for non-owned groups
+    /// (never drawn from) and for partitions with zero offered mass (no
+    /// arrival can ever target them).
     keyed_arrivals: Vec<Option<KeyedArrivals>>,
     /// Arrivals drawn so far per group — the next arrival index `k`, and
     /// the per-group half of the item id `g + k * groups`.
@@ -259,9 +251,9 @@ pub struct Engine {
     /// Timestamp of each group's next scheduled arrival (`u64::MAX` for a
     /// group with no stream) — the per-group spinning fast-forward target.
     group_next_arrival: Vec<u64>,
-    /// Counter-based service stream for shape traffic; item `id`'s demand
-    /// is drawn from `service_keyed.split(id)` — a pure function of the
-    /// id, so lanes never share or replay service-stream state.
+    /// Counter-based service stream: item `id`'s demand is drawn from
+    /// `service_keyed.split(id)` — a pure function of the id, so lanes
+    /// never share or replay service-stream state.
     service_keyed: CounterRng,
     ev: EventQueue<Ev>,
     /// Tail of the same-instant event run `pop_batch` drained: the main
@@ -296,10 +288,10 @@ pub struct Engine {
     /// `process_items`, retained across steps so the hot loop never
     /// allocates.
     deq_scratch: Vec<WorkItem>,
-    /// Per-queue cached directory slots for the two poll lines (doorbell,
+    /// Per-queue cached LLC slots for the two poll lines (doorbell,
     /// descriptor), fed back by [`MemSystem::load_hinted`] so the
-    /// steady-state sweep skips the directory hash probe (self-validating;
-    /// never affects outcomes). Built only for
+    /// steady-state sweep skips the LLC set probe (self-validating; never
+    /// affects outcomes). Built only for
     /// [`Notifier::Spinning`](crate::config::Notifier::Spinning): only
     /// `spin_step` reads it.
     poll_hints: Vec<[LoadHint; 2]>,
@@ -394,9 +386,6 @@ impl Engine {
     /// chain. The no-progress watchdog is not an event — it is evaluated
     /// at window boundaries by the fabric controller.
     pub(crate) fn seed_events(&mut self) {
-        if self.flows.is_some() {
-            self.ev.schedule_at(SimTime::ZERO, Ev::Arrival);
-        }
         for g in 0..self.keyed_arrivals.len() {
             if self.keyed_arrivals[g].is_some() {
                 self.ev
@@ -466,7 +455,6 @@ impl Engine {
                 self.chaos_next = self.cfg.chaos.next_boundary(t).unwrap_or(u64::MAX);
             }
             match ev {
-                Ev::Arrival => self.on_arrival(now),
                 Ev::CoreStep(c) => self.on_core_step(now, c),
                 Ev::CoreWake(c) => self.on_core_wake(now, c),
                 Ev::Reconsider { core, group, qid } => {

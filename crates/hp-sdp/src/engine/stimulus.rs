@@ -1,111 +1,34 @@
-//! Stimulus: the emulated I/O producers. The flow and keyed shape sources
-//! share one delivery path: enqueue, doorbell ring, fault injection, and
-//! the monitoring set's GetM snoop.
+//! Stimulus: the emulated I/O producers. Each sharing group draws its
+//! arrivals from a keyed partition stream, and every arrival takes one
+//! delivery path: enqueue, doorbell ring, fault injection, and the
+//! monitoring set's GetM snoop.
 
 use super::{next_slot, Engine, Ev};
 use crate::config::Notifier;
 use hp_mem::types::{AccessKind, CoreId};
 use hp_queues::sim::{QueueId, WorkItem};
-use hp_rand::rngs::SmallRng;
 use hp_sim::faults::DoorbellFate;
 use hp_sim::time::{Cycles, SimTime};
 use hp_sim::trace::TraceKind;
-use hp_traffic::flows::FlowTrafficGenerator;
-use hp_workloads::service::ServiceModel;
-use std::collections::VecDeque;
-
-/// Arrivals drawn per buffer refill. Blocks amortize the per-arrival
-/// generator dispatch; the draws themselves are the same calls in the
-/// same order, so every gap/queue pair — and therefore every simulated
-/// timestamp — is bit-identical to unbuffered generation.
-const ARRIVAL_BLOCK: usize = 64;
 
 /// Kernel interrupt delivery + scheduling cost for the
 /// [`Notifier::Interrupt`] baseline, microseconds.
 const IRQ_DELIVERY_US: f64 = 2.0;
 
-/// Flow traffic's sequential stimulus: the flow generator and the
-/// service stream, each behind a block-refilled prebuffer, and the item
-/// counter.
-#[derive(Debug)]
-pub(super) struct FlowStimulus {
-    gen: FlowTrafficGenerator,
-    arrivals: VecDeque<(Cycles, QueueId)>,
-    service_rng: SmallRng,
-    services: VecDeque<Cycles>,
-    next_id: u64,
-}
-
-impl FlowStimulus {
-    pub(super) fn new(gen: FlowTrafficGenerator, service_rng: SmallRng) -> Self {
-        FlowStimulus {
-            gen,
-            arrivals: VecDeque::with_capacity(ARRIVAL_BLOCK),
-            service_rng,
-            services: VecDeque::with_capacity(ARRIVAL_BLOCK),
-            next_id: 0,
-        }
-    }
-
-    /// The next arrival: `(gap to the following one, queue, item id,
-    /// service demand)`.
-    fn next(&mut self, service: &ServiceModel) -> (Cycles, QueueId, u64, Cycles) {
-        if self.arrivals.is_empty() {
-            self.gen.fill_arrivals(&mut self.arrivals, ARRIVAL_BLOCK);
-        }
-        let (gap, q) = self
-            .arrivals
-            .pop_front()
-            .expect("block refill produced arrivals");
-        if self.services.is_empty() {
-            service.fill_samples(&mut self.service_rng, &mut self.services, ARRIVAL_BLOCK);
-        }
-        let demand = self
-            .services
-            .pop_front()
-            .expect("block refill produced samples");
-        let id = self.next_id;
-        self.next_id += 1;
-        (gap, q, id, demand)
-    }
-}
-
 impl Engine {
     /// Arrivals this engine generated for its own groups, dropped ones
-    /// included, so lane sums equal the serial count: the flow stream's
-    /// item counter plus every keyed group's arrival index.
+    /// included, so lane sums equal the serial count: the sum of every
+    /// group's arrival index.
     pub(super) fn generated_arrivals(&self) -> u64 {
-        let flow = self.flows.as_ref().map_or(0, |f| f.next_id);
-        flow + self.group_arrival_count.iter().sum::<u64>()
+        self.group_arrival_count.iter().sum()
     }
 
-    /// Flow-traffic arrival: the next item of the one sequential stream.
-    pub(super) fn on_arrival(&mut self, now: SimTime) {
-        // The item's identity and service demand are drawn *before* the
-        // cap check: a dropped arrival still burns both, so what the n-th
-        // arrival consumes is a pure function of n — never of the backlog
-        // at delivery time — and every fault decision can be keyed by
-        // item id.
-        let (gap, q, id, service) = self
-            .flows
-            .as_mut()
-            .expect("scheduled only under flow traffic")
-            .next(&self.service);
-        // `gap` is to the *next* arrival; this one is delivered now.
-        self.ev.schedule_after(gap, Ev::Arrival);
-        // Mirror the next arrival's timestamp for the spinning
-        // fast-forward (see `on_group_arrival`; flow traffic has one
-        // group).
-        self.group_next_arrival[0] = (now + gap).since_start().count();
-        self.deliver_arrival(now, q, id, service);
-    }
-
-    /// Shape-traffic arrival: the `k`-th item of group `g`'s partition
-    /// stream. The gap/queue pair is a pure function of `(seed, g, k)`
-    /// and the service demand a pure function of the item id
-    /// `g + k * groups` (a dense, collision-free renumbering of the
-    /// per-group sequences), so a lane that never sees other groups'
-    /// arrivals still produces bit-identical items for its own.
+    /// Arrival: the `k`-th item of group `g`'s partition stream. The
+    /// gap/queue pair is a pure function of `(seed, g, k)` and the service
+    /// demand a pure function of the item id `g + k * groups` (a dense,
+    /// collision-free renumbering of the per-group sequences), so a lane
+    /// that never sees other groups' arrivals still produces bit-identical
+    /// items for its own.
     pub(super) fn on_group_arrival(&mut self, now: SimTime, g: usize) {
         let k = self.group_arrival_count[g];
         self.group_arrival_count[g] = k + 1;
@@ -131,9 +54,7 @@ impl Engine {
     /// Materializes one arrival on its (owned) queue: everything
     /// downstream of the stimulus draws — cap check and drop accounting,
     /// enqueue, producer stores and doorbell ring, interrupt arming,
-    /// fault injection, and the monitoring-set snoop. Shared verbatim by
-    /// both traffic sources, which differ only in how `(q, id, service)`
-    /// and the next arrival's schedule are derived.
+    /// fault injection, and the monitoring-set snoop.
     fn deliver_arrival(&mut self, now: SimTime, q: QueueId, id: u64, service: Cycles) {
         let qi = q.0 as usize;
         let g = self.qrows[qi].group as usize;
@@ -256,7 +177,7 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{ExperimentConfig, Load, Notifier, TrafficSource};
+    use crate::config::{ExperimentConfig, Load, Notifier};
     use crate::engine::Engine;
     use hp_traffic::shape::TrafficShape;
     use hp_workloads::service::WorkloadKind;
@@ -298,45 +219,5 @@ mod tests {
                 assert_eq!(r.fault_report().unwrap().queue_drops, r.drops, "{case}");
             }
         }
-    }
-
-    #[test]
-    fn flow_traffic_skew_gives_hyperplane_an_edge() {
-        // Zipf flows through RSS leave many queues cold — the organic
-        // version of the concentrated shapes; HyperPlane must win at high
-        // queue counts under it too.
-        let mk = |notifier: Notifier| {
-            let mut cfg = ExperimentConfig::new(
-                WorkloadKind::PacketEncap,
-                TrafficShape::FullyBalanced, // ignored by the flow source
-                512,
-            )
-            .with_notifier(notifier)
-            .with_load(Load::Saturation);
-            cfg.traffic = TrafficSource::Flows {
-                flows: 400,
-                zipf_s: 1.2,
-            };
-            cfg.target_completions = 2_500;
-            cfg
-        };
-        let spin = Engine::new(mk(Notifier::Spinning)).run();
-        let hp = Engine::new(mk(Notifier::hyperplane())).run();
-        // With ~120 of 512 queues receiving flow traffic, spinning pays a
-        // moderate empty-poll tax; HyperPlane's edge is real but smaller
-        // than under the synthetic SQ extreme.
-        assert!(
-            hp.throughput_tps > 1.08 * spin.throughput_tps,
-            "hp {} vs spin {} under flow traffic",
-            hp.throughput_tps,
-            spin.throughput_tps
-        );
-        // Only RETA-mapped queues (<= 128 of 512) may see traffic.
-        let lat = hp.per_queue_latency_us();
-        assert!(
-            !lat.is_empty() && lat.len() <= 128,
-            "RETA should confine traffic to <=128 queues, got {}",
-            lat.len()
-        );
     }
 }

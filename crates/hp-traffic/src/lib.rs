@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod alias;
-pub mod flows;
 pub mod generator;
 pub mod shape;
 

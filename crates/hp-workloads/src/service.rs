@@ -158,22 +158,6 @@ impl ServiceModel {
                 .max(1.0) as u64,
         )
     }
-
-    /// Draws `n` consecutive service demands, appending them to `out` —
-    /// the exact sequence `n` [`Self::sample`] calls would produce (same
-    /// RNG draws, same order). Lets the simulation engine prebuffer
-    /// demands in blocks, amortizing per-item dispatch without perturbing
-    /// a single draw.
-    pub fn fill_samples(
-        &self,
-        rng: &mut impl Rng,
-        out: &mut std::collections::VecDeque<Cycles>,
-        n: usize,
-    ) {
-        for _ in 0..n {
-            out.push_back(self.sample(rng));
-        }
-    }
 }
 
 /// Executes one representative task of `kind` on the host, end to end, and

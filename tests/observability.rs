@@ -199,22 +199,10 @@ fn mem_fast_path_is_bit_identical_across_configs() {
     assert!(fired > 0, "enabled fast path never fired");
 }
 
-/// Flow-structured traffic is the one sequential stimulus source: a
-/// single sharing group drawing Zipf flows through RSS. `base` at 64
-/// queues with 200 flows.
-fn flows(notifier: Notifier) -> ExperimentConfig {
-    let mut cfg = base(notifier);
-    cfg.traffic = hyperplane::sdp::config::TrafficSource::Flows {
-        flows: 200,
-        zipf_s: 1.1,
-    };
-    cfg
-}
-
-/// The pinned slice of a flow-traffic run: completions, end cycle,
-/// throughput bits, per-core `(empty_polls, spin_instructions)`, and the
-/// churn re-homing count.
-fn flow_pin(r: &ExperimentResult) -> (u64, u64, u64, Vec<(u64, u64)>, u64) {
+/// The pinned slice of a run: completions, end cycle, throughput bits,
+/// per-core `(empty_polls, spin_instructions)`, and the churn re-homing
+/// count.
+fn run_pin(r: &ExperimentResult) -> (u64, u64, u64, Vec<(u64, u64)>, u64) {
     (
         r.completions,
         r.end.since_start().count(),
@@ -227,14 +215,13 @@ fn flow_pin(r: &ExperimentResult) -> (u64, u64, u64, Vec<(u64, u64)>, u64) {
     )
 }
 
-/// Pins two flow-traffic runs to values recorded before the sequential
-/// shape-traffic mode was retired, covering the two engine paths only
-/// flow traffic reaches: the spinning fast-forward target (a spinning
-/// core at ~30 % load whose empty sweeps jump straight to the next flow
-/// arrival) and chaos churn driven by the per-group churn schedule.
+/// Pins two FB runs by value, one for each of two engine paths: the
+/// spinning fast-forward (a spinning core at ~30 % load whose empty sweeps
+/// jump straight to its group's next arrival) and chaos churn re-homing
+/// doorbells from the per-group churn schedule.
 #[test]
-fn flow_traffic_runs_are_pinned() {
-    let mut spin = flows(Notifier::Spinning);
+fn fast_forward_and_churn_runs_are_pinned() {
+    let mut spin = base(Notifier::Spinning);
     let rate = spin.capacity_estimate_per_core() * spin.dp_cores as f64 * 0.3;
     spin = spin.with_load(Load::RatePerSec(rate));
     let r = runner::run(spin);
@@ -248,31 +235,31 @@ fn flow_traffic_runs_are_pinned() {
         "fast-forward never fired"
     );
     assert_eq!(
-        flow_pin(&r),
+        run_pin(&r),
         (
-            2_403,
-            23_278_030,
-            4_686_375_045_476_639_426,
-            vec![(849_542, 33_981_680)],
+            2_401,
+            22_575_673,
+            4_686_534_736_091_977_003,
+            vec![(811_906, 32_476_240)],
             0
         ),
-        "spinning flow run drifted"
+        "spinning fast-forward run drifted"
     );
 
-    let churn = flows(Notifier::hyperplane())
+    let churn = base(Notifier::hyperplane())
         .with_cores(2, 2)
         .with_chaos(hyperplane::sim::chaos::ChaosSchedule::none().with_churn(200_000));
     let r = runner::run(churn);
     assert_eq!(
-        flow_pin(&r),
+        run_pin(&r),
         (
             2_402,
-            4_130_925,
-            4_697_789_833_938_979_556,
+            4_068_924,
+            4_697_870_847_546_085_135,
             vec![(0, 0), (1, 0)],
             20
         ),
-        "churned flow run drifted"
+        "churned run drifted"
     );
 }
 

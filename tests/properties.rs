@@ -760,10 +760,10 @@ fn unbuildable_configs_are_errors() {
 }
 
 /// `Engine::try_new` is total over configurations: every random config
-/// (notifier, shape, workload, queue count, machine cores on both sides
-/// of the memory model's cap, cores and cluster, imbalance, chaos bursts
-/// and churn, audit, monitoring banks) builds or comes back as a typed
-/// `ConfigError` — it never panics.
+/// (notifier, shape, workload, queue count, any machine core count up to
+/// twice the memory model's cap, cores and cluster, imbalance, chaos
+/// bursts and churn, audit, monitoring banks) builds or comes back as a
+/// typed `ConfigError` — it never panics.
 #[test]
 fn random_configs_build_or_are_typed_errors() {
     use hyperplane::sdp::config::ConfigError;
@@ -788,7 +788,7 @@ fn random_configs_build_or_are_typed_errors() {
     ];
     const IMBALANCES: [f64; 8] = [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0, -0.1];
     let mut rng = SmallRng::seed_from_u64(0xC0F1_6F22);
-    let (mut built, mut refused, mut too_many) = (0, 0, 0);
+    let (mut built, mut refused, mut too_many, mut not_pow2) = (0, 0, 0, 0);
     for case in 0..1500 {
         let queues = match rng.random_range(0..4u8) {
             0 => rng.random_range(0..17u32),
@@ -823,10 +823,10 @@ fn random_configs_build_or_are_typed_errors() {
         }
         cfg.chaos = chaos;
         if rng.random_bool(0.2) {
-            // Power-of-two machines (the LLC's 1 MB per core must split
-            // into a power-of-two set count) from 1 to 128 cores: the
-            // last two exceed `MAX_CORES` and must come back typed.
-            cfg.machine.cores = 1 << rng.random_range(0..8u32);
+            // Machines from 1 to 128 cores: those above `MAX_CORES`, and
+            // those whose LLC (1 MB per core) has no power-of-two set
+            // count, must come back typed.
+            cfg.machine.cores = rng.random_range(1..129usize);
         }
         cfg.audit = rng.random_bool(0.5);
         if rng.random_bool(0.5) {
@@ -835,12 +835,14 @@ fn random_configs_build_or_are_typed_errors() {
         match catch_unwind(AssertUnwindSafe(|| Engine::try_new(cfg.clone()).err())) {
             Ok(None) => built += 1,
             Ok(Some(ConfigError::TooManyCores { .. })) => too_many += 1,
+            Ok(Some(ConfigError::CoresNotPowerOfTwo { .. })) => not_pow2 += 1,
             Ok(Some(_)) => refused += 1,
             Err(_) => panic!("case {case}: Engine::try_new panicked on {cfg:?}"),
         }
     }
     assert!(
-        built > 300 && refused > 300 && too_many > 10,
-        "{built} built / {refused} refused / {too_many} over the core cap"
+        built > 300 && refused > 300 && too_many > 10 && not_pow2 > 10,
+        "{built} built / {refused} refused / {too_many} over the core cap / \
+         {not_pow2} not a power of two"
     );
 }
