@@ -7,18 +7,31 @@
 //!
 //! ## Layout
 //!
-//! The array is one flat vector of 16-byte per-slot records, indexed by
-//! *slot* = `set * ways + way`: a packed valid-bit + tag word, and a
-//! `meta` word holding the LRU tick and the MESI state
-//! (`(tick << 2) | state`). A probe of an N-way set is N strided `u64`
-//! compares over one or two host cache lines, and — the hot case for the
-//! spin-polling data plane — a hint-directed touch of a known slot
-//! (tag check + LRU/state update) reads and writes a *single* host cache
-//! line, where split tag/state/LRU vectors cost three. Slots are stable
-//! handles: a line's slot never changes while the line is resident, which
-//! is what lets [`MemSystem`] keep the coherence directory beside the LLC
-//! tags (one holder word per LLC slot) and link each L1 slot to its line's
-//! LLC slot (see `crate::system`).
+//! The array is one flat vector of 16-byte per-slot records: a packed
+//! valid-bit + tag word, and a `meta` word holding the LRU tick and the
+//! MESI state (`(tick << 2) | state`). Slots are stored *group-major*: the
+//! ways of a set come in groups of 4, and group `g` of every set is one
+//! contiguous block, so way `g * 4 + k` of set `s` is slot
+//! `g * sets * 4 + s * 4 + k`. (An associativity 4 does not divide pads
+//! its last group with ways that never hold a line.) A group is
+//! allocated, for every set at once, only when a fill first lands in it.
+//! A fill takes the first invalid way, so a set never uses a way of group
+//! `g + 1` before every way of group `g` is valid: the allocated groups
+//! are always a prefix, a probe scans only those, and the first way of
+//! the next group ranks as an invalid way. A run pays host memory only
+//! for the ways it uses: the 16-way LLC of a run that never holds more
+//! than 4 lines in a set is one quarter of its full size.
+//!
+//! A probe of a group is 4 strided `u64` compares over one host cache
+//! line, and — the hot case for the spin-polling data plane — a
+//! hint-directed touch of a known slot (tag check + LRU/state update)
+//! reads and writes a *single* host cache line, where split
+//! tag/state/LRU vectors cost three. Slots are stable handles: a line's
+//! slot never changes while the line is resident, and growth only appends
+//! groups, which is what lets [`MemSystem`] keep the coherence directory
+//! beside the LLC tags (one holder word per LLC slot, in a vector grown
+//! with the tag store) and link each L1 slot to its line's LLC slot (see
+//! `crate::system`).
 //!
 //! The tick is strictly monotonic and every assignment of a slot's `meta`
 //! uses a fresh tick, so two valid slots never share a tick and comparing
@@ -110,9 +123,9 @@ pub enum Insert {
 }
 
 /// Placement rank bit of a valid way in [`SetAssocCache::probe_or_plan`]:
-/// an invalid way ranks by its way index, below every valid way, and a
-/// valid way ranks by its `meta` word (LRU tick), so one running minimum
-/// picks the first invalid way, else the LRU victim.
+/// an invalid way ranks below every valid way, and a valid way ranks by
+/// its `meta` word (LRU tick), so one running minimum picks the first
+/// invalid way, else the LRU victim.
 const VALID_RANK: u64 = 1 << 63;
 
 /// A placement decision captured during a [`probe_or_plan`] miss scan,
@@ -147,6 +160,21 @@ struct Slot {
     meta: u64,
 }
 
+/// Ways per group: a set's ways are stored and allocated this many at a
+/// time (see the module docs).
+const GROUP_WAYS: usize = 4;
+
+/// An invalid way.
+const EMPTY: Slot = Slot { key: 0, meta: 0 };
+
+/// A padding way: one of the last group's ways past the associativity.
+/// Its key never equals a probe key (bit 0 clear) and its rank is above
+/// every real way's, so no probe finds it and no fill picks it.
+const PAD: Slot = Slot {
+    key: 2,
+    meta: u64::MAX,
+};
+
 /// A set-associative tag array with true-LRU replacement.
 ///
 /// # Examples
@@ -162,8 +190,15 @@ struct Slot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
+    /// The allocated way groups, group-major (see the module docs).
     slots: Vec<Slot>,
     ways: usize,
+    /// Slots per group (`sets * GROUP_WAYS`).
+    group_slots: usize,
+    /// Groups allocated so far (`slots.len() / group_slots`).
+    groups: usize,
+    /// Groups a set has (`ways / GROUP_WAYS`, rounded up).
+    max_groups: usize,
     set_mask: u64,
     /// `log2(sets)`: shift that strips the set index off a line address.
     tag_shift: u32,
@@ -174,20 +209,17 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
-    /// Builds an empty cache with the given geometry.
+    /// Builds an empty cache with the given geometry. No way group is
+    /// allocated until a fill lands in it.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         assert!(config.ways > 0, "cache needs at least one way");
-        let slots = sets * config.ways;
         SetAssocCache {
-            slots: vec![
-                Slot {
-                    key: 0,
-                    meta: code_of(MesiState::Shared),
-                };
-                slots
-            ],
+            slots: Vec::new(),
             ways: config.ways,
+            group_slots: sets * GROUP_WAYS,
+            groups: 0,
+            max_groups: config.ways.div_ceil(GROUP_WAYS),
             set_mask: sets as u64 - 1,
             tag_shift: (sets as u64 - 1).trailing_ones(),
             tick: 0,
@@ -208,12 +240,34 @@ impl SetAssocCache {
         (line.0 & self.set_mask) as usize
     }
 
+    /// The group of ways starting at slot `base`. A fixed-size array, so
+    /// a scan of it is unrolled and unchecked.
+    #[inline]
+    fn group(&self, base: usize) -> &[Slot; GROUP_WAYS] {
+        self.slots[base..base + GROUP_WAYS]
+            .try_into()
+            .expect("the range is GROUP_WAYS long")
+    }
+
     /// Slot holding `line`, if resident. No LRU or counter side effects.
     #[inline]
     pub fn probe(&self, line: LineAddr) -> Option<usize> {
-        let base = self.set_of(line) * self.ways;
         let needle = self.key_of(line);
-        (base..base + self.ways).find(|&i| self.slots[i].key == needle)
+        let mut base = self.set_of(line) * GROUP_WAYS;
+        for _ in 0..self.groups {
+            if let Some(k) = self.group(base).iter().position(|s| s.key == needle) {
+                return Some(base + k);
+            }
+            base += self.group_slots;
+        }
+        None
+    }
+
+    /// Slots allocated so far: the allocated way groups times
+    /// `sets * 4`. Every slot handle is below it.
+    #[inline]
+    pub(crate) fn allocated_slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// Whether the `u32` slot hint `slot` still holds `line`. The hint may
@@ -247,31 +301,40 @@ impl SetAssocCache {
 
     /// One pass over `line`'s set with no side effects: the slot holding
     /// `line`, or the [`PlacePlan`] a fill would use — first invalid way,
-    /// else the LRU victim, ties broken by way order. A hit returns at
-    /// its way; the placement choice is branch-free, one running minimum
-    /// of a per-way rank kept with selects.
+    /// else the LRU victim, ties broken by way order. Only allocated
+    /// groups are scanned; the first way of the next group, if the set
+    /// has one, ranks as invalid after every allocated way. A hit returns
+    /// at its way; the placement choice is branch-free, one running
+    /// minimum of a per-way rank kept with selects.
     #[inline]
     pub fn probe_or_plan(&self, line: LineAddr) -> Result<usize, PlacePlan> {
         let set = self.set_of(line);
-        let base = set * self.ways;
         let needle = self.key_of(line);
-        let mut best = u64::MAX;
-        let mut pick = base;
-        for (w, s) in self.slots[base..base + self.ways].iter().enumerate() {
-            if s.key == needle {
-                return Ok(base + w);
+        let mut base = set * GROUP_WAYS;
+        // An invalid way ranks 0, below every valid way, and the strict
+        // `<` below keeps the first one met; the next group's first way
+        // ranks just above that, so it wins only when no allocated way
+        // is invalid. A padding way ranks `u64::MAX` and never wins.
+        let mut pick = base + self.groups * self.group_slots;
+        let mut best = if self.groups < self.max_groups {
+            VALID_RANK - 1
+        } else {
+            u64::MAX
+        };
+        for _ in 0..self.groups {
+            for (k, s) in self.group(base).iter().enumerate() {
+                if s.key == needle {
+                    return Ok(base + k);
+                }
+                // Valid slots never share a tick, so comparing packed meta
+                // words orders them exactly like comparing LRU ticks.
+                let rank = if s.key == 0 { 0 } else { s.meta | VALID_RANK };
+                if rank < best {
+                    best = rank;
+                    pick = base + k;
+                }
             }
-            // Valid slots never share a tick, so comparing packed meta
-            // words orders them exactly like comparing LRU ticks.
-            let rank = if s.key == 0 {
-                w as u64
-            } else {
-                s.meta | VALID_RANK
-            };
-            if rank < best {
-                best = rank;
-                pick = base + w;
-            }
+            base += self.group_slots;
         }
         Err(PlacePlan {
             slot: pick as u32,
@@ -309,6 +372,10 @@ impl SetAssocCache {
         debug_assert_eq!(self.probe_or_plan(line), Err(plan), "stale plan for {line}");
         self.tick += 1;
         let i = plan.slot as usize;
+        if i >= self.slots.len() {
+            self.grow();
+            debug_assert!(i < self.slots.len(), "plan beyond the next way group");
+        }
         let fresh = Slot {
             key: self.key_of(line),
             meta: (self.tick << 2) | code_of(state),
@@ -322,6 +389,26 @@ impl SetAssocCache {
         self.slots[i] = fresh;
         self.evictions += 1;
         Insert::Evicted(evicted_line, evicted_state)
+    }
+
+    /// Allocates the next way group of every set: the first fill that
+    /// lands in it.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let first_way = self.groups * GROUP_WAYS;
+        let group: [Slot; GROUP_WAYS] = std::array::from_fn(|k| {
+            if first_way + k < self.ways {
+                EMPTY
+            } else {
+                PAD
+            }
+        });
+        self.slots.reserve_exact(self.group_slots);
+        for _ in 0..self.group_slots / GROUP_WAYS {
+            self.slots.extend_from_slice(&group);
+        }
+        self.groups += 1;
     }
 
     /// Slot a [`PlacePlan`] will fill (for MRU seeding without re-probe).
@@ -421,8 +508,8 @@ impl SetAssocCache {
     #[cfg(test)]
     pub(crate) fn line_at(&self, slot: usize) -> Option<LineAddr> {
         let key = self.slots[slot].key;
-        let set = (slot / self.ways) as u64;
-        (key != 0).then_some(LineAddr(((key >> 1) << self.tag_shift) | set))
+        let set = (slot % self.group_slots / GROUP_WAYS) as u64;
+        (key & 1 != 0).then_some(LineAddr(((key >> 1) << self.tag_shift) | set))
     }
 
     /// `(hits, misses, evictions)` since construction.
@@ -432,7 +519,7 @@ impl SetAssocCache {
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|s| s.key != 0).count()
+        self.slots.iter().filter(|s| s.key & 1 != 0).count()
     }
 }
 
@@ -632,39 +719,110 @@ mod tests {
     #[test]
     fn probe_or_plan_matches_two_pass_scan() {
         // The branch-free scan must pick what the plain two-pass rule
-        // picks: the resident way, else the first invalid way, else the
+        // picks over all of a set's ways, an unallocated way counting as
+        // invalid: the resident way, else the first invalid way, else the
         // way with the oldest tick. Random invalidations leave holes in
-        // any way position.
-        let mut c = SetAssocCache::new(CacheConfig {
-            size_bytes: 1024,
-            ways: 4,
-        });
-        let mut x = 0x1234_5678_u64;
-        for _ in 0..2000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let line = LineAddr((x >> 33) % 32);
-            let base = c.set_of(line) * c.ways;
-            let ways = &c.slots[base..base + c.ways];
-            let resident = ways.iter().position(|s| s.key == c.key_of(line));
-            let want = match resident {
-                Some(w) => Ok(base + w),
-                None => match ways.iter().position(|s| s.key == 0) {
-                    Some(w) => Err((base + w, true)),
-                    None => {
-                        let w = (0..c.ways).min_by_key(|&w| ways[w].meta >> 2).unwrap();
-                        Err((base + w, false))
-                    }
-                },
-            };
-            let got = c
-                .probe_or_plan(line)
-                .map_err(|p| (p.slot as usize, p.invalid));
-            assert_eq!(got, want, "line {line}");
-            if (x >> 20).is_multiple_of(5) {
-                c.invalidate(line);
-            } else {
-                c.insert(line, MesiState::Shared);
+        // any way position. A 16-way, 4-set cache runs two traces: one
+        // with at most 12 tags per set, so group 3 stays unallocated in
+        // every set, and one that overfills set 3 alone, so it evicts
+        // while the other sets' later groups are allocated but empty.
+        for (seed, tags_per_set) in [(0x1234_5678_u64, [12, 12, 12, 12]), (0x9abc, [6, 2, 9, 24])] {
+            let mut c = SetAssocCache::new(CacheConfig {
+                size_bytes: 4 * 16 * LINE_BYTES,
+                ways: 16,
+            });
+            let (mut unallocated, mut victims) = (0, 0);
+            let mut x = seed;
+            for _ in 0..4000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let set = (x >> 40) % 4;
+                let line = LineAddr(set + 4 * ((x >> 33) % tags_per_set[set as usize]));
+                let slot_of = |w: usize| {
+                    w / GROUP_WAYS * c.group_slots + set as usize * GROUP_WAYS + w % GROUP_WAYS
+                };
+                let ways: Vec<(usize, Option<Slot>)> = (0..16)
+                    .map(|w| (slot_of(w), c.slots.get(slot_of(w)).copied()))
+                    .collect();
+                let key = |s: &Option<Slot>| s.map_or(0, |s| s.key);
+                let want = match ways.iter().find(|(_, s)| key(s) == c.key_of(line)) {
+                    Some(&(slot, _)) => Ok(slot),
+                    None => match ways.iter().find(|(_, s)| key(s) == 0) {
+                        Some(&(slot, s)) => {
+                            unallocated += usize::from(s.is_none());
+                            Err((slot, true))
+                        }
+                        None => {
+                            victims += 1;
+                            let &(slot, _) = ways
+                                .iter()
+                                .min_by_key(|(_, s)| s.unwrap().meta >> 2)
+                                .unwrap();
+                            Err((slot, false))
+                        }
+                    },
+                };
+                let got = c
+                    .probe_or_plan(line)
+                    .map_err(|p| (p.slot as usize, p.invalid));
+                assert_eq!(got, want, "line {line}");
+                if (x >> 20).is_multiple_of(5) {
+                    c.invalidate(line);
+                } else {
+                    c.insert(line, MesiState::Shared);
+                }
             }
+            assert!(unallocated > 0, "no plan reached an unallocated group");
+            let groups = c.allocated_slots() / c.group_slots;
+            if tags_per_set[3] == 24 {
+                assert!(victims > 0, "set 3 never evicted");
+                assert_eq!(groups, 4);
+            } else {
+                assert_eq!(groups, 3, "a set held more than 12 lines");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cache_never_holding_five_lines_in_a_set_allocates_one_group() {
+        let cfg = CacheConfig::llc(1);
+        let sets = cfg.sets() as u64;
+        let mut c = SetAssocCache::new(cfg);
+        assert_eq!(c.allocated_slots(), 0, "no group before the first fill");
+        // Four lines in every set, three times over; each round frees a
+        // way that the next refills: a hole, not a fifth way.
+        for round in 0..3 {
+            for set in 0..sets {
+                for tag in 0..4 {
+                    c.insert(LineAddr(set + tag * sets), MesiState::Shared);
+                }
+                c.invalidate(LineAddr(set + round * sets));
+            }
+        }
+        assert_eq!(c.allocated_slots(), cfg.sets() * GROUP_WAYS);
+        assert_eq!(c.occupancy(), 3 * cfg.sets());
+    }
+
+    #[test]
+    fn padded_associativities_hold_exactly_their_ways() {
+        // A set of a cache whose associativity 4 does not divide holds
+        // exactly that many lines, the most recent ones: no fill lands in
+        // a padding way and none is lost.
+        for ways in [1, 2, 3, 5, 6, 7] {
+            let mut c = SetAssocCache::new(CacheConfig {
+                size_bytes: 2 * ways as u64 * LINE_BYTES,
+                ways,
+            });
+            for tag in 0..10 * ways as u64 {
+                c.insert(LineAddr(2 * tag), MesiState::Shared);
+            }
+            assert_eq!(c.occupancy(), ways, "{ways} ways");
+            for tag in 9 * ways as u64..10 * ways as u64 {
+                assert!(c.state(LineAddr(2 * tag)).is_some(), "{ways} ways");
+            }
+            assert_eq!(
+                c.allocated_slots(),
+                ways.div_ceil(GROUP_WAYS) * 2 * GROUP_WAYS
+            );
         }
     }
 }

@@ -244,14 +244,10 @@ pub struct MemSystem {
     l1s: Vec<SetAssocCache>,
     llc: SetAssocCache,
     /// The directory: one holder word per LLC slot (see [`OWNED`]),
-    /// way-major — way `w` of LLC set `s` at `w * llc_sets + s` — so the
-    /// table grows one way at a time as the LLC first fills that way
-    /// (it fills the first invalid way, so ways are used in order) and a
-    /// run pays only for the ways it uses. A line's word is found by the
-    /// LLC set probe its transaction already needs.
+    /// indexed by the slot and grown with the LLC's tag store a way group
+    /// at a time, so a run pays only for the ways it uses. A line's word
+    /// is found by the LLC set probe its transaction already needs.
     holders: Vec<u64>,
-    llc_sets: usize,
-    llc_ways: usize,
     latency: LatencyModel,
     stats: Vec<CoreMemStats>,
     getm_count: u64,
@@ -357,8 +353,6 @@ impl MemSystem {
                 .collect(),
             llc: SetAssocCache::new(config.llc),
             holders: Vec::new(),
-            llc_sets: config.llc.sets(),
-            llc_ways: config.llc.ways,
             latency: config.latency,
             stats: vec![CoreMemStats::default(); config.cores],
             getm_count: 0,
@@ -517,12 +511,11 @@ impl MemSystem {
         let me = 1u64 << core.0;
         let ls = match self.llc.probe_or_plan(line) {
             Ok(ls) => {
-                let hi = self.holder_index(line, ls);
-                let word = self.holders[hi];
+                let word = self.holders[ls];
                 if owner_of(word).is_some() {
                     return;
                 }
-                self.holders[hi] = word | me;
+                self.holders[ls] = word | me;
                 self.llc.refresh_at(ls, MesiState::Shared);
                 ls
             }
@@ -577,8 +570,7 @@ impl MemSystem {
 
         let (level, state, ls, fill_plan) = match llc_at {
             Ok(ls) => {
-                let hi = self.holder_index(line, ls);
-                let word = self.holders[hi];
+                let word = self.holders[ls];
                 // Spinning-path fast route (DESIGN.md §13): a load of an
                 // unowned LLC-resident line is an LLC hit whose entire
                 // directory transition is known up front — at most one
@@ -595,7 +587,7 @@ impl MemSystem {
                     let state = if word | me == me {
                         // Sole holder re-takes the line in E (the usual
                         // reload of a line this core's L1 evicted).
-                        self.holders[hi] = owned_by(core);
+                        self.holders[ls] = owned_by(core);
                         self.fastpath.stable_reloads += 1;
                         MesiState::Exclusive
                     } else if word & me != 0 {
@@ -604,7 +596,7 @@ impl MemSystem {
                         MesiState::Shared
                     } else {
                         // Join the sharer set: one word written.
-                        self.holders[hi] = word | me;
+                        self.holders[ls] = word | me;
                         self.fastpath.shared_joins += 1;
                         MesiState::Shared
                     };
@@ -639,10 +631,10 @@ impl MemSystem {
                 // E->M upgrade this enables is exactly why QWAIT's re-arm
                 // must issue a GetS probe (modeled by `probe_shared`).
                 let state = if sharers == me {
-                    self.holders[hi] = owned_by(core);
+                    self.holders[ls] = owned_by(core);
                     MesiState::Exclusive
                 } else {
-                    self.holders[hi] = sharers;
+                    self.holders[ls] = sharers;
                     MesiState::Shared
                 };
                 // Already resident: refresh in place. The L1 set is
@@ -692,9 +684,8 @@ impl MemSystem {
                     // slot's link leads to the directory word.
                     self.getm_count += 1;
                     let ls = self.linked_llc_slot(core, slot, line);
-                    let hi = self.holder_index(line, ls);
-                    let stale = self.invalidate_holders(core, line, self.holders[hi]);
-                    self.holders[hi] = owned_by(core);
+                    let stale = self.invalidate_holders(core, line, self.holders[ls]);
+                    self.holders[ls] = owned_by(core);
                     self.l1s[core.0].set_state_at(slot, MesiState::Modified);
                     self.record(core, HitLevel::Llc);
                     // Stale-sharer pricing (silent-eviction mode): the
@@ -724,8 +715,7 @@ impl MemSystem {
         let mut stale = 0u64;
         let (level, ls, fill_plan) = match self.llc.probe_or_plan(line) {
             Ok(ls) => {
-                let hi = self.holder_index(line, ls);
-                let word = self.holders[hi];
+                let word = self.holders[ls];
                 let level = match owner_of(word).filter(|&o| o != core.0) {
                     // The owner's copy may already be gone (silent E-state
                     // eviction); the invalidation message is sent
@@ -744,7 +734,7 @@ impl MemSystem {
                         HitLevel::Llc
                     }
                 };
-                self.holders[hi] = owned_by(core);
+                self.holders[ls] = owned_by(core);
                 self.llc.refresh_at(ls, MesiState::Shared);
                 (level, ls, Some(plan))
             }
@@ -795,23 +785,14 @@ impl MemSystem {
 
     fn probe_shared_inner(&mut self, line: LineAddr) -> Cycles {
         if let Some(ls) = self.llc.probe(line) {
-            let hi = self.holder_index(line, ls);
-            if let Some(owner) = owner_of(self.holders[hi]) {
-                self.holders[hi] = 1 << owner;
+            if let Some(owner) = owner_of(self.holders[ls]) {
+                self.holders[ls] = 1 << owner;
                 self.l1s[owner].set_state(line, MesiState::Shared);
                 self.llc.refresh_at(ls, MesiState::Shared);
                 return self.latency.remote_l1;
             }
         }
         self.latency.llc_hit
-    }
-
-    /// Index in `holders` of the directory word of `line`, resident at
-    /// LLC slot `llc_slot` (way-major: way times sets, plus set).
-    #[inline]
-    fn holder_index(&self, line: LineAddr, llc_slot: usize) -> usize {
-        let set = line.0 as usize & (self.llc_sets - 1);
-        (llc_slot - set * self.llc_ways) * self.llc_sets + set
     }
 
     /// LLC slot of `line`, resident in `core`'s L1 at `l1_slot`, read
@@ -885,9 +866,8 @@ impl MemSystem {
                 // The directory forgets the private copy; a write-back of
                 // M data lands in the victim's LLC slot.
                 let ls = self.linked_llc_slot(core, slot, victim);
-                let hi = self.holder_index(victim, ls);
-                let word = self.holders[hi];
-                self.holders[hi] = match owner_of(word) {
+                let word = self.holders[ls];
+                self.holders[ls] = match owner_of(word) {
                     Some(o) if o == core.0 => 0,
                     Some(_) => word,
                     None => word & !(1 << core.0),
@@ -908,16 +888,24 @@ impl MemSystem {
     fn fill_llc(&mut self, line: LineAddr, plan: PlacePlan, holders: u64) -> usize {
         let insert = self.llc.fill_planned(line, MesiState::Shared, plan);
         let ls = SetAssocCache::plan_slot(&plan);
-        let hi = self.holder_index(line, ls);
-        if hi >= self.holders.len() {
-            // First fill of this way in any set.
-            self.holders.resize(self.holders.len() + self.llc_sets, 0);
+        if ls >= self.holders.len() {
+            self.grow_holders();
         }
-        let victim_holders = std::mem::replace(&mut self.holders[hi], holders);
+        let victim_holders = std::mem::replace(&mut self.holders[ls], holders);
         if let Insert::Evicted(victim, _) = insert {
             self.back_invalidate(victim, victim_holders);
         }
         ls
+    }
+
+    /// Grows the directory to the LLC's allocated slots, after a fill
+    /// opened the next way group in every set.
+    #[cold]
+    #[inline(never)]
+    fn grow_holders(&mut self) {
+        let slots = self.llc.allocated_slots();
+        self.holders.reserve_exact(slots - self.holders.len());
+        self.holders.resize(slots, 0);
     }
 
     /// Inclusive back-invalidation of an LLC `victim`: kill all private
@@ -1190,7 +1178,7 @@ mod tests {
         for _case in 0..40 {
             let cores = 1usize << next(3);
             let mut m = sys(cores);
-            let llc_sets = m.llc_sets as u64;
+            let llc_sets = CacheConfig::llc(cores).sets() as u64;
             let sets: Vec<u64> = (0..1 + next(3)).map(|_| next(llc_sets)).collect();
             for _ in 0..2000 {
                 let set = sets[next(sets.len() as u64) as usize];
@@ -1220,7 +1208,7 @@ mod tests {
                         m.llc.hint_holds(ls, line),
                         "core {c}: {line} links to LLC slot {ls}, which holds another line"
                     );
-                    let word = m.holders[m.holder_index(line, ls as usize)];
+                    let word = m.holders[ls as usize];
                     assert_ne!(
                         holder_mask(word) & (1 << c),
                         0,
@@ -1230,6 +1218,31 @@ mod tests {
             }
         }
         assert!(llc_evictions > 0, "the traces never evicted from the LLC");
+    }
+
+    #[test]
+    fn a_fifth_way_grows_the_llc_and_directory_by_one_group() {
+        // Four lines in one LLC set fit its first way group; the fifth
+        // opens the second group in every set, for the tag store and the
+        // directory alike, and L1 traffic never grows either.
+        let mut m = sys(2);
+        let sets = CacheConfig::llc(2).sets();
+        let group = sets * 4;
+        let line = |tag: usize| Addr((7 + tag * sets) as u64 * crate::types::LINE_BYTES);
+        assert_eq!((m.llc.allocated_slots(), m.holders.len()), (0, 0));
+        for tag in 0..4 {
+            m.access(CoreId(tag % 2), line(tag), AccessKind::Store);
+            m.access(CoreId(0), line(tag), AccessKind::Load);
+        }
+        assert_eq!((m.llc.allocated_slots(), m.holders.len()), (group, group));
+        m.access(CoreId(1), line(4), AccessKind::Load);
+        assert_eq!(
+            (m.llc.allocated_slots(), m.holders.len()),
+            (2 * group, 2 * group)
+        );
+        for l1 in &m.l1s {
+            assert_eq!(l1.allocated_slots(), m.l1_slots, "a 4-way L1 is one group");
+        }
     }
 
     #[test]

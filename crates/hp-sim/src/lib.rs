@@ -39,6 +39,8 @@
 //! ## Example: an M/M/1 queue in a few lines
 //!
 //! ```
+//! use hp_rand::rngs::SmallRng;
+//! use hp_rand::SeedableRng;
 //! use hp_sim::event::EventQueue;
 //! use hp_sim::rng::{sample_exp, RngFactory};
 //! use hp_sim::stats::Histogram;
@@ -48,7 +50,7 @@
 //! enum Ev { Arrival, Departure }
 //!
 //! let mut q = EventQueue::new();
-//! let mut rng = RngFactory::new(1).stream(0);
+//! let mut rng = SmallRng::seed_from_u64(RngFactory::new(1).stream_seed(0));
 //! let (lambda, mu) = (1.0 / 100.0, 1.0 / 50.0); // per-cycle rates
 //! let mut depth = 0u64;
 //! let mut lat = Histogram::new();

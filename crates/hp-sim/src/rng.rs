@@ -3,24 +3,24 @@
 //!
 //! Reproducibility is a first-class requirement: every experiment derives all
 //! of its randomness from a single root seed through [`RngFactory`], which
-//! hands out independent streams keyed by a stable `u64` id (one per core,
-//! per traffic source, etc.). Re-running with the same seed reproduces every
-//! event in the simulation bit-for-bit.
+//! hands out independent stream seeds keyed by a stable `u64` id (one per
+//! core, per traffic source, etc.). Re-running with the same seed reproduces
+//! every event in the simulation bit-for-bit.
 
-use hp_rand::rngs::SmallRng;
-use hp_rand::{Rng, SeedableRng};
+use hp_rand::Rng;
 
-/// Derives independent, deterministic RNG streams from a root seed.
+/// Derives independent, deterministic RNG stream seeds from a root seed.
 ///
 /// # Examples
 ///
 /// ```
 /// use hp_sim::rng::RngFactory;
-/// use hp_rand::Rng;
+/// use hp_rand::rngs::SmallRng;
+/// use hp_rand::{Rng, SeedableRng};
 ///
 /// let f = RngFactory::new(42);
-/// let mut a = f.stream(0);
-/// let mut b = f.stream(0);
+/// let mut a = SmallRng::seed_from_u64(f.stream_seed(0));
+/// let mut b = SmallRng::seed_from_u64(f.stream_seed(0));
 /// assert_eq!(a.random::<u64>(), b.random::<u64>()); // same id => same stream
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -34,19 +34,12 @@ impl RngFactory {
         RngFactory { root_seed }
     }
 
-    /// Returns the deterministic stream for `stream_id`.
+    /// The deterministic `u64` seed of stream `stream_id`: seed a
+    /// `SmallRng` with it to draw sequentially, or hash per-decision keys
+    /// against it (e.g. [`crate::faults::FaultInjector`]).
     ///
     /// Streams with distinct ids are decorrelated by passing the
-    /// `(root_seed, stream_id)` pair through a SplitMix64 finalizer before
-    /// seeding.
-    pub fn stream(&self, stream_id: u64) -> SmallRng {
-        SmallRng::seed_from_u64(self.stream_seed(stream_id))
-    }
-
-    /// The derived `u64` seed behind [`stream`](Self::stream), for
-    /// consumers that hash per-decision keys against a stream-scoped seed
-    /// instead of drawing sequentially (e.g.
-    /// [`crate::faults::FaultInjector`]).
+    /// `(root_seed, stream_id)` pair through a SplitMix64 finalizer.
     pub fn stream_seed(&self, stream_id: u64) -> u64 {
         splitmix64(self.root_seed ^ splitmix64(stream_id.wrapping_add(0x9E37_79B9_7F4A_7C15)))
     }
@@ -126,12 +119,18 @@ impl Distribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hp_rand::rngs::SmallRng;
+    use hp_rand::SeedableRng;
+
+    fn stream(f: RngFactory, id: u64) -> SmallRng {
+        SmallRng::seed_from_u64(f.stream_seed(id))
+    }
 
     #[test]
     fn factory_is_deterministic() {
         let f = RngFactory::new(7);
-        let mut a = f.stream(3);
-        let mut b = f.stream(3);
+        let mut a = stream(f, 3);
+        let mut b = stream(f, 3);
         for _ in 0..100 {
             assert_eq!(a.random::<u64>(), b.random::<u64>());
         }
@@ -140,8 +139,8 @@ mod tests {
     #[test]
     fn distinct_streams_differ() {
         let f = RngFactory::new(7);
-        let mut a = f.stream(1);
-        let mut b = f.stream(2);
+        let mut a = stream(f, 1);
+        let mut b = stream(f, 2);
         let same = (0..64)
             .filter(|_| a.random::<u64>() == b.random::<u64>())
             .count();
@@ -151,7 +150,7 @@ mod tests {
     #[test]
     fn exp_mean_converges() {
         let f = RngFactory::new(123);
-        let mut rng = f.stream(0);
+        let mut rng = stream(f, 0);
         let n = 200_000;
         let sum: f64 = (0..n).map(|_| sample_exp(&mut rng, 5.0)).sum();
         let mean = sum / n as f64;
@@ -161,7 +160,7 @@ mod tests {
     #[test]
     fn hyperexp_matches_target_cv() {
         let f = RngFactory::new(99);
-        let mut rng = f.stream(0);
+        let mut rng = stream(f, 0);
         let d = Distribution::HyperExp { cv: 4.0 };
         let n = 400_000;
         let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng, 2.0)).collect();
@@ -175,7 +174,7 @@ mod tests {
     #[test]
     fn constant_distribution_is_exact() {
         let f = RngFactory::new(1);
-        let mut rng = f.stream(0);
+        let mut rng = stream(f, 0);
         assert_eq!(Distribution::Constant.sample(&mut rng, 3.25), 3.25);
     }
 
@@ -183,7 +182,7 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn exp_rejects_nonpositive_mean() {
         let f = RngFactory::new(1);
-        let mut rng = f.stream(0);
+        let mut rng = stream(f, 0);
         let _ = sample_exp(&mut rng, 0.0);
     }
 

@@ -226,13 +226,6 @@ impl Histogram {
 pub struct OnlineStats {
     n: u64,
     mean: f64,
-    /// Welford's running sum of squared deviations. Nothing reads it
-    /// since the variance accessors went, but dropping it shrinks every
-    /// per-queue map entry by 8 B, and that shift in heap layout alone
-    /// raises the `par-fb64-4lane` benchmark's peak RSS by ~12 % (glibc
-    /// malloc, 2-vCPU x86-64 host). See ROADMAP.md, "Peak RSS
-    /// independent of heap layout".
-    m2: f64,
 }
 
 impl OnlineStats {
@@ -244,9 +237,7 @@ impl OnlineStats {
     /// Records one sample.
     pub fn record(&mut self, x: f64) {
         self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.n as f64;
     }
 
     /// Number of samples.

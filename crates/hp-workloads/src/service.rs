@@ -112,12 +112,14 @@ impl std::fmt::Display for WorkloadKind {
 /// # Examples
 ///
 /// ```
+/// use hp_rand::rngs::SmallRng;
+/// use hp_rand::SeedableRng;
 /// use hp_workloads::service::{ServiceModel, WorkloadKind};
 /// use hp_sim::rng::{Distribution, RngFactory};
 /// use hp_sim::time::Clock;
 ///
 /// let model = ServiceModel::new(WorkloadKind::PacketEncap, Distribution::Exponential, Clock::default());
-/// let mut rng = RngFactory::new(7).stream(0);
+/// let mut rng = SmallRng::seed_from_u64(RngFactory::new(7).stream_seed(0));
 /// let demand = model.sample(&mut rng);
 /// assert!(demand.count() > 0);
 /// ```
@@ -254,6 +256,8 @@ pub fn warmup() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hp_rand::rngs::SmallRng;
+    use hp_rand::SeedableRng;
     use hp_sim::rng::RngFactory;
 
     #[test]
@@ -269,7 +273,7 @@ mod tests {
         let clock = Clock::default();
         for kind in WorkloadKind::ALL {
             let m = ServiceModel::new(kind, Distribution::Constant, clock);
-            let mut rng = RngFactory::new(1).stream(0);
+            let mut rng = SmallRng::seed_from_u64(RngFactory::new(1).stream_seed(0));
             let s = m.sample(&mut rng);
             let expect = clock.micros_to_cycles(kind.mean_service_us());
             assert_eq!(s, expect, "{kind}");
@@ -280,7 +284,7 @@ mod tests {
     fn exponential_samples_have_right_mean() {
         let clock = Clock::default();
         let m = ServiceModel::new(WorkloadKind::PacketEncap, Distribution::Exponential, clock);
-        let mut rng = RngFactory::new(2).stream(0);
+        let mut rng = SmallRng::seed_from_u64(RngFactory::new(2).stream_seed(0));
         let n = 100_000;
         let sum: u64 = (0..n).map(|_| m.sample(&mut rng).count()).sum();
         let mean = sum as f64 / n as f64;
