@@ -80,20 +80,41 @@ struct Bank {
     /// conservative — it can only reject lines no entry ever carried.
     line_lo: u64,
     line_hi: u64,
+    /// [`Bank::place`]'s walk record, kept between inserts so a walk
+    /// allocates nothing.
+    walk: Vec<(usize, usize, Entry)>,
 }
 
 impl Bank {
+    fn new(rows: usize, ways: usize) -> Self {
+        Bank {
+            ways: vec![vec![None; rows]; ways],
+            rows,
+            line_lo: u64::MAX,
+            line_hi: 0,
+            walk: Vec::new(),
+        }
+    }
+
+    /// The row `line` hashes to in the way salted with `salt`.
     #[inline]
-    fn row(&self, way: usize, line: LineAddr) -> usize {
-        let salt = splitmix64(0xA076_1D64_78BD_642F ^ (way as u64 + 1));
+    fn row(&self, salt: u64, line: LineAddr) -> usize {
         (splitmix64(line.0 ^ salt) % self.rows as u64) as usize
     }
 
     /// The `(way, row)` of the first entry on `line` that `hit` accepts,
     /// probing the ways in order: an O(ways) parallel lookup in hardware.
-    fn find(&self, line: LineAddr, hit: impl Fn(&Entry) -> bool) -> Option<(usize, usize)> {
-        (0..self.ways.len())
-            .map(|way| (way, self.row(way, line)))
+    /// `salts` holds each way's hash salt ([`MonitoringSet`]'s).
+    fn find(
+        &self,
+        salts: &[u64],
+        line: LineAddr,
+        hit: impl Fn(&Entry) -> bool,
+    ) -> Option<(usize, usize)> {
+        salts
+            .iter()
+            .enumerate()
+            .map(|(way, &salt)| (way, self.row(salt, line)))
             .find(|&(way, row)| self.ways[way][row].is_some_and(|e| e.line == line && hit(&e)))
     }
 
@@ -101,27 +122,32 @@ impl Bank {
     /// their alternate ways, and returns the relocation count. A walk past
     /// the kick bound is rolled back, leaving the table exactly as before,
     /// and returns `None`.
-    fn place(&mut self, entry: Entry) -> Option<u64> {
+    fn place(&mut self, salts: &[u64], entry: Entry) -> Option<u64> {
         let mut homeless = entry;
         let w = self.ways.len();
         // Record of (way, row, displaced_entry) for rollback.
-        let mut walk: Vec<(usize, usize, Entry)> = Vec::new();
+        let mut walk = std::mem::take(&mut self.walk);
+        walk.clear();
         for kick in 0..=MonitoringSet::DEFAULT_MAX_KICKS {
             // d-ary Cuckoo: first probe every way for a free slot.
-            let free = (0..w)
-                .map(|way| (way, self.row(way, homeless.line)))
+            let free = salts
+                .iter()
+                .enumerate()
+                .map(|(way, &salt)| (way, self.row(salt, homeless.line)))
                 .find(|&(way, row)| self.ways[way][row].is_none());
             if let Some((way, row)) = free {
                 self.ways[way][row] = Some(homeless);
                 self.line_lo = self.line_lo.min(entry.line.0);
                 self.line_hi = self.line_hi.max(entry.line.0);
-                return Some(walk.len() as u64);
+                let relocations = walk.len() as u64;
+                self.walk = walk;
+                return Some(relocations);
             }
             // All full: displace from a pseudo-random way (random-walk
             // insertion approaches the d-ary load threshold).
             let way =
                 (splitmix64(homeless.line.0 ^ (kick as u64) << 7 ^ 0x5bd1) % w as u64) as usize;
-            let row = self.row(way, homeless.line);
+            let row = self.row(salts[way], homeless.line);
             let displaced = self.ways[way][row]
                 .replace(homeless)
                 .expect("all ways were full");
@@ -130,9 +156,10 @@ impl Bank {
         }
         // Undo the walk newest-first, so each slot gets back its original
         // resident and `entry` is left out.
-        for (way, row, displaced) in walk.into_iter().rev() {
+        for &(way, row, displaced) in walk.iter().rev() {
             self.ways[way][row] = Some(displaced);
         }
+        self.walk = walk;
         None
     }
 }
@@ -172,6 +199,8 @@ const UNREGISTERED: LineAddr = LineAddr(u64::MAX);
 #[derive(Debug)]
 pub struct MonitoringSet {
     banks: Vec<Bank>,
+    /// Each way's hash salt, the same in every bank.
+    salts: Vec<u64>,
     /// QID -> registered doorbell line (driver bookkeeping; hardware
     /// routes by address), [`UNREGISTERED`] where none is. Pre-sized via
     /// [`Self::reserve_qids`]; lazy growth past that is counted as a
@@ -225,14 +254,11 @@ impl MonitoringSet {
             "cannot build a monitoring set of {entries} entries in {banks} banks of {ways} ways"
         );
         let rows = entries / banks / ways;
-        let bank = || Bank {
-            ways: vec![vec![None; rows]; ways],
-            rows,
-            line_lo: u64::MAX,
-            line_hi: 0,
-        };
         MonitoringSet {
-            banks: (0..banks).map(|_| bank()).collect(),
+            banks: (0..banks).map(|_| Bank::new(rows, ways)).collect(),
+            salts: (1..=ways as u64)
+                .map(|w| splitmix64(0xA076_1D64_78BD_642F ^ w))
+                .collect(),
             line_of_qid: Vec::new(),
             stats: MonitoringStats::default(),
         }
@@ -321,11 +347,14 @@ impl MonitoringSet {
             "{qid} already present in monitoring set"
         );
         let b = self.bank_of_line(line);
-        let Some(relocations) = self.banks[b].place(Entry {
-            line,
-            qid,
-            armed: true,
-        }) else {
+        let Some(relocations) = self.banks[b].place(
+            &self.salts,
+            Entry {
+                line,
+                qid,
+                armed: true,
+            },
+        ) else {
             self.stats.conflicts += 1;
             return Err(InsertConflict { qid });
         };
@@ -345,7 +374,7 @@ impl MonitoringSet {
     fn locate(&self, qid: QueueId) -> Option<(usize, usize, usize)> {
         let line = self.line_of(qid)?;
         let b = self.bank_of_line(line);
-        let (way, row) = self.banks[b].find(line, |e| e.qid == qid)?;
+        let (way, row) = self.banks[b].find(&self.salts, line, |e| e.qid == qid)?;
         Some((b, way, row))
     }
 
@@ -415,7 +444,7 @@ impl MonitoringSet {
             self.stats.snoop_misses += 1;
             return None;
         }
-        let Some((way, row)) = bank.find(line, |e| e.armed) else {
+        let Some((way, row)) = bank.find(&self.salts, line, |e| e.armed) else {
             self.stats.snoop_misses += 1;
             return None;
         };

@@ -410,7 +410,9 @@ pub struct ExperimentConfig {
     /// `1` (the default) runs the whole machine on the calling thread;
     /// `> 1` partitions the sharing groups into per-group lanes pumped by
     /// this many workers in bounded time windows. Same-seed results are
-    /// digest-identical for any worker count.
+    /// digest-identical for any worker count. A run with one group, fewer
+    /// producer cores than groups, or `prefetch_degree > 0` keeps one
+    /// lane whatever this says.
     pub par_workers: usize,
 }
 

@@ -255,8 +255,10 @@ impl FabricCtrl {
 /// Runs `engine` to completion on the fabric. Called by [`Engine::run`].
 ///
 /// The lanes are `engine` itself, owning every group, when one worker is
-/// asked for, there is nothing to partition, or there are too few producer
-/// cores for a group-disjoint arrival striping; otherwise one rebuilt lane
+/// asked for, there is nothing to partition, there are too few producer
+/// cores for a group-disjoint arrival striping, or the next-line
+/// prefetcher is on (it can fill the first line of another group's
+/// region, whose owner a lane does not model); otherwise one rebuilt lane
 /// per sharing group. Either way the same window loop pumps them and the
 /// same [`merge`] tears them down.
 pub(crate) fn run(engine: Engine) -> ExperimentResult {
@@ -265,7 +267,9 @@ pub(crate) fn run(engine: Engine) -> ExperimentResult {
     let ctrl = FabricCtrl::new(&cfg);
     let groups = cfg.groups();
     let producers = cfg.machine.cores - cfg.dp_cores;
-    let lanes: Vec<Engine> = if cfg.par_workers <= 1 || groups == 1 || producers < groups {
+    let one_lane =
+        cfg.par_workers <= 1 || groups == 1 || producers < groups || cfg.prefetch_degree > 0;
+    let lanes: Vec<Engine> = if one_lane {
         vec![engine]
     } else {
         drop(engine);

@@ -71,16 +71,22 @@ impl KeyedArrivals {
             return Err(format!("offered rate must be positive, got {rate_per_sec}"));
         }
         assert_eq!(owner.len(), queues as usize, "owner map length mismatch");
-        let weights = shape.weights(queues);
-        let total_mass: f64 = weights.iter().sum();
-        let mut local = Vec::new();
-        let mut queue_ids = Vec::new();
-        for (q, &w) in weights.iter().enumerate() {
-            if owner[q] == partition && w > 0.0 {
-                local.push(w);
+        // The partition's weights are compacted in place, and its queue
+        // ids go to a column sized to fit.
+        let mut local = shape.weights(queues);
+        let total_mass: f64 = local.iter().sum();
+        let is_local = |q: usize, w: f64| owner[q] == partition && w > 0.0;
+        let n = (0..local.len()).filter(|&q| is_local(q, local[q])).count();
+        let mut queue_ids = Vec::with_capacity(n);
+        let mut q = 0;
+        local.retain(|&w| {
+            let keep = is_local(q, w);
+            if keep {
                 queue_ids.push(QueueId(q as u32));
             }
-        }
+            q += 1;
+            keep
+        });
         let local_mass: f64 = local.iter().sum();
         if local_mass <= 0.0 {
             return Ok(None);

@@ -132,6 +132,23 @@ fn parallel_digest_matches_serial_under_chaos() {
     assert!(par.audit_report().expect("audit enabled").ok());
 }
 
+/// The next-line prefetcher can fetch the first line of another group's
+/// region, whose owner only the whole machine models; such runs keep one
+/// lane, so any worker count reproduces the serial digest.
+#[test]
+fn prefetcher_runs_match_serial_at_any_worker_count() {
+    assert_worker_invariant("prefetch", || {
+        let mut cfg =
+            ExperimentConfig::new(WorkloadKind::ErasureCoding, TrafficShape::FullyBalanced, 64)
+                .with_cores(4, 2);
+        cfg.prefetch_degree = 1;
+        let rate = cfg.capacity_estimate_per_core() * 4.0 * 0.5;
+        cfg = cfg.with_load(Load::RatePerSec(rate));
+        cfg.target_completions = 4_000;
+        cfg
+    });
+}
+
 /// The worker count maps lanes onto threads and nothing else: worker
 /// counts that exceed the lane count, or don't divide it, change nothing.
 #[test]
