@@ -1,234 +1,11 @@
-//! # hp-bytes — minimal byte-buffer types
+//! # hp-bytes — a hermetic JSON encoder and parser
 //!
-//! A dependency-free stand-in for the subset of the `bytes` crate API the
-//! workload kernels use, so the workspace builds in hermetic offline
-//! environments. [`Bytes`] is a cheaply clonable immutable buffer
-//! (reference-counted), [`BytesMut`] a growable builder, and [`BufMut`]
-//! the big-endian append interface.
-//!
-//! ```
-//! use hp_bytes::{BufMut, Bytes, BytesMut};
-//!
-//! let mut b = BytesMut::with_capacity(8);
-//! b.put_u16(0xBEEF);
-//! b.put_slice(&[1, 2]);
-//! let frozen: Bytes = b.freeze();
-//! assert_eq!(&frozen[..], &[0xBE, 0xEF, 1, 2]);
-//! assert_eq!(frozen.clone().len(), 4);
-//! ```
+//! The workspace builds offline with no `serde`, so this crate carries the
+//! one serialisation format the simulator needs: [`json`], an append-only
+//! JSON writer for the observability artifacts and a small parser that
+//! reads them back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
-
-use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
-
-/// An immutable, cheaply clonable byte buffer (shared via `Arc`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub struct Bytes {
-    data: Arc<[u8]>,
-}
-
-impl Bytes {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Bytes {
-            data: Arc::from(&[][..]),
-        }
-    }
-
-    /// A buffer holding a copy of `slice`. (The real `bytes` crate keeps a
-    /// zero-copy reference for static data; this copies — the semantics
-    /// are identical, only the allocation differs.)
-    pub fn from_static(slice: &'static [u8]) -> Self {
-        Bytes {
-            data: Arc::from(slice),
-        }
-    }
-
-    /// A buffer holding a copy of `slice`.
-    pub fn copy_from_slice(slice: &[u8]) -> Self {
-        Bytes {
-            data: Arc::from(slice),
-        }
-    }
-
-    /// Number of bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
-        Bytes {
-            data: Arc::from(v.into_boxed_slice()),
-        }
-    }
-}
-
-impl From<&[u8]> for Bytes {
-    fn from(v: &[u8]) -> Self {
-        Bytes::copy_from_slice(v)
-    }
-}
-
-impl Deref for Bytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-/// A growable byte buffer for building frames.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty builder.
-    pub fn new() -> Self {
-        BytesMut { data: Vec::new() }
-    }
-
-    /// An empty builder with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Appends `slice`.
-    pub fn extend_from_slice(&mut self, slice: &[u8]) {
-        self.data.extend_from_slice(slice);
-    }
-
-    /// Converts into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-/// Big-endian append interface (the `hp_bytes::BufMut` subset in use).
-pub trait BufMut {
-    /// Appends raw bytes.
-    fn put_slice(&mut self, slice: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Appends a big-endian `u16`.
-    fn put_u16(&mut self, v: u16) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u32`.
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, slice: &[u8]) {
-        self.data.extend_from_slice(slice);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, slice: &[u8]) {
-        self.extend_from_slice(slice);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn put_is_big_endian() {
-        let mut b = BytesMut::new();
-        b.put_u16(0x0102);
-        b.put_u32(0x0304_0506);
-        b.put_u64(0x0708_090A_0B0C_0D0E);
-        assert_eq!(
-            &b[..],
-            &[1, 2, 3, 4, 5, 6, 7, 8, 9, 0xA, 0xB, 0xC, 0xD, 0xE]
-        );
-    }
-
-    #[test]
-    fn freeze_shares_without_copying_on_clone() {
-        let mut b = BytesMut::with_capacity(4);
-        b.put_slice(b"abcd");
-        let x = b.freeze();
-        let y = x.clone();
-        assert_eq!(&x[..], &y[..]);
-        assert_eq!(x, y);
-    }
-
-    #[test]
-    fn mutable_indexing_works() {
-        let mut b = BytesMut::new();
-        b.put_slice(&[0; 4]);
-        b[1..3].copy_from_slice(&[9, 9]);
-        assert_eq!(&b[..], &[0, 9, 9, 0]);
-    }
-
-    #[test]
-    fn bytes_constructors() {
-        assert!(Bytes::new().is_empty());
-        assert_eq!(Bytes::from_static(b"xy").len(), 2);
-        assert_eq!(&Bytes::copy_from_slice(&[1, 2, 3])[..], &[1, 2, 3]);
-        assert_eq!(Bytes::from(vec![5u8]).as_ref(), &[5]);
-    }
-}

@@ -15,7 +15,7 @@ use hp_rand::Rng;
 /// use hp_traffic::alias::AliasTable;
 /// use hp_rand::SeedableRng;
 ///
-/// let t = AliasTable::new(&[0.5, 0.25, 0.25]).unwrap();
+/// let t = AliasTable::new(vec![0.5, 0.25, 0.25]).unwrap();
 /// let mut rng = hp_rand::rngs::SmallRng::seed_from_u64(1);
 /// let sample = t.sample(&mut rng);
 /// assert!(sample < 3);
@@ -58,11 +58,14 @@ impl std::error::Error for AliasError {}
 
 impl AliasTable {
     /// Builds a table from non-negative `weights` (need not be normalized).
+    /// The table's probability column is `weights` itself, scaled in place,
+    /// so a million-category table costs no copy; its capacity is kept as
+    /// given (see [`AliasTable::reserved_bytes`]).
     ///
     /// # Errors
     ///
     /// See [`AliasError`].
-    pub fn new(weights: &[f64]) -> Result<Self, AliasError> {
+    pub fn new(weights: Vec<f64>) -> Result<Self, AliasError> {
         if weights.is_empty() {
             return Err(AliasError::Empty);
         }
@@ -78,7 +81,10 @@ impl AliasTable {
         let n = weights.len();
         let n32 = u32::try_from(n).map_err(|_| AliasError::TooManyCategories(n))?;
         let scale = n as f64 / total;
-        let mut prob: Vec<f64> = weights.iter().map(|w| w * scale).collect();
+        let mut prob = weights;
+        for p in &mut prob {
+            *p *= scale;
+        }
         let mut alias = vec![0u32; n];
         let mut small: Vec<u32> = Vec::with_capacity(n);
         let mut large: Vec<u32> = Vec::with_capacity(n);
@@ -143,17 +149,17 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        assert!(matches!(AliasTable::new(&[]), Err(AliasError::Empty)));
+        assert!(matches!(AliasTable::new(vec![]), Err(AliasError::Empty)));
         assert!(matches!(
-            AliasTable::new(&[1.0, -0.5]),
+            AliasTable::new(vec![1.0, -0.5]),
             Err(AliasError::BadWeight(1))
         ));
         assert!(matches!(
-            AliasTable::new(&[0.0, 0.0]),
+            AliasTable::new(vec![0.0, 0.0]),
             Err(AliasError::ZeroMass)
         ));
         assert!(matches!(
-            AliasTable::new(&[f64::NAN]),
+            AliasTable::new(vec![f64::NAN]),
             Err(AliasError::BadWeight(0))
         ));
     }
@@ -161,7 +167,7 @@ mod tests {
     #[test]
     fn empirical_frequencies_match_weights() {
         let weights = [4.0, 1.0, 3.0, 2.0];
-        let t = AliasTable::new(&weights).unwrap();
+        let t = AliasTable::new(weights.to_vec()).unwrap();
         let mut rng = SmallRng::seed_from_u64(42);
         let n = 1_000_000;
         let mut counts = [0u64; 4];
@@ -180,7 +186,7 @@ mod tests {
     fn sample_sequence_is_pinned() {
         // Captured from the `usize`-indexed table this one replaced: the
         // `u32` alias column must draw exactly the same categories.
-        let t = AliasTable::new(&[4.0, 1.0, 3.0, 2.0, 0.0, 5.0, 0.5, 2.5]).unwrap();
+        let t = AliasTable::new(vec![4.0, 1.0, 3.0, 2.0, 0.0, 5.0, 0.5, 2.5]).unwrap();
         let mut rng = SmallRng::seed_from_u64(7);
         let drawn: Vec<usize> = (0..32).map(|_| t.sample(&mut rng)).collect();
         assert_eq!(
@@ -195,7 +201,7 @@ mod tests {
 
     #[test]
     fn degenerate_single_category() {
-        let t = AliasTable::new(&[7.0]).unwrap();
+        let t = AliasTable::new(vec![7.0]).unwrap();
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..100 {
             assert_eq!(t.sample(&mut rng), 0);
@@ -205,7 +211,7 @@ mod tests {
 
     #[test]
     fn zero_weight_categories_never_sampled() {
-        let t = AliasTable::new(&[1.0, 0.0, 1.0]).unwrap();
+        let t = AliasTable::new(vec![1.0, 0.0, 1.0]).unwrap();
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..10_000 {
             assert_ne!(t.sample(&mut rng), 1);

@@ -91,7 +91,10 @@ impl KeyedArrivals {
         if local_mass <= 0.0 {
             return Ok(None);
         }
-        let table = AliasTable::new(&local).map_err(|e| e.to_string())?;
+        // `retain` kept the capacity of all `queues`; the table takes the
+        // vector as its probability column, so trim it to the partition.
+        local.shrink_to_fit();
+        let table = AliasTable::new(local).map_err(|e| e.to_string())?;
         let cycles_per_sec = clock.ghz() * 1e9;
         // Thinning a rate-λ Poisson process with probability p yields a
         // rate-λp process: the partition's mean gap is the total mean gap
@@ -335,6 +338,18 @@ mod tests {
             .count();
         let frac = hot as f64 / n as f64;
         assert!((frac - 0.8333).abs() < 0.01, "hot fraction {frac}");
+    }
+
+    #[test]
+    fn keyed_reserved_bytes_fit_the_partition() {
+        // A quarter of the queues: the table and queue-id column hold 256
+        // entries each, not the 1024 of the unpartitioned weight vector.
+        use std::mem::size_of;
+        let per_entry = size_of::<f64>() + size_of::<u32>() + size_of::<QueueId>();
+        for p in 0..4 {
+            let ka = keyed(TrafficShape::FullyBalanced, 1024, 4, p).unwrap();
+            assert_eq!(ka.reserved_bytes(), 256 * per_entry, "partition {p}");
+        }
     }
 
     #[test]

@@ -1,40 +1,24 @@
-//! # hp-workloads — the six data-plane task kernels
+//! # hp-workloads — the six data-plane tasks as service-time rows
 //!
-//! Real, from-scratch implementations of every task in the paper's
-//! evaluation (§V-A), plus the service-time models the simulator draws
-//! from:
-//!
-//! | Paper task | Module | Implementation |
-//! |---|---|---|
-//! | Packet encapsulation | [`packet`] | GRE (RFC 2784) IPv4-in-IPv6, real headers and checksums |
-//! | Crypto forwarding | [`aes`] | AES-256-CBC from scratch, FIPS-197/SP 800-38A validated |
-//! | Packet steering | [`steering`] | Toeplitz (RSS) hash + session-affinity table |
-//! | Erasure coding | [`reed_solomon`] | Systematic Reed–Solomon over GF(2^8), Cauchy matrix |
-//! | RAID protection | [`raid`] | RAID-6 P+Q syndromes with one/two-failure rebuild |
-//! | Request dispatching | [`dispatch`] | Request classifier + RPC descriptor builder |
-//!
-//! [`service`] maps each workload to a calibrated mean service time
-//! (DESIGN.md §6) and can also measure the real kernels on the host.
+//! The paper's evaluation (§V-A) runs six data-plane tasks as software on
+//! the simulated cores. This simulator does not execute them: each task is
+//! a [`WorkloadKind`] row of three paper-calibrated constants (DESIGN.md
+//! §6) — a mean service time, a per-item buffer footprint in cache lines,
+//! and a useful IPC for the telemetry model. [`ServiceModel`] draws
+//! per-item service demands from the first.
 //!
 //! ```
-//! use hp_workloads::service::{run_task_once, WorkloadKind};
+//! use hp_workloads::service::WorkloadKind;
 //!
-//! // Every kernel actually executes:
-//! for kind in WorkloadKind::ALL {
-//!     let _checksum = run_task_once(kind, 0);
-//! }
+//! // Erasure coding is the slowest task and moves a 4 KB block.
+//! let ec = WorkloadKind::ErasureCoding;
+//! assert_eq!(ec.mean_service_us(), 9.5);
+//! assert_eq!(ec.buffer_lines(), 64);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aes;
-pub mod dispatch;
-pub mod gf256;
-pub mod packet;
-pub mod raid;
-pub mod reed_solomon;
 pub mod service;
-pub mod steering;
 
 pub use service::{ServiceModel, WorkloadKind};

@@ -1,20 +1,10 @@
-//! Per-workload service-time models for the simulator, plus host-side
-//! calibration that actually runs the kernels.
+//! Per-workload service-time models for the simulator.
 //!
 //! The simulator charges each work item a service demand drawn from a
 //! [`ServiceModel`]. The default mean service times are calibrated so the
 //! *relative* single-core peak throughputs match the paper's Fig. 8 axes
-//! (DESIGN.md §6); [`calibrate_host_ns`] additionally measures the real
-//! kernels from this crate on the host, for reporting side-by-side.
+//! (DESIGN.md §6).
 
-use crate::aes::Aes256;
-use crate::dispatch::{Dispatcher, Request, RequestType};
-use crate::gf256::Gf256;
-use crate::packet::{build_ipv4_packet, GreEncapsulator};
-use crate::raid::PqRaid;
-use crate::reed_solomon::ReedSolomon;
-use crate::steering::{FlowKey, PacketSteerer};
-use hp_bytes::Bytes;
 use hp_rand::Rng;
 use hp_sim::rng::Distribution;
 use hp_sim::time::{Clock, Cycles};
@@ -162,111 +152,12 @@ impl ServiceModel {
     }
 }
 
-/// Executes one representative task of `kind` on the host, end to end, and
-/// returns a checksum byte (so the work cannot be optimized away).
-///
-/// Used by the calibration example to measure real per-task latency of the
-/// kernels in this crate.
-pub fn run_task_once(kind: WorkloadKind, iteration: u64) -> u8 {
-    match kind {
-        WorkloadKind::PacketEncap => {
-            let tun = GreEncapsulator::new([0xfd; 16], [0xfe; 16]);
-            let payload = vec![(iteration % 251) as u8; 1200];
-            let pkt = build_ipv4_packet([10, 0, 0, 1], [10, 0, 0, 2], iteration as u16, &payload);
-            let out = tun.encapsulate(&pkt).expect("valid packet");
-            out[out.len() - 1]
-        }
-        WorkloadKind::CryptoForward => {
-            let aes = Aes256::new(&[(iteration % 256) as u8; 32]);
-            let mut data = vec![(iteration % 13) as u8; 1200 / 16 * 16];
-            aes.encrypt_cbc(&[0u8; 16], &mut data).expect("aligned");
-            data[data.len() - 1]
-        }
-        WorkloadKind::PacketSteering => {
-            let mut steerer = PacketSteerer::new(4096, 8);
-            let mut acc = 0u8;
-            for i in 0..16u16 {
-                let f = FlowKey {
-                    src_ip: [10, (iteration % 256) as u8, 0, 1],
-                    dst_ip: [10, 0, 0, 2],
-                    src_port: 1000 + i,
-                    dst_port: 80,
-                    protocol: 6,
-                };
-                acc ^= steerer.steer(&f).expect("table has room") as u8;
-            }
-            acc
-        }
-        WorkloadKind::ErasureCoding => {
-            let rs = ReedSolomon::new(6, 3).expect("valid geometry");
-            let data: Vec<Vec<u8>> = (0..6)
-                .map(|i| vec![(i as u64 + iteration) as u8; 4096])
-                .collect();
-            let parity = rs.encode(&data).expect("well-formed shards");
-            parity[2][4095]
-        }
-        WorkloadKind::RaidProtection => {
-            let raid = PqRaid::new(8).expect("valid geometry");
-            let data: Vec<Vec<u8>> = (0..8)
-                .map(|i| vec![(i as u64 * 7 + iteration) as u8; 4096])
-                .collect();
-            let (p, q) = raid.compute_pq(&data).expect("well-formed blocks");
-            p[0] ^ q[4095]
-        }
-        WorkloadKind::RequestDispatch => {
-            let mut d = Dispatcher::new();
-            for t in RequestType::ALL {
-                d.register(t, 8, 500);
-            }
-            let req = Request {
-                rtype: RequestType::ALL[(iteration % 5) as usize],
-                tenant: iteration as u32,
-                correlation: iteration,
-                body: Bytes::from(vec![1u8; 128]),
-            };
-            let rpc = d.dispatch(&req.encode()).expect("registered");
-            rpc.frame[rpc.frame.len() - 1]
-        }
-    }
-}
-
-/// Measures mean wall-clock nanoseconds per task for `kind` on the host by
-/// running the real kernel `iters` times.
-pub fn calibrate_host_ns(kind: WorkloadKind, iters: u64) -> f64 {
-    assert!(iters > 0, "calibration needs at least one iteration");
-    let mut sink = 0u8;
-    let start = std::time::Instant::now();
-    for i in 0..iters {
-        sink ^= run_task_once(kind, i);
-    }
-    let elapsed = start.elapsed().as_nanos() as f64 / iters as f64;
-    // Keep the sink live.
-    std::hint::black_box(sink);
-    elapsed
-}
-
-/// Touches GF tables once so calibration excludes one-time setup.
-pub fn warmup() {
-    std::hint::black_box(Gf256::new().mul(7, 9));
-    for kind in WorkloadKind::ALL {
-        std::hint::black_box(run_task_once(kind, 0));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hp_rand::rngs::SmallRng;
     use hp_rand::SeedableRng;
     use hp_sim::rng::RngFactory;
-
-    #[test]
-    fn all_tasks_run_and_produce_output() {
-        for kind in WorkloadKind::ALL {
-            // Determinism: same iteration, same checksum.
-            assert_eq!(run_task_once(kind, 3), run_task_once(kind, 3), "{kind}");
-        }
-    }
 
     #[test]
     fn service_model_means_are_calibrated() {
@@ -309,12 +200,5 @@ mod tests {
             WorkloadKind::PacketEncap.mean_service_us()
                 < WorkloadKind::PacketSteering.mean_service_us()
         );
-    }
-
-    #[test]
-    fn calibration_runs() {
-        warmup();
-        let ns = calibrate_host_ns(WorkloadKind::PacketSteering, 10);
-        assert!(ns > 0.0);
     }
 }

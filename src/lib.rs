@@ -4,8 +4,9 @@
 //! A from-scratch Rust reproduction of *HyperPlane* (MICRO 2020): the
 //! QWAIT programming model, the monitoring-set/ready-set hardware
 //! microarchitecture, a discrete-event multicore simulator with a MESI
-//! coherence model, the six evaluation workloads as real kernels, and a
-//! harness that regenerates every figure of the paper's evaluation.
+//! coherence model, the six evaluation workloads as paper-calibrated
+//! service-time and footprint rows, and a harness that regenerates every
+//! figure of the paper's evaluation.
 //!
 //! This crate is a facade: each subsystem lives in its own crate and is
 //! re-exported here.
@@ -17,7 +18,7 @@
 //! | [`mem`] | `hp-mem` | L1/LLC + directory-MESI coherence simulator |
 //! | [`queues`] | `hp-queues` | simulated doorbells, queues and their address layout |
 //! | [`traffic`] | `hp-traffic` | FB/PC/NC/SQ shapes, Poisson generation |
-//! | [`workloads`] | `hp-workloads` | GRE, AES-CBC, steering, Reed–Solomon, RAID P+Q, dispatch |
+//! | [`workloads`] | `hp-workloads` | the six tasks' service-time and footprint rows, service model |
 //! | [`sim`] | `hp-sim` | event queue, cycle clock, histograms, RNG streams |
 //!
 //! ## Quickstart

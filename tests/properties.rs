@@ -11,9 +11,6 @@ use hyperplane::mem::system::{MemSystem, MemSystemConfig};
 use hyperplane::mem::types::{AccessKind, Addr, CoreId, HitLevel};
 use hyperplane::prelude::*;
 use hyperplane::sim::stats::Histogram;
-use hyperplane::workloads::aes::Aes256;
-use hyperplane::workloads::raid::PqRaid;
-use hyperplane::workloads::reed_solomon::ReedSolomon;
 use std::collections::{HashMap, HashSet};
 
 /// The Cuckoo monitoring set behaves exactly like a map from QID to
@@ -158,102 +155,6 @@ fn round_robin_starvation_free() {
         let min = counts.iter().min().copied().expect("nonempty");
         let max = counts.iter().max().copied().expect("nonempty");
         assert!(max - min <= 1, "unfair grants: {counts:?}");
-    }
-}
-
-/// Reed–Solomon reconstructs any erasure pattern with <= m losses.
-#[test]
-fn reed_solomon_recovers_any_tolerable_erasure() {
-    let mut rng = SmallRng::seed_from_u64(0xA11C_E504);
-    for _case in 0..60 {
-        let k = rng.random_range(2..8usize);
-        let m = rng.random_range(1..4usize);
-        let len = rng.random_range(1..128usize);
-        let seed: u64 = rng.random();
-        let rs = ReedSolomon::new(k, m).expect("valid geometry");
-        let data: Vec<Vec<u8>> = (0..k)
-            .map(|i| {
-                (0..len)
-                    .map(|j| ((seed as usize + i * 31 + j * 7) % 256) as u8)
-                    .collect()
-            })
-            .collect();
-        let parity = rs.encode(&data).expect("well-formed");
-        let mut shards: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .cloned()
-            .map(Some)
-            .chain(parity.into_iter().map(Some))
-            .collect();
-        let mut lost = HashSet::new();
-        let n_lost = rng.random_range(1..4usize).min(m);
-        for _ in 0..n_lost {
-            lost.insert(rng.random::<u16>() as usize % (k + m));
-        }
-        for &l in &lost {
-            shards[l] = None;
-        }
-        let rec = rs.reconstruct(&shards).expect("within tolerance");
-        assert_eq!(rec, data);
-    }
-}
-
-/// RAID P+Q rebuilds any double failure bit-exactly.
-#[test]
-fn raid_pq_rebuilds_any_pair() {
-    let mut rng = SmallRng::seed_from_u64(0xA11C_E505);
-    for _case in 0..60 {
-        let n = rng.random_range(2..12usize);
-        let len = rng.random_range(1..96usize);
-        let seed: u64 = rng.random();
-        let raid = PqRaid::new(n).expect("valid geometry");
-        let data: Vec<Vec<u8>> = (0..n)
-            .map(|i| {
-                (0..len)
-                    .map(|j| ((seed as usize + i * 131 + j * 3) % 256) as u8)
-                    .collect()
-            })
-            .collect();
-        let (p, q) = raid.compute_pq(&data).expect("well-formed");
-        let x = rng.random::<u8>() as usize % n;
-        let y = rng.random::<u8>() as usize % n;
-        if x != y {
-            let (dx, dy) = raid.recover_two(&data, x, y, &p, &q).expect("two failures");
-            let (lo, hi) = if x < y { (x, y) } else { (y, x) };
-            assert_eq!(dx, data[lo].clone());
-            assert_eq!(dy, data[hi].clone());
-        } else {
-            let d = raid.recover_one(&data, x, &p).expect("single failure");
-            assert_eq!(d, data[x].clone());
-        }
-    }
-}
-
-/// AES-256-CBC decrypt(encrypt(x)) == x for arbitrary block-aligned
-/// payloads, keys, and IVs.
-#[test]
-fn aes_cbc_roundtrip() {
-    let mut rng = SmallRng::seed_from_u64(0xA11C_E506);
-    for _case in 0..40 {
-        let mut key = [0u8; 32];
-        let mut iv = [0u8; 16];
-        for b in key.iter_mut() {
-            *b = rng.random();
-        }
-        for b in iv.iter_mut() {
-            *b = rng.random();
-        }
-        let blocks = rng.random_range(1..16usize);
-        let seed: u64 = rng.random();
-        let aes = Aes256::new(&key);
-        let original: Vec<u8> = (0..blocks * 16)
-            .map(|i| ((seed as usize).wrapping_mul(31).wrapping_add(i * 7) % 256) as u8)
-            .collect();
-        let mut data = original.clone();
-        aes.encrypt_cbc(&iv, &mut data).expect("aligned");
-        assert_ne!(&data, &original);
-        aes.decrypt_cbc(&iv, &mut data).expect("aligned");
-        assert_eq!(data, original);
     }
 }
 

@@ -1,164 +1,14 @@
-//! Randomised property tests of the workload kernels and simulation
-//! primitives not covered by `properties.rs`. Cases are drawn from
-//! fixed-seed [`hp_rand`] streams, so the suite is fully deterministic.
+//! Randomised property tests of the simulation primitives not covered by
+//! `properties.rs`. Cases are drawn from fixed-seed [`hp_rand`] streams,
+//! so the suite is fully deterministic.
 
 use hp_rand::rngs::SmallRng;
 use hp_rand::{Rng, SeedableRng};
 use hyperplane::queues::sim::{QueueId, QueueLayout};
 use hyperplane::sim::event::EventQueue;
 use hyperplane::sim::time::SimTime;
-use hyperplane::workloads::dispatch::{Dispatcher, Request, RequestType};
-use hyperplane::workloads::gf256::Gf256;
-use hyperplane::workloads::packet::{build_ipv4_packet, internet_checksum, GreEncapsulator};
-use hyperplane::workloads::steering::{toeplitz_hash, FlowKey, PacketSteerer, DEFAULT_RSS_KEY};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
-fn random_bytes(rng: &mut SmallRng, len: usize) -> Vec<u8> {
-    (0..len).map(|_| rng.random()).collect()
-}
-
-/// The Toeplitz hash is linear over GF(2): H(x ^ y) == H(x) ^ H(y). This is
-/// the property RSS implementations exploit for incremental flow-hash
-/// updates — and a strong structural check of our bit-level implementation.
-#[test]
-fn toeplitz_is_gf2_linear() {
-    let mut rng = SmallRng::seed_from_u64(0xBEEF_0001);
-    for _case in 0..200 {
-        let x = random_bytes(&mut rng, 12);
-        let y = random_bytes(&mut rng, 12);
-        let xy: Vec<u8> = x.iter().zip(&y).map(|(a, b)| a ^ b).collect();
-        let hx = toeplitz_hash(&DEFAULT_RSS_KEY, &x);
-        let hy = toeplitz_hash(&DEFAULT_RSS_KEY, &y);
-        let hxy = toeplitz_hash(&DEFAULT_RSS_KEY, &xy);
-        assert_eq!(hxy, hx ^ hy);
-    }
-}
-
-/// The session table behaves exactly like a HashMap model under arbitrary
-/// steer/remove interleavings (while within capacity).
-#[test]
-fn steering_matches_model() {
-    let mut rng = SmallRng::seed_from_u64(0xBEEF_0002);
-    for _case in 0..100 {
-        let mut s = PacketSteerer::new(256, 4);
-        let mut model: HashMap<u16, u16> = HashMap::new();
-        let n_ops = rng.random_range(1..300usize);
-        for _ in 0..n_ops {
-            let port = rng.random_range(0..50u16);
-            let is_remove = rng.random::<bool>();
-            let flow = FlowKey {
-                src_ip: [10, 0, 0, 1],
-                dst_ip: [10, 0, 0, 2],
-                src_port: port,
-                dst_port: 80,
-                protocol: 6,
-            };
-            if is_remove {
-                let got = s.remove(&flow);
-                assert_eq!(got, model.remove(&port), "remove({port})");
-            } else {
-                let dest = s.steer(&flow).expect("within capacity");
-                match model.get(&port) {
-                    Some(&d) => assert_eq!(dest, d, "affinity broken for {port}"),
-                    None => {
-                        model.insert(port, dest);
-                    }
-                }
-            }
-            assert_eq!(s.sessions(), model.len());
-        }
-    }
-}
-
-/// GRE encapsulation roundtrips arbitrary payloads and preserves the inner
-/// bytes exactly.
-#[test]
-fn gre_roundtrip_arbitrary_payload() {
-    let mut rng = SmallRng::seed_from_u64(0xBEEF_0003);
-    for _case in 0..80 {
-        let payload_len = rng.random_range(0..1200usize);
-        let payload = random_bytes(&mut rng, payload_len);
-        let src = [rng.random(), rng.random(), rng.random(), rng.random()];
-        let dst = [rng.random(), rng.random(), rng.random(), rng.random()];
-        let ident: u16 = rng.random();
-        let tun = GreEncapsulator::new([1; 16], [2; 16]);
-        let inner = build_ipv4_packet(src, dst, ident, &payload);
-        let wrapped = tun.encapsulate(&inner).expect("valid inner packet");
-        let unwrapped = tun.decapsulate(&wrapped).expect("we built it");
-        assert_eq!(&unwrapped[..], &inner[..]);
-    }
-}
-
-/// Every packet built by the helper carries a verifying checksum, and any
-/// single-bit header corruption breaks it.
-#[test]
-fn checksum_detects_single_bit_flips() {
-    let mut rng = SmallRng::seed_from_u64(0xBEEF_0004);
-    for _case in 0..200 {
-        let src = [rng.random(), rng.random(), rng.random(), rng.random()];
-        let ident: u16 = rng.random();
-        let bit = rng.random_range(0..(20 * 8) as usize);
-        let pkt = build_ipv4_packet(src, [8, 8, 8, 8], ident, &[0u8; 8]);
-        assert_eq!(internet_checksum(&pkt[..20]), 0);
-        let mut bad = pkt.to_vec();
-        bad[bit / 8] ^= 1 << (bit % 8);
-        // Ones'-complement sums have one ambiguity: +0 / -0. Skip flips
-        // that produce the alternate zero representation.
-        let sum = internet_checksum(&bad[..20]);
-        if bad[bit / 8] != pkt[bit / 8] {
-            assert!(
-                sum != 0 || checksum_zero_alias(&pkt, &bad),
-                "undetected corruption"
-            );
-        }
-    }
-}
-
-/// Dispatcher: round-robin cursor is per-type — interleaving types never
-/// disturbs another type's backend sequence.
-#[test]
-fn dispatcher_cursors_are_independent() {
-    let mut rng = SmallRng::seed_from_u64(0xBEEF_0005);
-    for _case in 0..60 {
-        let mut d = Dispatcher::new();
-        for t in RequestType::ALL {
-            d.register(t, 3, 100);
-        }
-        let mut expect: HashMap<u8, u16> = HashMap::new();
-        let n_ops = rng.random_range(1..100usize);
-        for i in 0..n_ops {
-            let code = rng.random_range(0..5u8);
-            let rtype = RequestType::ALL[code as usize];
-            let req = Request {
-                rtype,
-                tenant: 1,
-                correlation: i as u64,
-                body: hp_bytes::Bytes::new(),
-            };
-            let rpc = d.dispatch(&req.encode()).expect("registered");
-            let cursor = expect.entry(code).or_insert(0);
-            assert_eq!(rpc.backend, *cursor % 3);
-            *cursor += 1;
-        }
-    }
-}
-
-/// GF(2^8): (a*b)*c == a*(b*c) and Fermat a^255 == 1 for a != 0.
-#[test]
-fn gf256_algebra() {
-    let mut rng = SmallRng::seed_from_u64(0xBEEF_0006);
-    let g = Gf256::new();
-    for _case in 0..2000 {
-        let a: u8 = rng.random();
-        let b: u8 = rng.random();
-        let c: u8 = rng.random();
-        assert_eq!(g.mul(g.mul(a, b), c), g.mul(a, g.mul(b, c)));
-        if a != 0 {
-            assert_eq!(g.pow(a, 255), 1);
-        }
-    }
-}
+use std::collections::BinaryHeap;
 
 /// Event queue pops in nondecreasing time order with FIFO ties, for any
 /// schedule sequence.
@@ -320,32 +170,6 @@ fn layout_regions_disjoint() {
             assert_ne!(a.line().0, desc.0);
         }
     }
-}
-
-/// Ones'-complement checksums treat 0x0000 and 0xFFFF as the same value; a
-/// flip can legitimately land on the alias.
-fn checksum_zero_alias(_orig: &[u8], corrupted: &[u8]) -> bool {
-    internet_checksum(&corrupted[..20]) == 0
-}
-
-/// Deterministic check: the Toeplitz linearity property composes — the
-/// hash of any tuple equals the XOR of per-bit basis hashes.
-#[test]
-fn toeplitz_decomposes_into_bit_basis() {
-    let input = [
-        0x12u8, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 0x11, 0x22, 0x33, 0x44,
-    ];
-    let mut expect = 0u32;
-    for byte in 0..12 {
-        for bit in 0..8 {
-            if (input[byte] >> bit) & 1 == 1 {
-                let mut basis = [0u8; 12];
-                basis[byte] = 1 << bit;
-                expect ^= toeplitz_hash(&DEFAULT_RSS_KEY, &basis);
-            }
-        }
-    }
-    assert_eq!(toeplitz_hash(&DEFAULT_RSS_KEY, &input), expect);
 }
 
 /// Snapshot of one core's telemetry as a comparable tuple.
