@@ -20,11 +20,10 @@ use hp_workloads::service::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let sweep = opts.sweep();
 
     // 1. QWAIT latency sensitivity: how conservative is the 50-cycle pick?
     let qwaits = [10u64, 50, 200];
-    let qwait_results = sweep.run(qwaits.to_vec(), |qwait| {
+    let qwait_results = hp_par::par_map(opts.threads, qwaits.to_vec(), |qwait| {
         let mut cfg = experiment(
             &opts,
             WorkloadKind::RequestDispatch,
@@ -48,7 +47,7 @@ fn main() {
 
     // 2. Batch size under backlog.
     let batches = [1usize, 4, 16];
-    let batch_results = sweep.run(batches.to_vec(), |batch| {
+    let batch_results = hp_par::par_map(opts.threads, batches.to_vec(), |batch| {
         let mut cfg = experiment(
             &opts,
             WorkloadKind::RequestDispatch,
@@ -75,7 +74,7 @@ fn main() {
         ("1", Distribution::Exponential),
         ("4", Distribution::HyperExp { cv: 4.0 }),
     ];
-    let cv_results = sweep.run(dists.to_vec(), |(_, dist)| {
+    let cv_results = hp_par::par_map(opts.threads, dists.to_vec(), |(_, dist)| {
         let mk = |cluster: usize| {
             let mut cfg = experiment(
                 &opts,
@@ -106,7 +105,7 @@ fn main() {
     // 4. Prefetcher degree: accelerates the sequential buffer streams of
     // the storage workloads (64-line blocks).
     let degrees = [0usize, 2, 4];
-    let degree_results = sweep.run(degrees.to_vec(), |degree| {
+    let degree_results = hp_par::par_map(opts.threads, degrees.to_vec(), |degree| {
         let mut cfg = experiment(
             &opts,
             WorkloadKind::ErasureCoding,

@@ -112,7 +112,7 @@ fn main() {
         .iter()
         .flat_map(|&k| intensities.iter().map(move |&i| (k, i)))
         .collect();
-    let results = opts.sweep().run(cells.clone(), |(kind, i)| {
+    let results = hp_par::par_map(opts.threads, cells.clone(), |(kind, i)| {
         runner::run(cell_config(&opts, kind, i))
     });
 
@@ -162,7 +162,7 @@ fn main() {
     // re-run every kernel with it detached and demand bit-identity.
     println!("\n== Auditor purity (harshest intensity, auditor on vs off) ==");
     let harshest = *intensities.last().expect("non-empty sweep");
-    let pairs = opts.sweep().run(WorkloadKind::ALL.to_vec(), |kind| {
+    let pairs = hp_par::par_map(opts.threads, WorkloadKind::ALL.to_vec(), |kind| {
         let on = runner::run(cell_config(&opts, kind, harshest));
         let mut cfg_off = cell_config(&opts, kind, harshest);
         cfg_off.audit = false;

@@ -76,7 +76,7 @@ fn main() {
             "rec_mean_us",
         ],
     );
-    let results = opts.sweep().run(drops.clone(), |drop| {
+    let results = hp_par::par_map(opts.threads, drops.clone(), |drop| {
         let mut plan = FaultPlan::none();
         plan.doorbell_drop = drop;
         let cfg = base(16)

@@ -31,13 +31,13 @@ fn multicore(
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let sweep = opts.sweep();
     let loads = opts.thin(&[0.2, 0.35, 0.5, 0.65, 0.8, 0.9]);
 
     // Reference rates for "100% load": the best configuration's saturation
     // (scale-up-4 HyperPlane) per shape, so all curves share an x-axis.
     // Both reference peaks are independent — one two-point sweep.
-    let refs = sweep.run(
+    let refs = hp_par::par_map(
+        opts.threads,
         vec![
             TrafficShape::FullyBalanced,
             TrafficShape::ProportionallyConcentrated,
@@ -68,7 +68,7 @@ fn main() {
             fb_points.push((load, notifier, cluster));
         }
     }
-    let fb_results = sweep.run(fb_points, |(load, notifier, cluster)| {
+    let fb_results = hp_par::par_map(opts.threads, fb_points, |(load, notifier, cluster)| {
         let cfg = multicore(&opts, TrafficShape::FullyBalanced, notifier, cluster, 0.0);
         runner::run_at_load(&cfg, ref_tps, load).p99_latency_us()
     });
@@ -102,7 +102,7 @@ fn main() {
             pc_points.push((load, notifier, cluster, imb));
         }
     }
-    let pc_results = sweep.run(pc_points, |(load, notifier, cluster, imb)| {
+    let pc_results = hp_par::par_map(opts.threads, pc_points, |(load, notifier, cluster, imb)| {
         let cfg = multicore(
             &opts,
             TrafficShape::ProportionallyConcentrated,
@@ -178,9 +178,13 @@ fn main() {
             0.0,
         ),
     ];
-    let aux_results = sweep.run(aux_configs.clone(), |(shape, _, notifier, cluster, imb)| {
-        runner::peak_throughput(&multicore(&opts, shape, notifier, cluster, imb))
-    });
+    let aux_results = hp_par::par_map(
+        opts.threads,
+        aux_configs.clone(),
+        |(shape, _, notifier, cluster, imb)| {
+            runner::peak_throughput(&multicore(&opts, shape, notifier, cluster, imb))
+        },
+    );
     let mut table = Table::new(
         "Fig 10 aux: saturation throughput (Mtasks/s) per organization",
         &["shape", "config", "Mtasks/s"],

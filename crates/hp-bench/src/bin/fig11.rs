@@ -15,7 +15,6 @@ use hp_workloads::service::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let sweep = opts.sweep();
     let loads = opts.thin(&[0.02, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 0.95]);
 
     let base = {
@@ -36,7 +35,7 @@ fn main() {
 
     // Each load level runs the spinning and HyperPlane experiments in one
     // job; the load ladder itself fans across the pool.
-    let results = sweep.run(loads.clone(), |load| {
+    let results = hp_par::par_map(opts.threads, loads.clone(), |load| {
         let spin = runner::run_at_load(&base, spin_peak, load);
         let hp = runner::run_at_load(
             &base.clone().with_notifier(Notifier::hyperplane()),

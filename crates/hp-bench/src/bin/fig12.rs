@@ -14,7 +14,6 @@ use hp_workloads::service::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let sweep = opts.sweep();
     let model = PowerModel::default();
 
     // (a) Zero-load vs saturation power — six independent runs (three
@@ -34,7 +33,7 @@ fn main() {
         ("hyperplane", Notifier::hyperplane()),
         ("hyperplane-C1", Notifier::hyperplane_power_opt()),
     ];
-    let power = sweep.run(systems.to_vec(), |(_, notifier)| {
+    let power = hp_par::par_map(opts.threads, systems.to_vec(), |(_, notifier)| {
         let cfg = base.clone().with_notifier(notifier);
         let zero = runner::run_zero_load(&cfg);
         let sat = runner::peak_throughput(&cfg);
@@ -71,7 +70,7 @@ fn main() {
     )
     .throughput_tps;
     let loads = opts.thin(&[0.05, 0.2, 0.35, 0.5, 0.65, 0.8]);
-    let lat = sweep.run(loads.clone(), |load| {
+    let lat = hp_par::par_map(opts.threads, loads.clone(), |load| {
         let spin =
             runner::run_at_load(&mc.clone().with_notifier(Notifier::Spinning), ref_tps, load);
         let hp = runner::run_at_load(

@@ -28,7 +28,7 @@ fn main() {
             points.push((*workload, shape));
         }
     }
-    let results = opts.sweep().run(points.clone(), |(workload, shape)| {
+    let results = hp_par::par_map(opts.threads, points.clone(), |(workload, shape)| {
         let cfg = experiment(&opts, workload, shape, queues);
         let hw = runner::peak_throughput(&cfg.clone().with_notifier(Notifier::hyperplane()));
         let sw = runner::peak_throughput(&cfg.clone().with_notifier(Notifier::HyperPlane {

@@ -17,7 +17,6 @@ const DPDK_POLL_CYCLES: u64 = 100;
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let sweep = opts.sweep();
 
     // (a) Throughput vs queues, four shapes — one sweep point per
     // (queue count, shape) cell, fanned across the worker pool.
@@ -28,7 +27,7 @@ fn main() {
             points.push((q, shape));
         }
     }
-    let peaks = sweep.run(points, |(q, shape)| {
+    let peaks = hp_par::par_map(opts.threads, points, |(q, shape)| {
         let mut cfg = experiment(&opts, WorkloadKind::PacketEncap, shape, q);
         cfg.poll_overhead_cycles = DPDK_POLL_CYCLES;
         runner::peak_throughput(&cfg)
@@ -50,7 +49,7 @@ fn main() {
 
     // (b) Light-traffic latency vs queues (~0.01 MPPS offered).
     let lat_sweep = opts.thin(&[1u32, 64, 128, 256, 384, 512]);
-    let light = sweep.run(lat_sweep.clone(), |q| {
+    let light = hp_par::par_map(opts.threads, lat_sweep.clone(), |q| {
         let mut cfg = experiment(
             &opts,
             WorkloadKind::PacketEncap,

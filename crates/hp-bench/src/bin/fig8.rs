@@ -21,7 +21,7 @@ fn main() {
         WorkloadKind::ALL.to_vec()
     };
 
-    // The full grid is one flat point list so the sweep executor can keep
+    // The full grid is one flat point list so `par_map` can keep
     // every worker busy across workload/shape boundaries; rows are grouped
     // back into per-workload tables afterwards (results come back in point
     // order).
@@ -33,7 +33,7 @@ fn main() {
             }
         }
     }
-    let results = opts.sweep().run(points.clone(), |(workload, shape, q)| {
+    let results = hp_par::par_map(opts.threads, points.clone(), |(workload, shape, q)| {
         let cfg = experiment(&opts, workload, shape, q);
         let spin = runner::peak_throughput(&cfg);
         let hp = runner::peak_throughput(&cfg.clone().with_notifier(Notifier::hyperplane()));

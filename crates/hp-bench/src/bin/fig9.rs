@@ -30,7 +30,7 @@ fn main() {
             points.push((*workload, q));
         }
     }
-    let results = opts.sweep().run(points, |(workload, q)| {
+    let results = hp_par::par_map(opts.threads, points, |(workload, q)| {
         // Arrivals concentrated in one queue; the rest are empty — the
         // zero-load sweep isolates the cost of checking empty queues.
         let cfg = experiment(&opts, workload, TrafficShape::SingleQueue, q);

@@ -26,7 +26,7 @@ fn main() {
             points.push((q, notifier));
         }
     }
-    let results = opts.sweep().run(points, |(q, notifier)| {
+    let results = hp_par::par_map(opts.threads, points, |(q, notifier)| {
         let cfg = experiment(
             &opts,
             WorkloadKind::PacketEncap,

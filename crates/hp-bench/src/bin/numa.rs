@@ -21,7 +21,6 @@ fn cfg(opts: &HarnessOpts, shape: TrafficShape, steal: bool) -> ExperimentConfig
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let sweep = opts.sweep();
     let shapes = [
         TrafficShape::SingleQueue, // extreme skew: all load on socket 0
         TrafficShape::ProportionallyConcentrated,
@@ -29,7 +28,7 @@ fn main() {
     ];
 
     // Common load reference per shape so latency cells are comparable.
-    let refs = sweep.run(shapes.to_vec(), |shape| {
+    let refs = hp_par::par_map(opts.threads, shapes.to_vec(), |shape| {
         runner::peak_throughput(&cfg(&opts, shape, true)).throughput_tps
     });
 
@@ -39,7 +38,7 @@ fn main() {
             points.push((*shape, steal, ref_tps));
         }
     }
-    let results = sweep.run(points.clone(), |(shape, steal, ref_tps)| {
+    let results = hp_par::par_map(opts.threads, points.clone(), |(shape, steal, ref_tps)| {
         let c = cfg(&opts, shape, steal);
         let sat = runner::peak_throughput(&c);
         let loaded = runner::run_at_load(&c, ref_tps, 0.6);

@@ -41,7 +41,7 @@ fn main() {
         &["queue", "round_robin", "wrr_8_1", "speedup_q0"],
     );
     // The RR and WRR drives are independent: run them as a two-point sweep.
-    let mut results = opts.sweep().run(vec![base, weighted], |cfg| {
+    let mut results = hp_par::par_map(opts.threads, vec![base, weighted], |cfg| {
         runner::run_at_load(&cfg, peak, 0.8)
     });
     let wrr = results.pop().expect("two sweep results");

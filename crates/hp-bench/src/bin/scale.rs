@@ -149,9 +149,9 @@ fn main() {
         ],
     );
 
-    let results = opts
-        .sweep()
-        .run(sweep.clone(), |q| runner::run(cell_config(&opts, q)));
+    let results = hp_par::par_map(opts.threads, sweep.clone(), |q| {
+        runner::run(cell_config(&opts, q))
+    });
 
     let mut baseline_cpe: Option<f64> = None;
     let mut last_cpe = 0.0;

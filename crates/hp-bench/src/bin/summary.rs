@@ -36,7 +36,7 @@ fn main() {
             }
         }
     }
-    let results = opts.sweep().run(points.clone(), |(workload, shape, q)| {
+    let results = hp_par::par_map(opts.threads, points.clone(), |(workload, shape, q)| {
         let cfg = experiment(&opts, workload, shape, q);
         let hp_cfg = cfg.clone().with_notifier(Notifier::hyperplane());
         let ts = runner::peak_throughput(&cfg).throughput_tps;

@@ -34,7 +34,8 @@ fn bench_summary(opts: &HarnessOpts) -> String {
     cfg.target_completions = opts.completions(10_000);
     // The spinning and HyperPlane peak searches are independent: fan them
     // out as a two-point sweep.
-    let mut results = opts.sweep().run(
+    let mut results = hp_par::par_map(
+        opts.threads,
         vec![
             cfg.clone(),
             cfg.clone().with_notifier(Notifier::hyperplane()),
@@ -227,13 +228,7 @@ fn main() {
         rate / 1e6
     );
 
-    // Routed through the sweep harness so `--threads N` exercises the
-    // worker pool; a one-config sweep returns exactly one result.
-    let r = opts
-        .sweep()
-        .run(vec![cfg], runner::run)
-        .pop()
-        .expect("one sweep result");
+    let r = runner::run(cfg);
 
     let chrome = r.chrome_trace_json().expect("tracing was enabled");
     std::fs::write(trace_path, &chrome).expect("write trace JSON");

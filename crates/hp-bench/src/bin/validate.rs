@@ -49,7 +49,7 @@ fn main() {
             mg1_points.push((dist, scv, name, rho));
         }
     }
-    let mg1_sims = opts.sweep().run(mg1_points.clone(), |(dist, _, _, rho)| {
+    let mg1_sims = hp_par::par_map(opts.threads, mg1_points.clone(), |(dist, _, _, rho)| {
         let mut cfg = experiment(&opts, workload, TrafficShape::SingleQueue, 1)
             .with_notifier(Notifier::hyperplane());
         cfg.service_dist = dist;
@@ -74,7 +74,7 @@ fn main() {
     // M/M/c: four cores scale-up sharing one hot queue class. Use FB over
     // 4 queues so all cores can serve concurrently.
     let rhos = [0.3, 0.6, 0.8];
-    let mmc_sims = opts.sweep().run(rhos.to_vec(), |rho| {
+    let mmc_sims = hp_par::par_map(opts.threads, rhos.to_vec(), |rho| {
         let mut cfg = experiment(&opts, workload, TrafficShape::FullyBalanced, 4)
             .with_cores(4, 4)
             .with_notifier(Notifier::hyperplane());

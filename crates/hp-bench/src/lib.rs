@@ -26,7 +26,6 @@
 
 pub mod cli;
 pub mod plot;
-pub mod sweep;
 
 use hp_bytes::json::JsonWriter;
 use hp_sdp::config::ExperimentConfig;
@@ -58,11 +57,6 @@ impl HarnessOpts {
     /// common flags; a bad command line exits 2 (see [`cli`]).
     pub fn from_args() -> Self {
         cli::from_env(cli::PLAIN, |_| Ok(())).0
-    }
-
-    /// The sweep executor for this option set.
-    pub fn sweep(&self) -> sweep::SweepRunner {
-        sweep::SweepRunner::new(self.threads)
     }
 
     /// Path of the JSONL sink for this binary (`results/<bin>.jsonl`).

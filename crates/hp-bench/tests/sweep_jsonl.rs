@@ -1,6 +1,6 @@
 //! Serial/parallel determinism of the figure pipeline end to end: the
 //! JSONL a figure binary emits must be byte-identical whether its sweep
-//! ran on one thread or many. This pins the full path — SweepRunner
+//! ran on one thread or many. This pins the full path — `par_map`
 //! ordering, the simulations themselves, float formatting, and
 //! `Table::to_jsonl` — not just the in-memory result vectors.
 
@@ -31,7 +31,7 @@ fn render(threads: usize) -> String {
             points.push((q, notifier));
         }
     }
-    let results = opts.sweep().run(points.clone(), |(q, notifier)| {
+    let results = hp_par::par_map(opts.threads, points.clone(), |(q, notifier)| {
         let mut cfg = experiment(
             &opts,
             WorkloadKind::PacketEncap,

@@ -14,8 +14,8 @@
 //! runs exactly once. Jobs must be independent (they only share `&F`); for
 //! pure jobs — such as `Engine::run`, which is a deterministic function of
 //! its `ExperimentConfig` — the output is therefore *bit-identical* for
-//! any `threads` value, including 1. This is the property the parallel
-//! sweep executor's byte-identical-JSONL acceptance test pins.
+//! any `threads` value, including 1. This is the property `hp-bench`'s
+//! byte-identical-JSONL test (`tests/sweep_jsonl.rs`) pins.
 //!
 //! Worker panics propagate to the caller (via `std::thread::scope`), so a
 //! failed job cannot be silently dropped from the results.
@@ -88,49 +88,6 @@ where
         .into_iter()
         .map(|r| r.expect("every job ran exactly once"))
         .collect()
-}
-
-/// A reusable handle bundling a worker-thread budget, for callers that
-/// thread a `--threads N` option through several sweep phases.
-///
-/// The pool is *scoped*: threads live only for the duration of each
-/// [`ThreadPool::par_map`] call (workers borrow the job closure, which a
-/// persistent pool could not do without `unsafe` or `Arc` plumbing), so a
-/// `ThreadPool` is just a validated thread count. Spawn cost is
-/// microseconds per call against sweep points that each run for
-/// milliseconds to seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadPool {
-    threads: usize,
-}
-
-impl ThreadPool {
-    /// A pool with `threads` workers (clamped to at least 1).
-    pub fn new(threads: usize) -> Self {
-        ThreadPool {
-            threads: threads.max(1),
-        }
-    }
-
-    /// A pool sized to [`available_parallelism`].
-    pub fn machine_sized() -> Self {
-        Self::new(available_parallelism())
-    }
-
-    /// The worker budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// [`par_map`] with this pool's worker budget.
-    pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        par_map(self.threads, items, f)
-    }
 }
 
 /// A reusable barrier for lockstep window loops: a sense-reversing atomic
@@ -341,17 +298,6 @@ mod tests {
                 (5, 0, "a2"),
                 (5, 1, "b1"),
             ]
-        );
-    }
-
-    #[test]
-    fn pool_is_a_validated_thread_count() {
-        assert_eq!(ThreadPool::new(0).threads(), 1);
-        assert_eq!(ThreadPool::new(6).threads(), 6);
-        assert!(ThreadPool::machine_sized().threads() >= 1);
-        assert_eq!(
-            ThreadPool::new(3).par_map((0..9).collect::<Vec<i32>>(), |x| -x),
-            (0..9).map(|x| -x).collect::<Vec<i32>>()
         );
     }
 }

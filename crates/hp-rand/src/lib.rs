@@ -45,7 +45,7 @@ pub trait RngCore {
 /// Types that can be sampled uniformly from an [`RngCore`].
 ///
 /// Mirrors `rand`'s `StandardUniform` distribution for the primitive types
-/// the workspace draws: integers over their full range, `f64`/`f32` over
+/// the workspace draws: integers over their full range, `f64` over
 /// `[0, 1)`, and `bool` with probability 1/2.
 pub trait Standard: Sized {
     /// Draws one value from `rng`.
@@ -64,12 +64,6 @@ impl Standard for u32 {
     }
 }
 
-impl Standard for u16 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 48) as u16
-    }
-}
-
 impl Standard for u8 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         (rng.next_u64() >> 56) as u8
@@ -79,12 +73,6 @@ impl Standard for u8 {
 impl Standard for usize {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() as usize
-    }
-}
-
-impl Standard for i64 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() as i64
     }
 }
 
@@ -98,13 +86,6 @@ impl Standard for f64 {
     /// Uniform in `[0, 1)` with the standard 53-bit mantissa construction.
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Standard for f32 {
-    /// Uniform in `[0, 1)` with a 24-bit mantissa.
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 }
 
@@ -501,7 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn u8_u16_samples_cover_high_bits() {
+    fn u8_samples_cover_high_bits() {
         // Regression guard: narrow samples must use the mixed high bits,
         // not the raw low byte of state.
         let mut rng = SmallRng::seed_from_u64(77);

@@ -330,9 +330,6 @@ impl Engine {
             group_next_arrival,
             service_keyed,
             ev: EventQueue::new(),
-            pending: VecDeque::new(),
-            carry: None,
-            last_processed: 0,
             latency: Histogram::new(),
             notify_latency: Histogram::new(),
             queue_latency: std::collections::HashMap::new(),

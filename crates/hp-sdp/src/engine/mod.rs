@@ -255,18 +255,10 @@ pub struct Engine {
     /// `service_keyed.split(id)` — a pure function of the id, so lanes
     /// never share or replay service-stream state.
     service_keyed: CounterRng,
+    /// The lane's events. Only [`Engine::pump_window`] pops them, and only
+    /// strictly before its boundary, so `ev.now()` is always the time of
+    /// the last event processed.
     ev: EventQueue<Ev>,
-    /// Tail of the same-instant event run `pop_batch` drained: the main
-    /// loop consumes from here first, so per-event processing order is
-    /// exactly single-pop order.
-    pending: VecDeque<Ev>,
-    /// An event popped by [`Engine::pump_window`] that lies at or past the
-    /// window boundary: held here (not re-inserted, which would perturb
-    /// insertion order) and consumed first by the next window's pump.
-    carry: Option<(SimTime, Ev)>,
-    /// Timestamp of the last event actually processed (the lane-local run
-    /// end; `ev.now()` may already sit at a carried future event).
-    last_processed: u64,
     latency: Histogram,
     notify_latency: Histogram,
     /// Post-warmup latency per queue, only for queues that completed
@@ -410,32 +402,12 @@ impl Engine {
     }
 
     /// Pumps every event strictly before `boundary` (cycles), then stops.
-    /// The first event at or past the boundary is parked in `carry` —
-    /// popped but unprocessed — and consumed first by the next window.
+    /// Events at or past the boundary stay queued for the next window.
     /// Run control (stop, warmup, watchdog, `max_cycles`) lives with the
     /// fabric controller between windows, never inside the pump, so a
     /// lane's event processing is a pure function of its own event stream.
     pub(crate) fn pump_window(&mut self, boundary: u64) {
-        loop {
-            // Take the next event: the carried boundary-crosser first,
-            // then the pending same-instant run, then the wheel.
-            let (now, ev) = match self.carry.take() {
-                Some(pair) => pair,
-                None => match self.pending.pop_front() {
-                    Some(ev) => (self.ev.now(), ev),
-                    None => {
-                        let Some(pair) = self.ev.pop_batch(&mut self.pending) else {
-                            break; // cannot happen: arrivals self-perpetuate
-                        };
-                        pair
-                    }
-                },
-            };
-            if now.since_start().count() >= boundary {
-                self.carry = Some((now, ev));
-                break;
-            }
-            self.last_processed = now.since_start().count();
+        while let Some((now, ev)) = self.ev.pop_before(SimTime(boundary)) {
             self.profile.tally(ev.profile_idx(), now);
             // Close any metrics windows whose boundary this event crossed
             // *before* handling it, so its effects land in the right
@@ -482,7 +454,7 @@ impl Engine {
             backlog: self.backlog,
             all_halted: (0..self.cfg.dp_cores)
                 .all(|c| !self.owned_groups[self.core_group[c]] || self.is_halted(c)),
-            last_processed: self.last_processed,
+            last_processed: self.ev.now().since_start().count(),
         }
     }
 

@@ -87,10 +87,7 @@ impl Engine {
             .collect();
         WindowObservation {
             backlog: self.backlog,
-            event_queue_depth: (self.ev.len()
-                + self.pending.len()
-                + usize::from(self.carry.is_some())
-                + usize::from(in_flight)) as u64,
+            event_queue_depth: (self.ev.len() + usize::from(in_flight)) as u64,
             cores_halted: (0..self.cfg.dp_cores)
                 .filter(|&c| self.is_halted(c))
                 .count() as u64,

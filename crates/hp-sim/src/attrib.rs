@@ -226,7 +226,8 @@ struct Agg {
 pub struct Attributor {
     enabled: bool,
     exemplar_cap: usize,
-    pending: HashMap<u64, PendingChain>,
+    // Open chains by item id.
+    chains: HashMap<u64, PendingChain>,
     // Per-queue stream state, grown on demand. `last_ready` is the most
     // recent ready-set insertion; `last_enq` binds a same-instant
     // doorbell-drop record to the item it belongs to; `dark` marks a
@@ -270,7 +271,7 @@ impl Attributor {
         Attributor {
             enabled,
             exemplar_cap,
-            pending: HashMap::new(),
+            chains: HashMap::new(),
             q_last_ready: Vec::new(),
             q_last_enq: Vec::new(),
             q_dark: Vec::new(),
@@ -328,7 +329,7 @@ impl Attributor {
                 // an item arriving before the next activation shares the
                 // recovery fate of the items already waiting.
                 let faulted = self.q_dark[qi];
-                self.pending.insert(
+                self.chains.insert(
                     item,
                     PendingChain {
                         queue,
@@ -358,7 +359,7 @@ impl Attributor {
                 // The drop record follows its Enqueue at the same
                 // instant: fault-mark exactly that item.
                 if let Some(item) = self.q_last_enq[qi] {
-                    if let Some(p) = self.pending.get_mut(&item) {
+                    if let Some(p) = self.chains.get_mut(&item) {
                         p.faulted = true;
                     }
                 }
@@ -370,7 +371,7 @@ impl Attributor {
                 // An evicted monitoring entry darkens every pending
                 // notification of the queue, not just the newest.
                 for &item in &self.q_live[qi] {
-                    if let Some(p) = self.pending.get_mut(&item) {
+                    if let Some(p) = self.chains.get_mut(&item) {
                         p.faulted = true;
                     }
                 }
@@ -385,7 +386,7 @@ impl Attributor {
                 self.grow_core(core);
                 let ready = self.q_last_ready[queue as usize];
                 let resume = self.core_resume[core as usize];
-                if let Some(p) = self.pending.get_mut(&item) {
+                if let Some(p) = self.chains.get_mut(&item) {
                     p.deq = Some(t);
                     p.core = core;
                     p.ready = ready.filter(|&r| r >= p.enq);
@@ -393,7 +394,7 @@ impl Attributor {
                 }
             }
             TraceKind::ServiceDone { item, .. } => {
-                if let Some(chain) = self.pending.remove(&item) {
+                if let Some(chain) = self.chains.remove(&item) {
                     let qi = chain.queue as usize;
                     if let Some(pos) = self.q_live[qi].iter().position(|&x| x == item) {
                         self.q_live[qi].swap_remove(pos);
@@ -533,7 +534,7 @@ impl Attributor {
         };
         AttributionReport {
             completed: self.completed,
-            incomplete: self.pending.len() as u64,
+            incomplete: self.chains.len() as u64,
             violations: self.violations,
             total_cycles: self.total_cycles,
             phase_totals: self.phase_totals,

@@ -226,14 +226,46 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_through(u64::MAX)
+    }
+
+    /// Removes and returns the earliest event if it lies strictly before
+    /// `bound`, advancing the clock to its timestamp. Otherwise returns
+    /// `None` and leaves the queue — its events, [`Self::now`] and the
+    /// window — untouched, so a caller can stop at a boundary and resume
+    /// later without holding a popped-too-far event aside.
+    ///
+    /// ```
+    /// use hp_sim::event::EventQueue;
+    /// use hp_sim::time::SimTime;
+    ///
+    /// let mut q = EventQueue::new();
+    /// q.schedule_at(SimTime(10), "a");
+    /// assert_eq!(q.pop_before(SimTime(10)), None);
+    /// assert_eq!((q.now(), q.len()), (SimTime(0), 1));
+    /// assert_eq!(q.pop_before(SimTime(11)), Some((SimTime(10), "a")));
+    /// ```
+    #[inline]
+    pub fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
+        self.pop_through(bound.0.checked_sub(1)?)
+    }
+
+    /// Pops the earliest event if its timestamp is at most `last`.
+    #[inline]
+    fn pop_through(&mut self, last: u64) -> Option<(SimTime, E)> {
+        let t = if self.near_len > 0 {
+            self.base + self.first_occupied_offset() as u64
+        } else {
+            self.far.peek()?.0.time.0
+        };
+        if t > last {
+            return None;
+        }
         if self.near_len == 0 {
             // Jump the window to the far horizon's first instant.
-            let Reverse(head) = self.far.peek()?;
-            self.base = head.time.0;
+            self.base = t;
             self.migrate_due();
         }
-        let off = self.first_occupied_offset();
-        let t = self.base + off as u64;
         let slot = (t as usize) & WHEEL_MASK;
         let payload = self.heads[slot].take().expect("occupied bucket");
         self.near_len -= 1;
@@ -250,63 +282,6 @@ impl<E> EventQueue<E> {
         Some((self.now, payload))
     }
 
-    /// Removes the earliest event *run* — every pending event sharing the
-    /// earliest timestamp — returning the first event and appending the
-    /// rest to `out`, in exactly the order repeated [`EventQueue::pop`]
-    /// calls would have produced, and advances the clock to that
-    /// timestamp. Returns `None` when the queue is empty (then `out` is
-    /// untouched).
-    ///
-    /// One wheel bucket holds the events of exactly one instant, so the
-    /// run is the whole first occupied bucket: the occupancy bitmap is
-    /// scanned once and the bucket bookkeeping is paid once for the run
-    /// instead of per event. The run's head is returned directly, so the
-    /// dominant singleton-run case costs the same as a plain `pop` — the
-    /// spill to `out` only happens when a run really has a tail. Events
-    /// scheduled *while the batch is being consumed* for this same
-    /// instant carry later sequence numbers; they land in the (now empty)
-    /// bucket and come out of the next `pop`/`pop_batch` — after the
-    /// drained run, exactly as single-event popping would order them.
-    pub fn pop_batch(&mut self, out: &mut VecDeque<E>) -> Option<(SimTime, E)> {
-        if self.near_len == 0 {
-            // Jump the window to the far horizon's first instant; events at
-            // exactly that instant migrate into the bucket in `(time, seq)`
-            // order before the drain below.
-            let Reverse(head) = self.far.peek()?;
-            self.base = head.time.0;
-            self.migrate_due();
-        }
-        let off = self.first_occupied_offset();
-        let t = self.base + off as u64;
-        debug_assert!(t >= self.now.0);
-        self.now = SimTime(t);
-        if t > self.base {
-            // Advancing the window cannot migrate events *at* `t` (far
-            // events are at or beyond the old `base + WHEEL_SLOTS`, which
-            // exceeds `t`), so the bucket drained below is the full run.
-            self.base = t;
-            self.migrate_due();
-        }
-        let slot = (t as usize) & WHEEL_MASK;
-        let first = self.heads[slot].take().expect("occupied bucket");
-        let rest = self.tails[slot].len();
-        if rest > 0 {
-            out.extend(self.tails[slot].drain(..));
-        }
-        self.near_len -= 1 + rest;
-        self.occupied[slot / 64] &= !(1 << (slot % 64));
-        Some((self.now, first))
-    }
-
-    /// Timestamp of the earliest pending event without removing it.
-    fn peek_time(&self) -> Option<SimTime> {
-        if self.near_len > 0 {
-            Some(SimTime(self.base + self.first_occupied_offset() as u64))
-        } else {
-            self.far.peek().map(|Reverse(s)| s.time)
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.near_len + self.far.len()
@@ -315,64 +290,6 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Outcome of a bounded simulation run driven by [`run_until`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The horizon was reached with events still pending.
-    HorizonReached,
-    /// The event queue drained before the horizon.
-    Drained,
-    /// The event budget was exhausted (guard against runaway models).
-    BudgetExhausted,
-}
-
-/// Drives `queue` by repeatedly popping events and passing them to `handler`
-/// until the clock passes `horizon`, the queue drains, or `max_events` have
-/// been processed.
-///
-/// The handler receives the event timestamp, the payload, and a mutable
-/// borrow of the queue so it can schedule follow-up events.
-///
-/// # Examples
-///
-/// ```
-/// use hp_sim::event::{run_until, EventQueue, RunOutcome};
-/// use hp_sim::time::{Cycles, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.schedule_at(SimTime(1), 1u64);
-/// let mut sum = 0;
-/// let outcome = run_until(&mut q, SimTime(100), u64::MAX, |_, n, q| {
-///     sum += n;
-///     if n < 4 {
-///         q.schedule_after(Cycles(1), n + 1);
-///     }
-/// });
-/// assert_eq!(outcome, RunOutcome::Drained);
-/// assert_eq!(sum, 1 + 2 + 3 + 4);
-/// ```
-pub fn run_until<E>(
-    queue: &mut EventQueue<E>,
-    horizon: SimTime,
-    max_events: u64,
-    mut handler: impl FnMut(SimTime, E, &mut EventQueue<E>),
-) -> RunOutcome {
-    let mut processed = 0u64;
-    loop {
-        match queue.peek_time() {
-            None => return RunOutcome::Drained,
-            Some(t) if t > horizon => return RunOutcome::HorizonReached,
-            Some(_) => {}
-        }
-        if processed >= max_events {
-            return RunOutcome::BudgetExhausted;
-        }
-        let (t, payload) = queue.pop().expect("peeked event must pop");
-        handler(t, payload, queue);
-        processed += 1;
     }
 }
 
@@ -480,31 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(1), ());
-        let mut count = 0;
-        let outcome = run_until(&mut q, SimTime(10), u64::MAX, |_, (), q| {
-            count += 1;
-            q.schedule_after(Cycles(3), ());
-        });
-        assert_eq!(outcome, RunOutcome::HorizonReached);
-        // Events at 1, 4, 7, 10 fire; the one at 13 does not.
-        assert_eq!(count, 4);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn run_until_respects_budget() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(1), ());
-        let outcome = run_until(&mut q, SimTime(u64::MAX), 10, |_, (), q| {
-            q.schedule_after(Cycles(1), ());
-        });
-        assert_eq!(outcome, RunOutcome::BudgetExhausted);
-    }
-
-    #[test]
     fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime(1), ());
@@ -514,82 +406,23 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_matches_pop_sequence() {
-        // Two queues fed identically; one drained by pop, one by
-        // pop_batch. The concatenated batch runs must equal the pop order.
-        let times = [5u64, 5, 5, 9, 9, 4096, 4096, 70_000, 70_000, 70_001];
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            a.schedule_at(SimTime(t), i);
-            b.schedule_at(SimTime(t), i);
-        }
-        let mut by_pop = Vec::new();
-        while let Some((t, p)) = a.pop() {
-            by_pop.push((t, p));
-        }
-        let mut by_batch = Vec::new();
-        let mut run = VecDeque::new();
-        while let Some((t, head)) = b.pop_batch(&mut run) {
-            assert_eq!(b.now(), t);
-            by_batch.push((t, head));
-            for p in run.drain(..) {
-                by_batch.push((t, p));
-            }
-        }
-        assert_eq!(by_pop, by_batch);
-        assert_eq!(b.pop_batch(&mut run), None);
-        assert!(run.is_empty());
-    }
-
-    #[test]
-    fn pop_batch_orders_same_instant_reschedules_after_the_run() {
-        // An event scheduled for the *current* instant while a batch is
-        // outstanding must fire after the drained run (it has a later
-        // seq), exactly as with single pops.
+    fn refused_pop_before_leaves_now_and_the_window_in_place() {
+        // Walks the window boundary and the far-heap jumps: from 4097 on,
+        // only far-heap events remain, so a refusal that moved the window
+        // base to the far head would make `schedule_at(now)` underflow.
         let mut q = EventQueue::new();
-        q.schedule_at(SimTime(3), "a");
-        q.schedule_at(SimTime(3), "b");
-        let mut run = VecDeque::new();
-        assert_eq!(q.pop_batch(&mut run), Some((SimTime(3), "a")));
-        assert_eq!(run, ["b"]);
-        run.clear();
-        q.schedule_at(SimTime(3), "c");
-        q.schedule_at(SimTime(3), "d");
-        assert_eq!(q.pop_batch(&mut run), Some((SimTime(3), "c")));
-        assert_eq!(run, ["d"]);
-    }
-
-    #[test]
-    fn pop_batch_interleaves_with_pop() {
-        let mut q = EventQueue::new();
-        for i in 0..6 {
-            q.schedule_at(SimTime(10), i);
-        }
-        q.schedule_at(SimTime(11), 6);
-        assert_eq!(q.pop(), Some((SimTime(10), 0)));
-        let mut run = VecDeque::new();
-        assert_eq!(q.pop_batch(&mut run), Some((SimTime(10), 1)));
-        assert_eq!(run, [2, 3, 4, 5]);
-        run.clear();
-        assert_eq!(q.pop_batch(&mut run), Some((SimTime(11), 6)));
-        assert!(run.is_empty(), "singleton run spills nothing");
-    }
-
-    #[test]
-    fn peek_matches_pop_across_the_window_boundary() {
-        let mut q = EventQueue::new();
-        let times = [1u64, 5, 4095, 4096, 4097, 70_000, 70_000, 1 << 40];
+        let times = [1u64, 5, 4095, 4096, 4097, 70_000, 1 << 40];
         for (i, &t) in times.iter().enumerate() {
             q.schedule_at(SimTime(t), i);
         }
-        let mut sorted: Vec<u64> = times.to_vec();
-        sorted.sort_unstable();
-        for &t in &sorted {
-            assert_eq!(q.peek_time(), Some(SimTime(t)));
-            let (pt, _) = q.pop().unwrap();
-            assert_eq!(pt, SimTime(t));
+        for (i, &t) in times.iter().enumerate() {
+            let (now, len) = (q.now(), q.len());
+            assert_eq!(q.pop_before(SimTime(t)), None);
+            assert_eq!((q.now(), q.len()), (now, len));
+            q.schedule_at(now, usize::MAX);
+            assert_eq!(q.pop_before(SimTime(t)), Some((now, usize::MAX)));
+            assert_eq!(q.pop_before(SimTime(t + 1)), Some((SimTime(t), i)));
         }
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop_before(SimTime(u64::MAX)), None);
     }
 }

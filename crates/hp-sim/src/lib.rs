@@ -14,7 +14,7 @@
 //! * [`time`] — [`SimTime`]/[`Cycles`] newtypes and the [`time::Clock`]
 //!   frequency converter.
 //! * [`event`] — the deterministic [`EventQueue`] with FIFO tie-breaking
-//!   and the [`event::run_until`] driver.
+//!   and a bounded pop for stopping at a window boundary.
 //! * [`stats`] — HDR-style [`Histogram`] (percentiles + CDF),
 //!   and the [`stats::OnlineStats`] running mean.
 //! * [`rng`] — [`rng::RngFactory`] seed-derived deterministic streams and

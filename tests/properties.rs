@@ -545,7 +545,7 @@ fn json_writer_trees_round_trip() {
     }
 }
 
-/// `FaultPlan::parse` takes spec strings from the command line: it never
+/// `FaultPlan::parse` is total over arbitrary spec strings: it never
 /// panics, every plan it accepts validates, and accepted plans survive a
 /// `Display` round trip.
 #[test]

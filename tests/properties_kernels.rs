@@ -75,13 +75,15 @@ fn calendar_queue_matches_reference_heap() {
     }
 }
 
-/// `pop_batch` is observationally equivalent to a reference binary heap
-/// ordered by `(time, insertion sequence)`: under arbitrary interleavings
-/// of schedules, single pops, and batch pops, the head plus drained run
-/// reproduce the heap's exact order, and a batch never spans two
-/// distinct timestamps.
+/// `pop_before` is observationally equivalent to a reference binary heap
+/// ordered by `(time, insertion sequence)` with a bound check: under
+/// arbitrary interleavings of schedules (same-instant runs included) and
+/// bounded pops, it returns the heap's head exactly when the head lies
+/// strictly before the bound, and a refusal leaves `now()` and `len()`
+/// unchanged. Bounds fall before the head, on it, inside the wheel
+/// window, or past the far heap.
 #[test]
-fn pop_batch_matches_reference_heap() {
+fn pop_before_matches_reference_heap() {
     let mut rng = SmallRng::seed_from_u64(0xBEEF_000E);
     for _case in 0..60 {
         let mut q = EventQueue::new();
@@ -89,47 +91,39 @@ fn pop_batch_matches_reference_heap() {
         let mut seq = 0u64;
         let mut now = 0u64;
         let mut next_id = 0u32;
-        let mut run: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
         let n_ops = rng.random_range(1..400usize);
         for _ in 0..n_ops {
-            match rng.random_range(0..3u8) {
-                0 => {
-                    let off = match rng.random_range(0..4u8) {
-                        0 => 0, // guaranteed same-instant runs
-                        1 => rng.random_range(0..8u64),
-                        2 => rng.random_range(0..4096),
-                        _ => rng.random_range(0..1 << 20),
-                    };
-                    q.schedule_at(SimTime(now + off), next_id);
-                    model.push(Reverse((now + off, seq, next_id)));
-                    seq += 1;
-                    next_id += 1;
-                }
-                1 => {
-                    if let Some((t, id)) = q.pop() {
-                        let Reverse((mt, _, mid)) = model.pop().expect("model tracks q");
-                        assert_eq!((t.0, id), (mt, mid));
-                        now = mt;
-                    }
+            if rng.random_range(0..3u8) == 0 {
+                let off = match rng.random_range(0..4u8) {
+                    0 => 0, // guaranteed same-instant runs
+                    1 => rng.random_range(0..8u64),
+                    2 => rng.random_range(0..4096),
+                    _ => rng.random_range(0..1 << 20),
+                };
+                q.schedule_at(SimTime(now + off), next_id);
+                model.push(Reverse((now + off, seq, next_id)));
+                seq += 1;
+                next_id += 1;
+                continue;
+            }
+            let head = model.peek().map(|&Reverse((t, _, id))| (t, id));
+            let head_t = head.map_or(now, |(t, _)| t);
+            let bound = match rng.random_range(0..4u8) {
+                0 => head_t.saturating_sub(rng.random_range(1..8u64)),
+                1 => head_t,
+                2 => now + rng.random_range(0..4096u64),
+                _ => u64::MAX,
+            };
+            let len = q.len();
+            match head {
+                Some((t, id)) if t < bound => {
+                    assert_eq!(q.pop_before(SimTime(bound)), Some((SimTime(t), id)));
+                    model.pop();
+                    now = t;
                 }
                 _ => {
-                    assert!(run.is_empty(), "previous batch fully drained");
-                    if let Some((t, head)) = q.pop_batch(&mut run) {
-                        let Reverse((mt, _, mid)) = model.pop().expect("model tracks q");
-                        assert_eq!((t.0, head), (mt, mid), "batch head diverged");
-                        now = mt;
-                        for id in run.drain(..) {
-                            let Reverse((bt, _, bid)) = model.pop().expect("run in model");
-                            assert_eq!((t.0, id), (bt, bid), "batch tail diverged");
-                        }
-                        // The drained run consumed the *entire* same-time
-                        // bucket: the next model event is strictly later.
-                        if let Some(Reverse((nt, _, _))) = model.peek() {
-                            assert!(*nt > t.0, "batch left same-instant events behind");
-                        }
-                    } else {
-                        assert!(model.is_empty());
-                    }
+                    assert_eq!(q.pop_before(SimTime(bound)), None, "bound {bound}");
+                    assert_eq!((q.now(), q.len()), (SimTime(now), len), "refusal moved");
                 }
             }
         }
