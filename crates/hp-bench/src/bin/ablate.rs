@@ -43,7 +43,7 @@ fn main() {
     for (qwait, &(mtps, us)) in qwaits.iter().zip(&qwait_results) {
         table.row(vec![qwait.to_string(), f3(mtps), f2(us)]);
     }
-    table.print(&opts);
+    table.print();
 
     // 2. Batch size under backlog.
     let batches = [1usize, 4, 16];
@@ -66,7 +66,7 @@ fn main() {
     for (batch, &(spin, hp)) in batches.iter().zip(&batch_results) {
         table.row(vec![batch.to_string(), f3(spin), f3(hp)]);
     }
-    table.print(&opts);
+    table.print();
 
     // 3. Service-time CV: HoL blocking in scale-out vs scale-up.
     let dists = [
@@ -100,7 +100,7 @@ fn main() {
     for ((label, _), &(so, su)) in dists.iter().zip(&cv_results) {
         table.row(vec![label.to_string(), f2(so), f2(su), f2(so / su)]);
     }
-    table.print(&opts);
+    table.print();
 
     // 4. Prefetcher degree: accelerates the sequential buffer streams of
     // the storage workloads (64-line blocks).
@@ -124,7 +124,7 @@ fn main() {
     for (degree, &(spin, hp)) in degrees.iter().zip(&degree_results) {
         table.row(vec![degree.to_string(), f3(spin), f3(hp)]);
     }
-    table.print(&opts);
+    table.print();
 
     println!("\nExpected shapes: throughput is insensitive to QWAIT latency (it is off");
     println!("the critical path at load) but zero-load latency tracks it; batching");

@@ -12,9 +12,8 @@
 //! and the deltas) plus an end-to-end summary, and names the phase with
 //! the largest mean-cycles regression. With `--gate PCT` the process
 //! exits nonzero when end-to-end mean latency regressed by more than
-//! `PCT` percent — the message names the guilty phase. Accepts the
-//! standard harness flags (`--csv`, `--json`) for machine-readable
-//! output.
+//! `PCT` percent — the message names the guilty phase. The table is
+//! followed by its CSV block, like every harness table.
 
 use hp_bench::cli::{self, CliError};
 use hp_bench::Table;
@@ -92,7 +91,7 @@ fn pct(base: f64, cand: f64) -> f64 {
 
 fn main() {
     // The artifacts are inputs too: a bad one is refused like a bad flag.
-    let (opts, (paths, gate, base, cand)) = cli::from_env(cli::ATTRIB_DIFF, |a| {
+    let (_, (paths, gate, base, cand)) = cli::from_env(cli::ATTRIB_DIFF, |a| {
         let gate: Option<f64> = a.parsed("--gate", "a percentage")?;
         let (base, cand) = (load(&a.positionals[0])?, load(&a.positionals[1])?);
         Ok((a.positionals, gate, base, cand))
@@ -143,7 +142,7 @@ fn main() {
             format!("{:.1}%", c.share * 100.0),
         ]);
     }
-    t.print(&opts);
+    t.print();
 
     let e2e_pct = pct(base.e2e_mean, cand.e2e_mean);
     println!(

@@ -17,15 +17,15 @@
 //!
 //! For each of the six workload kernels the harness sweeps a chaos
 //! intensity knob and emits the degradation surface (throughput, p99,
-//! per-fault-class recoveries); `--json` appends it as JSONL under
-//! `results/chaos.jsonl`. At the harshest intensity it also re-runs each
-//! kernel with the auditor detached and checks the results are
-//! bit-identical — the auditor is a pure observer, not a participant.
+//! per-fault-class recoveries) as a table and its CSV block. At the
+//! harshest intensity it also re-runs each kernel with the auditor
+//! detached and checks the results are bit-identical — the auditor is a
+//! pure observer, not a participant.
 //!
 //! Exit status is non-zero if any cell of the surface violates
 //! conservation or any auditor-on/off pair diverges.
 //!
-//! Flags: `--quick` (thin the sweep), `--csv`, `--json`.
+//! Flags: `--quick` (thin the sweep), `--threads N`, `--par-workers N`.
 
 use hp_bench::{experiment, f2, HarnessOpts, Table};
 use hp_sdp::config::{ExperimentConfig, Load, Notifier};
@@ -140,7 +140,7 @@ fn main() {
             if a.ok() { "ok".into() } else { "FAIL".into() },
         ]);
     }
-    table.print(&opts);
+    table.print();
 
     // Recovery SLO at full intensity, per class, for the first kernel.
     if let Some(r) = results.last() {

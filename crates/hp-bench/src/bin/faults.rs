@@ -10,7 +10,7 @@
 //!    the graceful-degradation curve: throughput holds, mean latency
 //!    rises smoothly with the recovery work.
 //!
-//! Flags: `--quick` (thin the sweep), `--csv` (machine-readable output).
+//! Flags: `--quick` (thin the sweep), `--threads N`, `--par-workers N`.
 
 use hp_bench::{experiment, f2, HarnessOpts, Table};
 use hp_sdp::config::{Load, Notifier};
@@ -46,7 +46,10 @@ fn main() {
 
     // --- Part 1: the failure mode the resilience machinery exists for.
     let mut stall_cfg = base(16)
-        .with_faults(FaultPlan::parse("drop=1.0").expect("static spec"))
+        .with_faults(FaultPlan {
+            doorbell_drop: 1.0,
+            ..FaultPlan::none()
+        })
         .with_watchdog(1_000_000);
     stall_cfg.watchdog_abort = true;
     stall_cfg.max_cycles = 400_000_000;
@@ -104,7 +107,7 @@ fn main() {
             f2(rec_mean_us),
         ]);
     }
-    table.print(&opts);
+    table.print();
     println!(
         "\nWith the QWAIT timeout armed the data plane survives every drop rate;\n\
          latency degrades with the re-poll interval instead of deadlocking."

@@ -85,7 +85,7 @@ fn main() {
         }
         table.row(cells);
     }
-    table.print(&opts);
+    table.print();
 
     // (b) PC: scale-out (0%, 10% imbalance) and scale-up-2, both systems.
     let pc_configs: Vec<(Notifier, usize, f64)> = vec![
@@ -131,7 +131,7 @@ fn main() {
         }
         table.row(cells);
     }
-    table.print(&opts);
+    table.print();
 
     // Saturation-throughput comparison the paper's §V-C text calls out.
     let aux_configs: Vec<(TrafficShape, &str, Notifier, usize, f64)> = vec![
@@ -196,7 +196,7 @@ fn main() {
             f2(r.throughput_mtps()),
         ]);
     }
-    table.print(&opts);
+    table.print();
 
     println!("\nExpected shape (paper): HyperPlane scale-up dominates; spinning scale-up");
     println!("collapses from synchronization; 10% imbalance hurts scale-out but not scale-up.");

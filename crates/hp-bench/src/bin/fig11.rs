@@ -76,8 +76,8 @@ fn main() {
             f2(hp.co_runner_ipc(&smt)),
         ]);
     }
-    table.print(&opts);
-    co_table.print(&opts);
+    table.print();
+    co_table.print();
 
     println!("\nExpected shape (paper): spinning IPC is highest at 0% load (all useless)");
     println!("and decreases with load; HyperPlane IPC grows ~linearly with load.");

@@ -50,7 +50,7 @@ fn main() {
             f2(sat.average_power_fraction(&model) * 100.0),
         ]);
     }
-    table.print(&opts);
+    table.print();
 
     // (b) Tail latency vs load, the multicore scale-up scenario.
     let mc = {
@@ -115,7 +115,7 @@ fn main() {
             ),
         ]);
     }
-    table.print(&opts);
+    table.print();
 
     if let Some((spin, hp, c1)) = zero_gap {
         println!(

@@ -58,7 +58,7 @@ fn main() {
             format!("{rel:.1}"),
         ]);
     }
-    table.print(&opts);
+    table.print();
 
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     println!("\nAverage software-ready-set relative throughput:");

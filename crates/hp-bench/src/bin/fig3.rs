@@ -45,7 +45,7 @@ fn main() {
         }
         table.row(cells);
     }
-    table.print(&opts);
+    table.print();
 
     // (b) Light-traffic latency vs queues (~0.01 MPPS offered).
     let lat_sweep = opts.thin(&[1u32, 64, 128, 256, 384, 512]);
@@ -75,7 +75,7 @@ fn main() {
             cdf_rows.push((q, r.latency_cdf_us()));
         }
     }
-    table.print(&opts);
+    table.print();
 
     // (c) CDF at selected queue counts: report latency at fixed CDF levels.
     let mut table = Table::new(
@@ -98,7 +98,7 @@ fn main() {
         }
         table.row(cells);
     }
-    table.print(&opts);
+    table.print();
 
     println!("\nExpected shape (paper): SQ collapses hardest, NC milder, FB/PC flatten;");
     println!("latency grows ~linearly with queues; CDF widens with queue count.");

@@ -62,7 +62,7 @@ fn main() {
                 ratio(speedup),
             ]);
         }
-        table.print(&opts);
+        table.print();
     }
 
     let geo = geometric_mean(&improvements);

@@ -85,7 +85,7 @@ fn main() {
             crossovers.push(q);
             println!("  -> power-optimized HyperPlane overtakes spinning at ~{q} queues");
         }
-        table.print(&opts);
+        table.print();
         print!(
             "{}",
             AsciiChart::new(&format!("zero-load latency vs queues (us) — {workload}"))

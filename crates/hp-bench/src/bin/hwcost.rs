@@ -6,7 +6,9 @@ use hp_core::cost::{estimate, TechModel};
 use hp_core::ready_set::PpaKind;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    // Nothing here runs a simulation, so no flag changes the output; the
+    // command line is still checked like every binary's.
+    HarnessOpts::from_args();
     let tech = TechModel::default();
 
     let mut table = Table::new(
@@ -35,7 +37,7 @@ fn main() {
             ]);
         }
     }
-    table.print(&opts);
+    table.print();
 
     println!("\nExpected shape: Brent-Kung latency grows logarithmically with entries;");
     println!("ripple latency is linear and prohibitive beyond a few dozen queues.");

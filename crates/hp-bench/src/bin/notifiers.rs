@@ -59,8 +59,8 @@ fn main() {
         tput.row(t_cells);
         lat.row(l_cells);
     }
-    tput.print(&opts);
-    lat.print(&opts);
+    tput.print();
+    lat.print();
 
     println!("\nExpected shape (paper §I/II): interrupts scale with queue count but");
     println!("carry the kernel cost on every wake (highest zero-load latency);");

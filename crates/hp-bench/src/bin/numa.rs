@@ -65,7 +65,7 @@ fn main() {
             busy.to_string(),
         ]);
     }
-    table.print(&opts);
+    table.print();
 
     println!("\nExpected shape: under SQ/PC skew, stealing activates the idle socket's");
     println!("cores and recovers throughput; under FB it changes little (already balanced).");

@@ -65,7 +65,7 @@ fn main() {
         };
         table.row(vec![q.to_string(), f2(r), f2(w), speedup]);
     }
-    table.print(&opts);
+    table.print();
 
     println!("\nExpected shape: under WRR the premium queue's latency drops well below");
     println!("the best-effort queues'; under RR all queues see the same latency.");

@@ -33,7 +33,7 @@
 //! QID→doorbell map spill resizes) are reported so shard sizing
 //! regressions are attributable.
 //!
-//! Flags: `--quick` (thin the sweep), `--csv`, `--json`,
+//! Flags: `--quick` (thin the sweep), `--threads N`,
 //! `--par-workers N` (intra-run lanes), `--queues A,B,...` (explicit
 //! point list, for the CI smoke), `--digest PATH` (write the
 //! deterministic run digest for byte-identity comparison across worker
@@ -201,7 +201,7 @@ fn main() {
             if a.ok() { "ok".into() } else { "FAIL".into() },
         ]);
     }
-    table.print(&opts);
+    table.print();
 
     // The acceptance gate: per-event simulated cost at the largest point
     // within 1.5x of the 1024-queue baseline. The hot set is fixed, so

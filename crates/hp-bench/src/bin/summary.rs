@@ -69,7 +69,7 @@ fn main() {
             ratio(l),
         ]);
     }
-    table.print(&opts);
+    table.print();
 
     let geo = |v: &[f64]| (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp();
     println!("\n=== Headline comparison ===");

@@ -6,7 +6,9 @@ use hp_core::qwait::HyperPlaneConfig;
 use hp_sdp::config::MicroarchConfig;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    // Nothing here runs a simulation, so no flag changes the output; the
+    // command line is still checked like every binary's.
+    HarnessOpts::from_args();
     let m = MicroarchConfig::default();
     let hp = HyperPlaneConfig::table1();
 
@@ -45,7 +47,7 @@ fn main() {
         "Monitoring lookup".into(),
         format!("{} cycles", hp.timing.monitor_lookup.count()),
     ]);
-    table.print(&opts);
+    table.print();
 
     let r = cost::paper_configuration();
     let mut table = Table::new(
@@ -82,5 +84,5 @@ fn main() {
         format!("{:.2}%", r.power_fraction_of_chip_cores * 100.0),
         "0.4%".into(),
     ]);
-    table.print(&opts);
+    table.print();
 }

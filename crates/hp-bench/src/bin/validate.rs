@@ -96,7 +96,7 @@ fn main() {
             format!("{delta:+.1}"),
         ]);
     }
-    table.print(&opts);
+    table.print();
 
     println!("\nThe scale-up advantage the paper appeals to (M/M/4 vs 4x M/M/1) at 80% load:");
     println!(

@@ -87,11 +87,8 @@ pub fn parse(argv: &[String], spec: Spec) -> Result<(HarnessOpts, Args), CliErro
     let words = || spec.0.split_whitespace();
     let mut opts = HarnessOpts {
         quick: false,
-        csv: false,
-        json: false,
         threads: hp_par::available_parallelism(),
         par_workers: 1,
-        bin: bin_name(argv),
     };
     let mut args = Args::default();
     let mut seen: Vec<&String> = Vec::new();
@@ -108,8 +105,6 @@ pub fn parse(argv: &[String], spec: Spec) -> Result<(HarnessOpts, Args), CliErro
         let flag = tok.as_str();
         match flag {
             "--quick" => opts.quick = true,
-            "--csv" => opts.csv = true,
-            "--json" => opts.json = true,
             _ if flag == "--threads"
                 || flag == "--par-workers"
                 || words().any(|w| w.strip_prefix('[') == Some(flag)) =>
@@ -140,7 +135,7 @@ pub fn parse(argv: &[String], spec: Spec) -> Result<(HarnessOpts, Args), CliErro
     Ok((opts, args))
 }
 
-/// File stem of `argv[0]`: the binary name used for usage and JSONL paths.
+/// File stem of `argv[0]`: the binary name the usage line shows.
 fn bin_name(argv: &[String]) -> String {
     let stem = argv.first().and_then(|p| Path::new(p).file_stem());
     stem.map_or_else(|| "bench".into(), |s| s.to_string_lossy().into_owned())
@@ -148,7 +143,7 @@ fn bin_name(argv: &[String]) -> String {
 
 /// The one-line usage for `bin` under `spec`.
 fn usage(bin: &str, spec: Spec) -> String {
-    let common = "[--quick] [--csv] [--json] [--threads N] [--par-workers N]";
+    let common = "[--quick] [--threads N] [--par-workers N]";
     format!("usage: {bin} {common} {}", spec.0)
         .trim_end()
         .to_string()
@@ -217,14 +212,10 @@ mod tests {
             for flags in [
                 "",
                 "--quick",
-                "--csv",
-                "--json",
-                "--quick --csv --threads 1",
-                "--quick --csv --threads 2",
-                "--quick --json --threads 3 --csv",
-                "--json --threads 2 --csv",
+                "--quick --threads 1",
                 "--quick --threads 2",
-                "--quick --threads 1 --par-workers 2 --csv",
+                "--threads 2",
+                "--quick --threads 1 --par-workers 2",
             ] {
                 ok(&format!("./target/release/{bin} {flags}"), PLAIN);
             }
@@ -246,7 +237,7 @@ mod tests {
             ok(line, TRACE);
         }
         for line in [
-            "scale --json",
+            "scale",
             "scale --quick --queues 1024,65536 --par-workers 1 --digest scale-w1.txt",
             "scale --quick --queues 1024,65536 --par-workers 2 --digest scale-w2.txt",
             "scale --queues 1024,65536 --digest out.txt",
@@ -270,12 +261,11 @@ mod tests {
     #[test]
     fn reads_common_flags_and_extra_values() {
         let (opts, args) = ok(
-            "/x/trace --quick --threads 3 --par-workers 2 --attrib a.json --json",
+            "/x/trace --quick --threads 3 --par-workers 2 --attrib a.json",
             TRACE,
         );
-        assert!(opts.quick && opts.json && !opts.csv);
+        assert!(opts.quick);
         assert_eq!((opts.threads, opts.par_workers), (3, 2));
-        assert_eq!(opts.bin, "trace");
         assert_eq!(args.get("--attrib"), Some("a.json"));
         assert_eq!(args.get("--trace"), None);
 
@@ -293,8 +283,11 @@ mod tests {
             ("table1 --threads=2", PLAIN, "unknown flag --threads=2"),
             ("fig8 --trace t.json", PLAIN, "unknown flag --trace"),
             ("trace --PATH x", TRACE, "unknown flag --PATH"),
+            // Every table prints its CSV block; there is no other format.
+            ("fig8 --csv", PLAIN, "unknown flag --csv"),
+            ("fig8 --json", PLAIN, "unknown flag --json"),
             (
-                "fig8 --quick --csv --quick",
+                "fig8 --quick --threads 2 --quick",
                 PLAIN,
                 "--quick given more than once",
             ),
@@ -357,12 +350,12 @@ mod tests {
     fn usage_is_the_spec() {
         assert_eq!(
             usage("attrib-diff", ATTRIB_DIFF),
-            "usage: attrib-diff [--quick] [--csv] [--json] [--threads N] [--par-workers N] \
-             [--gate PCT] BASELINE.json CANDIDATE.json"
+            "usage: attrib-diff [--quick] [--threads N] [--par-workers N] [--gate PCT] \
+             BASELINE.json CANDIDATE.json"
         );
         assert_eq!(
             usage("fig8", PLAIN),
-            "usage: fig8 [--quick] [--csv] [--json] [--threads N] [--par-workers N]"
+            "usage: fig8 [--quick] [--threads N] [--par-workers N]"
         );
         // Every bracketed group of a spec is exactly one `[--flag VALUE]`.
         for spec in [TRACE, SCALE, INSPECT, ATTRIB_DIFF] {
@@ -377,5 +370,71 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `parse` is total over random argv: it never panics, and every
+    /// command line it accepts has positive `threads` and `par_workers`,
+    /// the spec's positional count, and only the spec's value flags.
+    #[test]
+    fn parse_is_total_and_sound_on_random_argv() {
+        use hp_rand::rngs::SmallRng;
+        use hp_rand::{Rng, SeedableRng};
+        const COMMON: [&str; 3] = ["--quick", "--threads", "--par-workers"];
+        const VALUES: [&str; 12] = [
+            "0",
+            "1",
+            "2",
+            "-1",
+            "1.5",
+            "18446744073709551616",
+            "a.json",
+            "1024,65536",
+            "hyperplane",
+            "",
+            "-",
+            "=",
+        ];
+        const JUNK: [&str; 6] = ["--", "---", "--help", "--x", "--threads=2", "--QUICK"];
+        const TEXT: [char; 8] = ['-', '-', 'a', '1', '0', ',', ' ', 'é'];
+        let pick =
+            |rng: &mut SmallRng, from: &[&str]| from[rng.random_range(0..from.len())].to_string();
+        let mut rng = SmallRng::seed_from_u64(0xC11_A26F);
+        let (mut accepted, mut rejected) = (0, 0);
+        for spec in [PLAIN, TRACE, SCALE, INSPECT, ATTRIB_DIFF] {
+            let words: Vec<&str> = spec.0.split_whitespace().collect();
+            let flags: Vec<&str> = words.iter().filter_map(|w| w.strip_prefix('[')).collect();
+            let want = words
+                .iter()
+                .filter(|w| !w.starts_with('[') && !w.ends_with(']'))
+                .count();
+            for _ in 0..4_000 {
+                let mut argv = vec!["bin".to_string()];
+                for _ in 0..rng.random_range(0..7usize) {
+                    argv.push(match rng.random_range(0..8u8) {
+                        0 | 1 => pick(&mut rng, &COMMON),
+                        2 if !flags.is_empty() => pick(&mut rng, &flags),
+                        3 => pick(&mut rng, &JUNK),
+                        4 => (0..rng.random_range(0..6usize))
+                            .map(|_| TEXT[rng.random_range(0..TEXT.len())])
+                            .collect(),
+                        _ => pick(&mut rng, &VALUES),
+                    });
+                }
+                let Ok((opts, args)) = parse(&argv, spec) else {
+                    rejected += 1;
+                    continue;
+                };
+                accepted += 1;
+                assert!(opts.threads >= 1 && opts.par_workers >= 1, "{argv:?}");
+                assert_eq!(args.positionals.len(), want, "{argv:?}");
+                for (flag, _) in &args.values {
+                    assert!(flags.contains(&flag.as_str()), "{argv:?}");
+                }
+            }
+        }
+        assert!(
+            accepted > 1_000 && rejected > 1_000,
+            "{accepted} / {rejected}"
+        );
     }
 }

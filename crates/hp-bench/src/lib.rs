@@ -5,21 +5,19 @@
 //!
 //! All binaries accept these flags, parsed by [`cli`]:
 //! * `--quick` — cut sample counts and sweep points for a fast smoke run;
-//! * `--csv` — emit machine-readable CSV after the human-readable table;
-//! * `--json` — additionally append every table row as a JSON object to
-//!   `results/<binary>.jsonl` (one line per row, ready for `jq`/pandas);
 //! * `--threads N` — worker threads for independent sweep points (default:
 //!   all hardware threads). Every simulation is a pure function of its
 //!   seeded config, so any `N` — including `--threads 1` — produces
-//!   byte-identical tables and JSONL.
+//!   byte-identical tables.
 //! * `--par-workers N` — intra-run parallel-fabric lanes (default 1);
 //!   digest-identical to the serial engine for any `N`.
 //!
 //! Parsing is strict: any bad command line exits with status 2 before a
 //! simulation starts (see [`cli`]).
 //!
-//! The shared helpers here keep the binaries small: aligned table
-//! printing, CSV/JSONL emission, and the harness-wide experiment defaults.
+//! The shared helpers here keep the binaries small: table printing (an
+//! aligned table followed by its CSV block) and the harness-wide
+//! experiment defaults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,29 +25,21 @@
 pub mod cli;
 pub mod plot;
 
-use hp_bytes::json::JsonWriter;
 use hp_sdp::config::ExperimentConfig;
 use hp_traffic::shape::TrafficShape;
 use hp_workloads::service::WorkloadKind;
-use std::path::PathBuf;
 
 /// Command-line options shared by all harness binaries.
 #[derive(Debug, Clone)]
 pub struct HarnessOpts {
     /// Reduced sweep for smoke testing.
     pub quick: bool,
-    /// Emit CSV alongside the table.
-    pub csv: bool,
-    /// Append table rows as JSONL under `results/<bin>.jsonl`.
-    pub json: bool,
     /// Worker threads for fanning out independent sweep points.
     pub threads: usize,
     /// Intra-run engine workers (`ExperimentConfig::par_workers`): the
     /// parallel-fabric lane-to-thread mapping inside each single run.
     /// Orthogonal to `threads`. Defaults to 1 (serial engine path).
     pub par_workers: usize,
-    /// Binary name (file stem of `argv[0]`), used for the JSONL path.
-    pub bin: String,
 }
 
 impl HarnessOpts {
@@ -57,11 +47,6 @@ impl HarnessOpts {
     /// common flags; a bad command line exits 2 (see [`cli`]).
     pub fn from_args() -> Self {
         cli::from_env(cli::PLAIN, |_| Ok(())).0
-    }
-
-    /// Path of the JSONL sink for this binary (`results/<bin>.jsonl`).
-    fn jsonl_path(&self) -> PathBuf {
-        PathBuf::from("results").join(format!("{}.jsonl", self.bin))
     }
 
     /// Target completions per run for this option set.
@@ -99,7 +84,7 @@ pub fn experiment(
     cfg
 }
 
-/// A simple aligned text table with optional CSV output.
+/// A simple aligned text table, printed with its CSV block.
 #[derive(Debug)]
 pub struct Table {
     title: String,
@@ -127,8 +112,8 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Prints the aligned table, and CSV when requested.
-    pub fn print(&self, opts: &HarnessOpts) {
+    /// Prints the aligned table, then the same rows as a `# CSV:` block.
+    pub fn print(&self) {
         println!("\n== {} ==", self.title);
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -156,62 +141,11 @@ impl Table {
         for row in &self.rows {
             println!("{}", line(row));
         }
-        if opts.csv {
-            println!("\n# CSV: {}", self.title);
-            println!("{}", self.headers.join(","));
-            for row in &self.rows {
-                println!("{}", row.join(","));
-            }
-        }
-        if opts.json {
-            let path = opts.jsonl_path();
-            if let Some(dir) = path.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            use std::io::Write as _;
-            match std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    if let Err(e) = f.write_all(self.to_jsonl().as_bytes()) {
-                        eprintln!("warning: could not append to {}: {e}", path.display());
-                    }
-                }
-                Err(e) => eprintln!("warning: could not open {}: {e}", path.display()),
-            }
-        }
-    }
-
-    /// Renders the table rows as JSONL: one object per row, keyed by the
-    /// column headers, with the table title under `"table"`. Cells that
-    /// parse as numbers are emitted as JSON numbers; everything else stays
-    /// a string.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        println!("\n# CSV: {}", self.title);
+        println!("{}", self.headers.join(","));
         for row in &self.rows {
-            let mut w = JsonWriter::new();
-            w.begin_object();
-            w.field_str("table", &self.title);
-            for (h, c) in self.headers.iter().zip(row) {
-                w.key(h);
-                // Prefer numeric JSON for numeric-looking cells so the
-                // sink is directly plottable, but keep e.g. "4.12x" or
-                // bare queue names as strings.
-                if let Ok(v) = c.parse::<i64>() {
-                    w.i64(v);
-                } else if let Ok(v) = c.parse::<f64>() {
-                    w.f64(v);
-                } else {
-                    w.string(c);
-                }
-            }
-            w.end_object();
-            out.push_str(&w.finish());
-            out.push('\n');
+            println!("{}", row.join(","));
         }
-        out
     }
 }
 
@@ -237,11 +171,8 @@ mod tests {
     fn opts(quick: bool) -> HarnessOpts {
         HarnessOpts {
             quick,
-            csv: false,
-            json: false,
             threads: 1,
             par_workers: 1,
-            bin: "test".to_string(),
         }
     }
 
@@ -280,31 +211,6 @@ mod tests {
         );
         cfg.validate().unwrap();
         assert_eq!(cfg.target_completions, 12_000);
-    }
-
-    #[test]
-    fn jsonl_rows_carry_title_and_typed_cells() {
-        let mut t = Table::new("fig_demo", &["queues", "mtps", "note"]);
-        t.row(vec!["64".into(), "1.250".into(), "4.12x".into()]);
-        t.row(vec!["128".into(), "2.500".into(), "-".into()]);
-        let jsonl = t.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            r#"{"table":"fig_demo","queues":64,"mtps":1.25,"note":"4.12x"}"#
-        );
-        assert!(lines[1].contains(r#""queues":128"#));
-    }
-
-    #[test]
-    fn jsonl_path_is_per_binary() {
-        let mut o = opts(false);
-        o.bin = "fig08_breakdown".into();
-        assert_eq!(
-            o.jsonl_path(),
-            PathBuf::from("results/fig08_breakdown.jsonl")
-        );
     }
 
     #[test]

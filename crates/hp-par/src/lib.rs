@@ -14,8 +14,9 @@
 //! runs exactly once. Jobs must be independent (they only share `&F`); for
 //! pure jobs — such as `Engine::run`, which is a deterministic function of
 //! its `ExperimentConfig` — the output is therefore *bit-identical* for
-//! any `threads` value, including 1. This is the property `hp-bench`'s
-//! byte-identical-JSONL test (`tests/sweep_jsonl.rs`) pins.
+//! any `threads` value, including 1. The unit test
+//! `results_are_in_input_order_for_any_thread_count` pins the ordering;
+//! CI's Determinism sweep pins the printed figure tables byte for byte.
 //!
 //! Worker panics propagate to the caller (via `std::thread::scope`), so a
 //! failed job cannot be silently dropped from the results.

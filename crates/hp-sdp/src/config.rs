@@ -791,7 +791,10 @@ mod tests {
             Err(ConfigError::ZeroWatchdogPeriod)
         );
         let good = base
-            .with_faults(FaultPlan::parse("drop=0.5").unwrap())
+            .with_faults(FaultPlan {
+                doorbell_drop: 0.5,
+                ..FaultPlan::none()
+            })
             .with_qwait_timeout(10_000)
             .with_watchdog(100_000);
         good.validate().unwrap();
@@ -821,12 +824,23 @@ mod tests {
         base.with_chaos(
             ChaosSchedule::none()
                 .with_burst(1_000_000, 250_000, 3.0)
-                .with_phase(2_000_000, 4_000_000, FaultPlan::parse("drop=0.9").unwrap())
+                .with_phase(
+                    2_000_000,
+                    4_000_000,
+                    FaultPlan {
+                        doorbell_drop: 0.9,
+                        ..FaultPlan::none()
+                    },
+                )
                 .with_churn(500_000),
         )
         .with_silent_evictions()
         .with_audit()
-        .with_faults(FaultPlan::parse("drop=0.25,evict=0.01").unwrap())
+        .with_faults(FaultPlan {
+            doorbell_drop: 0.25,
+            eviction: 0.01,
+            ..FaultPlan::none()
+        })
         .with_qwait_timeout(10_000)
         .with_watchdog(100_000)
         .validate()

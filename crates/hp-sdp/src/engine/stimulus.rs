@@ -179,6 +179,7 @@ impl Engine {
 mod tests {
     use crate::config::{ExperimentConfig, Load, Notifier};
     use crate::engine::Engine;
+    use hp_sim::faults::FaultPlan;
     use hp_traffic::shape::TrafficShape;
     use hp_workloads::service::WorkloadKind;
 
@@ -192,8 +193,8 @@ mod tests {
         );
         assert!(r.drops > 0, "saturation should overflow the queue cap");
 
-        // Two sharing groups, serial and as two lanes, under a `cap=` fault
-        // plan: a refused arrival never enters the FIFO, and the fault
+        // Two sharing groups, serial and as two lanes, under a `queue_cap`
+        // fault plan: a refused arrival never enters the FIFO, and the fault
         // report's queue drops are the engine's drops.
         for notifier in [Notifier::Spinning, Notifier::hyperplane()] {
             for workers in [1, 2] {
@@ -205,7 +206,10 @@ mod tests {
                 .with_cores(4, 2)
                 .with_notifier(notifier)
                 .with_load(Load::Saturation)
-                .with_faults(hp_sim::faults::FaultPlan::parse("cap=4").unwrap())
+                .with_faults(FaultPlan {
+                    queue_cap: Some(4),
+                    ..FaultPlan::none()
+                })
                 .with_audit()
                 .with_par_workers(workers);
                 cfg.target_completions = 2_000;

@@ -264,7 +264,7 @@ impl ExperimentResult {
                     cores_halted: w.cores_halted,
                 })
                 .collect();
-            hp_sim::trace::chrome_trace_with_counters(t, &counters, cycles_per_us)
+            hp_sim::trace::chrome_trace(t, &counters, cycles_per_us)
         })
     }
 

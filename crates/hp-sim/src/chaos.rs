@@ -260,7 +260,11 @@ mod tests {
     use super::*;
 
     fn storm() -> FaultPlan {
-        FaultPlan::parse("drop=0.2,evict=0.01").unwrap()
+        FaultPlan {
+            doorbell_drop: 0.2,
+            eviction: 0.01,
+            ..FaultPlan::none()
+        }
     }
 
     #[test]
@@ -374,7 +378,10 @@ mod tests {
         let s = ChaosSchedule::none()
             .with_phase(2_000, 3_000, storm())
             .with_burst(1_000, 400, 3.0);
-        let base = FaultPlan::parse("spurious=0.1").unwrap();
+        let base = FaultPlan {
+            spurious: 0.1,
+            ..FaultPlan::none()
+        };
         let mut edges = Vec::new();
         let mut now = 0u64;
         while let Some(b) = s.next_boundary(now) {

@@ -52,52 +52,23 @@ pub enum DoorbellFate {
     Delay(Cycles),
 }
 
-/// Error from [`FaultPlan::validate`] or [`FaultPlan::parse`].
+/// Error from [`FaultPlan::validate`]: a probability field is outside
+/// `[0, 1]`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultPlanError {
-    /// A probability field is outside `[0, 1]`.
-    BadProbability {
-        /// Which field.
-        field: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// A spec-string key is not a known fault knob.
-    UnknownKey(String),
-    /// A spec-string value failed to parse.
-    BadValue {
-        /// The key whose value failed.
-        key: String,
-        /// The unparsable text.
-        value: String,
-    },
-    /// A spec-string entry is not `key=value`.
-    BadEntry(String),
-    /// A spec-string key appears more than once. Last-write-wins parsing
-    /// silently masks the earlier value, so duplicates are rejected.
-    DuplicateKey(String),
+pub struct FaultPlanError {
+    /// The name of the offending [`FaultPlan`] field.
+    pub field: &'static str,
+    /// The offending value.
+    pub value: f64,
 }
 
 impl std::fmt::Display for FaultPlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultPlanError::BadProbability { field, value } => {
-                write!(
-                    f,
-                    "fault probability `{field}` must be in [0,1], got {value}"
-                )
-            }
-            FaultPlanError::UnknownKey(k) => write!(f, "unknown fault knob `{k}`"),
-            FaultPlanError::BadValue { key, value } => {
-                write!(f, "fault knob `{key}` has unparsable value `{value}`")
-            }
-            FaultPlanError::BadEntry(e) => {
-                write!(f, "fault spec entry `{e}` is not of the form key=value")
-            }
-            FaultPlanError::DuplicateKey(k) => {
-                write!(f, "fault knob `{k}` appears more than once in the spec")
-            }
-        }
+        let FaultPlanError { field, value } = self;
+        write!(
+            f,
+            "fault probability `{field}` must be in [0,1], got {value}"
+        )
     }
 }
 
@@ -106,8 +77,8 @@ impl std::error::Error for FaultPlanError {}
 /// A declarative description of the faults to inject, with rates.
 ///
 /// The default plan injects nothing. Plans are cheap to clone and compare;
-/// [`FaultPlan::parse`] accepts a compact `key=value,...` spec string (the
-/// workspace carries no serde) and [`std::fmt::Display`] round-trips it.
+/// write one as a struct-update literal, e.g.
+/// `FaultPlan { doorbell_drop: 0.1, ..FaultPlan::none() }`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Probability a doorbell GetM snoop is dropped.
@@ -167,68 +138,20 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// [`FaultPlanError::BadProbability`] naming the offending field.
+    /// [`FaultPlanError`] naming the offending field.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
         for (field, value) in [
-            ("drop", self.doorbell_drop),
-            ("delay", self.doorbell_delay),
-            ("evict", self.eviction),
+            ("doorbell_drop", self.doorbell_drop),
+            ("doorbell_delay", self.doorbell_delay),
+            ("eviction", self.eviction),
             ("spurious", self.spurious),
             ("straggler", self.straggler),
         ] {
             if !(0.0..=1.0).contains(&value) || value.is_nan() {
-                return Err(FaultPlanError::BadProbability { field, value });
+                return Err(FaultPlanError { field, value });
             }
         }
         Ok(())
-    }
-
-    /// Parses a compact spec string, e.g.
-    /// `"drop=0.1,delay=0.05,delay_cycles=4000,evict=0.01,cap=8"`.
-    ///
-    /// Recognized keys: `drop`, `delay`, `delay_cycles`, `evict`,
-    /// `spurious`, `straggler`, `stall_cycles`, `cap`. Whitespace around
-    /// entries is ignored; an empty string is the empty plan.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultPlanError`] on unknown keys, duplicate keys, malformed
-    /// entries, unparsable values, or out-of-range probabilities.
-    pub fn parse(spec: &str) -> Result<Self, FaultPlanError> {
-        let mut plan = FaultPlan::none();
-        let mut seen: Vec<&str> = Vec::new();
-        for entry in spec.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key, value) = entry
-                .split_once('=')
-                .ok_or_else(|| FaultPlanError::BadEntry(entry.to_string()))?;
-            if seen.contains(&key) {
-                return Err(FaultPlanError::DuplicateKey(key.to_string()));
-            }
-            seen.push(key);
-            fn parsed<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, FaultPlanError> {
-                value.parse().map_err(|_| FaultPlanError::BadValue {
-                    key: key.to_string(),
-                    value: value.to_string(),
-                })
-            }
-            match key {
-                "drop" => plan.doorbell_drop = parsed(key, value)?,
-                "delay" => plan.doorbell_delay = parsed(key, value)?,
-                "delay_cycles" => plan.delay_cycles = parsed(key, value)?,
-                "evict" => plan.eviction = parsed(key, value)?,
-                "spurious" => plan.spurious = parsed(key, value)?,
-                "straggler" => plan.straggler = parsed(key, value)?,
-                "stall_cycles" => plan.stall_cycles = parsed(key, value)?,
-                "cap" => plan.queue_cap = Some(parsed(key, value)?),
-                _ => return Err(FaultPlanError::UnknownKey(key.to_string())),
-            }
-        }
-        plan.validate()?;
-        Ok(plan)
     }
 
     /// This plan with every probability multiplied by `factor` and clamped
@@ -246,39 +169,6 @@ impl FaultPlan {
             straggler: scale(self.straggler),
             ..self.clone()
         }
-    }
-}
-
-impl std::fmt::Display for FaultPlan {
-    /// Round-trippable spec string (only non-default knobs are printed).
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut parts: Vec<String> = Vec::new();
-        let d = FaultPlan::default();
-        if self.doorbell_drop != d.doorbell_drop {
-            parts.push(format!("drop={}", self.doorbell_drop));
-        }
-        if self.doorbell_delay != d.doorbell_delay {
-            parts.push(format!("delay={}", self.doorbell_delay));
-        }
-        if self.delay_cycles != d.delay_cycles {
-            parts.push(format!("delay_cycles={}", self.delay_cycles));
-        }
-        if self.eviction != d.eviction {
-            parts.push(format!("evict={}", self.eviction));
-        }
-        if self.spurious != d.spurious {
-            parts.push(format!("spurious={}", self.spurious));
-        }
-        if self.straggler != d.straggler {
-            parts.push(format!("straggler={}", self.straggler));
-        }
-        if self.stall_cycles != d.stall_cycles {
-            parts.push(format!("stall_cycles={}", self.stall_cycles));
-        }
-        if let Some(cap) = self.queue_cap {
-            parts.push(format!("cap={cap}"));
-        }
-        write!(f, "{}", parts.join(","))
     }
 }
 
@@ -527,94 +417,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_roundtrip() {
-        let plan = FaultPlan::parse("drop=0.1, delay=0.05,delay_cycles=4000,cap=8").unwrap();
-        assert_eq!(plan.doorbell_drop, 0.1);
-        assert_eq!(plan.doorbell_delay, 0.05);
-        assert_eq!(plan.delay_cycles, 4000);
-        assert_eq!(plan.queue_cap, Some(8));
-        assert!(plan.is_active());
-        let reparsed = FaultPlan::parse(&plan.to_string()).unwrap();
-        assert_eq!(plan, reparsed);
-    }
-
-    #[test]
-    fn parse_empty_is_inert() {
-        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::none());
-        assert_eq!(FaultPlan::parse("  ").unwrap(), FaultPlan::none());
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(matches!(
-            FaultPlan::parse("bogus=1"),
-            Err(FaultPlanError::UnknownKey(_))
-        ));
-        assert!(matches!(
-            FaultPlan::parse("drop"),
-            Err(FaultPlanError::BadEntry(_))
-        ));
-        assert!(matches!(
-            FaultPlan::parse("drop=x"),
-            Err(FaultPlanError::BadValue { .. })
-        ));
-        assert!(matches!(
-            FaultPlan::parse("drop=1.5"),
-            Err(FaultPlanError::BadProbability { field: "drop", .. })
-        ));
-    }
-
-    #[test]
-    fn parse_rejects_duplicate_keys() {
-        // Last-write-wins would silently take drop=0.9 here; the parser
-        // must refuse instead.
-        for spec in [
-            "drop=0.1,drop=0.9",
-            "drop=0.1, drop=0.1",
-            "cap=8,delay=0.2,cap=16",
-            "stall_cycles=10,stall_cycles=20",
-        ] {
-            match FaultPlan::parse(spec) {
-                Err(FaultPlanError::DuplicateKey(k)) => {
-                    assert!(
-                        spec.contains(&format!("{k}=")),
-                        "wrong key `{k}` for {spec}"
-                    );
-                }
-                other => panic!("{spec}: expected DuplicateKey, got {other:?}"),
-            }
-        }
-        // Distinct keys still parse, and an identical-value duplicate is
-        // rejected just the same (the hazard is the masked intent, not
-        // the masked value).
-        FaultPlan::parse("drop=0.1,delay=0.1").unwrap();
-        assert!(matches!(
-            FaultPlan::parse("evict=0.5,evict=0.5"),
-            Err(FaultPlanError::DuplicateKey(_))
-        ));
-    }
-
-    #[test]
-    fn display_roundtrip_never_emits_duplicates() {
-        // Every Display output must re-parse under the duplicate-rejecting
-        // grammar.
-        let plan = FaultPlan {
-            doorbell_drop: 0.25,
-            doorbell_delay: 0.1,
-            delay_cycles: 1234,
-            eviction: 0.01,
-            spurious: 0.02,
-            straggler: 0.005,
-            stall_cycles: 777,
-            queue_cap: Some(4),
-        };
-        let reparsed = FaultPlan::parse(&plan.to_string()).unwrap();
-        assert_eq!(plan, reparsed);
-    }
-
-    #[test]
     fn scaled_clamps_and_preserves_durations() {
-        let plan = FaultPlan::parse("drop=0.4,evict=0.02,delay_cycles=4000,cap=8").unwrap();
+        let plan = FaultPlan {
+            doorbell_drop: 0.4,
+            eviction: 0.02,
+            delay_cycles: 4000,
+            queue_cap: Some(8),
+            ..FaultPlan::none()
+        };
         let hot = plan.scaled(3.0);
         assert_eq!(hot.doorbell_drop, 1.0);
         assert!((hot.eviction - 0.06).abs() < 1e-12);

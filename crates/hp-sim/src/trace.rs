@@ -412,23 +412,6 @@ fn chrome_tid(kind: &TraceKind) -> (u64, &'static str) {
     }
 }
 
-/// Renders `records` as Chrome `trace_event` JSON (the JSON Array Format
-/// wrapped in an object), loadable in `ui.perfetto.dev` and
-/// `chrome://tracing`.
-///
-/// * Every record becomes an instant event (`ph: "i"`) on a per-core /
-///   per-queue / per-device virtual thread.
-/// * `Enqueue` / `ServiceDone` pairs additionally become nestable async
-///   span edges (`ph: "b"` / `"e"`, category `lifecycle`, id = item), so
-///   each item's full enqueue→service latency renders as one span.
-/// * `SpanBegin` / `SpanEnd` become async span edges in category `phase`.
-///
-/// `cycles_per_us` converts cycle timestamps to the microsecond `ts` unit
-/// the format requires (2000.0 for the default 2 GHz clock).
-pub fn chrome_trace(records: &[TraceRecord], cycles_per_us: f64) -> String {
-    chrome_trace_with_counters(records, &[], cycles_per_us)
-}
-
 /// One sample for the Perfetto counter tracks: instantaneous engine
 /// state at a known instant (the windowed-metrics boundary snapshots are
 /// the natural source).
@@ -444,11 +427,24 @@ pub struct CounterPoint {
     pub cores_halted: u64,
 }
 
-/// [`chrome_trace`] plus Perfetto counter tracks (`ph: "C"`): one
-/// `backlog` / `event queue` / `halted cores` sample per
-/// [`CounterPoint`], rendered as stacked counter charts above the span
-/// tracks in `ui.perfetto.dev`.
-pub fn chrome_trace_with_counters(
+/// Renders `records` as Chrome `trace_event` JSON (the JSON Array Format
+/// wrapped in an object), loadable in `ui.perfetto.dev` and
+/// `chrome://tracing`.
+///
+/// * Every record becomes an instant event (`ph: "i"`) on a per-core /
+///   per-queue / per-device virtual thread.
+/// * `Enqueue` / `ServiceDone` pairs additionally become nestable async
+///   span edges (`ph: "b"` / `"e"`, category `lifecycle`, id = item), so
+///   each item's full enqueue→service latency renders as one span.
+/// * `SpanBegin` / `SpanEnd` become async span edges in category `phase`.
+/// * Every [`CounterPoint`] becomes one `backlog` / `event queue` /
+///   `halted cores` sample on the Perfetto counter tracks (`ph: "C"`),
+///   rendered as stacked counter charts above the span tracks; pass `&[]`
+///   for a counter-free export.
+///
+/// `cycles_per_us` converts cycle timestamps to the microsecond `ts` unit
+/// the format requires (2000.0 for the default 2 GHz clock).
+pub fn chrome_trace(
     records: &[TraceRecord],
     counters: &[CounterPoint],
     cycles_per_us: f64,
@@ -653,7 +649,7 @@ mod tests {
                 item: 7,
             },
         );
-        let json = chrome_trace(&t.records(), 2000.0);
+        let json = chrome_trace(&t.records(), &[], 2000.0);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"traceEvents\""));
         assert!(
@@ -687,7 +683,7 @@ mod tests {
             },
         );
         t.emit(SimTime(100), TraceKind::Enqueue { queue: 0, item: 2 });
-        let json = chrome_trace(&t.records(), 2000.0);
+        let json = chrome_trace(&t.records(), &[], 2000.0);
         let enq = json.find("\"enqueue\"").unwrap();
         let done = json.find("\"service-done\"").unwrap();
         assert!(enq < done, "records must be time-sorted in the export");
@@ -717,7 +713,7 @@ mod tests {
                 cores_halted: 4,
             },
         ];
-        let json = chrome_trace_with_counters(&t.records(), &points, 2000.0);
+        let json = chrome_trace(&t.records(), &points, 2000.0);
         assert_eq!(
             json.matches("\"ph\":\"C\"").count(),
             6,
@@ -726,7 +722,7 @@ mod tests {
         assert!(json.contains("\"backlog\":3"));
         assert!(json.contains("\"event queue\":5"));
         assert!(json.contains("\"halted cores\":4"));
-        // Plain chrome_trace stays counter-free.
-        assert!(!chrome_trace(&t.records(), 2000.0).contains("\"ph\":\"C\""));
+        // No counter points, no counter tracks.
+        assert!(!chrome_trace(&t.records(), &[], 2000.0).contains("\"ph\":\"C\""));
     }
 }

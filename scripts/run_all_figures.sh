@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
 # Regenerates every table/figure of the paper into results/.
-# Usage: scripts/run_all_figures.sh [--quick] [--json] [--threads N]
+# Each binary prints its tables, each followed by its CSV block, to
+# results/<bin>.txt.
+# Usage: scripts/run_all_figures.sh [--quick] [--threads N]
 #   --quick      reduced sweeps for a fast smoke run
-#   --json       also append each table row to results/<bin>.jsonl and write
-#                the trace/metrics artifacts from the trace binary
 #   --threads N  worker threads per binary (default: all cores; results are
 #                byte-identical for any N, --threads 1 runs fully serial)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 quick=""
-json=""
 threads=""
 expect_threads=""
 for arg in "$@"; do
@@ -24,9 +23,8 @@ for arg in "$@"; do
   fi
   case "$arg" in
     --quick) quick="--quick" ;;
-    --json) json="--json" ;;
     --threads) expect_threads=1 ;;
-    *) echo "unknown argument: $arg (expected --quick, --json, and/or --threads N)" >&2; exit 2 ;;
+    *) echo "unknown argument: $arg (expected --quick and/or --threads N)" >&2; exit 2 ;;
   esac
 done
 if [ -n "$expect_threads" ]; then
@@ -36,25 +34,10 @@ fi
 mkdir -p results
 cargo build --release -p hp-bench --bins
 
-if [ -n "$json" ]; then
-  # JSONL sinks append per table; clear stale rows from previous runs.
-  rm -f results/*.jsonl
-fi
-
 for bin in table1 hwcost validate notifiers fig3 fig8 fig9 fig10 fig11 fig12 fig13 qos numa ablate summary; do
   echo "== $bin =="
   # shellcheck disable=SC2086  # word-splitting of the flag strings is intended
-  ./target/release/$bin $quick $json $threads --csv | tee "results/$bin.txt"
+  ./target/release/$bin $quick $threads | tee "results/$bin.txt"
 done
-
-if [ -n "$json" ]; then
-  echo "== trace =="
-  # shellcheck disable=SC2086
-  ./target/release/trace $quick $threads \
-    --trace results/trace.json \
-    --metrics results/metrics.jsonl \
-    --attrib results/attrib.json \
-    --bench results/bench_trace.json | tee results/trace.txt
-fi
 
 echo "All figure outputs written to results/"

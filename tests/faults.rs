@@ -23,7 +23,10 @@ fn base(load_fraction: f64) -> ExperimentConfig {
 }
 
 fn full_drop() -> FaultPlan {
-    FaultPlan::parse("drop=1.0").unwrap()
+    FaultPlan {
+        doorbell_drop: 1.0,
+        ..FaultPlan::none()
+    }
 }
 
 #[test]
@@ -74,7 +77,12 @@ fn same_seed_same_faulty_result() {
     // as reproducible as a clean one: bit-identical results.
     let mk = || {
         base(0.5)
-            .with_faults(FaultPlan::parse("drop=0.4,delay=0.3,spurious=0.05").unwrap())
+            .with_faults(FaultPlan {
+                doorbell_drop: 0.4,
+                doorbell_delay: 0.3,
+                spurious: 0.05,
+                ..FaultPlan::none()
+            })
             .with_qwait_timeout(20_000)
             .with_watchdog(4_000_000)
             .with_seed(0xFA17)
@@ -178,7 +186,11 @@ fn spurious_wakeups_never_double_service() {
     // demands exactly-once service, across seeds.
     for seed in [3u64, 0xABCD] {
         let cfg = base(0.6)
-            .with_faults(FaultPlan::parse("spurious=0.3,drop=0.3").unwrap())
+            .with_faults(FaultPlan {
+                spurious: 0.3,
+                doorbell_drop: 0.3,
+                ..FaultPlan::none()
+            })
             .with_qwait_timeout(20_000)
             .with_watchdog(4_000_000)
             .with_audit()
@@ -200,7 +212,13 @@ fn conservation_holds_under_silent_evictions_and_chaos() {
     // burst, a storm phase, and live doorbell churn. Conservation must
     // hold, churn must actually fire, and the run must be reproducible.
     use hp_sim::chaos::ChaosSchedule;
-    let storm = FaultPlan::parse("drop=0.5,delay=0.2,evict=0.01,spurious=0.05").unwrap();
+    let storm = FaultPlan {
+        doorbell_drop: 0.5,
+        doorbell_delay: 0.2,
+        eviction: 0.01,
+        spurious: 0.05,
+        ..FaultPlan::none()
+    };
     let mk = || {
         base(0.5)
             .with_faults(storm.scaled(0.5))
@@ -252,7 +270,10 @@ fn recoveries_are_attributed_to_their_fault_class() {
 
     // Pure eviction: recoveries must re-register entries — eviction class.
     let cfg = base(0.5)
-        .with_faults(FaultPlan::parse("evict=0.05").unwrap())
+        .with_faults(FaultPlan {
+            eviction: 0.05,
+            ..FaultPlan::none()
+        })
         .with_qwait_timeout(20_000)
         .with_watchdog(4_000_000);
     let r = runner::run(cfg);

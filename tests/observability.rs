@@ -316,7 +316,10 @@ fn attribution_conserves_under_fault_recovery() {
     use hyperplane::sim::attrib::Phase;
     let cfg = base(Notifier::hyperplane())
         .with_attrib()
-        .with_faults(FaultPlan::parse("drop=1.0").unwrap())
+        .with_faults(FaultPlan {
+            doorbell_drop: 1.0,
+            ..FaultPlan::none()
+        })
         .with_qwait_timeout(20_000)
         .with_watchdog(4_000_000);
     let r = runner::run(cfg);
@@ -355,7 +358,13 @@ fn attribution_conserves_under_fault_recovery() {
 #[test]
 fn attribution_conserves_under_chaos() {
     use hyperplane::sim::chaos::ChaosSchedule;
-    let storm = FaultPlan::parse("drop=0.5,delay=0.2,evict=0.01,spurious=0.05").unwrap();
+    let storm = FaultPlan {
+        doorbell_drop: 0.5,
+        doorbell_delay: 0.2,
+        eviction: 0.01,
+        spurious: 0.05,
+        ..FaultPlan::none()
+    };
     let mk = || {
         base(Notifier::hyperplane())
             .with_attrib()
@@ -498,7 +507,13 @@ fn serial_artifacts_are_pinned() {
             .with_metrics_window(100_000)
             .with_par_workers(1)
     };
-    let storm = FaultPlan::parse("drop=0.5,delay=0.2,evict=0.01,spurious=0.05").unwrap();
+    let storm = FaultPlan {
+        doorbell_drop: 0.5,
+        doorbell_delay: 0.2,
+        eviction: 0.01,
+        spurious: 0.05,
+        ..FaultPlan::none()
+    };
     let chaos = base(Notifier::hyperplane())
         .with_cores(4, 1)
         .with_trace(16_384)

@@ -108,7 +108,13 @@ fn parallel_digest_matches_serial_across_configs() {
 /// still digest-identical for any worker count.
 #[test]
 fn parallel_digest_matches_serial_under_chaos() {
-    let storm = FaultPlan::parse("drop=0.5,delay=0.2,evict=0.01,spurious=0.05").unwrap();
+    let storm = FaultPlan {
+        doorbell_drop: 0.5,
+        doorbell_delay: 0.2,
+        eviction: 0.01,
+        spurious: 0.05,
+        ..FaultPlan::none()
+    };
     let mk = || {
         observed(base(Notifier::hyperplane()))
             .with_faults(storm.scaled(0.5))

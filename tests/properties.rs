@@ -545,79 +545,72 @@ fn json_writer_trees_round_trip() {
     }
 }
 
-/// `FaultPlan::parse` is total over arbitrary spec strings: it never
-/// panics, every plan it accepts validates, and accepted plans survive a
-/// `Display` round trip.
+/// `FaultPlan::validate` accepts exactly the plans whose five
+/// probabilities all lie in `[0, 1]`, over random plans that include NaN,
+/// infinite, negative and above-one values. Scaling a valid plan by any
+/// finite factor `>= 0` keeps it valid and leaves `delay_cycles`,
+/// `stall_cycles` and `queue_cap` as they were.
 #[test]
-fn fault_plan_parse_is_total_and_sound() {
+fn fault_plan_validity_is_exact_and_kept_by_scaling() {
     use hyperplane::sim::faults::FaultPlan;
-    const KEYS: &[&str] = &[
-        "drop",
-        "delay",
-        "delay_cycles",
-        "evict",
-        "spurious",
-        "straggler",
-        "stall_cycles",
-        "cap",
-        "bogus",
-        "",
+    const EDGES: [f64; 10] = [
+        0.0,
+        -0.0,
+        1.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        1.0 + f64::EPSILON,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -1.0,
     ];
-    const VALUES: &[&str] = &[
-        "0",
-        "1",
-        "0.5",
-        "1e-3",
-        "-0",
-        "-0.1",
-        "1.5",
-        "NaN",
-        "inf",
-        "abc",
-        "",
-        "4000",
-        "18446744073709551616",
-        "=",
-    ];
-    let mut rng = SmallRng::seed_from_u64(0xFA01_7C1A);
-    let (mut accepted, mut rejected) = (0, 0);
+    const FACTORS: [f64; 6] = [0.0, f64::MIN_POSITIVE, 0.5, 1.0, 3.0, f64::MAX];
+    let mut rng = SmallRng::seed_from_u64(0xFA01_7C1B);
+    let probability = |rng: &mut SmallRng| match rng.random_range(0..4u8) {
+        0 => EDGES[rng.random_range(0..EDGES.len())],
+        1 => rng.random::<f64>() * 4.0 - 2.0,
+        _ => rng.random::<f64>(),
+    };
+    let (mut valid, mut invalid) = (0, 0);
     for _ in 0..20_000 {
-        let spec = if rng.random_range(0..8u8) == 0 {
-            random_text(&mut rng, 24)
-        } else {
-            (0..rng.random_range(0..5usize))
-                .map(|_| {
-                    let key = KEYS[rng.random_range(0..KEYS.len())];
-                    let value = VALUES[rng.random_range(0..VALUES.len())];
-                    match rng.random_range(0..6u8) {
-                        0 => key.to_string(),
-                        1 => format!(" {key} = {value} "),
-                        _ => format!("{key}={value}"),
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join(",")
+        let plan = FaultPlan {
+            doorbell_drop: probability(&mut rng),
+            doorbell_delay: probability(&mut rng),
+            delay_cycles: rng.random(),
+            eviction: probability(&mut rng),
+            spurious: probability(&mut rng),
+            straggler: probability(&mut rng),
+            stall_cycles: rng.random(),
+            queue_cap: rng.random::<bool>().then(|| rng.random_range(0..64usize)),
         };
-        match FaultPlan::parse(&spec) {
-            Ok(plan) => {
-                accepted += 1;
-                assert!(
-                    plan.validate().is_ok(),
-                    "{spec:?} parsed to an invalid plan"
-                );
-                assert_eq!(
-                    FaultPlan::parse(&plan.to_string()).ok(),
-                    Some(plan),
-                    "{spec:?} does not round-trip"
-                );
-            }
-            Err(_) => rejected += 1,
+        let in_unit = [
+            plan.doorbell_drop,
+            plan.doorbell_delay,
+            plan.eviction,
+            plan.spurious,
+            plan.straggler,
+        ]
+        .iter()
+        .all(|&p| p.clamp(0.0, 1.0) == p);
+        assert_eq!(plan.validate().is_ok(), in_unit, "{plan:?}");
+        if !in_unit {
+            invalid += 1;
+            continue;
+        }
+        valid += 1;
+        let random_factor = rng.random::<f64>() * 10.0;
+        for factor in FACTORS.into_iter().chain([random_factor]) {
+            let scaled = plan.scaled(factor);
+            assert_eq!(scaled.validate(), Ok(()), "{plan:?} x {factor}");
+            assert_eq!(
+                (scaled.delay_cycles, scaled.stall_cycles, scaled.queue_cap),
+                (plan.delay_cycles, plan.stall_cycles, plan.queue_cap),
+                "{plan:?} x {factor}"
+            );
         }
     }
-    assert!(
-        accepted > 1_000 && rejected > 1_000,
-        "{accepted} / {rejected}"
-    );
+    assert!(valid > 1_000 && invalid > 1_000, "{valid} / {invalid}");
 }
 
 /// Configs that `validate()` accepts but whose build cannot succeed — a
