@@ -49,7 +49,7 @@ struct Entry {
 }
 
 /// Lifetime statistics of the monitoring set.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MonitoringStats {
     /// Successful insertions.
     pub inserts: u64,
@@ -73,26 +73,30 @@ pub struct MonitoringStats {
 /// One bank: a d-ary Cuckoo table and its snoop-range register.
 #[derive(Debug)]
 struct Bank {
-    ways: Vec<Vec<Option<Entry>>>,
+    /// Every way's rows in one way-major vector: way `w`, row `r` at
+    /// `w * rows + r`.
+    slots: Vec<Option<Entry>>,
     rows: usize,
     /// Watermarks of doorbell lines ever inserted: the bank's snoop-range
     /// register. Monotone (removal never shrinks them), so the filter is
     /// conservative — it can only reject lines no entry ever carried.
     line_lo: u64,
     line_hi: u64,
-    /// [`Bank::place`]'s walk record, kept between inserts so a walk
-    /// allocates nothing.
-    walk: Vec<(usize, usize, Entry)>,
+    /// [`Bank::place`]'s walk record and the homeless entry's row in
+    /// each way, kept between inserts so a walk allocates nothing.
+    walk: Vec<(usize, Entry)>,
+    walk_rows: Vec<usize>,
 }
 
 impl Bank {
     fn new(rows: usize, ways: usize) -> Self {
         Bank {
-            ways: vec![vec![None; rows]; ways],
+            slots: vec![None; rows * ways],
             rows,
             line_lo: u64::MAX,
             line_hi: 0,
             walk: Vec::new(),
+            walk_rows: vec![0; ways],
         }
     }
 
@@ -102,20 +106,21 @@ impl Bank {
         (splitmix64(line.0 ^ salt) % self.rows as u64) as usize
     }
 
-    /// The `(way, row)` of the first entry on `line` that `hit` accepts,
-    /// probing the ways in order: an O(ways) parallel lookup in hardware.
-    /// `salts` holds each way's hash salt ([`MonitoringSet`]'s).
-    fn find(
-        &self,
-        salts: &[u64],
-        line: LineAddr,
-        hit: impl Fn(&Entry) -> bool,
-    ) -> Option<(usize, usize)> {
+    /// The slot of `(way, row)`.
+    #[inline]
+    fn slot(&self, way: usize, row: usize) -> usize {
+        way * self.rows + row
+    }
+
+    /// The slot of the first entry on `line` that `hit` accepts, probing
+    /// the ways in order: an O(ways) parallel lookup in hardware. `salts`
+    /// holds each way's hash salt ([`MonitoringSet`]'s).
+    fn find(&self, salts: &[u64], line: LineAddr, hit: impl Fn(&Entry) -> bool) -> Option<usize> {
         salts
             .iter()
             .enumerate()
-            .map(|(way, &salt)| (way, self.row(salt, line)))
-            .find(|&(way, row)| self.ways[way][row].is_some_and(|e| e.line == line && hit(&e)))
+            .map(|(way, &salt)| self.slot(way, self.row(salt, line)))
+            .find(|&slot| self.slots[slot].is_some_and(|e| e.line == line && hit(&e)))
     }
 
     /// Cuckoo insertion walk: places `entry`, relocating residents between
@@ -124,42 +129,55 @@ impl Bank {
     /// and returns `None`.
     fn place(&mut self, salts: &[u64], entry: Entry) -> Option<u64> {
         let mut homeless = entry;
-        let w = self.ways.len();
-        // Record of (way, row, displaced_entry) for rollback.
+        let w = salts.len();
+        // Record of (slot, displaced_entry) for rollback, and the homeless
+        // entry's row in each way.
         let mut walk = std::mem::take(&mut self.walk);
         walk.clear();
+        let mut rows = std::mem::take(&mut self.walk_rows);
+        // The (way, row) the homeless entry was displaced from: its row
+        // in that way is known without hashing.
+        let mut known = None;
         for kick in 0..=MonitoringSet::DEFAULT_MAX_KICKS {
             // d-ary Cuckoo: first probe every way for a free slot.
-            let free = salts
-                .iter()
-                .enumerate()
-                .map(|(way, &salt)| (way, self.row(salt, homeless.line)))
-                .find(|&(way, row)| self.ways[way][row].is_none());
-            if let Some((way, row)) = free {
-                self.ways[way][row] = Some(homeless);
+            let mut free = None;
+            for (way, &salt) in salts.iter().enumerate() {
+                rows[way] = match known {
+                    Some((k, row)) if k == way => row,
+                    _ => self.row(salt, homeless.line),
+                };
+                let slot = self.slot(way, rows[way]);
+                if self.slots[slot].is_none() {
+                    free = Some(slot);
+                    break;
+                }
+            }
+            if let Some(slot) = free {
+                self.slots[slot] = Some(homeless);
                 self.line_lo = self.line_lo.min(entry.line.0);
                 self.line_hi = self.line_hi.max(entry.line.0);
                 let relocations = walk.len() as u64;
-                self.walk = walk;
+                (self.walk, self.walk_rows) = (walk, rows);
                 return Some(relocations);
             }
             // All full: displace from a pseudo-random way (random-walk
             // insertion approaches the d-ary load threshold).
             let way =
                 (splitmix64(homeless.line.0 ^ (kick as u64) << 7 ^ 0x5bd1) % w as u64) as usize;
-            let row = self.row(salts[way], homeless.line);
-            let displaced = self.ways[way][row]
+            let slot = self.slot(way, rows[way]);
+            let displaced = self.slots[slot]
                 .replace(homeless)
                 .expect("all ways were full");
-            walk.push((way, row, displaced));
+            walk.push((slot, displaced));
             homeless = displaced;
+            known = Some((way, rows[way]));
         }
         // Undo the walk newest-first, so each slot gets back its original
         // resident and `entry` is left out.
-        for &(way, row, displaced) in walk.iter().rev() {
-            self.ways[way][row] = Some(displaced);
+        for &(slot, displaced) in walk.iter().rev() {
+            self.slots[slot] = Some(displaced);
         }
-        self.walk = walk;
+        (self.walk, self.walk_rows) = (walk, rows);
         None
     }
 }
@@ -299,7 +317,7 @@ impl MonitoringSet {
     fn occupancy_per_bank(&self) -> Vec<usize> {
         self.banks
             .iter()
-            .map(|b| b.ways.iter().flatten().filter(|e| e.is_some()).count())
+            .map(|b| b.slots.iter().filter(|e| e.is_some()).count())
             .collect()
     }
 
@@ -311,12 +329,7 @@ impl MonitoringSet {
     /// Host bytes reserved for entry slots and the QID→doorbell map
     /// (capacity × element size): the set's per-QID memory.
     pub fn reserved_bytes(&self) -> usize {
-        let slots: usize = self
-            .banks
-            .iter()
-            .flat_map(|b| &b.ways)
-            .map(Vec::capacity)
-            .sum();
+        let slots: usize = self.banks.iter().map(|b| b.slots.capacity()).sum();
         slots * std::mem::size_of::<Option<Entry>>()
             + self.line_of_qid.capacity() * std::mem::size_of::<LineAddr>()
     }
@@ -369,17 +382,17 @@ impl MonitoringSet {
         Ok(())
     }
 
-    /// Where `qid`'s entry sits, as `(bank, way, row)`: its doorbell line
+    /// Where `qid`'s entry sits, as `(bank, slot)`: its doorbell line
     /// routes to the bank, whose ways are probed for `(line, qid)`.
-    fn locate(&self, qid: QueueId) -> Option<(usize, usize, usize)> {
+    fn locate(&self, qid: QueueId) -> Option<(usize, usize)> {
         let line = self.line_of(qid)?;
         let b = self.bank_of_line(line);
-        let (way, row) = self.banks[b].find(&self.salts, line, |e| e.qid == qid)?;
-        Some((b, way, row))
+        let slot = self.banks[b].find(&self.salts, line, |e| e.qid == qid)?;
+        Some((b, slot))
     }
 
-    fn entry(&mut self, (b, way, row): (usize, usize, usize)) -> &mut Entry {
-        self.banks[b].ways[way][row]
+    fn entry(&mut self, (b, slot): (usize, usize)) -> &mut Entry {
+        self.banks[b].slots[slot]
             .as_mut()
             .expect("located slots are occupied")
     }
@@ -387,8 +400,8 @@ impl MonitoringSet {
     /// `QWAIT-REMOVE`: removes `qid`'s entry. Returns its doorbell line if
     /// it was present.
     pub fn remove(&mut self, qid: QueueId) -> Option<LineAddr> {
-        let (b, way, row) = self.locate(qid)?;
-        self.banks[b].ways[way][row] = None;
+        let (b, slot) = self.locate(qid)?;
+        self.banks[b].slots[slot] = None;
         Some(std::mem::replace(
             &mut self.line_of_qid[qid.0 as usize],
             UNREGISTERED,
@@ -418,7 +431,7 @@ impl MonitoringSet {
     /// Whether `qid`'s entry is currently armed.
     pub fn is_armed(&self, qid: QueueId) -> bool {
         self.locate(qid)
-            .is_some_and(|(b, way, row)| self.banks[b].ways[way][row].is_some_and(|e| e.armed))
+            .is_some_and(|(b, slot)| self.banks[b].slots[slot].is_some_and(|e| e.armed))
     }
 
     /// The doorbell line registered for `qid`, if present.
@@ -444,11 +457,11 @@ impl MonitoringSet {
             self.stats.snoop_misses += 1;
             return None;
         }
-        let Some((way, row)) = bank.find(&self.salts, line, |e| e.armed) else {
+        let Some(slot) = bank.find(&self.salts, line, |e| e.armed) else {
             self.stats.snoop_misses += 1;
             return None;
         };
-        let e = self.entry((b, way, row));
+        let e = self.entry((b, slot));
         e.armed = false;
         let qid = e.qid;
         self.stats.snoop_hits += 1;

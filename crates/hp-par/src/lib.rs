@@ -2,7 +2,8 @@
 //!
 //! A dependency-free stand-in for the slice of `rayon` the HyperPlane
 //! workspace needs: fan a vector of independent jobs across a bounded set
-//! of worker threads and collect the results **in input order**. Like
+//! of worker threads and collect the results **in input order** ([`par_map`]),
+//! or run two independent halves of one job side by side ([`join`]). Like
 //! `hp-rand` and `hp-bytes`, it exists because the workspace must build in
 //! hermetic offline environments — so the executor is ~100 lines of
 //! `std::thread::scope`, not an external crate.
@@ -89,6 +90,38 @@ where
         .into_iter()
         .map(|r| r.expect("every job ran exactly once"))
         .collect()
+}
+
+/// Runs `a` and `b` and returns both results, `a`'s first.
+///
+/// With `parallel`, `a` runs on one scoped helper thread while `b` runs on
+/// the calling thread; otherwise both run inline on the caller, `a` then
+/// `b`, spawning nothing (as [`par_map`] does with one worker). The two
+/// closures must not share mutable state, so the results are the same
+/// either way. Allocate what `a` needs before the call, so the helper
+/// thread's allocator arena stays nearly untouched.
+///
+/// # Panics
+///
+/// Propagates a panic raised by either closure, after both have ended.
+pub fn join<A, B, RA, RB>(parallel: bool, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    RA: Send,
+    B: FnOnce() -> RB,
+{
+    if !parallel {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(a);
+        let rb = b();
+        let ra = helper
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        (ra, rb)
+    })
 }
 
 /// A reusable barrier for lockstep window loops: a sense-reversing atomic
@@ -227,6 +260,50 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn join_returns_both_results_in_order() {
+        for parallel in [false, true] {
+            let (a, b) = join(parallel, || "a".repeat(3), || 7u64 * 6);
+            assert_eq!((a.as_str(), b), ("aaa", 42), "parallel={parallel}");
+        }
+    }
+
+    #[test]
+    fn join_spawns_only_when_parallel() {
+        let caller = std::thread::current().id();
+        let ids = |parallel| {
+            join(
+                parallel,
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            )
+        };
+        assert_eq!(ids(false), (caller, caller));
+        let (a, b) = ids(true);
+        assert_ne!(a, caller, "`a` runs on the helper");
+        assert_eq!(b, caller, "`b` runs on the caller");
+    }
+
+    #[test]
+    fn join_propagates_a_panic_from_either_side() {
+        for parallel in [false, true] {
+            let in_a = std::panic::catch_unwind(|| {
+                join(parallel, || panic!("a failed"), || 1);
+            });
+            let in_b = std::panic::catch_unwind(|| {
+                join(parallel, || 1, || panic!("b failed"));
+            });
+            for (result, msg) in [(in_a, "a failed"), (in_b, "b failed")] {
+                let payload = result.expect_err("the panic propagates");
+                assert_eq!(
+                    payload.downcast_ref::<&str>(),
+                    Some(&msg),
+                    "parallel={parallel}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -81,6 +81,152 @@ pub(super) fn spare_index(queues: u32, i: u64) -> u32 {
     u32::try_from(u64::from(queues) + i).expect("doorbell region indices fit a u32")
 }
 
+/// Builds of at least this many queues register doorbells on a helper
+/// thread while the calling thread builds the rows and arrival streams
+/// (given two or more CPUs). Spawning and joining the helper costs
+/// ~55–70 µs in a warm process and more in a fresh one, and the overlapped
+/// half is only ~1 ms at 2^14 queues, so the threshold is where the split
+/// measured faster (DESIGN.md §17): at 2^16 queues it won 14 of 15
+/// fresh-process builds on a 2-vCPU host, at 2^14 it lost all 15.
+const PARALLEL_BUILD_QUEUES: u32 = 1 << 16;
+
+/// Algorithm-1 registration of every group's queues into its device, in
+/// the group's `orders` (bank-major, [`bank_major`]). A queue's primary
+/// doorbell is its own index; on a monitoring-set insertion conflict the
+/// driver reallocates the doorbell to a spare line in the reserved range
+/// and retries (lines 3–6 of the paper's pseudocode). Each queue whose
+/// doorbell moved is pushed onto `moved` with its final doorbell index.
+/// Returns the spare cursor: how many spares the build consumed.
+///
+/// Conflict reallocation is bank-aware (DESIGN.md §17): the driver
+/// prefers a spare line homing to the *same* monitoring bank as the
+/// conflicted doorbell, deferring other-bank spares into per-bank pools
+/// and spilling across banks only once the stride is dry. With one bank
+/// (every ≤1024-queue config) the pools never fill and the consumption
+/// order is exactly the historical one.
+///
+/// Each group registers one bank at a time (qid order within a bank), so
+/// the bank being filled stays in the host cache. A bank's inserts and
+/// spares do not depend on the order between banks; only a cross-bank
+/// spill does (DESIGN.md §17).
+fn register(
+    devices: &mut [HyperPlaneDevice],
+    orders: Vec<Vec<QueueId>>,
+    layout: &QueueLayout,
+    banks: usize,
+    moved: &mut Vec<(QueueId, u32)>,
+) -> Result<u64, ConfigError> {
+    let queues = layout.queues();
+    let spares = QueueLayout::spare_doorbells(queues);
+    let mut next_spare = 0u64;
+    let mut spare_pool: Vec<VecDeque<u64>> = vec![VecDeque::new(); banks];
+    for (dev, order) in devices.iter_mut().zip(orders) {
+        for q in order {
+            let mut doorbell = q.0;
+            loop {
+                let line = layout.doorbell_at(doorbell).line();
+                match dev.qwait_add(q, line) {
+                    Ok(()) => break,
+                    Err(hp_core::qwait::QwaitError::Conflict(_)) => {
+                        let want = dev.monitoring_bank_of(line);
+                        let idx = take_spare(
+                            want,
+                            &mut spare_pool,
+                            || {
+                                let i = next_spare;
+                                (i < spares).then(|| {
+                                    next_spare += 1;
+                                    i
+                                })
+                            },
+                            |i| dev.monitoring_bank_of(layout.spare_doorbell(i).line()),
+                        )
+                        .ok_or(ConfigError::SpareDoorbellsExhausted { queues })?;
+                        doorbell = spare_index(queues, idx);
+                    }
+                    Err(e) => panic!("doorbell registration failed: {e}"),
+                }
+            }
+            if doorbell != q.0 {
+                moved.push((q, doorbell));
+            }
+        }
+    }
+    Ok(next_spare)
+}
+
+/// One row per queue at its primary doorbell, with producer striping:
+/// group `g`'s `i`-th queue (in qid order) stripes over producers
+/// `g*share .. (g+1)*share`. With `producers >= groups` the slices are
+/// disjoint, so no producer core ever writes into two groups — the
+/// property that lets each lane model its producers' caches privately.
+/// (With fewer producers than groups the fabric falls back to a single
+/// lane; see `par_engine::run`.)
+fn queue_rows(
+    cfg: &ExperimentConfig,
+    group_of_queue: &[usize],
+    queues_of_group: &[Vec<QueueId>],
+) -> Vec<QRow> {
+    let producers = cfg.machine.cores - cfg.dp_cores;
+    let share = (producers / queues_of_group.len()).max(1);
+    let mut qrows: Vec<QRow> = (0..cfg.queues)
+        .map(|q| QRow {
+            items: VecDeque::new(),
+            doorbell: q,
+            group: group_of_queue[q as usize] as u32,
+            enq_slot: 0,
+            deq_slot: 0,
+            producer: 0,
+            irq_armed: true,
+        })
+        .collect();
+    for (g, group_queues) in queues_of_group.iter().enumerate() {
+        for (i, &q) in group_queues.iter().enumerate() {
+            let p = (g * share + i % share) % producers;
+            qrows[q.0 as usize].producer =
+                u8::try_from(cfg.dp_cores + p).expect("the memory system caps cores at 64");
+        }
+    }
+    qrows
+}
+
+/// Each owned group's keyed arrival stream and the time of its first
+/// arrival (`u64::MAX` where there is none). Stimulus streams: 1 =
+/// traffic, 2 = service, 3 = faults. Each group's arrival sub-stream
+/// splits off stream 1 by group; only *owned* groups get an arrival
+/// stream, so a lane draws nothing for foreign groups.
+fn arrival_streams(
+    cfg: &ExperimentConfig,
+    rngs: &RngFactory,
+    group_of_queue: &[usize],
+    owned_groups: &[bool],
+) -> (Vec<Option<KeyedArrivals>>, Vec<u64>) {
+    let rate = cfg.offered_rate();
+    let base = CounterRng::from_key(rngs.stream_seed(1));
+    owned_groups
+        .iter()
+        .enumerate()
+        .map(|(g, &owned)| {
+            let stream = if owned {
+                KeyedArrivals::for_partition(
+                    cfg.shape,
+                    cfg.queues,
+                    rate,
+                    cfg.machine.clock,
+                    group_of_queue,
+                    g,
+                    base.split(g as u64),
+                )
+                .expect("validated configuration")
+            } else {
+                None
+            };
+            let next = if stream.is_some() { 0 } else { u64::MAX };
+            (stream, next)
+        })
+        .unzip()
+}
+
 impl Engine {
     /// Builds an engine for `cfg`.
     ///
@@ -118,6 +264,20 @@ impl Engine {
         cfg: ExperimentConfig,
         lane: Option<usize>,
     ) -> Result<Self, ConfigError> {
+        let parallel = cfg.queues >= PARALLEL_BUILD_QUEUES && hp_par::available_parallelism() >= 2;
+        Self::build(cfg, lane, parallel)
+    }
+
+    /// [`Engine::try_new_lane`] with the two-thread split chosen by the
+    /// caller: with `parallel`, doorbell registration runs on a helper
+    /// thread while the calling thread builds the rows and arrival
+    /// streams. The halves share no output, so the engine is the same
+    /// either way.
+    fn build(
+        cfg: ExperimentConfig,
+        lane: Option<usize>,
+        parallel: bool,
+    ) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let rngs = RngFactory::new(cfg.seed);
         let clock = cfg.machine.clock;
@@ -152,135 +312,52 @@ impl Engine {
         if let Some(group) = queues_of_group.iter().position(Vec::is_empty) {
             return Err(ConfigError::EmptyGroup { group });
         }
-
-        // Partition producer cores by sharing group: group `g`'s `i`-th
-        // queue (in qid order) stripes over producers
-        // `g*share .. (g+1)*share`. With `producers >= groups` the slices
-        // are disjoint, so no producer core ever writes into two groups —
-        // the property that lets each lane model its producers' caches
-        // privately. (With fewer producers than groups the fabric falls
-        // back to a single lane; see `par_engine::run`.)
-        let producers = cfg.machine.cores - cfg.dp_cores;
-        let share = (producers / groups).max(1);
-        let mut qrows: Vec<QRow> = (0..cfg.queues)
-            .map(|q| QRow {
-                items: VecDeque::new(),
-                doorbell: q,
-                group: group_of_queue[q as usize] as u32,
-                enq_slot: 0,
-                deq_slot: 0,
-                producer: 0,
-                irq_armed: true,
-            })
-            .collect();
-        for (g, group_queues) in queues_of_group.iter().enumerate() {
-            for (i, &q) in group_queues.iter().enumerate() {
-                let p = (g * share + i % share) % producers;
-                qrows[q.0 as usize].producer =
-                    u8::try_from(cfg.dp_cores + p).expect("the memory system caps cores at 64");
-            }
-        }
-
-        // Per-queue doorbell lines. Algorithm 1's control plane: on a
-        // monitoring-set insertion conflict, the driver reallocates the
-        // queue's doorbell to a spare line in the reserved range and
-        // retries (lines 3-6 of the paper's pseudocode).
-        //
-        // One HyperPlane device per group (the scale-out/up-2 partitioned
-        // ready-set variants of Fig. 10); unused for spinning.
-        //
-        // Conflict reallocation is bank-aware (DESIGN.md §17): the driver
-        // prefers a spare line homing to the *same* monitoring bank as the
-        // conflicted doorbell, deferring other-bank spares into per-bank
-        // pools and spilling across banks only once the stride is dry.
-        // With one bank (every ≤1024-queue config) the pools never fill
-        // and the consumption order is exactly the historical one.
-        //
-        // Each group registers one bank at a time (qid order within a
-        // bank), so the bank being filled stays in the host cache. A
-        // bank's inserts and spares do not depend on the order between
-        // banks; only a cross-bank spill does (DESIGN.md §17).
-        let mut devices = Vec::new();
-        let mut next_spare = 0u64;
-        let spares = QueueLayout::spare_doorbells(cfg.queues);
-        let build_banks = cfg.hp.monitoring_banks.max(1);
-        let mut spare_pool: Vec<VecDeque<u64>> = vec![VecDeque::new(); build_banks];
-        if matches!(cfg.notifier, Notifier::HyperPlane { .. }) {
-            for group_queues in &queues_of_group {
-                let mut dev = HyperPlaneDevice::new(cfg.hp.clone(), layout.doorbell_range());
-                let order = bank_major(group_queues, build_banks, |q| {
-                    dev.monitoring_bank_of(layout.doorbell(q).line())
-                });
-                for &q in &order {
-                    // A queue's primary doorbell is its own index; its row
-                    // is written only when a conflict moves it.
-                    let mut doorbell = q.0;
-                    loop {
-                        let line = layout.doorbell_at(doorbell).line();
-                        match dev.qwait_add(q, line) {
-                            Ok(()) => break,
-                            Err(hp_core::qwait::QwaitError::Conflict(_)) => {
-                                let want = dev.monitoring_bank_of(line);
-                                let idx = take_spare(
-                                    want,
-                                    &mut spare_pool,
-                                    || {
-                                        let i = next_spare;
-                                        (i < spares).then(|| {
-                                            next_spare += 1;
-                                            i
-                                        })
-                                    },
-                                    |i| dev.monitoring_bank_of(layout.spare_doorbell(i).line()),
-                                )
-                                .ok_or(
-                                    ConfigError::SpareDoorbellsExhausted { queues: cfg.queues },
-                                )?;
-                                doorbell = spare_index(cfg.queues, idx);
-                            }
-                            Err(e) => panic!("doorbell registration failed: {e}"),
-                        }
-                    }
-                    if doorbell != q.0 {
-                        qrows[q.0 as usize].doorbell = doorbell;
-                    }
-                }
-                devices.push(dev);
-            }
-        }
-
-        let core_group: Vec<usize> = (0..cfg.dp_cores).map(|c| c / cfg.cluster).collect();
         let owned_groups: Vec<bool> = match lane {
             None => vec![true; groups],
             Some(g) => (0..groups).map(|i| i == g).collect(),
         };
 
-        let rate = cfg.offered_rate();
-        // Stimulus streams: 1 = traffic, 2 = service, 3 = faults. Each
-        // group's arrival sub-stream splits off stream 1 and each item's
-        // service demand off stream 2 by item id; only *owned* groups get
-        // an arrival stream, so a lane draws nothing for foreign groups.
-        let base = CounterRng::from_key(rngs.stream_seed(1));
-        let mut keyed_arrivals: Vec<Option<KeyedArrivals>> = Vec::with_capacity(groups);
-        let mut group_next_arrival: Vec<u64> = Vec::with_capacity(groups);
-        for (g, &owned) in owned_groups.iter().enumerate() {
-            let stream = if owned {
-                KeyedArrivals::for_partition(
-                    cfg.shape,
-                    cfg.queues,
-                    rate,
-                    clock,
-                    &group_of_queue,
-                    g,
-                    base.split(g as u64),
-                )
-                .expect("validated configuration")
+        // One HyperPlane device per group (the scale-out/up-2 partitioned
+        // ready-set variants of Fig. 10); unused for spinning. The devices
+        // and registration orders are allocated here, so a helper thread
+        // running the registration allocates almost nothing.
+        let build_banks = cfg.hp.monitoring_banks.max(1);
+        let mut devices: Vec<HyperPlaneDevice> =
+            if matches!(cfg.notifier, Notifier::HyperPlane { .. }) {
+                (0..groups)
+                    .map(|_| HyperPlaneDevice::new(cfg.hp.clone(), layout.doorbell_range()))
+                    .collect()
             } else {
-                None
+                Vec::new()
             };
-            group_next_arrival.push(if stream.is_some() { 0 } else { u64::MAX });
-            keyed_arrivals.push(stream);
+        let orders: Vec<Vec<QueueId>> = devices
+            .iter()
+            .zip(&queues_of_group)
+            .map(|(dev, group_queues)| {
+                bank_major(group_queues, build_banks, |q| {
+                    dev.monitoring_bank_of(layout.doorbell(q).line())
+                })
+            })
+            .collect();
+        // Conflicts are rare in an over-provisioned set (none at 2^20
+        // queues), so the moved list starts empty: sizing it for the worst
+        // case kept 2 MiB resident at 2^20 queues.
+        let mut moved = Vec::new();
+        let (registered, (mut qrows, (keyed_arrivals, group_next_arrival))) = hp_par::join(
+            parallel,
+            || register(&mut devices, orders, &layout, build_banks, &mut moved),
+            || {
+                let streams = arrival_streams(&cfg, &rngs, &group_of_queue, &owned_groups);
+                (queue_rows(&cfg, &group_of_queue, &queues_of_group), streams)
+            },
+        );
+        let next_spare = registered?;
+        for (q, doorbell) in moved {
+            qrows[q.0 as usize].doorbell = doorbell;
         }
+
+        let core_group: Vec<usize> = (0..cfg.dp_cores).map(|c| c / cfg.cluster).collect();
+        // Each item's service demand splits off stream 2 by item id.
         let service_keyed = CounterRng::from_key(rngs.stream_seed(2));
 
         let service = ServiceModel::new(cfg.workload, cfg.service_dist, clock);
@@ -435,11 +512,14 @@ mod tests {
         );
     }
 
-    /// Algorithm-1 registration as a build leaves it: monitoring-set
-    /// conflicts, queues whose final doorbell homes to another bank than
-    /// their primary (cross-bank spills), and a hash over every row's
-    /// doorbell, the spare cursor and the relocation count.
-    fn registration(queues: u32, banks: usize, entries: usize, groups: usize) -> (u64, usize, u64) {
+    /// A HyperPlane config of `groups` one-core groups whose devices have
+    /// `banks` monitoring banks sharing `entries` entries.
+    fn registration_config(
+        queues: u32,
+        banks: usize,
+        entries: usize,
+        groups: usize,
+    ) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::new(
             WorkloadKind::PacketEncap,
             TrafficShape::FullyBalanced,
@@ -449,6 +529,15 @@ mod tests {
         .with_cores(groups, 1);
         cfg.hp.monitoring_banks = banks;
         cfg.hp.monitoring_entries = entries;
+        cfg
+    }
+
+    /// Algorithm-1 registration as a build leaves it: monitoring-set
+    /// conflicts, queues whose final doorbell homes to another bank than
+    /// their primary (cross-bank spills), and a hash over every row's
+    /// doorbell, the spare cursor and the relocation count.
+    fn registration(queues: u32, banks: usize, entries: usize, groups: usize) -> (u64, usize, u64) {
+        let cfg = registration_config(queues, banks, entries, groups);
         let e = Engine::try_new(cfg).expect("valid config");
         let dev = &e.devices[0];
         let bank = |i: u32| dev.monitoring_bank_of(e.layout.doorbell_at(i).line());
@@ -497,6 +586,45 @@ mod tests {
             registration(8192, 8, 8192 + 8192 / 24, 1),
             (366, 6, 0xb32d_db75_588f_c44d)
         );
+    }
+
+    /// Registering on a helper thread builds the same engine as the
+    /// inline build: the same row doorbells, device counters, spare
+    /// cursor and queue-state bytes, and the same short run. Covers four
+    /// conflict-heavy groups sharing one spare range (whole engine and
+    /// one lane) and the cross-bank spill build.
+    #[test]
+    fn two_thread_build_matches_inline() {
+        let builds = [
+            (registration_config(8192, 8, 2048 + 2048 / 9, 4), None),
+            (registration_config(8192, 8, 2048 + 2048 / 9, 4), Some(2)),
+            (registration_config(8192, 8, 8192 + 8192 / 24, 1), None),
+        ];
+        for (mut cfg, lane) in builds {
+            cfg.target_completions = 2_000;
+            let [inline, helper] = [false, true]
+                .map(|parallel| Engine::build(cfg.clone(), lane, parallel).expect("valid config"));
+            let doorbells = |e: &Engine| e.qrows.iter().map(|r| r.doorbell).collect::<Vec<_>>();
+            let stats = |e: &Engine| {
+                e.devices
+                    .iter()
+                    .map(HyperPlaneDevice::monitoring_stats)
+                    .collect::<Vec<_>>()
+            };
+            let case = format!("{} groups, lane {lane:?}", cfg.groups());
+            assert!(stats(&inline).iter().any(|s| s.conflicts > 0), "{case}");
+            assert_eq!(doorbells(&inline), doorbells(&helper), "{case}");
+            assert_eq!(stats(&inline), stats(&helper), "{case}");
+            assert_eq!(inline.spare_base, helper.spare_base, "{case}");
+            assert_eq!(
+                inline.queue_state_bytes(),
+                helper.queue_state_bytes(),
+                "{case}"
+            );
+            if lane.is_none() {
+                assert_eq!(inline.run().digest(), helper.run().digest(), "{case}");
+            }
+        }
     }
 
     #[test]

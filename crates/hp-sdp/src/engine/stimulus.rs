@@ -8,7 +8,7 @@ use crate::config::Notifier;
 use hp_mem::types::{AccessKind, CoreId};
 use hp_queues::sim::{QueueId, WorkItem};
 use hp_sim::faults::DoorbellFate;
-use hp_sim::time::{Cycles, SimTime};
+use hp_sim::time::SimTime;
 use hp_sim::trace::TraceKind;
 
 /// Kernel interrupt delivery + scheduling cost for the
@@ -43,19 +43,14 @@ impl Engine {
         // unrelated event types).
         self.group_next_arrival[g] = (now + a.gap).since_start().count();
         let groups = self.queues_of_group.len() as u64;
-        let id = g as u64 + k * groups;
-        let service = {
-            let mut rng = self.service_keyed.split(id);
-            self.service.sample(&mut rng)
-        };
-        self.deliver_arrival(now, a.queue, id, service);
+        self.deliver_arrival(now, a.queue, g as u64 + k * groups);
     }
 
-    /// Materializes one arrival on its (owned) queue: everything
-    /// downstream of the stimulus draws — cap check and drop accounting,
-    /// enqueue, producer stores and doorbell ring, interrupt arming,
-    /// fault injection, and the monitoring-set snoop.
-    fn deliver_arrival(&mut self, now: SimTime, q: QueueId, id: u64, service: Cycles) {
+    /// Materializes arrival `id` on its (owned) queue: everything
+    /// downstream of the arrival draw — cap check and drop accounting,
+    /// the service draw, enqueue, producer stores and doorbell ring,
+    /// interrupt arming, fault injection, and the monitoring-set snoop.
+    fn deliver_arrival(&mut self, now: SimTime, q: QueueId, id: u64) {
         let qi = q.0 as usize;
         let g = self.qrows[qi].group as usize;
         debug_assert!(self.owned_groups[g]);
@@ -70,6 +65,9 @@ impl Engine {
             self.drops += 1;
             return;
         }
+        // Keyed by item id, so drawing only for admitted items changes no
+        // demand.
+        let service = self.service.sample(&mut self.service_keyed.split(id));
 
         // The owning group's partition is no longer provably empty: its
         // spinning cores must complete a fresh full sweep before they may
