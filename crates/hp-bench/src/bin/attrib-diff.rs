@@ -142,7 +142,7 @@ fn main() {
             format!("{:.1}%", c.share * 100.0),
         ]);
     }
-    t.print();
+    print!("{t}");
 
     let e2e_pct = pct(base.e2e_mean, cand.e2e_mean);
     println!(

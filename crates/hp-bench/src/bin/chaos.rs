@@ -140,7 +140,7 @@ fn main() {
             if a.ok() { "ok".into() } else { "FAIL".into() },
         ]);
     }
-    table.print();
+    print!("{table}");
 
     // Recovery SLO at full intensity, per class, for the first kernel.
     if let Some(r) = results.last() {

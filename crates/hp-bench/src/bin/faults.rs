@@ -107,7 +107,7 @@ fn main() {
             f2(rec_mean_us),
         ]);
     }
-    table.print();
+    print!("{table}");
     println!(
         "\nWith the QWAIT timeout armed the data plane survives every drop rate;\n\
          latency degrades with the re-poll interval instead of deadlocking."

@@ -113,7 +113,7 @@ fn main() {
         "p99 notification".into(),
         format!("{:.2}", r.notification_percentile_us(99.0)),
     ]);
-    t.print();
+    print!("{t}");
 
     let mut t = Table::new(
         "Per-core telemetry",
@@ -140,7 +140,7 @@ fn main() {
             c.spurious.to_string(),
         ]);
     }
-    t.print();
+    print!("{t}");
 
     let mem = r.mem_stats();
     let mut t = Table::new("Memory system (DP cores)", &["metric", "value"]);
@@ -155,7 +155,7 @@ fn main() {
         mem.remote_hits.to_string(),
     ]);
     t.row(vec!["DRAM fetches".into(), mem.dram_fetches.to_string()]);
-    t.print();
+    print!("{t}");
 
     println!(
         "\npower: {:.1}% of peak core   co-runner IPC: {:.2}   drops: {}",

@@ -201,7 +201,7 @@ fn main() {
             if a.ok() { "ok".into() } else { "FAIL".into() },
         ]);
     }
-    table.print();
+    print!("{table}");
 
     // The acceptance gate: per-event simulated cost at the largest point
     // within 1.5x of the 1024-queue baseline. The hot set is fixed, so

@@ -142,7 +142,7 @@ fn par_bench(opts: &HarnessOpts, path: &str) {
             r.sync_rounds.to_string(),
         ]);
     }
-    t.print();
+    print!("{t}");
     println!("digest identical across worker counts: {identical}");
     println!("kernel events at 4 lanes vs serial: {event_ratio:.3}x");
     println!("rendezvous rounds: {rounds} at every worker count: {rounds_invariant}");
@@ -277,7 +277,7 @@ fn main() {
                 h.percentile(99.0).unwrap_or(0).to_string(),
             ]);
         }
-        t.print();
+        print!("{t}");
     }
 
     if let Some(profile) = r.kernel_profile() {
@@ -289,7 +289,7 @@ fn main() {
                 cycles.to_string(),
             ]);
         }
-        t.print();
+        print!("{t}");
         println!(
             "\nkernel: {} events in {:.3} s wall ({:.0} events/s)",
             profile.total_events(),

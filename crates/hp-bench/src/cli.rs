@@ -12,12 +12,15 @@ use std::str::FromStr;
 
 /// A binary's arguments beyond the common flags, written as the tail of its
 /// usage line: `[--flag VALUE]` per value flag, then one bare word per
-/// required positional. The usage line thus always matches the parser.
+/// required positional, or `[WORD...]` for any number of them. The usage
+/// line thus always matches the parser.
 #[derive(Debug, Clone, Copy)]
 pub struct Spec(pub &'static str);
 
-/// The common flags only: the figure binaries.
+/// The common flags only: `faults` and `chaos`.
 pub const PLAIN: Spec = Spec("");
+/// `figures`: the tables to render, all of them when none is named.
+pub const FIGURES: Spec = Spec("[NAME...]");
 /// `trace`: where each artifact is written.
 pub const TRACE: Spec = Spec(
     "[--trace PATH] [--metrics PATH] [--bench PATH] [--profile PATH] [--attrib PATH] \
@@ -127,7 +130,8 @@ pub fn parse(argv: &[String], spec: Spec) -> Result<(HarnessOpts, Args), CliErro
     }
     let want = words().filter(|w| !w.starts_with('[') && !w.ends_with(']'));
     let (want, got) = (want.count(), args.positionals.len());
-    if want != got {
+    let variadic = words().any(|w| w.ends_with("...]"));
+    if got < want || (got > want && !variadic) {
         return Err(CliError(format!(
             "expected {want} positional argument(s), got {got}"
         )));
@@ -189,36 +193,21 @@ mod tests {
     /// own docs parses.
     #[test]
     fn accepts_every_invocation_the_repo_uses() {
-        const FIGURES: [&str; 17] = [
-            "table1",
-            "hwcost",
-            "validate",
-            "notifiers",
-            "fig3",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "qos",
-            "numa",
-            "ablate",
-            "summary",
-            "faults",
-            "chaos",
-        ];
-        for bin in FIGURES {
-            for flags in [
-                "",
-                "--quick",
-                "--quick --threads 1",
-                "--quick --threads 2",
-                "--threads 2",
-                "--quick --threads 1 --par-workers 2",
-            ] {
+        for bin in ["faults", "chaos"] {
+            for flags in ["", "--quick", "--quick --threads 1", "--quick --threads 2"] {
                 ok(&format!("./target/release/{bin} {flags}"), PLAIN);
             }
+        }
+        for line in [
+            "figures",
+            "figures --quick --threads 1",
+            "figures --quick --threads 2",
+            "figures --threads 2",
+            "figures --quick --threads 1 --par-workers 2 fig10",
+            "figures --quick --threads 2 validate",
+            "figures --quick fig8 summary",
+        ] {
+            ok(&format!("./target/release/{line}"), FIGURES);
         }
         for line in [
             "trace --quick --trace trace.json --metrics metrics.jsonl --bench bench.json",
@@ -278,17 +267,17 @@ mod tests {
     #[test]
     fn rejects_bad_command_lines() {
         for (line, spec, msg) in [
-            ("table1 --quik", PLAIN, "unknown flag --quik"),
-            ("table1 --help", PLAIN, "unknown flag --help"),
-            ("table1 --threads=2", PLAIN, "unknown flag --threads=2"),
-            ("fig8 --trace t.json", PLAIN, "unknown flag --trace"),
+            ("figures --quik", FIGURES, "unknown flag --quik"),
+            ("figures --help", FIGURES, "unknown flag --help"),
+            ("figures --threads=2", FIGURES, "unknown flag --threads=2"),
+            ("figures --trace t.json", FIGURES, "unknown flag --trace"),
             ("trace --PATH x", TRACE, "unknown flag --PATH"),
             // Every table prints its CSV block; there is no other format.
-            ("fig8 --csv", PLAIN, "unknown flag --csv"),
-            ("fig8 --json", PLAIN, "unknown flag --json"),
+            ("figures --csv", FIGURES, "unknown flag --csv"),
+            ("figures --json", FIGURES, "unknown flag --json"),
             (
-                "fig8 --quick --threads 2 --quick",
-                PLAIN,
+                "figures --quick --threads 2 --quick",
+                FIGURES,
                 "--quick given more than once",
             ),
             (
@@ -298,9 +287,9 @@ mod tests {
             ),
             ("trace --quick --attrib", TRACE, "--attrib needs a value"),
             ("trace --attrib --quick", TRACE, "--attrib needs a value"),
-            ("fig8 --threads", PLAIN, "--threads needs a value"),
+            ("figures --threads", FIGURES, "--threads needs a value"),
             (
-                "fig8 stray",
+                "faults stray",
                 PLAIN,
                 "expected 0 positional argument(s), got 1",
             ),
@@ -322,7 +311,7 @@ mod tests {
         for bad in ["0", "-1", "two", "1.5"] {
             for flag in ["--threads", "--par-workers"] {
                 assert_eq!(
-                    err(&format!("fig8 {flag} {bad}"), PLAIN),
+                    err(&format!("figures {flag} {bad}"), FIGURES),
                     format!("{flag} takes a positive integer, got {bad:?}")
                 );
             }
@@ -354,8 +343,12 @@ mod tests {
              BASELINE.json CANDIDATE.json"
         );
         assert_eq!(
-            usage("fig8", PLAIN),
-            "usage: fig8 [--quick] [--threads N] [--par-workers N]"
+            usage("faults", PLAIN),
+            "usage: faults [--quick] [--threads N] [--par-workers N]"
+        );
+        assert_eq!(
+            usage("figures", FIGURES),
+            "usage: figures [--quick] [--threads N] [--par-workers N] [NAME...]"
         );
         // Every bracketed group of a spec is exactly one `[--flag VALUE]`.
         for spec in [TRACE, SCALE, INSPECT, ATTRIB_DIFF] {
@@ -374,7 +367,8 @@ mod tests {
 
     /// `parse` is total over random argv: it never panics, and every
     /// command line it accepts has positive `threads` and `par_workers`,
-    /// the spec's positional count, and only the spec's value flags.
+    /// the spec's positional count (at least that many for a `[NAME...]`
+    /// spec), and only the spec's value flags.
     #[test]
     fn parse_is_total_and_sound_on_random_argv() {
         use hp_rand::rngs::SmallRng;
@@ -400,9 +394,14 @@ mod tests {
             |rng: &mut SmallRng, from: &[&str]| from[rng.random_range(0..from.len())].to_string();
         let mut rng = SmallRng::seed_from_u64(0xC11_A26F);
         let (mut accepted, mut rejected) = (0, 0);
-        for spec in [PLAIN, TRACE, SCALE, INSPECT, ATTRIB_DIFF] {
+        for spec in [PLAIN, FIGURES, TRACE, SCALE, INSPECT, ATTRIB_DIFF] {
             let words: Vec<&str> = spec.0.split_whitespace().collect();
-            let flags: Vec<&str> = words.iter().filter_map(|w| w.strip_prefix('[')).collect();
+            let variadic = words.iter().any(|w| w.ends_with("...]"));
+            let flags: Vec<&str> = words
+                .iter()
+                .filter_map(|w| w.strip_prefix('['))
+                .filter(|w| w.starts_with("--"))
+                .collect();
             let want = words
                 .iter()
                 .filter(|w| !w.starts_with('[') && !w.ends_with(']'))
@@ -426,7 +425,11 @@ mod tests {
                 };
                 accepted += 1;
                 assert!(opts.threads >= 1 && opts.par_workers >= 1, "{argv:?}");
-                assert_eq!(args.positionals.len(), want, "{argv:?}");
+                if variadic {
+                    assert!(args.positionals.len() >= want, "{argv:?}");
+                } else {
+                    assert_eq!(args.positionals.len(), want, "{argv:?}");
+                }
                 for (flag, _) in &args.values {
                     assert!(flags.contains(&flag.as_str()), "{argv:?}");
                 }

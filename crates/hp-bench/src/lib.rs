@@ -1,7 +1,9 @@
 //! # hp-bench — figure-regeneration harness
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md §5
-//! for the experiment index).
+//! The `figures` binary renders every table/figure of the paper's
+//! evaluation (see DESIGN.md §5 for the experiment index) in one process;
+//! `chaos`, `faults`, `scale`, `trace`, `inspect` and `attrib-diff` are
+//! separate binaries with artifacts or gates of their own.
 //!
 //! All binaries accept these flags, parsed by [`cli`]:
 //! * `--quick` — cut sample counts and sweep points for a fast smoke run;
@@ -15,9 +17,10 @@
 //! Parsing is strict: any bad command line exits with status 2 before a
 //! simulation starts (see [`cli`]).
 //!
-//! The shared helpers here keep the binaries small: table printing (an
-//! aligned table followed by its CSV block) and the harness-wide
-//! experiment defaults.
+//! The shared helpers here keep the tables small: table rendering (an
+//! aligned table followed by its CSV block), the harness-wide experiment
+//! defaults and [`Runs`], the memo that simulates each distinct
+//! configuration of a process once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,8 +29,14 @@ pub mod cli;
 pub mod plot;
 
 use hp_sdp::config::ExperimentConfig;
+use hp_sdp::result::ExperimentResult;
+use hp_sdp::runner::Simulate;
 use hp_traffic::shape::TrafficShape;
 use hp_workloads::service::WorkloadKind;
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Command-line options shared by all harness binaries.
 #[derive(Debug, Clone)]
@@ -84,7 +93,48 @@ pub fn experiment(
     cfg
 }
 
-/// A simple aligned text table, printed with its CSV block.
+/// A run memo: the [`runner`](hp_sdp::runner) primitives, with every
+/// engine run answered from this memo's earlier results when the
+/// configuration repeats.
+///
+/// The key is the configuration's derived `Debug` text, which names every
+/// field, nested ones included. A simulation is a pure function of its
+/// configuration, so a remembered result is the one a fresh run would
+/// give. Two threads that miss on the same key may both simulate it.
+#[derive(Default)]
+pub struct Runs {
+    done: Mutex<HashMap<String, ExperimentResult>>,
+    requests: AtomicU64,
+    engine_runs: AtomicU64,
+}
+
+impl Runs {
+    /// Runs asked for, engine runs made and distinct configurations seen.
+    pub fn counts(&self) -> (u64, u64, usize) {
+        (
+            self.requests.load(Ordering::Relaxed),
+            self.engine_runs.load(Ordering::Relaxed),
+            self.done.lock().expect("memo lock poisoned").len(),
+        )
+    }
+}
+
+impl Simulate for Runs {
+    fn run(&self, cfg: ExperimentConfig) -> ExperimentResult {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let key = format!("{cfg:?}");
+        if let Some(hit) = self.done.lock().expect("memo lock poisoned").get(&key) {
+            return hit.clone();
+        }
+        let result = hp_sdp::runner::run(cfg);
+        self.engine_runs.fetch_add(1, Ordering::Relaxed);
+        let mut done = self.done.lock().expect("memo lock poisoned");
+        done.entry(key).or_insert_with(|| result.clone());
+        result
+    }
+}
+
+/// A simple aligned text table, displayed with its CSV block.
 #[derive(Debug)]
 pub struct Table {
     title: String,
@@ -111,10 +161,12 @@ impl Table {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
     }
+}
 
-    /// Prints the aligned table, then the same rows as a `# CSV:` block.
-    pub fn print(&self) {
-        println!("\n== {} ==", self.title);
+/// The aligned table, then the same rows as a `# CSV:` block.
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "\n== {} ==", self.title)?;
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
@@ -129,24 +181,34 @@ impl Table {
                 .collect::<Vec<_>>()
                 .join("  ")
         };
-        println!("{}", line(&self.headers));
-        println!(
-            "{}",
-            widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        );
+        writeln!(f, "{}", line(&self.headers))?;
+        let rules: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+        writeln!(f, "{}", rules.join("  "))?;
         for row in &self.rows {
-            println!("{}", line(row));
+            writeln!(f, "{}", line(row))?;
         }
-        println!("\n# CSV: {}", self.title);
-        println!("{}", self.headers.join(","));
+        writeln!(f, "\n# CSV: {}", self.title)?;
+        writeln!(f, "{}", self.headers.join(","))?;
         for row in &self.rows {
-            println!("{}", row.join(","));
+            writeln!(f, "{}", row.join(","))?;
         }
+        Ok(())
     }
+}
+
+/// Every `(x, y)` pair, `x`-major: the point order of a two-level sweep.
+pub fn grid<X: Copy, Y: Copy>(xs: &[X], ys: &[Y]) -> Vec<(X, Y)> {
+    xs.iter()
+        .flat_map(|&x| ys.iter().map(move |&y| (x, y)))
+        .collect()
+}
+
+/// The geometric mean of `xs`; `0.0` when `xs` is empty.
+pub fn geometric_mean(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 /// Formats a float with 3 decimals.
@@ -211,6 +273,58 @@ mod tests {
         );
         cfg.validate().unwrap();
         assert_eq!(cfg.target_completions, 12_000);
+    }
+
+    #[test]
+    fn memo_simulates_each_distinct_config_once() {
+        let runs = Runs::default();
+        let calls = || runs.counts().1;
+        // A run that takes milliseconds: 16 queues, 300 completions.
+        let mut base = experiment(
+            &opts(true),
+            WorkloadKind::PacketEncap,
+            TrafficShape::FullyBalanced,
+            16,
+        )
+        .with_notifier(hp_sdp::config::Notifier::hyperplane());
+        base.target_completions = 300;
+
+        let first = runs.run(base.clone());
+        let again = runs.run(base.clone());
+        assert_eq!(calls(), 1, "a repeated config is simulated once");
+        assert_eq!(format!("{first:?}"), format!("{again:?}"));
+
+        // Configs that differ in one nested field are distinct entries.
+        let mut qwait = base.clone();
+        qwait.hp.timing.qwait = hp_sim::time::Cycles(60);
+        let faulty = base.clone().with_faults(hp_sim::faults::FaultPlan {
+            spurious: 0.01,
+            ..hp_sim::faults::FaultPlan::none()
+        });
+        let reseeded = base.clone().with_seed(base.seed + 1);
+        let lanes = base.clone().with_par_workers(2);
+        for cfg in [qwait, faulty, reseeded, lanes] {
+            runs.run(cfg.clone());
+            runs.run(cfg);
+        }
+        assert_eq!(runs.counts(), (10, 5, 5));
+
+        // A peak search asked twice probes the engine only the first time.
+        let peak = runs.peak_throughput(&base);
+        let probes = calls();
+        let repeat = runs.peak_throughput_with(&base, 2);
+        assert_eq!(calls(), probes);
+        assert_eq!(format!("{peak:?}"), format!("{repeat:?}"));
+    }
+
+    #[test]
+    fn sweep_helpers() {
+        assert_eq!(
+            grid(&[1, 2], &['a', 'b']),
+            [(1, 'a'), (1, 'b'), (2, 'a'), (2, 'b')]
+        );
+        assert_eq!(geometric_mean(&[]), 0.0);
+        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -5,28 +5,14 @@
 use std::process::Command;
 
 /// Each binary with one of its value flags (for the missing-value case).
-const BINS: [(&str, &str, &str); 21] = [
-    ("ablate", env!("CARGO_BIN_EXE_ablate"), "--threads"),
+const BINS: [(&str, &str, &str); 7] = [
     ("attrib-diff", env!("CARGO_BIN_EXE_attrib-diff"), "--gate"),
     ("chaos", env!("CARGO_BIN_EXE_chaos"), "--threads"),
     ("faults", env!("CARGO_BIN_EXE_faults"), "--threads"),
-    ("fig10", env!("CARGO_BIN_EXE_fig10"), "--par-workers"),
-    ("fig11", env!("CARGO_BIN_EXE_fig11"), "--threads"),
-    ("fig12", env!("CARGO_BIN_EXE_fig12"), "--threads"),
-    ("fig13", env!("CARGO_BIN_EXE_fig13"), "--threads"),
-    ("fig3", env!("CARGO_BIN_EXE_fig3"), "--threads"),
-    ("fig8", env!("CARGO_BIN_EXE_fig8"), "--threads"),
-    ("fig9", env!("CARGO_BIN_EXE_fig9"), "--threads"),
-    ("hwcost", env!("CARGO_BIN_EXE_hwcost"), "--threads"),
+    ("figures", env!("CARGO_BIN_EXE_figures"), "--par-workers"),
     ("inspect", env!("CARGO_BIN_EXE_inspect"), "--workload"),
-    ("notifiers", env!("CARGO_BIN_EXE_notifiers"), "--threads"),
-    ("numa", env!("CARGO_BIN_EXE_numa"), "--threads"),
-    ("qos", env!("CARGO_BIN_EXE_qos"), "--threads"),
     ("scale", env!("CARGO_BIN_EXE_scale"), "--digest"),
-    ("summary", env!("CARGO_BIN_EXE_summary"), "--threads"),
-    ("table1", env!("CARGO_BIN_EXE_table1"), "--threads"),
     ("trace", env!("CARGO_BIN_EXE_trace"), "--attrib"),
-    ("validate", env!("CARGO_BIN_EXE_validate"), "--threads"),
 ];
 
 /// Runs `exe args` and checks the rejection contract.
@@ -71,9 +57,12 @@ fn every_binary_rejects_bad_command_lines() {
 fn binary_specific_values_are_checked_before_running() {
     let exe = |name: &str| BINS.iter().find(|b| b.0 == name).expect("known binary").1;
     for (name, args) in [
-        ("table1", &["--quik"][..]),
-        ("fig8", &["--help"]),
-        ("fig8", &["stray"]),
+        ("figures", &["--quik"][..]),
+        ("figures", &["--help"]),
+        ("faults", &["stray"]),
+        // Table names are checked before the first table runs.
+        ("figures", &["fig99"]),
+        ("figures", &["--quick", "table1", "fig8", "fig8"]),
         ("inspect", &["--workload", "foo"]),
         ("inspect", &["--queues", "abc"]),
         ("inspect", &["--load", "0"]),
@@ -124,4 +113,23 @@ fn attrib_diff_takes_common_flags_among_positionals() {
         .expect("spawn attrib-diff");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("no-such.json: cannot read"), "{stderr}");
+}
+
+/// `figures` writes below `results/`; run from a directory without one
+/// (here the crate's own), it refuses before the first table runs rather
+/// than creating a stray output tree.
+#[test]
+fn figures_refuses_a_directory_without_results() {
+    let dir = env!("CARGO_MANIFEST_DIR");
+    assert!(!std::path::Path::new(dir).join("results").exists());
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--quick", "hwcost"])
+        .current_dir(dir)
+        .output()
+        .expect("spawn figures");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("repository root"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(!std::path::Path::new(dir).join("results").exists());
 }

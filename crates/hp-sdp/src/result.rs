@@ -126,7 +126,7 @@ impl DeviceStats {
 }
 
 /// The outcome of one engine run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ExperimentResult {
     /// Measured (post-warmup) throughput, tasks/second.
     pub throughput_tps: f64,

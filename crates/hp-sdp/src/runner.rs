@@ -5,6 +5,11 @@
 //!   the sustained completion rate (Figs. 3a, 8, 13);
 //! * [`run_at_load`] — run an open-loop drive at a fraction of a measured
 //!   peak and report the latency distribution (Figs. 3b/3c, 9, 10, 12b).
+//!
+//! The primitives are the provided methods of [`Simulate`], whose one
+//! required method runs a single configuration. The free functions are
+//! those of [`Fresh`], which runs the engine every time; a caller that
+//! answers repeated configurations from a memo implements [`Simulate`].
 
 use crate::config::{ExperimentConfig, Load};
 use crate::engine::Engine;
@@ -20,110 +25,157 @@ pub fn run(cfg: ExperimentConfig) -> ExperimentResult {
     Engine::new(cfg).run()
 }
 
-/// Measures peak *sustainable* throughput (tasks/second).
-///
-/// Methodology: an overdrive run (3× estimated capacity) gives an
-/// optimistic upper bound — but under unbalanced shapes (PC/NC) the
-/// overload transient backlogs even rarely-used queues, hiding the
-/// empty-poll cost that limits a spinning data plane in equilibrium. So
-/// the peak is then refined by a short binary search for the highest
-/// offered rate the system sustains without shedding load (throughput
-/// tracks the offered rate and drops stay negligible), which is the
-/// paper's "maximum achievable throughput" operating point.
+/// The runner primitives over one way of running a configuration.
+pub trait Simulate: Sync {
+    /// Runs `cfg` as configured.
+    fn run(&self, cfg: ExperimentConfig) -> ExperimentResult;
+
+    /// Measures peak *sustainable* throughput (tasks/second).
+    ///
+    /// Methodology: an overdrive run (3× estimated capacity) gives an
+    /// optimistic upper bound — but under unbalanced shapes (PC/NC) the
+    /// overload transient backlogs even rarely-used queues, hiding the
+    /// empty-poll cost that limits a spinning data plane in equilibrium. So
+    /// the peak is then refined by a short binary search for the highest
+    /// offered rate the system sustains without shedding load (throughput
+    /// tracks the offered rate and drops stay negligible), which is the
+    /// paper's "maximum achievable throughput" operating point.
+    fn peak_throughput(&self, cfg: &ExperimentConfig) -> ExperimentResult {
+        self.peak_throughput_with(cfg, 1)
+    }
+
+    /// [`Simulate::peak_throughput`] with up to `threads` binary-search
+    /// probes of one refinement round running concurrently (via `hp_par`).
+    ///
+    /// The candidate rates probed in each round are a fixed function of the
+    /// current bracket — never of `threads` — and every probe is a pure
+    /// function of its seeded config, so the returned result is
+    /// **bit-identical for any thread count**. `threads` only changes
+    /// wall-clock time.
+    fn peak_throughput_with(&self, cfg: &ExperimentConfig, threads: usize) -> ExperimentResult {
+        // Upper bound from overdrive (3× estimated capacity, half-length run).
+        let mut probe_cfg = cfg.clone().with_load(Load::Saturation);
+        probe_cfg.target_completions = (cfg.target_completions / 2).max(1_000);
+        let overdrive = self.run(probe_cfg.clone());
+        let mut hi = overdrive.throughput_tps;
+
+        let sustainable = |r: &ExperimentResult, offered: f64| {
+            r.throughput_tps >= 0.95 * offered
+                && (r.drops as f64) < 0.02 * (r.completions as f64 + r.drops as f64)
+        };
+
+        // Is the overdrive bound itself sustainable as an offered rate? Probe
+        // it at full length: when it holds — the common case for balanced
+        // shapes — this run *is* the final measurement, where the previous
+        // implementation re-ran an identical configuration from scratch.
+        let first = self.run(cfg.clone().with_load(Load::RatePerSec(hi)));
+        if sustainable(&first, hi) {
+            return first;
+        }
+
+        // Refine the bracket. Each round probes the three interior quartile
+        // rates of (lo, hi) concurrently, then keeps the tightest bracket
+        // they establish — the parallel analogue of two sequential
+        // bisection steps.
+        let mut lo = 0.0;
+        for _ in 0..2 {
+            let candidates: Vec<f64> = (1..=3).map(|k| lo + (hi - lo) * k as f64 / 4.0).collect();
+            let results = hp_par::par_map(threads, candidates.clone(), |rate| {
+                self.run(probe_cfg.clone().with_load(Load::RatePerSec(rate)))
+            });
+            for (&rate, res) in candidates.iter().zip(&results) {
+                if sustainable(res, rate) {
+                    lo = lo.max(rate);
+                }
+            }
+            // Only unsustainable rates *above* the sustained floor tighten
+            // the ceiling: sustainability need not be perfectly monotone in
+            // the offered rate, and the bracket must stay well-ordered.
+            for (&rate, res) in candidates.iter().zip(&results) {
+                if !sustainable(res, rate) && rate > lo {
+                    hi = hi.min(rate);
+                }
+            }
+            if (hi - lo) / hi < 0.07 {
+                break;
+            }
+        }
+        let peak_rate = if lo > 0.0 { lo } else { hi };
+
+        // Final full-length measurement at the sustainable rate.
+        self.run(cfg.clone().with_load(Load::RatePerSec(peak_rate)))
+    }
+
+    /// Runs at `fraction` of the given peak rate (open-loop Poisson) and
+    /// returns the result (latency distribution is the interesting part).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fraction` is not in `(0, 1]` or `peak_tps` is not
+    /// positive.
+    fn run_at_load(
+        &self,
+        cfg: &ExperimentConfig,
+        peak_tps: f64,
+        fraction: f64,
+    ) -> ExperimentResult {
+        assert!(
+            fraction > 0.0 && fraction <= 1.0,
+            "load fraction must be in (0,1], got {fraction}"
+        );
+        assert!(peak_tps > 0.0, "peak rate must be positive");
+        self.run(cfg.clone().with_load(Load::RatePerSec(peak_tps * fraction)))
+    }
+
+    /// Runs a very light drive (<1 % of estimated capacity) for zero-load
+    /// latency measurements (Fig. 9): queuing delay is negligible, so the
+    /// measured latency is notification + service time.
+    fn run_zero_load(&self, cfg: &ExperimentConfig) -> ExperimentResult {
+        let rate = cfg.capacity_estimate_per_core() * cfg.dp_cores as f64 * 0.008;
+        let mut cfg = cfg.clone().with_load(Load::RatePerSec(rate));
+        // Light loads need fewer samples to characterize (no queueing noise).
+        cfg.target_completions = cfg.target_completions.min(6_000);
+        // Constant service isolates the *notification* latency distribution
+        // — the quantity Figs. 3(b,c) and 9 plot; with exponential service
+        // the tail would be dominated by service-time draws for both
+        // systems.
+        cfg.service_dist = hp_sim::rng::Distribution::Constant;
+        self.run(cfg)
+    }
+}
+
+/// Runs every configuration afresh with [`run`].
+#[derive(Debug, Clone, Copy)]
+pub struct Fresh;
+
+impl Simulate for Fresh {
+    fn run(&self, cfg: ExperimentConfig) -> ExperimentResult {
+        run(cfg)
+    }
+}
+
+/// [`Simulate::peak_throughput`] of [`Fresh`].
 pub fn peak_throughput(cfg: &ExperimentConfig) -> ExperimentResult {
-    peak_throughput_with(cfg, 1)
+    Fresh.peak_throughput(cfg)
 }
 
-/// [`peak_throughput`] with up to `threads` binary-search probes of one
-/// refinement round running concurrently (via `hp_par`).
-///
-/// The candidate rates probed in each round are a fixed function of the
-/// current bracket — never of `threads` — and every probe is a pure
-/// function of its seeded config, so the returned result is **bit-identical
-/// for any thread count**. `threads` only changes wall-clock time.
+/// [`Simulate::peak_throughput_with`] of [`Fresh`].
 pub fn peak_throughput_with(cfg: &ExperimentConfig, threads: usize) -> ExperimentResult {
-    // Upper bound from overdrive (3× estimated capacity, half-length run).
-    let mut probe_cfg = cfg.clone().with_load(Load::Saturation);
-    probe_cfg.target_completions = (cfg.target_completions / 2).max(1_000);
-    let overdrive = Engine::new(probe_cfg.clone()).run();
-    let mut hi = overdrive.throughput_tps;
-
-    let sustainable = |r: &ExperimentResult, offered: f64| {
-        r.throughput_tps >= 0.95 * offered
-            && (r.drops as f64) < 0.02 * (r.completions as f64 + r.drops as f64)
-    };
-
-    // Is the overdrive bound itself sustainable as an offered rate? Probe
-    // it at full length: when it holds — the common case for balanced
-    // shapes — this run *is* the final measurement, where the previous
-    // implementation re-ran an identical configuration from scratch.
-    let first = Engine::new(cfg.clone().with_load(Load::RatePerSec(hi))).run();
-    if sustainable(&first, hi) {
-        return first;
-    }
-
-    // Refine the bracket. Each round probes the three interior quartile
-    // rates of (lo, hi) concurrently, then keeps the tightest bracket they
-    // establish — the parallel analogue of two sequential bisection steps.
-    let mut lo = 0.0;
-    for _ in 0..2 {
-        let candidates: Vec<f64> = (1..=3).map(|k| lo + (hi - lo) * k as f64 / 4.0).collect();
-        let results = hp_par::par_map(threads, candidates.clone(), |rate| {
-            Engine::new(probe_cfg.clone().with_load(Load::RatePerSec(rate))).run()
-        });
-        for (&rate, res) in candidates.iter().zip(&results) {
-            if sustainable(res, rate) {
-                lo = lo.max(rate);
-            }
-        }
-        // Only unsustainable rates *above* the sustained floor tighten the
-        // ceiling: sustainability need not be perfectly monotone in the
-        // offered rate, and the bracket must stay well-ordered.
-        for (&rate, res) in candidates.iter().zip(&results) {
-            if !sustainable(res, rate) && rate > lo {
-                hi = hi.min(rate);
-            }
-        }
-        if (hi - lo) / hi < 0.07 {
-            break;
-        }
-    }
-    let peak_rate = if lo > 0.0 { lo } else { hi };
-
-    // Final full-length measurement at the sustainable rate.
-    let final_cfg = cfg.clone().with_load(Load::RatePerSec(peak_rate));
-    Engine::new(final_cfg).run()
+    Fresh.peak_throughput_with(cfg, threads)
 }
 
-/// Runs at `fraction` of the given peak rate (open-loop Poisson) and
-/// returns the result (latency distribution is the interesting part).
+/// [`Simulate::run_at_load`] of [`Fresh`].
 ///
 /// # Panics
 ///
-/// Panics if `fraction` is not in `(0, 1]` or `peak_tps` is not positive.
+/// As [`Simulate::run_at_load`].
 pub fn run_at_load(cfg: &ExperimentConfig, peak_tps: f64, fraction: f64) -> ExperimentResult {
-    assert!(
-        fraction > 0.0 && fraction <= 1.0,
-        "load fraction must be in (0,1], got {fraction}"
-    );
-    assert!(peak_tps > 0.0, "peak rate must be positive");
-    let cfg = cfg.clone().with_load(Load::RatePerSec(peak_tps * fraction));
-    Engine::new(cfg).run()
+    Fresh.run_at_load(cfg, peak_tps, fraction)
 }
 
-/// Runs a very light drive (<1 % of estimated capacity) for zero-load
-/// latency measurements (Fig. 9): queuing delay is negligible, so the
-/// measured latency is notification + service time.
+/// [`Simulate::run_zero_load`] of [`Fresh`].
 pub fn run_zero_load(cfg: &ExperimentConfig) -> ExperimentResult {
-    let rate = cfg.capacity_estimate_per_core() * cfg.dp_cores as f64 * 0.008;
-    let mut cfg = cfg.clone().with_load(Load::RatePerSec(rate));
-    // Light loads need fewer samples to characterize (no queueing noise).
-    cfg.target_completions = cfg.target_completions.min(6_000);
-    // Constant service isolates the *notification* latency distribution —
-    // the quantity Figs. 3(b,c) and 9 plot; with exponential service the
-    // tail would be dominated by service-time draws for both systems.
-    cfg.service_dist = hp_sim::rng::Distribution::Constant;
-    Engine::new(cfg).run()
+    Fresh.run_zero_load(cfg)
 }
 
 #[cfg(test)]
