@@ -18,6 +18,7 @@
 use hp_bench::cli::{self, CliError};
 use hp_bench::Table;
 use hp_bytes::json::{parse, JsonValue};
+use hp_sim::attrib::Phase;
 
 /// The per-phase numbers pulled out of one artifact.
 struct PhaseRow {
@@ -36,7 +37,9 @@ struct Artifact {
 }
 
 /// Loads and validates one artifact: a diff against a malformed or
-/// unconserved artifact is meaningless, so either is a bad input.
+/// unconserved artifact is meaningless, so either is a bad input. A
+/// missing number is malformed, not zero, and the phases must be the
+/// schema's, in order, since the diff pairs them by position.
 fn load(path: &str) -> Result<Artifact, CliError> {
     let fail = |msg: String| CliError(format!("{path}: {msg}"));
     let text = std::fs::read_to_string(path).map_err(|e| fail(format!("cannot read: {e}")))?;
@@ -45,37 +48,50 @@ fn load(path: &str) -> Result<Artifact, CliError> {
         doc.get(key)
             .ok_or_else(|| fail(format!("missing key \"{key}\"")))
     };
+    let num = |obj: &JsonValue, key: &str| {
+        let v = obj.get(key).and_then(JsonValue::as_f64);
+        v.ok_or_else(|| fail(format!("missing number \"{key}\"")))
+    };
+    let int = |obj: &JsonValue, key: &str| {
+        let v = obj.get(key).and_then(JsonValue::as_u64);
+        v.ok_or_else(|| fail(format!("missing integer \"{key}\"")))
+    };
     match field("schema")?.as_str() {
         Some("hp-attrib-v1") => {}
         other => return Err(fail(format!("unsupported schema {other:?}"))),
     }
     let e2e = field("end_to_end")?;
-    let num = |obj: &JsonValue, key: &str| obj.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-    let int = |obj: &JsonValue, key: &str| obj.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
     let phases = field("phases")?
         .as_array()
         .ok_or_else(|| fail("\"phases\" is not an array".into()))?
         .iter()
-        .map(|p| PhaseRow {
-            name: p
-                .get("phase")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            share: num(p, "share"),
-            mean_cycles: num(p, "mean_cycles"),
-            p99_cycles: int(p, "p99_cycles"),
+        .map(|p| {
+            Ok(PhaseRow {
+                name: p
+                    .get("phase")
+                    .and_then(JsonValue::as_str)
+                    .unwrap_or("?")
+                    .to_string(),
+                share: num(p, "share")?,
+                mean_cycles: num(p, "mean_cycles")?,
+                p99_cycles: int(p, "p99_cycles")?,
+            })
         })
-        .collect();
+        .collect::<Result<Vec<_>, CliError>>()?;
+    let names: Vec<&str> = phases.iter().map(|p| p.name.as_str()).collect();
+    let want: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
+    if names != want {
+        return Err(fail(format!("phases {names:?}, expected {want:?}")));
+    }
     if field("conserved")?.as_bool() != Some(true) {
         return Err(fail(
             "attribution not conserved — artifact untrustworthy".into(),
         ));
     }
     Ok(Artifact {
-        completed: field("completed")?.as_u64().unwrap_or(0),
-        e2e_mean: num(e2e, "mean_cycles"),
-        e2e_p99: int(e2e, "p99_cycles"),
+        completed: int(&doc, "completed")?,
+        e2e_mean: num(e2e, "mean_cycles")?,
+        e2e_p99: int(e2e, "p99_cycles")?,
         phases,
     })
 }
@@ -91,7 +107,7 @@ fn pct(base: f64, cand: f64) -> f64 {
 
 fn main() {
     // The artifacts are inputs too: a bad one is refused like a bad flag.
-    let (_, (paths, gate, base, cand)) = cli::from_env(cli::ATTRIB_DIFF, |a| {
+    let (_, (paths, gate, base, cand)) = cli::from_env(cli::ATTRIB_DIFF, |_, a| {
         let gate: Option<f64> = a.parsed("--gate", "a percentage")?;
         let (base, cand) = (load(&a.positionals[0])?, load(&a.positionals[1])?);
         Ok((a.positionals, gate, base, cand))
@@ -120,13 +136,6 @@ fn main() {
     // comparable across phases.
     let mut guilty: Option<(&str, f64)> = None;
     for (b, c) in base.phases.iter().zip(&cand.phases) {
-        if b.name != c.name {
-            eprintln!(
-                "error: phase order mismatch ({} vs {}) — artifacts from different versions?",
-                b.name, c.name
-            );
-            std::process::exit(2);
-        }
         let d_mean = c.mean_cycles - b.mean_cycles;
         if guilty.is_none_or(|(_, worst)| d_mean > worst) {
             guilty = Some((&b.name, d_mean));

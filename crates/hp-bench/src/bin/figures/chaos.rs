@@ -1,7 +1,7 @@
-//! Chaos harness — notification conservation under correlated faults.
+//! Chaos table — notification conservation under correlated faults.
 //!
-//! The fault sweep (`faults.rs`) measures steady-state degradation under
-//! independent per-event coins. This binary turns every screw at once and
+//! The fault sweep (`faults`) measures steady-state degradation under
+//! independent per-event coins. This table turns every screw at once and
 //! *proves* the end-to-end invariant instead of inferring it:
 //!
 //! * **Silent evictions** — S/E lines vanish from L1 without a directory
@@ -15,25 +15,18 @@
 //!   work item: nothing lost, nothing double-serviced, nothing phantom,
 //!   and the auditor's residual view reconciled against the real backlog.
 //!
-//! For each of the six workload kernels the harness sweeps a chaos
-//! intensity knob and emits the degradation surface (throughput, p99,
-//! per-fault-class recoveries) as a table and its CSV block. At the
-//! harshest intensity it also re-runs each kernel with the auditor
-//! detached and checks the results are bit-identical — the auditor is a
-//! pure observer, not a participant.
+//! For each of the six workloads the table sweeps a chaos intensity knob
+//! and emits the degradation surface (throughput, p99, per-fault-class
+//! recoveries) and its CSV block. At the harshest intensity it also
+//! re-runs each workload with the auditor detached and checks the results
+//! are bit-identical — the auditor is a pure observer, not a participant.
 //!
-//! Exit status is non-zero if any cell of the surface violates
+//! The verdict is an error if any cell of the surface violates
 //! conservation or any auditor-on/off pair diverges.
-//!
-//! Flags: `--quick` (thin the sweep), `--threads N`, `--par-workers N`.
 
-use hp_bench::{experiment, f2, HarnessOpts, Table};
-use hp_sdp::config::{ExperimentConfig, Load, Notifier};
-use hp_sdp::runner;
+use super::*;
 use hp_sim::chaos::ChaosSchedule;
 use hp_sim::faults::FaultPlan;
-use hp_traffic::shape::TrafficShape;
-use hp_workloads::service::WorkloadKind;
 
 /// QWAIT re-poll timeout (20 µs at 2 GHz): the recovery backstop the
 /// auditor holds to account.
@@ -70,7 +63,7 @@ fn schedule(intensity: f64) -> ChaosSchedule {
 }
 
 fn cell_config(opts: &HarnessOpts, kind: WorkloadKind, intensity: f64) -> ExperimentConfig {
-    let mut cfg = experiment(opts, kind, TrafficShape::SingleQueue, 16)
+    let mut cfg = experiment(opts, kind, SingleQueue, 16)
         .with_notifier(Notifier::hyperplane())
         .with_silent_evictions()
         .with_audit()
@@ -86,9 +79,8 @@ fn cell_config(opts: &HarnessOpts, kind: WorkloadKind, intensity: f64) -> Experi
     cfg
 }
 
-fn main() {
-    let opts = HarnessOpts::from_args();
-    let mut failures = 0u32;
+pub fn render(opts: &HarnessOpts, runs: &Runs, out: &mut String) -> Verdict {
+    let mut failures = Vec::new();
 
     let intensities = opts.thin(&[0.0f64, 0.25, 0.5, 0.75, 1.0]);
     let mut table = Table::new(
@@ -108,23 +100,19 @@ fn main() {
         ],
     );
 
-    let cells: Vec<(WorkloadKind, f64)> = WorkloadKind::ALL
-        .iter()
-        .flat_map(|&k| intensities.iter().map(move |&i| (k, i)))
-        .collect();
+    let cells = grid(&WorkloadKind::ALL, &intensities);
     let results = hp_par::par_map(opts.threads, cells.clone(), |(kind, i)| {
-        runner::run(cell_config(&opts, kind, i))
+        runs.run(cell_config(opts, kind, i))
     });
 
     for ((kind, intensity), r) in cells.iter().zip(&results) {
         let f = r.fault_report().expect("chaos run always carries a report");
         let a = r.audit_report().expect("auditor was enabled");
         if !a.ok() {
-            failures += 1;
-            eprintln!(
+            failures.push(format!(
                 "CONSERVATION VIOLATION: {} @ intensity {intensity}: {a:?}",
                 kind.name()
-            );
+            ));
         }
         table.row(vec![
             kind.name().to_string(),
@@ -140,54 +128,62 @@ fn main() {
             if a.ok() { "ok".into() } else { "FAIL".into() },
         ]);
     }
-    print!("{table}");
+    write!(out, "{table}")?;
 
-    // Recovery SLO at full intensity, per class, for the first kernel.
+    // Recovery SLO at full intensity, per class, for the last workload.
     if let Some(r) = results.last() {
         if let Some(f) = r.fault_report() {
-            println!(
+            writeln!(
+                out,
                 "\nRecovery SLO at full intensity ({}):",
-                cells.last().unwrap().0.name()
-            );
+                cells.last().expect("non-empty sweep").0.name()
+            )?;
             for (class, count, p99) in f.recovery_slo() {
                 match p99 {
-                    Some(p) => println!("  {class:>13}: {count} recoveries, p99 {p} cycles"),
-                    None => println!("  {class:>13}: {count} recoveries"),
+                    Some(p) => writeln!(out, "  {class:>13}: {count} recoveries, p99 {p} cycles")?,
+                    None => writeln!(out, "  {class:>13}: {count} recoveries")?,
                 }
             }
         }
     }
 
     // The auditor must be a pure observer: at the harshest intensity,
-    // re-run every kernel with it detached and demand bit-identity.
-    println!("\n== Auditor purity (harshest intensity, auditor on vs off) ==");
+    // re-run every workload with it detached and demand bit-identity.
+    // The auditor-on half is the sweep's own last cell, a memo hit.
+    writeln!(
+        out,
+        "\n== Auditor purity (harshest intensity, auditor on vs off) =="
+    )?;
     let harshest = *intensities.last().expect("non-empty sweep");
     let pairs = hp_par::par_map(opts.threads, WorkloadKind::ALL.to_vec(), |kind| {
-        let on = runner::run(cell_config(&opts, kind, harshest));
-        let mut cfg_off = cell_config(&opts, kind, harshest);
+        let on = runs.run(cell_config(opts, kind, harshest));
+        let mut cfg_off = cell_config(opts, kind, harshest);
         cfg_off.audit = false;
-        let off = runner::run(cfg_off);
+        let off = runs.run(cfg_off);
         (on, off)
     });
     for (kind, (on, off)) in WorkloadKind::ALL.iter().zip(&pairs) {
         let same = on.digest() == off.digest();
         if !same {
-            failures += 1;
+            failures.push(format!("auditor purity: {} DIVERGED", kind.name()));
         }
-        println!(
+        writeln!(
+            out,
             "  {:>16}: {}",
             kind.name(),
             if same { "bit-identical" } else { "DIVERGED" }
-        );
+        )?;
     }
 
-    if failures > 0 {
-        eprintln!("\nchaos harness: {failures} failure(s)");
-        std::process::exit(1);
+    if !failures.is_empty() {
+        failures.push(format!("chaos harness: {} failure(s)", failures.len()));
+        return Err(failures.join("\n").into());
     }
-    println!(
+    writeln!(
+        out,
         "\nConservation held at every cell: with silent evictions, correlated\n\
          bursts, a storm phase, and live doorbell churn, every notification\n\
          was serviced exactly once and the auditor perturbed nothing."
-    );
+    )?;
+    Ok(())
 }

@@ -1,14 +1,19 @@
 //! `figures [--quick] [--threads N] [--par-workers N] [NAME...]` renders the
-//! named tables of the paper's evaluation, all of them by default, in
-//! [`TABLES`] order, to stdout and to `results/<name>.txt` (or
+//! named tables, all of them by default, in [`TABLES`] order: the paper's
+//! evaluation, then the quickstart comparison, the parallel fabric's
+//! determinism gates and the fault and chaos sweeps, to stdout and to `results/<name>.txt` (or
 //! `results/quick/<name>.txt` under `--quick`). Run it from the repository
 //! root: where that directory is missing, it exits 2 before any table runs.
 //! All runs go through one [`Runs`] memo, so a configuration that several
 //! tables share is simulated once; stderr reports the counts. A table whose
-//! gate fails (`validate`'s M/M/1 check) still writes its text, and the
+//! gate fails (`validate`'s M/M/1 check, `fabric`'s serial-equals-parallel
+//! checks, `chaos`'s conservation audit) still writes its text, and the
 //! process then exits 1.
 
 mod ablate;
+mod chaos;
+mod fabric;
+mod faults;
 mod fig10;
 mod fig11;
 mod fig12;
@@ -20,6 +25,7 @@ mod hwcost;
 mod notifiers;
 mod numa;
 mod qos;
+mod quickstart;
 mod summary;
 mod table1;
 mod validate;
@@ -46,7 +52,7 @@ type Verdict = Result<(), Box<dyn std::error::Error>>;
 type Render = fn(&HarnessOpts, &Runs, &mut String) -> Verdict;
 
 /// Every table, in the order `figures` renders them.
-const TABLES: [(&str, Render); 15] = [
+const TABLES: [(&str, Render); 19] = [
     ("table1", table1::render),
     ("hwcost", hwcost::render),
     ("validate", validate::render),
@@ -62,6 +68,10 @@ const TABLES: [(&str, Render); 15] = [
     ("numa", numa::render),
     ("ablate", ablate::render),
     ("summary", summary::render),
+    ("quickstart", quickstart::render),
+    ("fabric", fabric::render),
+    ("faults", faults::render),
+    ("chaos", chaos::render),
 ];
 
 /// The tables `names` picks, in [`TABLES`] order; all of them for none.
@@ -81,7 +91,7 @@ fn pick(names: &[String]) -> Result<Vec<(&'static str, Render)>, CliError> {
 }
 
 fn main() {
-    let (opts, tables) = cli::from_env(cli::FIGURES, |args| pick(&args.positionals));
+    let (opts, tables) = cli::from_env(cli::FIGURES, |_, args| pick(&args.positionals));
     let dir = if opts.quick {
         "results/quick"
     } else {

@@ -75,7 +75,7 @@ fn config(a: cli::Args) -> Result<(ExperimentConfig, f64), CliError> {
 }
 
 fn main() {
-    let (opts, (mut cfg, load_pct)) = cli::from_env(cli::INSPECT, config);
+    let (opts, (mut cfg, load_pct)) = cli::from_env(cli::INSPECT, |_, a| config(a));
     cfg.target_completions = opts.completions(20_000);
 
     println!(

@@ -39,10 +39,12 @@
 //! deterministic run digest for byte-identity comparison across worker
 //! counts).
 
-use hp_bench::{cli, experiment, f2, f3, HarnessOpts, Table};
+use hp_bench::cli::{self, CliError};
+use hp_bench::{experiment, f2, f3, HarnessOpts, Table};
 use hp_sdp::config::{ExperimentConfig, Load, Notifier};
 use hp_sdp::result::ExperimentResult;
 use hp_sdp::runner;
+use hp_sdp::Engine;
 use hp_sim::chaos::ChaosSchedule;
 use hp_traffic::shape::TrafficShape;
 use hp_workloads::service::WorkloadKind;
@@ -113,7 +115,7 @@ fn cycles_per_event(r: &ExperimentResult) -> f64 {
 }
 
 fn main() {
-    let (opts, (queues, digest_path)) = cli::from_env(cli::SCALE, |a| {
+    let (opts, (sweep, digest_path)) = cli::from_env(cli::SCALE, |opts, a| {
         let queues = a
             .get("--queues")
             .map(|list| {
@@ -123,12 +125,17 @@ fn main() {
                     .map_err(|_| cli::bad("--queues", list, "a comma-separated list of integers"))
             })
             .transpose()?;
-        Ok((queues, a.get("--digest").map(str::to_string)))
+        let sweep = queues
+            .unwrap_or_else(|| opts.thin(&[1_024u32, 4_096, 16_384, 65_536, 262_144, 1_048_576]));
+        // A trial build, as `inspect` makes: a point the engine cannot
+        // build is refused here, before any run, not as a panic mid-sweep.
+        for &q in &sweep {
+            let built = Engine::try_new(cell_config(opts, q));
+            built.map_err(|e| CliError(format!("--queues {q}: {e}")))?;
+        }
+        Ok((sweep, a.get("--digest").map(str::to_string)))
     });
     let mut failures = 0u32;
-
-    let sweep =
-        queues.unwrap_or_else(|| opts.thin(&[1_024u32, 4_096, 16_384, 65_536, 262_144, 1_048_576]));
 
     let mut table = Table::new(
         "Flash-crowd scale-out: queues vs simulated cost and host events/s",

@@ -17,15 +17,10 @@ use std::str::FromStr;
 #[derive(Debug, Clone, Copy)]
 pub struct Spec(pub &'static str);
 
-/// The common flags only: `faults` and `chaos`.
-pub const PLAIN: Spec = Spec("");
 /// `figures`: the tables to render, all of them when none is named.
 pub const FIGURES: Spec = Spec("[NAME...]");
 /// `trace`: where each artifact is written.
-pub const TRACE: Spec = Spec(
-    "[--trace PATH] [--metrics PATH] [--bench PATH] [--profile PATH] [--attrib PATH] \
-     [--par-bench PATH]",
-);
+pub const TRACE: Spec = Spec("[--trace PATH] [--metrics PATH] [--profile PATH] [--attrib PATH]");
 /// `scale`: an explicit queue-count list and the digest path.
 pub const SCALE: Spec = Spec("[--queues N,N,...] [--digest PATH]");
 /// `inspect`: the one configuration to report on.
@@ -130,7 +125,8 @@ pub fn parse(argv: &[String], spec: Spec) -> Result<(HarnessOpts, Args), CliErro
     }
     let want = words().filter(|w| !w.starts_with('[') && !w.ends_with(']'));
     let (want, got) = (want.count(), args.positionals.len());
-    let variadic = words().any(|w| w.ends_with("...]"));
+    // `[NAME...]`, not a value's `N,N,...]`.
+    let variadic = words().any(|w| w.starts_with('[') && w.ends_with("...]"));
     if got < want || (got > want && !variadic) {
         return Err(CliError(format!(
             "expected {want} positional argument(s), got {got}"
@@ -153,15 +149,20 @@ fn usage(bin: &str, spec: Spec) -> String {
         .to_string()
 }
 
-/// Parses the process arguments against `spec` and hands the extras to
-/// `build`, which reads them into what the binary needs. An error from
-/// either step prints `error: …` and the usage line, then exits 2.
+/// Parses the process arguments against `spec` and hands the common
+/// options and the extras to `build`, which reads them into what the
+/// binary needs. An error from either step prints `error: …` and the usage
+/// line, then exits 2.
 pub fn from_env<T>(
     spec: Spec,
-    build: impl FnOnce(Args) -> Result<T, CliError>,
+    build: impl FnOnce(&HarnessOpts, Args) -> Result<T, CliError>,
 ) -> (HarnessOpts, T) {
     let argv: Vec<String> = std::env::args().collect();
-    match parse(&argv, spec).and_then(|(opts, args)| Ok((opts, build(args)?))) {
+    let parsed = parse(&argv, spec).and_then(|(opts, args)| {
+        let built = build(&opts, args)?;
+        Ok((opts, built))
+    });
+    match parsed {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}\n{}", usage(&bin_name(&argv), spec));
@@ -193,11 +194,6 @@ mod tests {
     /// own docs parses.
     #[test]
     fn accepts_every_invocation_the_repo_uses() {
-        for bin in ["faults", "chaos"] {
-            for flags in ["", "--quick", "--quick --threads 1", "--quick --threads 2"] {
-                ok(&format!("./target/release/{bin} {flags}"), PLAIN);
-            }
-        }
         for line in [
             "figures",
             "figures --quick --threads 1",
@@ -206,19 +202,15 @@ mod tests {
             "figures --quick --threads 1 --par-workers 2 fig10",
             "figures --quick --threads 2 validate",
             "figures --quick fig8 summary",
+            "figures --quick chaos",
+            "figures --quick quickstart fabric",
         ] {
             ok(&format!("./target/release/{line}"), FIGURES);
         }
         for line in [
-            "trace --quick --trace trace.json --metrics metrics.jsonl --bench bench.json",
-            "trace --quick --threads 2 --trace perf-trace.json --metrics perf-metrics.jsonl \
-             --bench perf-bench.json --profile perf-profile.json",
+            "trace --quick --trace trace.json --metrics metrics.jsonl --profile profile.json",
             "trace --quick --threads 1 --trace attrib-trace.json \
              --metrics attrib-metrics.jsonl --attrib attrib-t1.json",
-            "trace --quick --par-bench par-bench.json",
-            "trace --quick --par-bench results/par_bench.json",
-            "trace --quick --threads 2 --trace results/trace.json --metrics \
-             results/metrics.jsonl --attrib results/attrib.json --bench results/bench_trace.json",
             "trace --trace trace.json --metrics metrics.jsonl",
             "trace --attrib attrib.json",
             "trace --quick --trace out.json --metrics out.jsonl --attrib attrib.json",
@@ -272,6 +264,9 @@ mod tests {
             ("figures --threads=2", FIGURES, "unknown flag --threads=2"),
             ("figures --trace t.json", FIGURES, "unknown flag --trace"),
             ("trace --PATH x", TRACE, "unknown flag --PATH"),
+            // The quickstart and fabric gates are `figures` tables now.
+            ("trace --bench x", TRACE, "unknown flag --bench"),
+            ("trace --par-bench x", TRACE, "unknown flag --par-bench"),
             // Every table prints its CSV block; there is no other format.
             ("figures --csv", FIGURES, "unknown flag --csv"),
             ("figures --json", FIGURES, "unknown flag --json"),
@@ -289,8 +284,13 @@ mod tests {
             ("trace --attrib --quick", TRACE, "--attrib needs a value"),
             ("figures --threads", FIGURES, "--threads needs a value"),
             (
-                "faults stray",
-                PLAIN,
+                "trace stray",
+                TRACE,
+                "expected 0 positional argument(s), got 1",
+            ),
+            (
+                "scale --queues 1024,65536 stray",
+                SCALE,
                 "expected 0 positional argument(s), got 1",
             ),
             (
@@ -343,10 +343,6 @@ mod tests {
              BASELINE.json CANDIDATE.json"
         );
         assert_eq!(
-            usage("faults", PLAIN),
-            "usage: faults [--quick] [--threads N] [--par-workers N]"
-        );
-        assert_eq!(
             usage("figures", FIGURES),
             "usage: figures [--quick] [--threads N] [--par-workers N] [NAME...]"
         );
@@ -394,9 +390,11 @@ mod tests {
             |rng: &mut SmallRng, from: &[&str]| from[rng.random_range(0..from.len())].to_string();
         let mut rng = SmallRng::seed_from_u64(0xC11_A26F);
         let (mut accepted, mut rejected) = (0, 0);
-        for spec in [PLAIN, FIGURES, TRACE, SCALE, INSPECT, ATTRIB_DIFF] {
+        for spec in [FIGURES, TRACE, SCALE, INSPECT, ATTRIB_DIFF] {
             let words: Vec<&str> = spec.0.split_whitespace().collect();
-            let variadic = words.iter().any(|w| w.ends_with("...]"));
+            let variadic = words
+                .iter()
+                .any(|w| w.starts_with('[') && w.ends_with("...]"));
             let flags: Vec<&str> = words
                 .iter()
                 .filter_map(|w| w.strip_prefix('['))

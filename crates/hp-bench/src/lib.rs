@@ -1,9 +1,11 @@
 //! # hp-bench — figure-regeneration harness
 //!
-//! The `figures` binary renders every table/figure of the paper's
-//! evaluation (see DESIGN.md §5 for the experiment index) in one process;
-//! `chaos`, `faults`, `scale`, `trace`, `inspect` and `attrib-diff` are
-//! separate binaries with artifacts or gates of their own.
+//! The `figures` binary renders every deterministic table of the harness
+//! in one process: the paper's evaluation (see DESIGN.md §5 for the
+//! experiment index), the quickstart comparison, the parallel fabric's
+//! determinism gates, and the fault and chaos sweeps. `scale`, `trace`,
+//! `inspect` and `attrib-diff` are separate binaries with artifacts or
+//! gates of their own.
 //!
 //! All binaries accept these flags, parsed by [`cli`]:
 //! * `--quick` — cut sample counts and sweep points for a fast smoke run;
@@ -52,12 +54,6 @@ pub struct HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses the process arguments of a binary that takes only the
-    /// common flags; a bad command line exits 2 (see [`cli`]).
-    pub fn from_args() -> Self {
-        cli::from_env(cli::PLAIN, |_| Ok(())).0
-    }
-
     /// Target completions per run for this option set.
     pub fn completions(&self, full: u64) -> u64 {
         if self.quick {

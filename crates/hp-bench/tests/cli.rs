@@ -5,18 +5,16 @@
 use std::process::Command;
 
 /// Each binary with one of its value flags (for the missing-value case).
-const BINS: [(&str, &str, &str); 7] = [
+const BINS: [(&str, &str, &str); 5] = [
     ("attrib-diff", env!("CARGO_BIN_EXE_attrib-diff"), "--gate"),
-    ("chaos", env!("CARGO_BIN_EXE_chaos"), "--threads"),
-    ("faults", env!("CARGO_BIN_EXE_faults"), "--threads"),
     ("figures", env!("CARGO_BIN_EXE_figures"), "--par-workers"),
     ("inspect", env!("CARGO_BIN_EXE_inspect"), "--workload"),
     ("scale", env!("CARGO_BIN_EXE_scale"), "--digest"),
     ("trace", env!("CARGO_BIN_EXE_trace"), "--attrib"),
 ];
 
-/// Runs `exe args` and checks the rejection contract.
-fn assert_rejected(name: &str, exe: &str, args: &[&str]) {
+/// Runs `exe args`, checks the rejection contract and returns stderr.
+fn assert_rejected(name: &str, exe: &str, args: &[&str]) -> String {
     let out = Command::new(exe)
         .args(args)
         .output()
@@ -36,6 +34,7 @@ fn assert_rejected(name: &str, exe: &str, args: &[&str]) {
         "{name} {args:?} started work before rejecting: {}",
         String::from_utf8_lossy(&out.stdout)
     );
+    stderr.into_owned()
 }
 
 #[test]
@@ -59,7 +58,7 @@ fn binary_specific_values_are_checked_before_running() {
     for (name, args) in [
         ("figures", &["--quik"][..]),
         ("figures", &["--help"]),
-        ("faults", &["stray"]),
+        ("scale", &["stray"]),
         // Table names are checked before the first table runs.
         ("figures", &["fig99"]),
         ("figures", &["--quick", "table1", "fig8", "fig8"]),
@@ -88,6 +87,9 @@ fn binary_specific_values_are_checked_before_running() {
             ],
         ),
         ("scale", &["--queues", "1024,x"]),
+        // Parses, but the engine cannot build the point.
+        ("scale", &["--quick", "--queues", "0"]),
+        ("scale", &["--quick", "--queues", "3,1024"]),
         ("attrib-diff", &["a.json"]),
         ("attrib-diff", &["a.json", "b.json", "c.json"]),
         ("attrib-diff", &["a.json", "b.json", "--gate", "lots"]),
@@ -102,17 +104,52 @@ fn binary_specific_values_are_checked_before_running() {
 #[test]
 fn attrib_diff_takes_common_flags_among_positionals() {
     let exe = env!("CARGO_BIN_EXE_attrib-diff");
-    assert_rejected(
-        "attrib-diff",
-        exe,
-        &["--par-workers", "2", "no-such.json", "b.json"],
-    );
-    let out = Command::new(exe)
-        .args(["--par-workers", "2", "no-such.json", "b.json"])
-        .output()
-        .expect("spawn attrib-diff");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let args = ["--par-workers", "2", "no-such.json", "b.json"];
+    let stderr = assert_rejected("attrib-diff", exe, &args);
     assert!(stderr.contains("no-such.json: cannot read"), "{stderr}");
+}
+
+/// `attrib-diff` refuses a malformed artifact before printing anything:
+/// a missing phase, a phase without a number the diff reads, and a
+/// renamed phase. The cases are cut from a real `trace --attrib` artifact.
+#[test]
+fn attrib_diff_refuses_malformed_artifacts() {
+    let dir = std::env::temp_dir().join(format!("hp-bench-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let traced = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["--quick", "--threads", "1", "--attrib", &path("base.json")])
+        .args([
+            "--trace",
+            &path("trace.json"),
+            "--metrics",
+            &path("m.jsonl"),
+        ])
+        .output()
+        .expect("spawn trace");
+    assert!(traced.status.success(), "trace --attrib failed");
+    let base = std::fs::read_to_string(path("base.json")).expect("read artifact");
+
+    let last = base
+        .find(r#",{"phase":"service""#)
+        .expect("a service phase");
+    let end = last + base[last..].find('}').expect("phase object ends") + 1;
+    let no_service = format!("{}{}", &base[..last], &base[end..]);
+    let (e2e, phases) = base.split_at(base.find(r#""phases""#).expect("a phase list"));
+    let no_mean = e2e.to_string() + &phases.replacen(r#""mean_cycles""#, r#""mean""#, 1);
+    let renamed = base.replace(r#""phase":"dispatch""#, r#""phase":"dispatches""#);
+    for (name, text, msg) in [
+        ("no-service.json", no_service, "phases"),
+        ("no-mean.json", no_mean, "missing number \"mean_cycles\""),
+        ("renamed.json", renamed, "phases"),
+    ] {
+        std::fs::write(path(name), text).expect("write artifact");
+        let exe = env!("CARGO_BIN_EXE_attrib-diff");
+        let stderr = assert_rejected("attrib-diff", exe, &[&path("base.json"), &path(name)]);
+        let want = format!("error: {}: {msg}", path(name));
+        assert!(stderr.starts_with(&want), "{name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 
 /// `figures` writes below `results/`; run from a directory without one
