@@ -119,7 +119,7 @@ impl Engine {
         self.ev.schedule_at(now + delay, Ev::CoreWake(core));
     }
 
-    pub(super) fn on_core_wake(&mut self, now: SimTime, c: usize) {
+    pub(super) fn on_core_wake(&mut self, now: SimTime, c: usize, window_end: SimTime) {
         debug_assert!(self.is_halted(c));
         self.note(now, TraceKind::Wake { core: c as u32 });
         self.trackers[c].resume(now, &mut self.telem[c]);
@@ -127,32 +127,64 @@ impl Engine {
         // resets its backoff: the notification path is working.
         self.qwait_epoch[c] += 1;
         self.qwait_backoff[c] = self.cfg.qwait_timeout_cycles.unwrap_or(0);
-        self.on_core_step(now, c);
+        self.on_core_step(now, c, window_end);
     }
 
-    pub(super) fn on_core_step(&mut self, now: SimTime, c: usize) {
-        // Fault: the core straggles (SMI / frequency dip / noisy
-        // neighbor) — it burns the stall actively, then retries the step.
-        let step = self.straggler_step[c];
-        self.straggler_step[c] += 1;
-        if let Some(stall) = self
-            .faults
-            .straggler_stall(((c as u64) << 32).wrapping_add(step))
-        {
-            self.telem[c].active_cycles += stall.count();
-            self.ev.schedule_at(now + stall, Ev::CoreStep(c));
-            return;
-        }
-        match self.cfg.notifier {
-            Notifier::Spinning => self.spin_step(now, c),
-            Notifier::Interrupt => self.irq_step(now, c),
-            Notifier::HyperPlane { .. } => self.hp_step(now, c),
+    /// Core `c`'s step at `now`, in a pump window that ends at
+    /// `window_end`. A spinning core's empty poll yields the instant of
+    /// its next poll. When that instant falls strictly before every
+    /// pending event, `window_end` and the next metrics and chaos
+    /// boundaries, no other handler can run first, so the poll runs here
+    /// at once instead of through a schedule and a pop (DESIGN.md §13,
+    /// "Inline empty polls"). The kernel profile tallies it as the
+    /// `core-step` pop it replaces, at its own instant.
+    pub(super) fn on_core_step(&mut self, mut now: SimTime, c: usize, window_end: SimTime) {
+        // Read at the first empty poll, then kept: an empty poll schedules
+        // nothing, so the limit holds for the whole inline run.
+        let mut limit = None;
+        loop {
+            // Fault: the core straggles (SMI / frequency dip / noisy
+            // neighbor) — it burns the stall actively, then retries the
+            // step.
+            let step = self.straggler_step[c];
+            self.straggler_step[c] += 1;
+            if let Some(stall) = self
+                .faults
+                .straggler_stall(((c as u64) << 32).wrapping_add(step))
+            {
+                self.telem[c].active_cycles += stall.count();
+                self.ev.schedule_at(now + stall, Ev::CoreStep(c));
+                return;
+            }
+            let next = match self.cfg.notifier {
+                Notifier::Spinning => match self.spin_step(now, c) {
+                    Some(next) => next,
+                    None => return,
+                },
+                Notifier::Interrupt => return self.irq_step(now, c),
+                Notifier::HyperPlane { .. } => return self.hp_step(now, c),
+            };
+            let limit = *limit.get_or_insert_with(|| {
+                let head = self.ev.peek_time().unwrap_or(SimTime(u64::MAX));
+                let boundary = self.metrics_next.min(self.chaos_next);
+                head.min(window_end).min(SimTime(boundary))
+            });
+            if next >= limit {
+                self.ev.schedule_at(next, Ev::CoreStep(c));
+                return;
+            }
+            self.ev.advance_to(next);
+            self.profile.tally(Ev::CoreStep(c).profile_idx(), next);
+            now = next;
         }
     }
 
     /// One spin-poll iteration: interrogate the queue under the pointer;
-    /// process it if non-empty, else advance.
-    fn spin_step(&mut self, now: SimTime, c: usize) {
+    /// process it if non-empty, else advance. Returns the instant of the
+    /// next poll after a plain empty poll, which the caller runs or
+    /// schedules; every other outcome schedules its own next step (or,
+    /// for a zero-mass partition, none) and returns `None`.
+    fn spin_step(&mut self, now: SimTime, c: usize) -> Option<SimTime> {
         let group = self.core_group[c];
         let core = CoreId(c);
         let qlist_len = self.queues_of_group[group].len();
@@ -198,7 +230,7 @@ impl Engine {
                     // work here, so the core quiesces instead of spinning
                     // to the end of time. Identical in serial and lane
                     // runs (the stream map is build-deterministic).
-                    return;
+                    return None;
                 }
                 let t_next = SimTime(target);
                 let resume_at = now + Cycles(poll_cost);
@@ -210,11 +242,10 @@ impl Engine {
                     self.telem[c].empty_polls += skipped;
                     self.core_ptr[c] = (ptr + 1 + skipped as usize) % qlist_len;
                     self.ev.schedule_at(t_next, Ev::CoreStep(c));
-                    return;
+                    return None;
                 }
             }
-            self.ev.schedule_after(Cycles(poll_cost), Ev::CoreStep(c));
-            return;
+            return Some(now + Cycles(poll_cost));
         }
 
         // Found work.
@@ -231,6 +262,7 @@ impl Engine {
         self.core_ptr[c] = if ptr + 1 == qlist_len { 0 } else { ptr + 1 };
         self.telem[c].active_cycles += total;
         self.ev.schedule_after(Cycles(total), Ev::CoreStep(c));
+        None
     }
 
     /// One interrupt-baseline iteration: take the next pending IRQ, drain

@@ -24,7 +24,7 @@
 //! and the sampled service demand. Buffer-stream loads are divided by an
 //! MLP factor (modern cores sustain several outstanding misses).
 //!
-//! ## Fast-forward
+//! ## Fast-forward and inline empty polls
 //!
 //! At low load a spinning core sweeps its whole partition finding nothing,
 //! millions of times. Once a core has observed a full empty sweep, the
@@ -36,6 +36,13 @@
 //! rather than peeked from the event queue so a partitioned lane — which
 //! does not see other lanes' events — fast-forwards identically to the
 //! serial engine.
+//!
+//! Before a full sweep, a spinning core's empty polls take a second
+//! shortcut: a poll whose instant falls strictly before every pending
+//! event, the pump window's end and the next metrics and chaos boundaries
+//! runs inline, with no schedule and no pop, since no other handler can
+//! run first (`Engine::on_core_step`, DESIGN.md §13). Both shortcuts keep
+//! every per-poll count; the inline one also keeps the kernel profile's.
 //!
 //! ## Lanes
 //!
@@ -402,12 +409,14 @@ impl Engine {
     }
 
     /// Pumps every event strictly before `boundary` (cycles), then stops.
-    /// Events at or past the boundary stay queued for the next window.
+    /// Events at or past the boundary stay queued for the next window,
+    /// and no inline empty poll runs at or past it.
     /// Run control (stop, warmup, watchdog, `max_cycles`) lives with the
     /// fabric controller between windows, never inside the pump, so a
     /// lane's event processing is a pure function of its own event stream.
     pub(crate) fn pump_window(&mut self, boundary: u64) {
-        while let Some((now, ev)) = self.ev.pop_before(SimTime(boundary)) {
+        let boundary = SimTime(boundary);
+        while let Some((now, ev)) = self.ev.pop_before(boundary) {
             self.profile.tally(ev.profile_idx(), now);
             // Close any metrics windows whose boundary this event crossed
             // *before* handling it, so its effects land in the right
@@ -427,8 +436,8 @@ impl Engine {
                 self.chaos_next = self.cfg.chaos.next_boundary(t).unwrap_or(u64::MAX);
             }
             match ev {
-                Ev::CoreStep(c) => self.on_core_step(now, c),
-                Ev::CoreWake(c) => self.on_core_wake(now, c),
+                Ev::CoreStep(c) => self.on_core_step(now, c, boundary),
+                Ev::CoreWake(c) => self.on_core_wake(now, c, boundary),
                 Ev::Reconsider { core, group, qid } => {
                     let _cost = self.reconsider(core, group, QueueId(qid), now);
                 }

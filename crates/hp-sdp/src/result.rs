@@ -206,8 +206,9 @@ impl ExperimentResult {
 
     /// Synchronization rounds the fabric controller ran: the number of
     /// window-boundary rendezvous (two barriers each in a multi-lane
-    /// run). Under lookahead windows this is the barrier-count metric the
-    /// `trace --par-bench` report compares against fixed windows.
+    /// run). The `figures` `fabric` table reports it at 1, 2 and 4
+    /// workers and fails when it differs between them or exceeds what the
+    /// lookahead window schedule took when it became the only one.
     pub fn sync_rounds(&self) -> u64 {
         self.sync_rounds
     }

@@ -488,12 +488,39 @@ fn artifact_hashes(r: &ExperimentResult) -> Vec<(&'static str, u64)> {
     ]
 }
 
+/// Spinning on two two-core sharing groups at half capacity, with every
+/// observer attached and a straggler phase from 1M to 2M cycles: sibling
+/// steps, arrivals, metrics windows, the phase edges and the stalls all
+/// cut a core's run of empty polls short, and the fast-forward runs
+/// between bursts.
+fn spinning_observed() -> ExperimentConfig {
+    let straggle = FaultPlan {
+        straggler: 0.01,
+        stall_cycles: 3_000,
+        ..FaultPlan::none()
+    };
+    let cfg = base(Notifier::Spinning).with_cores(4, 2);
+    let rate = cfg.capacity_estimate_per_core() * 4.0 * 0.5;
+    cfg.with_load(Load::RatePerSec(rate))
+        .with_trace(1 << 16)
+        .with_attrib()
+        .with_audit()
+        .with_metrics_window(100_000)
+        .with_chaos(
+            hyperplane::sim::chaos::ChaosSchedule::none()
+                .with_phase(1_000_000, 2_000_000, straggle),
+        )
+}
+
 /// Pins every serial (`par_workers = 1`) artifact to values recorded
 /// before serial teardown moved onto the fabric merge: HyperPlane on two
 /// two-core sharing groups with every observer attached, the same run
 /// with a 512-record trace ring that wraps, the full-chaos config of
 /// `tests/par_digest.rs`, and the observed run in in-order mode with a
-/// background task. The `attrib`, `profile` and `mem` hashes also cover
+/// background task. The `spinning` row ([`spinning_observed`]) was
+/// recorded before empty polls ran inline ahead of the event queue, so
+/// its profile and windows pin that the shortcut counts every poll at
+/// its own instant. The `attrib`, `profile` and `mem` hashes also cover
 /// the host-side `FastPathStats` counters, so a change to what those
 /// count moves these three with every simulated value unchanged.
 #[test]
@@ -532,6 +559,7 @@ fn serial_artifacts_are_pinned() {
         .with_watchdog(4_000_000)
         .with_seed(0xC4A0_5C4A)
         .with_par_workers(1);
+    let spinning = spinning_observed().with_par_workers(1);
     // Deferred RECONSIDER events and the non-blocking QWAIT branch: no
     // golden or other digest pin runs either path.
     let variants = {
@@ -540,7 +568,7 @@ fn serial_artifacts_are_pinned() {
         cfg.background_task = true;
         cfg
     };
-    let runs: [(&str, ExperimentConfig, [u64; 9]); 4] = [
+    let runs: [(&str, ExperimentConfig, [u64; 9]); 5] = [
         (
             "observed",
             observed(),
@@ -599,6 +627,21 @@ fn serial_artifacts_are_pinned() {
                 18384094352174761531,
                 7815563706197793261,
                 1885121789217859705,
+            ],
+        ),
+        (
+            "spinning",
+            spinning,
+            [
+                9200733764483705820,
+                15990089173600319624,
+                849996320531048019,
+                17206619190177555655,
+                6791798465754802484,
+                8961511833255634629,
+                8871136328539128648,
+                4898880818997137940,
+                8484820059690897199,
             ],
         ),
     ];

@@ -138,6 +138,39 @@ fn parallel_digest_matches_serial_under_chaos() {
     assert!(par.audit_report().expect("audit enabled").ok());
 }
 
+/// Spinning on two two-core sharing groups at half capacity with every
+/// observer, 100k-cycle metrics windows and a straggler phase (the
+/// `spinning` row of `tests/observability.rs`): the two-lane run's
+/// digest is pinned to its value from before empty polls ran inline
+/// ahead of the event queue, and equals the serial digest at any worker
+/// count. Each lane's window boundary is one more limit on an inline run.
+#[test]
+fn spinning_inline_polls_match_serial_and_are_pinned() {
+    let mk = || {
+        let straggle = FaultPlan {
+            straggler: 0.01,
+            stall_cycles: 3_000,
+            ..FaultPlan::none()
+        };
+        let cfg = base(Notifier::Spinning).with_cores(4, 2);
+        let rate = cfg.capacity_estimate_per_core() * 4.0 * 0.5;
+        cfg.with_load(Load::RatePerSec(rate))
+            .with_trace(16_384)
+            .with_attrib()
+            .with_audit()
+            .with_metrics_window(100_000)
+            .with_chaos(ChaosSchedule::none().with_phase(1_000_000, 2_000_000, straggle))
+    };
+    assert_worker_invariant("spinning-straggler", mk);
+    let par = runner::run(mk().with_par_workers(2));
+    let fnv = format!("{:?}", par.digest())
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    assert_eq!(fnv, 9200733764483705820, "two-lane spinning digest drifted");
+}
+
 /// The next-line prefetcher can fetch the first line of another group's
 /// region, whose owner only the whole machine models; such runs keep one
 /// lane, so any worker count reproduces the serial digest.

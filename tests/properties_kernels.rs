@@ -81,7 +81,10 @@ fn calendar_queue_matches_reference_heap() {
 /// bounded pops, it returns the heap's head exactly when the head lies
 /// strictly before the bound, and a refusal leaves `now()` and `len()`
 /// unchanged. Bounds fall before the head, on it, inside the wheel
-/// window, or past the far heap.
+/// window, or past the far heap. `peek_time` always reads the heap's head
+/// time, and `advance_to` an instant before the head — `now` itself, a
+/// few cycles on, or a jump that moves the window base past far events —
+/// changes no later pop.
 #[test]
 fn pop_before_matches_reference_heap() {
     let mut rng = SmallRng::seed_from_u64(0xBEEF_000E);
@@ -93,7 +96,8 @@ fn pop_before_matches_reference_heap() {
         let mut next_id = 0u32;
         let n_ops = rng.random_range(1..400usize);
         for _ in 0..n_ops {
-            if rng.random_range(0..3u8) == 0 {
+            let op = rng.random_range(0..6u8);
+            if op < 2 {
                 let off = match rng.random_range(0..4u8) {
                     0 => 0, // guaranteed same-instant runs
                     1 => rng.random_range(0..8u64),
@@ -107,6 +111,25 @@ fn pop_before_matches_reference_heap() {
                 continue;
             }
             let head = model.peek().map(|&Reverse((t, _, id))| (t, id));
+            assert_eq!(q.peek_time(), head.map(|(t, _)| SimTime(t)), "peek");
+            if op == 2 {
+                // Advance to an instant strictly before the head: onto
+                // `now`, a few cycles on, or anywhere up to it (a jump of
+                // the window base past the wheel when the queue is empty).
+                let room = head.map_or(1 << 21, |(t, _)| t - now);
+                if room > 0 {
+                    let to = now
+                        + match rng.random_range(0..3u8) {
+                            0 => 0,
+                            1 => rng.random_range(0..room.min(64)),
+                            _ => rng.random_range(0..room),
+                        };
+                    q.advance_to(SimTime(to));
+                    now = to;
+                    assert_eq!((q.now(), q.len()), (SimTime(now), model.len()));
+                }
+                continue;
+            }
             let head_t = head.map_or(now, |(t, _)| t);
             let bound = match rng.random_range(0..4u8) {
                 0 => head_t.saturating_sub(rng.random_range(1..8u64)),
