@@ -1,14 +1,15 @@
 //! `figures [--quick] [--threads N] [--par-workers N] [NAME...]` renders the
 //! named tables, all of them by default, in [`TABLES`] order: the paper's
 //! evaluation, then the quickstart comparison, the parallel fabric's
-//! determinism gates and the fault and chaos sweeps, to stdout and to `results/<name>.txt` (or
+//! determinism gates, the fault and chaos sweeps and the million-queue
+//! scale-out sweep, to stdout and to `results/<name>.txt` (or
 //! `results/quick/<name>.txt` under `--quick`). Run it from the repository
 //! root: where that directory is missing, it exits 2 before any table runs.
 //! All runs go through one [`Runs`] memo, so a configuration that several
 //! tables share is simulated once; stderr reports the counts. A table whose
 //! gate fails (`validate`'s M/M/1 check, `fabric`'s serial-equals-parallel
-//! checks, `chaos`'s conservation audit) still writes its text, and the
-//! process then exits 1.
+//! checks, `chaos`'s conservation audit, `scale`'s conservation, spill and
+//! cost-ratio gates) still writes its text, and the process then exits 1.
 
 mod ablate;
 mod chaos;
@@ -26,6 +27,7 @@ mod notifiers;
 mod numa;
 mod qos;
 mod quickstart;
+mod scale;
 mod summary;
 mod table1;
 mod validate;
@@ -52,7 +54,7 @@ type Verdict = Result<(), Box<dyn std::error::Error>>;
 type Render = fn(&HarnessOpts, &Runs, &mut String) -> Verdict;
 
 /// Every table, in the order `figures` renders them.
-const TABLES: [(&str, Render); 19] = [
+const TABLES: [(&str, Render); 20] = [
     ("table1", table1::render),
     ("hwcost", hwcost::render),
     ("validate", validate::render),
@@ -72,6 +74,7 @@ const TABLES: [(&str, Render); 19] = [
     ("fabric", fabric::render),
     ("faults", faults::render),
     ("chaos", chaos::render),
+    ("scale", scale::render),
 ];
 
 /// The tables `names` picks, in [`TABLES`] order; all of them for none.

@@ -1,32 +1,34 @@
 //! The one strict argument parser of the harness binaries. [`parse`] is a
 //! pure function of argv and the binary's [`Spec`]: it rejects unknown and
-//! repeated flags, a value flag with no value (nothing or another `--flag`
-//! after it), a non-positive `--threads`/`--par-workers`, and a wrong
-//! positional count. [`from_env`] prints any [`CliError`], from the parse
-//! or from the binary's typed reading of its values, as `error: …` plus a
-//! one-line usage on stderr and exits 2 before any simulation starts.
+//! repeated flags, a flag the spec does not list (a common one included),
+//! a value flag with no value (nothing or another `--flag` after it), a
+//! non-positive `--threads`/`--par-workers`, and a wrong positional count.
+//! [`from_env`] prints any [`CliError`], from the parse or from the
+//! binary's typed reading of its values, as `error: …` plus a one-line
+//! usage on stderr and exits 2 before any simulation starts.
 
 use crate::HarnessOpts;
 use std::path::Path;
 use std::str::FromStr;
 
-/// A binary's arguments beyond the common flags, written as the tail of its
-/// usage line: `[--flag VALUE]` per value flag, then one bare word per
-/// required positional, or `[WORD...]` for any number of them. The usage
-/// line thus always matches the parser.
+/// A binary's arguments, written as its usage line after the binary name:
+/// `[--quick]` if it reads that boolean flag, `[--flag VALUE]` per value
+/// flag (`--threads` and `--par-workers` among them if it reads them),
+/// then one bare word per required positional, or `[WORD...]` for any
+/// number of them. The usage line thus always matches the parser.
 #[derive(Debug, Clone, Copy)]
 pub struct Spec(pub &'static str);
 
-/// `figures`: the tables to render, all of them when none is named.
-pub const FIGURES: Spec = Spec("[NAME...]");
-/// `trace`: where each artifact is written.
-pub const TRACE: Spec = Spec("[--trace PATH] [--metrics PATH] [--profile PATH] [--attrib PATH]");
-/// `scale`: an explicit queue-count list and the digest path.
-pub const SCALE: Spec = Spec("[--queues N,N,...] [--digest PATH]");
-/// `inspect`: the one configuration to report on.
+/// `figures`: the common flags and the tables to render, all of them when
+/// none is named.
+pub const FIGURES: Spec = Spec("[--quick] [--threads N] [--par-workers N] [NAME...]");
+/// `trace`: the run length and where each artifact is written.
+pub const TRACE: Spec =
+    Spec("[--quick] [--trace PATH] [--metrics PATH] [--profile PATH] [--attrib PATH]");
+/// `inspect`: the run length and the one configuration to report on.
 pub const INSPECT: Spec = Spec(
-    "[--workload NAME] [--shape NAME] [--queues N] [--notifier NAME] [--load PCT] [--cores N] \
-     [--cluster N]",
+    "[--quick] [--workload NAME] [--shape NAME] [--queues N] [--notifier NAME] [--load PCT] \
+     [--cores N] [--cluster N]",
 );
 /// `attrib-diff`: two artifacts and an optional regression gate.
 pub const ATTRIB_DIFF: Spec = Spec("[--gate PCT] BASELINE.json CANDIDATE.json");
@@ -102,11 +104,8 @@ pub fn parse(argv: &[String], spec: Spec) -> Result<(HarnessOpts, Args), CliErro
         seen.push(tok);
         let flag = tok.as_str();
         match flag {
-            "--quick" => opts.quick = true,
-            _ if flag == "--threads"
-                || flag == "--par-workers"
-                || words().any(|w| w.strip_prefix('[') == Some(flag)) =>
-            {
+            "--quick" if words().any(|w| w == "[--quick]") => opts.quick = true,
+            _ if words().any(|w| w.strip_prefix('[') == Some(flag)) => {
                 let Some(value) = tokens.next_if(|v| !v.starts_with("--")) else {
                     return Err(CliError(format!("{flag} needs a value")));
                 };
@@ -125,7 +124,6 @@ pub fn parse(argv: &[String], spec: Spec) -> Result<(HarnessOpts, Args), CliErro
     }
     let want = words().filter(|w| !w.starts_with('[') && !w.ends_with(']'));
     let (want, got) = (want.count(), args.positionals.len());
-    // `[NAME...]`, not a value's `N,N,...]`.
     let variadic = words().any(|w| w.starts_with('[') && w.ends_with("...]"));
     if got < want || (got > want && !variadic) {
         return Err(CliError(format!(
@@ -143,10 +141,7 @@ fn bin_name(argv: &[String]) -> String {
 
 /// The one-line usage for `bin` under `spec`.
 fn usage(bin: &str, spec: Spec) -> String {
-    let common = "[--quick] [--threads N] [--par-workers N]";
-    format!("usage: {bin} {common} {}", spec.0)
-        .trim_end()
-        .to_string()
+    format!("usage: {bin} {}", spec.0)
 }
 
 /// Parses the process arguments against `spec` and hands the common
@@ -204,26 +199,17 @@ mod tests {
             "figures --quick fig8 summary",
             "figures --quick chaos",
             "figures --quick quickstart fabric",
+            "figures --quick scale",
         ] {
             ok(&format!("./target/release/{line}"), FIGURES);
         }
         for line in [
             "trace --quick --trace trace.json --metrics metrics.jsonl --profile profile.json",
-            "trace --quick --threads 1 --trace attrib-trace.json \
-             --metrics attrib-metrics.jsonl --attrib attrib-t1.json",
             "trace --trace trace.json --metrics metrics.jsonl",
             "trace --attrib attrib.json",
             "trace --quick --trace out.json --metrics out.jsonl --attrib attrib.json",
         ] {
             ok(line, TRACE);
-        }
-        for line in [
-            "scale",
-            "scale --quick --queues 1024,65536 --par-workers 1 --digest scale-w1.txt",
-            "scale --quick --queues 1024,65536 --par-workers 2 --digest scale-w2.txt",
-            "scale --queues 1024,65536 --digest out.txt",
-        ] {
-            ok(line, SCALE);
         }
         ok(
             "inspect --workload crypto --shape sq --queues 500 --notifier hyperplane --load 60",
@@ -232,7 +218,6 @@ mod tests {
         for line in [
             "attrib-diff attrib-t1.json attrib-t2.json --gate 5",
             "attrib-diff baseline.json candidate.json --gate 10",
-            "attrib-diff --par-workers 2 a.json b.json",
         ] {
             let (_, args) = ok(line, ATTRIB_DIFF);
             assert_eq!(args.positionals.len(), 2);
@@ -242,11 +227,16 @@ mod tests {
     #[test]
     fn reads_common_flags_and_extra_values() {
         let (opts, args) = ok(
-            "/x/trace --quick --threads 3 --par-workers 2 --attrib a.json",
-            TRACE,
+            "/x/figures --quick --threads 3 --par-workers 2 fig8",
+            FIGURES,
         );
         assert!(opts.quick);
         assert_eq!((opts.threads, opts.par_workers), (3, 2));
+        assert_eq!(args.positionals, ["fig8"]);
+
+        let (opts, args) = ok("/x/trace --quick --attrib a.json", TRACE);
+        assert!(opts.quick);
+        assert_eq!(opts.par_workers, 1);
         assert_eq!(args.get("--attrib"), Some("a.json"));
         assert_eq!(args.get("--trace"), None);
 
@@ -288,10 +278,17 @@ mod tests {
                 TRACE,
                 "expected 0 positional argument(s), got 1",
             ),
+            // A common flag the binary does not read is refused.
+            ("trace --threads 2", TRACE, "unknown flag --threads"),
             (
-                "scale --queues 1024,65536 stray",
-                SCALE,
-                "expected 0 positional argument(s), got 1",
+                "inspect --par-workers 2",
+                INSPECT,
+                "unknown flag --par-workers",
+            ),
+            (
+                "attrib-diff --quick a b",
+                ATTRIB_DIFF,
+                "unknown flag --quick",
             ),
             (
                 "attrib-diff a.json",
@@ -339,17 +336,18 @@ mod tests {
     fn usage_is_the_spec() {
         assert_eq!(
             usage("attrib-diff", ATTRIB_DIFF),
-            "usage: attrib-diff [--quick] [--threads N] [--par-workers N] [--gate PCT] \
-             BASELINE.json CANDIDATE.json"
+            "usage: attrib-diff [--gate PCT] BASELINE.json CANDIDATE.json"
         );
         assert_eq!(
             usage("figures", FIGURES),
             "usage: figures [--quick] [--threads N] [--par-workers N] [NAME...]"
         );
-        // Every bracketed group of a spec is exactly one `[--flag VALUE]`.
-        for spec in [TRACE, SCALE, INSPECT, ATTRIB_DIFF] {
+        // Every bracketed group of a spec is `[--quick]`, `[NAME...]` or
+        // exactly one `[--flag VALUE]`.
+        for spec in [FIGURES, TRACE, INSPECT, ATTRIB_DIFF] {
             let words: Vec<&str> = spec.0.split_whitespace().collect();
-            for (i, w) in words.iter().enumerate().filter(|(_, w)| w.starts_with('[')) {
+            let groups = words.iter().enumerate().filter(|(_, w)| w.starts_with('['));
+            for (i, w) in groups.filter(|(_, w)| !["[--quick]", "[NAME...]"].contains(w)) {
                 let value = words[i + 1];
                 assert!(w.starts_with("[--") && !w.ends_with(']'), "{}", spec.0);
                 assert!(
@@ -364,7 +362,7 @@ mod tests {
     /// `parse` is total over random argv: it never panics, and every
     /// command line it accepts has positive `threads` and `par_workers`,
     /// the spec's positional count (at least that many for a `[NAME...]`
-    /// spec), and only the spec's value flags.
+    /// spec), and only the spec's flags, common ones included.
     #[test]
     fn parse_is_total_and_sound_on_random_argv() {
         use hp_rand::rngs::SmallRng;
@@ -390,7 +388,7 @@ mod tests {
             |rng: &mut SmallRng, from: &[&str]| from[rng.random_range(0..from.len())].to_string();
         let mut rng = SmallRng::seed_from_u64(0xC11_A26F);
         let (mut accepted, mut rejected) = (0, 0);
-        for spec in [FIGURES, TRACE, SCALE, INSPECT, ATTRIB_DIFF] {
+        for spec in [FIGURES, TRACE, INSPECT, ATTRIB_DIFF] {
             let words: Vec<&str> = spec.0.split_whitespace().collect();
             let variadic = words
                 .iter()
@@ -399,6 +397,7 @@ mod tests {
                 .iter()
                 .filter_map(|w| w.strip_prefix('['))
                 .filter(|w| w.starts_with("--"))
+                .map(|w| w.trim_end_matches(']'))
                 .collect();
             let want = words
                 .iter()
@@ -430,6 +429,9 @@ mod tests {
                 }
                 for (flag, _) in &args.values {
                     assert!(flags.contains(&flag.as_str()), "{argv:?}");
+                }
+                for common in argv.iter().filter(|a| COMMON.contains(&a.as_str())) {
+                    assert!(flags.contains(&common.as_str()), "{argv:?}");
                 }
             }
         }

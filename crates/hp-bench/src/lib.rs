@@ -3,11 +3,12 @@
 //! The `figures` binary renders every deterministic table of the harness
 //! in one process: the paper's evaluation (see DESIGN.md §5 for the
 //! experiment index), the quickstart comparison, the parallel fabric's
-//! determinism gates, and the fault and chaos sweeps. `scale`, `trace`,
-//! `inspect` and `attrib-diff` are separate binaries with artifacts or
-//! gates of their own.
+//! determinism gates, the fault and chaos sweeps, and the million-queue
+//! scale-out sweep. `trace`, `inspect` and `attrib-diff` are separate
+//! binaries with artifacts or gates of their own.
 //!
-//! All binaries accept these flags, parsed by [`cli`]:
+//! The common flags, parsed by [`cli`]; each binary's [`cli::Spec`] lists
+//! the ones it reads, and the others keep their defaults:
 //! * `--quick` — cut sample counts and sweep points for a fast smoke run;
 //! * `--threads N` — worker threads for independent sweep points (default:
 //!   all hardware threads). Every simulation is a pure function of its
@@ -40,7 +41,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Command-line options shared by all harness binaries.
+/// The common command-line options; a binary that does not read one
+/// keeps its default.
 #[derive(Debug, Clone)]
 pub struct HarnessOpts {
     /// Reduced sweep for smoke testing.

@@ -5,11 +5,10 @@
 use std::process::Command;
 
 /// Each binary with one of its value flags (for the missing-value case).
-const BINS: [(&str, &str, &str); 5] = [
+const BINS: [(&str, &str, &str); 4] = [
     ("attrib-diff", env!("CARGO_BIN_EXE_attrib-diff"), "--gate"),
     ("figures", env!("CARGO_BIN_EXE_figures"), "--par-workers"),
     ("inspect", env!("CARGO_BIN_EXE_inspect"), "--workload"),
-    ("scale", env!("CARGO_BIN_EXE_scale"), "--digest"),
     ("trace", env!("CARGO_BIN_EXE_trace"), "--attrib"),
 ];
 
@@ -58,7 +57,7 @@ fn binary_specific_values_are_checked_before_running() {
     for (name, args) in [
         ("figures", &["--quik"][..]),
         ("figures", &["--help"]),
-        ("scale", &["stray"]),
+        ("trace", &["stray"]),
         // Table names are checked before the first table runs.
         ("figures", &["fig99"]),
         ("figures", &["--quick", "table1", "fig8", "fig8"]),
@@ -86,27 +85,54 @@ fn binary_specific_values_are_checked_before_running() {
                 "4",
             ],
         ),
-        ("scale", &["--queues", "1024,x"]),
-        // Parses, but the engine cannot build the point.
-        ("scale", &["--quick", "--queues", "0"]),
-        ("scale", &["--quick", "--queues", "3,1024"]),
         ("attrib-diff", &["a.json"]),
         ("attrib-diff", &["a.json", "b.json", "c.json"]),
         ("attrib-diff", &["a.json", "b.json", "--gate", "lots"]),
     ] {
         assert_rejected(name, exe(name), args);
     }
+    // A common flag the binary does not read is refused, not ignored.
+    for (name, args) in [
+        ("trace", &["--threads", "2"][..]),
+        ("inspect", &["--par-workers", "2"]),
+        ("attrib-diff", &["--quick", "a.json", "b.json"]),
+    ] {
+        let stderr = assert_rejected(name, exe(name), args);
+        let want = format!("error: unknown flag {}\n", args[0]);
+        assert!(stderr.starts_with(&want), "{name} {args:?}: {stderr}");
+    }
 }
 
-/// `--par-workers N` is a common flag, not a positional: `attrib-diff`
-/// gets as far as reading its two artifacts, and an unreadable one is
-/// refused like a bad flag.
+/// A value flag's value is not a positional: `figures --threads 1 fig99`
+/// names `fig99`, not `1`, as the unknown table.
 #[test]
-fn attrib_diff_takes_common_flags_among_positionals() {
-    let exe = env!("CARGO_BIN_EXE_attrib-diff");
-    let args = ["--par-workers", "2", "no-such.json", "b.json"];
-    let stderr = assert_rejected("attrib-diff", exe, &args);
-    assert!(stderr.contains("no-such.json: cannot read"), "{stderr}");
+fn value_flag_values_are_not_positionals() {
+    let exe = env!("CARGO_BIN_EXE_figures");
+    let stderr = assert_rejected("figures", exe, &["--threads", "1", "fig99"]);
+    assert!(
+        stderr.starts_with("error: unknown table \"fig99\""),
+        "{stderr}"
+    );
+}
+
+/// A real `trace --attrib` artifact (with every other artifact flag of
+/// `trace` exercised alongside), written into `dir` as `base.json`.
+fn attrib_artifact(dir: &std::path::Path) -> String {
+    std::fs::create_dir_all(dir).expect("create temp dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let traced = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(["--quick", "--attrib", &path("base.json")])
+        .args([
+            "--trace",
+            &path("trace.json"),
+            "--metrics",
+            &path("m.jsonl"),
+        ])
+        .args(["--profile", &path("profile.json")])
+        .output()
+        .expect("spawn trace");
+    assert!(traced.status.success(), "trace --attrib failed");
+    path("base.json")
 }
 
 /// `attrib-diff` refuses a malformed artifact before printing anything:
@@ -115,20 +141,8 @@ fn attrib_diff_takes_common_flags_among_positionals() {
 #[test]
 fn attrib_diff_refuses_malformed_artifacts() {
     let dir = std::env::temp_dir().join(format!("hp-bench-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
-    let traced = Command::new(env!("CARGO_BIN_EXE_trace"))
-        .args(["--quick", "--threads", "1", "--attrib", &path("base.json")])
-        .args([
-            "--trace",
-            &path("trace.json"),
-            "--metrics",
-            &path("m.jsonl"),
-        ])
-        .output()
-        .expect("spawn trace");
-    assert!(traced.status.success(), "trace --attrib failed");
-    let base = std::fs::read_to_string(path("base.json")).expect("read artifact");
+    let base = std::fs::read_to_string(attrib_artifact(&dir)).expect("read artifact");
 
     let last = base
         .find(r#",{"phase":"service""#)
@@ -169,4 +183,47 @@ fn figures_refuses_a_directory_without_results() {
     assert!(stderr.contains("repository root"), "{stderr}");
     assert!(out.stdout.is_empty());
     assert!(!std::path::Path::new(dir).join("results").exists());
+}
+
+/// `text` with the first `"mean_cycles"` after `anchor` scaled by 1.5.
+fn inflate(text: &str, anchor: &str) -> String {
+    let key = r#""mean_cycles":"#;
+    let from = text.find(anchor).expect("anchor present");
+    let at = from + text[from..].find(key).expect("a mean after the anchor") + key.len();
+    let end = at + text[at..].find(',').expect("more fields follow");
+    let mean: f64 = text[at..end].parse().expect("a number");
+    format!("{}{}{}", &text[..at], mean * 1.5, &text[end..])
+}
+
+/// `attrib-diff --gate` passes a self-diff and fails a candidate whose
+/// end-to-end and service means are half again the baseline's, naming
+/// service as the guilty phase.
+#[test]
+fn attrib_diff_gate_names_the_regressed_phase() {
+    let dir = std::env::temp_dir().join(format!("hp-bench-gate-{}", std::process::id()));
+    let base = attrib_artifact(&dir);
+    let exe = env!("CARGO_BIN_EXE_attrib-diff");
+    let diff = |cand: &str| {
+        let out = Command::new(exe)
+            .args([&base, cand, "--gate", "5"])
+            .output();
+        out.expect("spawn attrib-diff")
+    };
+
+    let same = diff(&base);
+    assert_eq!(same.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&same.stdout).contains("gate ok"));
+
+    let text = std::fs::read_to_string(&base).expect("read artifact");
+    let slower = inflate(&inflate(&text, r#""end_to_end""#), r#""phase":"service""#);
+    let cand = dir.join("slower.json");
+    std::fs::write(&cand, slower).expect("write artifact");
+    let worse = diff(&cand.to_string_lossy());
+    let stderr = String::from_utf8_lossy(&worse.stderr);
+    assert_eq!(worse.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("GATE FAILED") && stderr.contains("guilty phase: service"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }

@@ -44,9 +44,9 @@ fn tracing_does_not_perturb_results() {
     }
 }
 
-/// The Chrome export contains at least one complete enqueue→service
-/// lifecycle span (a `ph:"b"`/`ph:"e"` pair with the same id) and the
-/// top-level structure chrome://tracing and Perfetto expect.
+/// The Chrome export parses and contains at least one complete
+/// enqueue→service lifecycle span (a `ph:"b"`/`ph:"e"` pair with the same
+/// id) and the top-level structure chrome://tracing and Perfetto expect.
 #[test]
 fn chrome_export_has_complete_lifecycle_spans() {
     // Drive well below capacity so nearly every enqueued item is serviced
@@ -62,6 +62,12 @@ fn chrome_export_has_complete_lifecycle_spans() {
         &json[..40]
     );
     assert!(json.contains("\"displayTimeUnit\""));
+    let doc = hp_bytes::json::parse(&json).expect("the trace must parse");
+    let events = doc.get("traceEvents").and_then(|e| e.as_array());
+    assert!(
+        events.is_some_and(|e| !e.is_empty()),
+        "no traceEvents array"
+    );
 
     // Find an item with both an enqueue and a service-done in the kept
     // records — a complete lifecycle — and check both async edges made it
@@ -95,8 +101,8 @@ fn chrome_export_has_complete_lifecycle_spans() {
 }
 
 /// Per-window metrics have strictly increasing end timestamps and
-/// contiguous nominal boundaries, and the JSONL sink emits one object per
-/// window.
+/// contiguous nominal boundaries, and the JSONL sink emits one JSON
+/// object per window, in window order.
 #[test]
 fn metrics_windows_are_monotonic_and_contiguous() {
     let r = runner::run(base(Notifier::hyperplane()).with_metrics_window(50_000));
@@ -122,9 +128,11 @@ fn metrics_windows_are_monotonic_and_contiguous() {
 
     let jsonl = r.metrics_jsonl();
     assert_eq!(jsonl.lines().count(), windows.len());
-    assert!(jsonl
-        .lines()
-        .all(|l| l.starts_with('{') && l.ends_with('}')));
+    for (i, line) in jsonl.lines().enumerate() {
+        let doc = hp_bytes::json::parse(line).unwrap_or_else(|e| panic!("line {i}: {e}"));
+        let index = doc.get("window").and_then(|w| w.as_u64());
+        assert_eq!(index, Some(i as u64), "line {i}: {line}");
+    }
 }
 
 /// A run that completes nothing (every doorbell dropped, no recovery
@@ -401,7 +409,8 @@ fn attribution_conserves_under_chaos() {
 
 /// The `hp-attrib-v1` artifact round-trips through the hp-bytes parser:
 /// it is well-formed JSON whose headline fields match the in-memory
-/// report (the contract `attrib-diff` depends on).
+/// report (the contract `attrib-diff` depends on), its exemplars
+/// telescope, and the `--profile` artifact parses too.
 #[test]
 fn attrib_json_parses_and_matches_report() {
     use hp_bytes::json::{parse, JsonValue};
@@ -421,6 +430,7 @@ fn attrib_json_parses_and_matches_report() {
         doc.get("conserved").and_then(JsonValue::as_bool),
         Some(true)
     );
+    assert_eq!(doc.get("violations").and_then(JsonValue::as_u64), Some(0));
     let phases = doc.get("phases").and_then(JsonValue::as_array).unwrap();
     assert_eq!(phases.len(), hyperplane::sim::attrib::Phase::COUNT);
     let total: u64 = phases
@@ -434,15 +444,27 @@ fn attrib_json_parses_and_matches_report() {
         Some(total),
         "serialized phase totals must sum to the serialized total"
     );
-    // Exemplars carry the full fast-path counter snapshot.
+    // Exemplars telescope: their phase cycles sum to their latency. And
+    // they carry the full fast-path counter snapshot.
     let ex = doc.get("exemplars").and_then(JsonValue::as_array).unwrap();
     assert!(!ex.is_empty());
     for e in ex {
+        let phases = e.get("phase_cycles").and_then(JsonValue::as_array).unwrap();
+        let sum: u64 = phases.iter().map(|c| c.as_u64().unwrap()).sum();
+        let latency = e.get("latency_cycles").and_then(JsonValue::as_u64);
+        assert_eq!(Some(sum), latency, "exemplar does not telescope: {e:?}");
         let fp = e.get("fast_path").expect("snapshot attached");
         for label in hyperplane::sim::attrib::SNAPSHOT_LABELS {
             assert!(fp.get(label).is_some(), "missing counter {label}");
         }
     }
+
+    // The profile artifact `trace --profile` writes parses too.
+    let profile = parse(&r.profile_json().expect("profiled")).expect("profile must parse");
+    assert_eq!(
+        profile.get("total_events").and_then(JsonValue::as_u64),
+        r.kernel_profile().map(|p| p.total_events())
+    );
 }
 
 /// FNV-1a over an artifact's bytes.
