@@ -1,17 +1,20 @@
 //! Traced run: execute one experiment with the observability plane on and
-//! write machine-readable artifacts —
+//! write the machine-readable artifacts whose flags name a path —
 //!
-//! * a Chrome `trace_event` / Perfetto-compatible JSON trace of the full
-//!   notification lifecycle (load it in `ui.perfetto.dev` or
+//! * `--trace`: a Chrome `trace_event` / Perfetto-compatible JSON trace of
+//!   the full notification lifecycle (load it in `ui.perfetto.dev` or
 //!   `chrome://tracing`);
-//! * a windowed-metrics JSONL time series (one JSON object per window);
-//! * optionally the sim-kernel profile as JSON (`--profile`): per-event
-//!   counts and attributed cycles plus the memory-system fast-path
-//!   counters, so the hot-path cycle share is measurable from the CLI;
-//! * optionally the latency-attribution artifact (`--attrib`, schema
+//! * `--metrics`: a windowed-metrics JSONL time series (one JSON object
+//!   per window);
+//! * `--profile`: the sim-kernel profile as JSON — per-event counts and
+//!   attributed cycles plus the memory-system fast-path counters, so the
+//!   hot-path cycle share is measurable from the CLI;
+//! * `--attrib`: the latency-attribution artifact (schema
 //!   `hp-attrib-v1`): end-to-end latency decomposed into additive phase
 //!   components per queue / per core, with tail exemplars — the input
 //!   format of the `attrib-diff` comparison tool (DESIGN.md §15).
+//!
+//! With no artifact flag the run only prints its report.
 //!
 //! ```sh
 //! cargo run --release -p hp-bench --bin trace -- \
@@ -26,8 +29,8 @@ use hp_workloads::service::WorkloadKind;
 
 fn main() {
     let (opts, args) = cli::from_env(cli::TRACE, |_, args| Ok(args));
-    let trace_path = args.get("--trace").unwrap_or("trace.json");
-    let metrics_path = args.get("--metrics").unwrap_or("metrics.jsonl");
+    let trace_path = args.get("--trace");
+    let metrics_path = args.get("--metrics");
     let profile_path = args.get("--profile");
     let attrib_path = args.get("--attrib");
 
@@ -55,32 +58,33 @@ fn main() {
 
     let r = runner::run(cfg);
 
-    let chrome = r.chrome_trace_json().expect("tracing was enabled");
-    std::fs::write(trace_path, &chrome).expect("write trace JSON");
-    let jsonl = r.metrics_jsonl();
-    std::fs::write(metrics_path, &jsonl).expect("write metrics JSONL");
-
     println!(
         "\nthroughput: {:.3} Mtasks/s   p99 latency: {:.2} us   drops: {}",
         r.throughput_mtps(),
         r.latency_percentile_us(99.0),
         r.drops
     );
-    println!(
-        "trace: {} records -> {} ({} bytes)",
-        r.trace_records().map(<[_]>::len).unwrap_or(0),
-        trace_path,
-        chrome.len()
-    );
-    if r.trace_dropped() > 0 {
+    if let Some(path) = trace_path {
+        let chrome = r.chrome_trace_json().expect("tracing was enabled");
+        std::fs::write(path, &chrome).expect("write trace JSON");
         println!(
-            "WARNING: trace ring dropped {} of {} records — the trace file \
-             is truncated (raise trace capacity); attribution is unaffected",
-            r.trace_dropped(),
-            r.trace_emitted()
+            "trace: {} records -> {path} ({} bytes)",
+            r.trace_records().map(<[_]>::len).unwrap_or(0),
+            chrome.len()
         );
+        if r.trace_dropped() > 0 {
+            println!(
+                "WARNING: trace ring dropped {} of {} records — the trace file \
+                 is truncated (raise trace capacity); attribution is unaffected",
+                r.trace_dropped(),
+                r.trace_emitted()
+            );
+        }
     }
-    println!("metrics: {} windows -> {}", r.windows().len(), metrics_path);
+    if let Some(path) = metrics_path {
+        std::fs::write(path, r.metrics_jsonl()).expect("write metrics JSONL");
+        println!("metrics: {} windows -> {path}", r.windows().len());
+    }
 
     if let Some(path) = attrib_path {
         let json = r.attrib_json().expect("attribution was enabled");

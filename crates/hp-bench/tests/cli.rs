@@ -135,6 +135,43 @@ fn attrib_artifact(dir: &std::path::Path) -> String {
     path("base.json")
 }
 
+/// `trace` writes only the artifacts whose flags name a path: a run asking
+/// for the attribution and the profile leaves no Chrome trace or metrics
+/// file in its working directory.
+#[test]
+fn trace_writes_only_the_named_artifacts() {
+    let dir = std::env::temp_dir().join(format!("hp-bench-cli-cwd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args([
+            "--quick",
+            "--attrib",
+            "attrib.json",
+            "--profile",
+            "profile.json",
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn trace");
+    assert!(
+        out.status.success(),
+        "trace failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list temp dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    written.sort();
+    assert_eq!(written, ["attrib.json", "profile.json"]);
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
 /// `attrib-diff` refuses a malformed artifact before printing anything:
 /// a missing phase, a phase without a number the diff reads, and a
 /// renamed phase. The cases are cut from a real `trace --attrib` artifact.

@@ -22,16 +22,21 @@
 //! for the ways it uses: the 16-way LLC of a run that never holds more
 //! than 4 lines in a set is one quarter of its full size.
 //!
-//! A probe of a group is 4 strided `u64` compares over one host cache
-//! line, and — the hot case for the spin-polling data plane — a
-//! hint-directed touch of a known slot (tag check + LRU/state update)
-//! reads and writes a *single* host cache line, where split
-//! tag/state/LRU vectors cost three. Slots are stable handles: a line's
-//! slot never changes while the line is resident, and growth only appends
-//! groups, which is what lets [`MemSystem`] keep the coherence directory
-//! beside the LLC tags (one holder word per LLC slot, in a vector grown
-//! with the tag store) and link each L1 slot to its line's LLC slot (see
-//! `crate::system`).
+//! A probe of a group reads one host cache line and builds a 4-bit hit
+//! mask from its keys; the hit way is the mask's `trailing_zeros`. A miss
+//! scan picks its victim with a running minimum of per-way ranks kept
+//! with `select_unpredictable`, so neither the hit test nor the LRU order
+//! of the ways costs a data-dependent branch. The hot case for the
+//! spin-polling data plane — a hint-directed touch of a known slot (tag
+//! check + LRU/state update) — reads and writes a *single* host cache
+//! line, where split tag/state/LRU vectors cost three. Slots are stable
+//! handles: a line's slot never changes while the line is resident, and
+//! growth only appends groups, which is what lets [`MemSystem`] keep the
+//! coherence directory beside the LLC tags (one holder word per LLC slot,
+//! in a vector grown with the tag store), link each L1 slot to its line's
+//! LLC slot, and record an owner's L1 slot in the holder word (see
+//! `crate::system`). A cache has at most [`MAX_SLOTS`] slots, so a slot
+//! handle fits a `u32` below the "unknown" sentinel `u32::MAX`.
 //!
 //! The tick is strictly monotonic and every assignment of a slot's `meta`
 //! uses a fresh tick, so two valid slots never share a tick and comparing
@@ -40,6 +45,12 @@
 //! [`MemSystem`]: crate::system::MemSystem
 
 use crate::types::{LineAddr, LINE_BYTES};
+use std::hint::select_unpredictable;
+
+/// Most slots a cache may have (ways padded to a multiple of 4, times
+/// sets): every slot handle is a `u32` below `u32::MAX`, which callers
+/// keep as the "unknown slot" sentinel.
+pub const MAX_SLOTS: usize = u32::MAX as usize;
 
 /// MESI coherence state of a line in a private cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,16 +149,46 @@ const VALID_RANK: u64 = 1 << 63;
 /// back-invalidate (an LLC fill that evicts) must discard the plan and
 /// scan again.
 ///
+/// One `u64`: the slot in bits 0..32, the set in bits 32..63 and the
+/// invalid flag in bit 63, so a `Result<usize, PlacePlan>` is two words
+/// and comes back in registers. A slot is below [`MAX_SLOTS`], and a set
+/// is at most a quarter of that, so both fields always fit.
+///
 /// [`probe_or_plan`]: SetAssocCache::probe_or_plan
 /// [`fill_planned`]: SetAssocCache::fill_planned
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlacePlan {
+pub struct PlacePlan(u64);
+
+/// [`PlacePlan`] bit set when its slot was invalid at scan time.
+const PLAN_INVALID: u64 = 1 << 63;
+
+impl PlacePlan {
+    #[inline]
+    fn new(slot: usize, set: usize, invalid: bool) -> Self {
+        debug_assert!(
+            slot < MAX_SLOTS && set < 1 << 31,
+            "plan ({slot}, {set}) overflows"
+        );
+        PlacePlan(slot as u64 | (set as u64) << 32 | u64::from(invalid) << 63)
+    }
+
     /// Slot the fill will land in (first invalid way, else LRU victim).
-    slot: u32,
+    #[inline]
+    pub fn slot(self) -> usize {
+        self.0 as u32 as usize
+    }
+
     /// Set index, carried so the fill needs no division by `ways`.
-    set: u32,
-    /// Whether `slot` was invalid at scan time (fill without eviction).
-    invalid: bool,
+    #[inline]
+    fn set(self) -> u64 {
+        (self.0 & !PLAN_INVALID) >> 32
+    }
+
+    /// Whether the slot was invalid at scan time (fill without eviction).
+    #[inline]
+    fn invalid(self) -> bool {
+        self.0 & PLAN_INVALID != 0
+    }
 }
 
 /// One cache way: packed valid-bit + tag, and packed LRU tick + state.
@@ -211,9 +252,21 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Builds an empty cache with the given geometry. No way group is
     /// allocated until a fill lands in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has no way, does not divide into a
+    /// power-of-two number of sets, or needs more than [`MAX_SLOTS`]
+    /// slots.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         assert!(config.ways > 0, "cache needs at least one way");
+        assert!(
+            sets.checked_mul(config.ways.next_multiple_of(GROUP_WAYS))
+                .is_some_and(|slots| slots <= MAX_SLOTS),
+            "cache of {sets} sets x {} ways exceeds {MAX_SLOTS} slots",
+            config.ways
+        );
         SetAssocCache {
             slots: Vec::new(),
             ways: config.ways,
@@ -249,14 +302,26 @@ impl SetAssocCache {
             .expect("the range is GROUP_WAYS long")
     }
 
+    /// Bit `k` set when way `k` of the group at `base` holds `needle`
+    /// (at most one bit: a line is resident in one way).
+    #[inline]
+    fn hit_mask(&self, base: usize, needle: u64) -> u32 {
+        let g = self.group(base);
+        u32::from(g[0].key == needle)
+            | u32::from(g[1].key == needle) << 1
+            | u32::from(g[2].key == needle) << 2
+            | u32::from(g[3].key == needle) << 3
+    }
+
     /// Slot holding `line`, if resident. No LRU or counter side effects.
     #[inline]
     pub fn probe(&self, line: LineAddr) -> Option<usize> {
         let needle = self.key_of(line);
         let mut base = self.set_of(line) * GROUP_WAYS;
         for _ in 0..self.groups {
-            if let Some(k) = self.group(base).iter().position(|s| s.key == needle) {
-                return Some(base + k);
+            let hits = self.hit_mask(base, needle);
+            if hits != 0 {
+                return Some(base + hits.trailing_zeros() as usize);
             }
             base += self.group_slots;
         }
@@ -303,9 +368,9 @@ impl SetAssocCache {
     /// `line`, or the [`PlacePlan`] a fill would use — first invalid way,
     /// else the LRU victim, ties broken by way order. Only allocated
     /// groups are scanned; the first way of the next group, if the set
-    /// has one, ranks as invalid after every allocated way. A hit returns
-    /// at its way; the placement choice is branch-free, one running
-    /// minimum of a per-way rank kept with selects.
+    /// has one, ranks as invalid after every allocated way. Each group is
+    /// one hit-mask test, and the placement choice is branch-free: one
+    /// running minimum of a per-way rank kept with selects.
     #[inline]
     pub fn probe_or_plan(&self, line: LineAddr) -> Result<usize, PlacePlan> {
         let set = self.set_of(line);
@@ -322,25 +387,21 @@ impl SetAssocCache {
             u64::MAX
         };
         for _ in 0..self.groups {
+            let hits = self.hit_mask(base, needle);
+            if hits != 0 {
+                return Ok(base + hits.trailing_zeros() as usize);
+            }
             for (k, s) in self.group(base).iter().enumerate() {
-                if s.key == needle {
-                    return Ok(base + k);
-                }
                 // Valid slots never share a tick, so comparing packed meta
                 // words orders them exactly like comparing LRU ticks.
-                let rank = if s.key == 0 { 0 } else { s.meta | VALID_RANK };
-                if rank < best {
-                    best = rank;
-                    pick = base + k;
-                }
+                let rank = select_unpredictable(s.key == 0, 0, s.meta | VALID_RANK);
+                let lower = rank < best;
+                best = select_unpredictable(lower, rank, best);
+                pick = select_unpredictable(lower, base + k, pick);
             }
             base += self.group_slots;
         }
-        Err(PlacePlan {
-            slot: pick as u32,
-            set: set as u32,
-            invalid: best < VALID_RANK,
-        })
+        Err(PlacePlan::new(pick, set, best < VALID_RANK))
     }
 
     /// [`probe_or_plan`](Self::probe_or_plan) with [`lookup`](Self::lookup)'s
@@ -371,7 +432,7 @@ impl SetAssocCache {
     pub fn fill_planned(&mut self, line: LineAddr, state: MesiState, plan: PlacePlan) -> Insert {
         debug_assert_eq!(self.probe_or_plan(line), Err(plan), "stale plan for {line}");
         self.tick += 1;
-        let i = plan.slot as usize;
+        let i = plan.slot();
         if i >= self.slots.len() {
             self.grow();
             debug_assert!(i < self.slots.len(), "plan beyond the next way group");
@@ -380,11 +441,11 @@ impl SetAssocCache {
             key: self.key_of(line),
             meta: (self.tick << 2) | code_of(state),
         };
-        if plan.invalid {
+        if plan.invalid() {
             self.slots[i] = fresh;
             return Insert::Placed;
         }
-        let evicted_line = LineAddr(((self.slots[i].key >> 1) << self.tag_shift) | plan.set as u64);
+        let evicted_line = LineAddr(((self.slots[i].key >> 1) << self.tag_shift) | plan.set());
         let evicted_state = state_of(self.slots[i].meta);
         self.slots[i] = fresh;
         self.evictions += 1;
@@ -409,12 +470,6 @@ impl SetAssocCache {
             self.slots.extend_from_slice(&group);
         }
         self.groups += 1;
-    }
-
-    /// Slot a [`PlacePlan`] will fill (for MRU seeding without re-probe).
-    #[inline]
-    pub fn plan_slot(plan: &PlacePlan) -> usize {
-        plan.slot as usize
     }
 
     /// Re-touches a known-resident `slot` exactly as a
@@ -465,20 +520,6 @@ impl SetAssocCache {
         self.probe(line).map(|i| state_of(self.slots[i].meta))
     }
 
-    /// Sets the coherence state of a resident line.
-    ///
-    /// Returns `false` if the line is not resident (caller decides whether
-    /// that is an error).
-    pub fn set_state(&mut self, line: LineAddr, state: MesiState) -> bool {
-        match self.probe(line) {
-            Some(i) => {
-                self.set_state_at(i, state);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Inserts `line` with `state`, evicting the LRU way if the set is full.
     ///
     /// If the line is already resident, its state is updated in place and
@@ -495,13 +536,14 @@ impl SetAssocCache {
 
     /// Invalidates `line` if resident; returns its state at invalidation.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<MesiState> {
-        match self.probe(line) {
-            Some(i) => {
-                self.slots[i].key = 0;
-                Some(state_of(self.slots[i].meta))
-            }
-            None => None,
-        }
+        self.probe(line).map(|i| self.invalidate_at(i))
+    }
+
+    /// Invalidates the line resident in `slot`; returns its state.
+    #[inline]
+    pub fn invalidate_at(&mut self, slot: usize) -> MesiState {
+        self.slots[slot].key = 0;
+        state_of(self.slots[slot].meta)
     }
 
     /// The line resident in `slot`, if any.
@@ -601,12 +643,17 @@ mod tests {
     }
 
     #[test]
-    fn set_state_on_missing_line_returns_false() {
+    fn slot_directed_updates_touch_only_their_slot() {
         let mut c = tiny();
-        assert!(!c.set_state(LineAddr(7), MesiState::Shared));
         c.insert(LineAddr(7), MesiState::Exclusive);
-        assert!(c.set_state(LineAddr(7), MesiState::Shared));
+        c.insert(LineAddr(5), MesiState::Modified);
+        let slot = c.probe(LineAddr(7)).unwrap();
+        c.set_state_at(slot, MesiState::Shared);
         assert_eq!(c.state(LineAddr(7)), Some(MesiState::Shared));
+        assert_eq!(c.invalidate_at(slot), MesiState::Shared);
+        assert_eq!(c.state(LineAddr(7)), None);
+        assert_eq!(c.state(LineAddr(5)), Some(MesiState::Modified));
+        assert_eq!(c.occupancy(), 1);
     }
 
     #[test]
@@ -708,7 +755,7 @@ mod tests {
                     assert_eq!(b.lookup(line), None);
                     let ins = a.fill_planned(line, MesiState::Shared, plan);
                     assert_eq!(ins, b.insert(line, MesiState::Shared));
-                    assert_eq!(Some(SetAssocCache::plan_slot(&plan)), b.probe(line));
+                    assert_eq!(Some(plan.slot()), b.probe(line));
                 }
             }
             assert_eq!(a.counters(), b.counters());
@@ -761,9 +808,7 @@ mod tests {
                         }
                     },
                 };
-                let got = c
-                    .probe_or_plan(line)
-                    .map_err(|p| (p.slot as usize, p.invalid));
+                let got = c.probe_or_plan(line).map_err(|p| (p.slot(), p.invalid()));
                 assert_eq!(got, want, "line {line}");
                 if (x >> 20).is_multiple_of(5) {
                     c.invalidate(line);
@@ -780,6 +825,48 @@ mod tests {
                 assert_eq!(groups, 3, "a set held more than 12 lines");
             }
         }
+    }
+
+    #[test]
+    fn place_plans_round_trip_at_the_largest_geometries() {
+        // The two extremes of the geometries `new` accepts: the most sets
+        // (2^29 sets of 4 ways, 2^31 slots) and the highest slot handle (one
+        // set of the most ways that pad to at most MAX_SLOTS). Neither
+        // allocates a way group here.
+        let most_sets = CacheConfig {
+            size_bytes: (1 << 31) * LINE_BYTES,
+            ways: 4,
+        };
+        let ways = MAX_SLOTS / GROUP_WAYS * GROUP_WAYS;
+        let most_slots = CacheConfig {
+            size_bytes: ways as u64 * LINE_BYTES,
+            ways,
+        };
+        for cfg in [most_sets, most_slots] {
+            let c = SetAssocCache::new(cfg);
+            let (sets, slots) = (cfg.sets(), cfg.sets() * cfg.ways);
+            for (slot, set) in [(0, 0), (slots - 1, sets - 1), (slots - 1, 0), (0, sets - 1)] {
+                for invalid in [false, true] {
+                    let plan = PlacePlan::new(slot, set, invalid);
+                    assert_eq!(
+                        (plan.slot(), plan.set(), plan.invalid()),
+                        (slot, set as u64, invalid)
+                    );
+                }
+            }
+            // An empty cache plans the first way of the line's set.
+            let plan = c.probe_or_plan(LineAddr(sets as u64 - 1)).unwrap_err();
+            assert_eq!(
+                (plan.slot(), plan.set(), plan.invalid()),
+                ((sets - 1) * GROUP_WAYS, sets as u64 - 1, true)
+            );
+        }
+        // One set more and the slot handles would reach the sentinel.
+        let too_big = CacheConfig {
+            size_bytes: (1 << 32) * LINE_BYTES,
+            ways: 4,
+        };
+        assert!(std::panic::catch_unwind(|| SetAssocCache::new(too_big)).is_err());
     }
 
     #[test]

@@ -248,11 +248,6 @@ impl RefMemSystem {
         self.prefetch_fills
     }
 
-    /// `(hits, misses, evictions)` of one core's L1 tag array.
-    pub fn l1_counters(&self, core: CoreId) -> (u64, u64, u64) {
-        self.l1s[core.0].counters()
-    }
-
     /// `(hits, misses, evictions)` of the LLC tag array.
     pub fn llc_counters(&self) -> (u64, u64, u64) {
         self.llc.counters()

@@ -9,16 +9,24 @@
 //!
 //! Fidelity notes (documented simplifications):
 //! * The directory lives in the inclusive LLC: one holder word per LLC
-//!   slot (a sharer mask, or one owner), like the core-valid bits of
-//!   inclusive-LLC hardware. Inclusion makes it exact in coverage — a line
-//!   has a directory entry exactly while it is LLC-resident, and an LLC
-//!   eviction back-invalidates every private copy — so the directory
-//!   never evicts on its own. The paper's monitoring set is explicitly
-//!   *not* subject to directory conflict evictions, so this does not
-//!   change the observable behaviour being studied.
+//!   slot (a sharer mask, or one owner and its L1 slot of the line), like
+//!   the core-valid bits of inclusive-LLC hardware. Inclusion makes it
+//!   exact in coverage — a line has a directory entry exactly while it is
+//!   LLC-resident, and an LLC eviction back-invalidates every private
+//!   copy — so the directory never evicts on its own. The paper's
+//!   monitoring set is explicitly *not* subject to directory conflict
+//!   evictions, so this does not change the observable behaviour being
+//!   studied.
 //! * Sharer bitmasks may be stale after silent L1 evictions of Shared lines;
 //!   invalidations sent to non-holders are harmless, as in real imprecise
 //!   directories.
+//! * An owned word records the owner's L1 slot, so a downgrade or
+//!   invalidation of a remote owner's copy is a tag check at that slot,
+//!   not a search of the owner's set. Real directories send the message
+//!   and let the owner's cache look the line up; the slot changes the
+//!   host cost of that lookup, never its outcome. After a silent E
+//!   eviction the recorded slot may hold another line, which reads as "no
+//!   copy", exactly what a search would find.
 //!
 //! # Fast path (DESIGN.md §12)
 //!
@@ -105,27 +113,27 @@ pub struct AccessResult {
 /// bits 0..63, and bit 63 flags a word that names one owner instead.
 pub const MAX_CORES: usize = 63;
 
-/// Holder-word flag: the low bits name the one core holding the line in
-/// M or E. Without it, the word is the mask of cores that may hold the
-/// line in S.
+/// Holder-word flag: the word is `OWNED | l1_slot << OWNER_SLOT_SHIFT |
+/// core`, naming the one core holding the line in M or E and the slot of
+/// that core's L1 the line was filled into (or upgraded in). Without it,
+/// the word is the mask of cores that may hold the line in S.
 const OWNED: u64 = 1 << 63;
 
-/// The holder word naming `core` as the line's owner.
+/// Bits below an owned word's L1 slot: the owner's core index, which is
+/// below [`MAX_CORES`].
+const OWNER_SLOT_SHIFT: u32 = 8;
+
+/// The holder word naming `core` as the line's owner, holding it in L1
+/// slot `slot`.
 #[inline]
-fn owned_by(core: CoreId) -> u64 {
-    OWNED | core.0 as u64
+fn owned_by(core: CoreId, slot: usize) -> u64 {
+    OWNED | (slot as u64) << OWNER_SLOT_SHIFT | core.0 as u64
 }
 
 /// The owning core a holder word names, if any.
 #[inline]
 fn owner_of(word: u64) -> Option<usize> {
-    (word & OWNED != 0).then_some((word & !OWNED) as usize)
-}
-
-/// Every core a holder word names: its owner, or its sharers.
-#[inline]
-fn holder_mask(word: u64) -> u64 {
-    owner_of(word).map_or(word, |o| 1 << o)
+    (word & OWNED != 0).then_some((word & ((1 << OWNER_SLOT_SHIFT) - 1)) as usize)
 }
 
 /// Per-core access telemetry.
@@ -246,7 +254,8 @@ pub struct MemSystem {
     /// The directory: one holder word per LLC slot (see [`OWNED`]),
     /// indexed by the slot and grown with the LLC's tag store a way group
     /// at a time, so a run pays only for the ways it uses. A line's word
-    /// is found by the LLC set probe its transaction already needs.
+    /// is found by the LLC set probe its transaction already needs, and an
+    /// owned word leads to the owner's L1 slot with no probe.
     holders: Vec<u64>,
     latency: LatencyModel,
     stats: Vec<CoreMemStats>,
@@ -586,8 +595,8 @@ impl MemSystem {
                 if self.fast_path && owner_of(word).is_none() {
                     let state = if word | me == me {
                         // Sole holder re-takes the line in E (the usual
-                        // reload of a line this core's L1 evicted).
-                        self.holders[ls] = owned_by(core);
+                        // reload of a line this core's L1 evicted); the
+                        // fill writes the owner word.
                         self.fastpath.stable_reloads += 1;
                         MesiState::Exclusive
                     } else if word & me != 0 {
@@ -619,7 +628,9 @@ impl MemSystem {
                     // Downgrade the remote owner to Shared; cache-to-cache
                     // fill.
                     Some(o) => {
-                        self.l1s[o].set_state(line, MesiState::Shared);
+                        if let Some(slot) = self.owner_copy(word, line) {
+                            self.l1s[o].set_state_at(slot, MesiState::Shared);
+                        }
                         (HitLevel::RemoteL1, (1 << o) | me)
                     }
                     None => {
@@ -627,11 +638,11 @@ impl MemSystem {
                         (HitLevel::Llc, word | me)
                     }
                 };
-                // Take exclusive (E) if we are the only holder; the silent
-                // E->M upgrade this enables is exactly why QWAIT's re-arm
-                // must issue a GetS probe (modeled by `probe_shared`).
+                // Take exclusive (E) if we are the only holder (the fill
+                // writes the owner word); the silent E->M upgrade this
+                // enables is exactly why QWAIT's re-arm must issue a GetS
+                // probe (modeled by `probe_shared`).
                 let state = if sharers == me {
-                    self.holders[ls] = owned_by(core);
                     MesiState::Exclusive
                 } else {
                     self.holders[ls] = sharers;
@@ -643,10 +654,11 @@ impl MemSystem {
                 (level, state, ls, Some(plan))
             }
             // LLC miss: by inclusion no L1 holds the line, so this core
-            // takes it in E from memory. The fill's back-invalidation can
-            // free a way in this core's target set, so the plan is stale.
+            // takes it in E from memory (the L1 fill writes the owner
+            // word). The fill's back-invalidation can free a way in this
+            // core's target set, so the plan is stale.
             Err(llc_plan) => {
-                let ls = self.fill_llc(line, llc_plan, owned_by(core));
+                let ls = self.fill_llc(line, llc_plan, 0);
                 (HitLevel::Memory, MesiState::Exclusive, ls, None)
             }
         };
@@ -685,7 +697,7 @@ impl MemSystem {
                     self.getm_count += 1;
                     let ls = self.linked_llc_slot(core, slot, line);
                     let stale = self.invalidate_holders(core, line, self.holders[ls]);
-                    self.holders[ls] = owned_by(core);
+                    self.holders[ls] = owned_by(core, slot);
                     self.l1s[core.0].set_state_at(slot, MesiState::Modified);
                     self.record(core, HitLevel::Llc);
                     // Stale-sharer pricing (silent-eviction mode): the
@@ -716,32 +728,38 @@ impl MemSystem {
         let (level, ls, fill_plan) = match self.llc.probe_or_plan(line) {
             Ok(ls) => {
                 let word = self.holders[ls];
-                let level = match owner_of(word).filter(|&o| o != core.0) {
+                let level = match owner_of(word) {
                     // The owner's copy may already be gone (silent E-state
                     // eviction); the invalidation message is sent
                     // regardless, and the RemoteL1 level already prices
                     // the round-trip.
-                    Some(owner) => {
-                        if self.l1s[owner].invalidate(line).is_none() {
-                            self.stale_invalidations += 1;
+                    Some(owner) if owner != core.0 => {
+                        match self.owner_copy(word, line) {
+                            Some(slot) => {
+                                self.l1s[owner].invalidate_at(slot);
+                            }
+                            None => self.stale_invalidations += 1,
                         }
                         self.invalidations += 1;
                         HitLevel::RemoteL1
                     }
-                    None => {
+                    // A word naming this core as owner (its E copy left
+                    // silently) lists no other holder.
+                    owner => {
                         self.llc.hit_at(ls);
-                        stale = self.invalidate_holders(core, line, word);
+                        if owner.is_none() {
+                            stale = self.invalidate_holders(core, line, word);
+                        }
                         HitLevel::Llc
                     }
                 };
-                self.holders[ls] = owned_by(core);
                 self.llc.refresh_at(ls, MesiState::Shared);
                 (level, ls, Some(plan))
             }
             // LLC miss: no other holder. The fill may back-invalidate into
             // this core's target set: drop the stale plan.
             Err(llc_plan) => {
-                let ls = self.fill_llc(line, llc_plan, owned_by(core));
+                let ls = self.fill_llc(line, llc_plan, 0);
                 (HitLevel::Memory, ls, None)
             }
         };
@@ -785,9 +803,12 @@ impl MemSystem {
 
     fn probe_shared_inner(&mut self, line: LineAddr) -> Cycles {
         if let Some(ls) = self.llc.probe(line) {
-            if let Some(owner) = owner_of(self.holders[ls]) {
+            let word = self.holders[ls];
+            if let Some(owner) = owner_of(word) {
+                if let Some(slot) = self.owner_copy(word, line) {
+                    self.l1s[owner].set_state_at(slot, MesiState::Shared);
+                }
                 self.holders[ls] = 1 << owner;
-                self.l1s[owner].set_state(line, MesiState::Shared);
                 self.llc.refresh_at(ls, MesiState::Shared);
                 return self.latency.remote_l1;
             }
@@ -807,16 +828,39 @@ impl MemSystem {
         ls as usize
     }
 
+    /// The slot of `owner`'s L1 that holds `line`, per the owned holder
+    /// word `word` that names `owner`: the recorded slot while it still
+    /// holds the line, `None` once the copy is gone. Only a silent E
+    /// eviction leaves an owned word whose slot lost the line, and a
+    /// reload rewrites the word, so `None` means the owner's whole set
+    /// holds no copy (checked in debug builds).
+    #[inline]
+    fn owner_copy(&self, word: u64, line: LineAddr) -> Option<usize> {
+        let owner = owner_of(word)?;
+        let slot = (word & !OWNED) >> OWNER_SLOT_SHIFT;
+        let l1 = &self.l1s[owner];
+        let held = l1.hint_holds(slot as u32, line);
+        debug_assert!(
+            held || (self.silent_evictions && l1.probe(line).is_none()),
+            "core {owner} owns {line} at L1 slot {slot}, which does not hold it \
+             (copy at {:?})",
+            l1.probe(line)
+        );
+        held.then_some(slot as usize)
+    }
+
     /// Invalidates every L1 copy of `line` held by a core other than
-    /// `core`, per the directory word `holders` (possibly stale, always a
-    /// superset). Walks only the set bits instead of every core.
+    /// `core`, per the directory word `holders` — a sharer mask, possibly
+    /// stale, always a superset. Walks only the set bits instead of every
+    /// core.
     ///
     /// Returns the number of *stale* messages sent — directory-listed
     /// holders whose copy was already (silently) gone. Always zero in
     /// visible-eviction mode; in silent mode callers price the fan-out
     /// wait on the store path with it.
     fn invalidate_holders(&mut self, core: CoreId, line: LineAddr, holders: u64) -> u64 {
-        let mut mask = holder_mask(holders) & !(1u64 << core.0);
+        debug_assert!(owner_of(holders).is_none(), "{line} is owned: {holders:#x}");
+        let mut mask = holders & !(1u64 << core.0);
         let mut stale = 0u64;
         while mask != 0 {
             let i = mask.trailing_zeros() as usize;
@@ -832,10 +876,12 @@ impl MemSystem {
     }
 
     /// Fills `line` into `core`'s L1 and links the L1 slot to the line's
-    /// LLC slot `llc_slot`. `plan` is the placement decision captured by
-    /// the lookup-miss scan, valid only when nothing touched the core's
-    /// L1 set since (callers that ran an LLC fill — which can
-    /// back-invalidate — pass `None`, and the set is scanned again).
+    /// LLC slot `llc_slot`; an M or E fill also writes the line's holder
+    /// word, naming `core` and the slot as owner. `plan` is the placement
+    /// decision captured by the lookup-miss scan, valid only when nothing
+    /// touched the core's L1 set since (callers that ran an LLC fill —
+    /// which can back-invalidate — pass `None`, and the set is scanned
+    /// again).
     fn fill_l1(
         &mut self,
         core: CoreId,
@@ -847,7 +893,7 @@ impl MemSystem {
         let l1 = &mut self.l1s[core.0];
         let plan = plan.unwrap_or_else(|| l1.probe_or_plan(line).expect_err("line is resident"));
         let insert = l1.fill_planned(line, state, plan);
-        let slot = SetAssocCache::plan_slot(&plan);
+        let slot = plan.slot();
         if let Insert::Evicted(victim, victim_state) = insert {
             // Silent-eviction mode: clean (S/E) victims drop with no
             // directory message, exactly as real L1s do. The victim's
@@ -879,15 +925,19 @@ impl MemSystem {
             }
         }
         self.l1_links[core.0 * self.l1_slots + slot] = llc_slot as u32;
+        if state != MesiState::Shared {
+            self.holders[llc_slot] = owned_by(core, slot);
+        }
     }
 
     /// Fills `line`, proven absent by the `probe_or_plan` scan that
-    /// captured `plan`, into the LLC with directory word `holders`, and
-    /// returns the slot it landed in. An evicted line is back-invalidated
-    /// with the holders read from the word being overwritten.
+    /// captured `plan`, into the LLC with directory word `holders` (0 for
+    /// a fill whose L1 fill then writes the owner word), and returns the
+    /// slot it landed in. An evicted line is back-invalidated with the
+    /// holders read from the word being overwritten.
     fn fill_llc(&mut self, line: LineAddr, plan: PlacePlan, holders: u64) -> usize {
         let insert = self.llc.fill_planned(line, MesiState::Shared, plan);
-        let ls = SetAssocCache::plan_slot(&plan);
+        let ls = plan.slot();
         if ls >= self.holders.len() {
             self.grow_holders();
         }
@@ -909,11 +959,18 @@ impl MemSystem {
     }
 
     /// Inclusive back-invalidation of an LLC `victim`: kill all private
-    /// copies. The directory word `holders` is a superset of actual
-    /// holders (silent evictions leave stale bits, never missing ones),
-    /// so walking its bits reaches every copy.
+    /// copies. An owned word leads to the owner's copy, if any; a sharer
+    /// mask is a superset of actual holders (silent evictions leave stale
+    /// bits, never missing ones), so walking its bits reaches every copy.
     fn back_invalidate(&mut self, victim: LineAddr, holders: u64) {
-        let mut mask = holder_mask(holders);
+        if let Some(owner) = owner_of(holders) {
+            if let Some(slot) = self.owner_copy(holders, victim) {
+                self.l1s[owner].invalidate_at(slot);
+                self.invalidations += 1;
+            }
+            return;
+        }
+        let mut mask = holders;
         while mask != 0 {
             let i = mask.trailing_zeros() as usize;
             mask &= mask - 1;
@@ -1164,60 +1221,95 @@ mod tests {
     #[test]
     fn l1_links_name_the_llc_slot_and_holder_under_evictions() {
         // Random multi-core traces over lines packed onto a few LLC sets,
-        // so the LLC evicts and back-invalidates. Afterwards every
-        // L1-resident line's linked LLC slot must still hold that line,
-        // and the slot's holder word must name the core.
-        let mut x = 0x1D_5EEDu64;
-        let mut next = move |n: u64| {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 33) % n
-        };
-        let mut llc_evictions = 0;
-        for _case in 0..40 {
-            let cores = 1usize << next(3);
-            let mut m = sys(cores);
-            let llc_sets = CacheConfig::llc(cores).sets() as u64;
-            let sets: Vec<u64> = (0..1 + next(3)).map(|_| next(llc_sets)).collect();
-            for _ in 0..2000 {
-                let set = sets[next(sets.len() as u64) as usize];
-                let line = LineAddr(set + next(40) * llc_sets);
-                let core = CoreId(next(cores as u64) as usize);
-                let addr = Addr(line.0 * crate::types::LINE_BYTES);
-                match next(10) {
-                    0 => {
-                        m.probe_shared(line);
-                    }
-                    1..=3 => {
-                        m.access(core, addr, AccessKind::Store);
-                    }
-                    _ => {
-                        m.access(core, addr, AccessKind::Load);
+        // so the LLC evicts and back-invalidates, with evictions visible
+        // and silent. Afterwards every L1-resident line's linked LLC slot
+        // must still hold that line, and the slot's holder word must name
+        // the core (as owner at this L1 slot, or as a sharer). Every owned
+        // word's recorded L1 slot must hold its line; in silent mode it may
+        // instead have lost it, and then the owner's set holds no copy.
+        for silent in [false, true] {
+            let mut x = 0x1D_5EEDu64;
+            let mut next = move |n: u64| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 33) % n
+            };
+            let (mut llc_evictions, mut stale_owners) = (0, 0);
+            for _case in 0..40 {
+                let cores = 1usize << next(3);
+                let mut cfg = MemSystemConfig::cmp(cores);
+                cfg.silent_evictions = silent;
+                let mut m = MemSystem::new(cfg);
+                let llc_sets = CacheConfig::llc(cores).sets() as u64;
+                let sets: Vec<u64> = (0..1 + next(3)).map(|_| next(llc_sets)).collect();
+                for _ in 0..2000 {
+                    let set = sets[next(sets.len() as u64) as usize];
+                    let line = LineAddr(set + next(40) * llc_sets);
+                    let core = CoreId(next(cores as u64) as usize);
+                    let addr = Addr(line.0 * crate::types::LINE_BYTES);
+                    match next(10) {
+                        0 => {
+                            m.probe_shared(line);
+                        }
+                        1..=3 => {
+                            m.access(core, addr, AccessKind::Store);
+                        }
+                        _ => {
+                            m.access(core, addr, AccessKind::Load);
+                        }
                     }
                 }
-            }
-            llc_evictions += m.llc.counters().2;
-            for c in 0..cores {
-                for slot in 0..m.l1_slots {
-                    let Some(line) = m.l1s[c].line_at(slot) else {
+                llc_evictions += m.llc.counters().2;
+                for c in 0..cores {
+                    for slot in 0..m.l1_slots {
+                        let Some(line) = m.l1s[c].line_at(slot) else {
+                            continue;
+                        };
+                        let ls = m.l1_links[c * m.l1_slots + slot];
+                        assert!(
+                            m.llc.hint_holds(ls, line),
+                            "core {c}: {line} links to LLC slot {ls}, which holds another line"
+                        );
+                        let word = m.holders[ls as usize];
+                        let named = match owner_of(word) {
+                            Some(_) => word == owned_by(CoreId(c), slot),
+                            None => word & (1 << c) != 0,
+                        };
+                        assert!(
+                            named,
+                            "core {c} holds {line} at L1 slot {slot} but its holder word {word:#x} \
+                             does not name it"
+                        );
+                    }
+                }
+                for (ls, &word) in m.holders.iter().enumerate() {
+                    let Some(owner) = owner_of(word) else {
                         continue;
                     };
-                    let ls = m.l1_links[c * m.l1_slots + slot];
-                    assert!(
-                        m.llc.hint_holds(ls, line),
-                        "core {c}: {line} links to LLC slot {ls}, which holds another line"
-                    );
-                    let word = m.holders[ls as usize];
-                    assert_ne!(
-                        holder_mask(word) & (1 << c),
-                        0,
-                        "core {c} holds {line} but its holder word {word:#x} omits it"
-                    );
+                    let line = m
+                        .llc
+                        .line_at(ls)
+                        .expect("an owned word's LLC slot is valid");
+                    let slot = (word & !OWNED) >> OWNER_SLOT_SHIFT;
+                    if !m.l1s[owner].hint_holds(slot as u32, line) {
+                        assert!(silent, "core {owner} lost owned {line} from L1 slot {slot}");
+                        assert_eq!(
+                            m.l1s[owner].probe(line),
+                            None,
+                            "{line} moved in core {owner}"
+                        );
+                        stale_owners += 1;
+                    }
                 }
             }
+            assert!(llc_evictions > 0, "the traces never evicted from the LLC");
+            assert_eq!(
+                stale_owners > 0,
+                silent,
+                "stale owner words: {stale_owners}"
+            );
         }
-        assert!(llc_evictions > 0, "the traces never evicted from the LLC");
     }
 
     #[test]
